@@ -39,10 +39,10 @@ from .errors import (
 )
 from .extensions import (
     ExtensionPresentation,
+    _reduce_by_conductor,
     conductor,
     is_seminormal_witness,
     nil_comparison,
-    reduce_mod_conductor,
     witness_candidates,
 )
 from .polycore.fields import PrimeField, RationalFunctionField
@@ -332,8 +332,9 @@ def li_conductor_square(ext: ExtensionPresentation) -> LIResult:
     """Conductor-square reduction for finite birational extensions."""
     if not (ext.hints.finite and ext.hints.birational):
         raise MissingHints("conductor-square needs finite and birational hints")
+    cond = conductor(ext)
     try:
-        reduced = reduce_mod_conductor(ext)
+        reduced = _reduce_by_conductor(ext, cond)
     except DegenerateExtension:
         return LIResult(
             0,
@@ -341,7 +342,6 @@ def li_conductor_square(ext: ExtensionPresentation) -> LIResult:
             {"conductor": ("1",), "degenerate": "unit conductor (equality)"},
             hints_used=tuple(ext.hints.consumed()),
         )
-    cond = conductor(ext)
     a_alg = quotient_algebra(reduced.a_ring, reduced.a_ideal)
     b_alg = quotient_algebra(reduced.b_ring, reduced.b_ideal)
     c_a = component_count(a_alg)

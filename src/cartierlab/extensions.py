@@ -408,7 +408,11 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
 
 def reduce_mod_conductor(ext: ExtensionPresentation) -> ExtensionPresentation:
     """Quotient both sides by the conductor (an ideal on either side)."""
-    cond = conductor(ext)
+    return _reduce_by_conductor(ext, conductor(ext))
+
+
+def _reduce_by_conductor(ext: ExtensionPresentation, cond: Ideal) -> ExtensionPresentation:
+    """`reduce_mod_conductor` for a conductor the caller already has."""
     if cond.is_unit_ideal():
         raise DegenerateExtension("unit conductor: the extension is an equality")
     new_a_ideal = ideal_sum(ext.a_ideal, cond)

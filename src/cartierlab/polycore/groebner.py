@@ -1,11 +1,27 @@
 """Buchberger's algorithm, reduced bases, and the standard ideal operations.
 
-Determinism: pairs are selected by smallest lcm total degree, ties broken by
-pair indices; the reduced basis is sorted by leading term and made monic, so
-identical inputs give bit-identical outputs.
-"""
+Division: `reduce_poly` and `divide_with_quotients` share one kernel. It
+keeps the dividend as a mutable dict of terms and takes the next leading
+term from a heap keyed by `MonomialOrder.heap_key`; an entry whose term has
+cancelled, or that duplicates a term already taken, is stale and skipped. A
+leading term is divided by the first basis element whose leading term
+divides it, and only that element's tail is subtracted, since the leading
+terms cancel exactly. Remainders and quotients are therefore those of the
+textbook division loop, term for term (tests/oracles.py keeps that loop).
+
+Pairs: the S-pairs wait in a heap of (lcm total degree, i, j, lcm), the lcm
+computed once when the pair is pushed, so the next pair is the one with the
+smallest lcm total degree, ties broken by pair indices. The chain
+criterion, the S-pair count that the pair budget bounds, and every
+intermediate basis depend on this selection order and on the divisor choice
+above, so neither may change without changing outputs. The reduced basis is
+sorted by leading term and made monic, so identical inputs give
+bit-identical outputs."""
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 
 from ..errors import CartierlabError, CertificateFailure, PairBudgetExceeded
 from .rings import GREVLEX, MonomialOrder, Polynomial, PolyRing
@@ -29,63 +45,83 @@ def default_pair_budget() -> int:
 
 
 def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 # -- division ----------------------------------------------------------------
 
 
-def reduce_poly(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
-    """Full normal form of f against the basis (deterministic divisor choice)."""
+def _divisor(g: Polynomial) -> tuple:
+    """(leading exponents, leading coefficient, tail terms) of a divisor."""
+    lead, coeff = g.leading_term()
+    return lead, coeff, [(e, c) for e, c in g._terms.items() if e != lead]
+
+
+def _divide(f: Polynomial, divisors: list, quotients: list | None = None) -> Polynomial:
+    """The division kernel: the remainder of f, quotient terms into `quotients`."""
     ring = f.ring
     field = ring.field
-    lts = [g.leading_term() for g in basis]
-    p = f
-    remainder = ring.zero()
-    while not p.is_zero():
-        exp, coeff = p.leading_term()
-        for g, (gexp, gcoeff) in zip(basis, lts):
-            if _divides(gexp, exp):
-                factor = field.div(coeff, gcoeff)
-                p = p - g.term_mul(_sub(exp, gexp), factor)
+    fadd, fmul, fneg, fdiv, is_zero = field.add, field.mul, field.neg, field.div, field.is_zero
+    heap_key = ring.order.heap_key
+    terms = dict(f._terms)
+    heap = [(heap_key(e), e) for e in terms]
+    heapify(heap)
+    remainder: dict = {}
+    while heap:
+        exp = heappop(heap)[1]
+        coeff = terms.pop(exp, None)
+        if coeff is None:
+            continue  # stale entry
+        for i, (gexp, gcoeff, tail) in enumerate(divisors):
+            if all(map(le, gexp, exp)):
+                factor = fdiv(coeff, gcoeff)
+                shift = tuple(map(sub, exp, gexp))
+                for e, c in tail:
+                    m = tuple(map(add, e, shift))
+                    t = fneg(fmul(c, factor))
+                    old = terms.get(m)
+                    if old is None:
+                        terms[m] = t
+                        heappush(heap, (heap_key(m), m))
+                    else:
+                        s = fadd(old, t)
+                        if is_zero(s):
+                            del terms[m]
+                        else:
+                            terms[m] = s
+                if quotients is not None:
+                    quotients[i][shift] = factor
                 break
         else:
-            mono = ring.monomial(exp, coeff)
-            remainder = remainder + mono
-            p = p - mono
-    return remainder
+            remainder[exp] = coeff
+    return Polynomial._make(ring, remainder)
+
+
+def _divisors(f: Polynomial, basis: list[Polynomial]) -> list:
+    for g in basis:
+        f._check(g)
+    return [_divisor(g) for g in basis]
+
+
+def reduce_poly(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
+    """Full normal form of f against the basis (deterministic divisor choice)."""
+    return _divide(f, _divisors(f, basis))
 
 
 def divide_with_quotients(
     f: Polynomial, basis: list[Polynomial]
 ) -> tuple[list[Polynomial], Polynomial]:
-    ring = f.ring
-    field = ring.field
-    lts = [g.leading_term() for g in basis]
-    quotients = [ring.zero() for _ in basis]
-    p = f
-    remainder = ring.zero()
-    while not p.is_zero():
-        exp, coeff = p.leading_term()
-        for i, (g, (gexp, gcoeff)) in enumerate(zip(basis, lts)):
-            if _divides(gexp, exp):
-                factor = field.div(coeff, gcoeff)
-                quotients[i] = quotients[i] + ring.monomial(_sub(exp, gexp), factor)
-                p = p - g.term_mul(_sub(exp, gexp), factor)
-                break
-        else:
-            mono = ring.monomial(exp, coeff)
-            remainder = remainder + mono
-            p = p - mono
-    return quotients, remainder
+    quotients: list[dict] = [{} for _ in basis]
+    remainder = _divide(f, _divisors(f, basis), quotients)
+    return [Polynomial._make(f.ring, q) for q in quotients], remainder
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -104,23 +140,25 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
     budget = _budget if pair_budget is None else pair_budget
     basis = [g.monic() for g in generators if not g.is_zero()]
     key = ring.order.key
+    one = ring.field.one()
+    divisors = [_divisor(g) for g in basis]
+    lt = [d[0] for d in divisors]
+    queue: list = []
 
-    lt = [g.leading_term()[0] for g in basis]
-    pairs: set[tuple[int, int]] = {
-        (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-    }
+    def push(i: int, j: int) -> None:
+        lij = _lcm(lt[i], lt[j])
+        heappush(queue, (sum(lij), i, j, lij))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
     done: set[tuple[int, int]] = set()
     reductions = 0
 
-    def pair_rank(p: tuple[int, int]):
-        return (sum(_lcm(lt[p[0]], lt[p[1]])), p)
-
-    while pairs:
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
+    while queue:
+        _, i, j, lij = heappop(queue)
         done.add((i, j))
-        lij = _lcm(lt[i], lt[j])
-        if lij == tuple(a + b for a, b in zip(lt[i], lt[j])):
+        if lij == tuple(map(add, lt[i], lt[j])):
             continue  # coprime leading terms
         chained = False
         for k in range(len(basis)):
@@ -136,18 +174,19 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
         reductions += 1
         if reductions > budget:
             raise PairBudgetExceeded(budget)
-        s = basis[i].term_mul(_sub(lij, lt[i]), ring.field.one()) - basis[j].term_mul(
-            _sub(lij, lt[j]), ring.field.one()
+        s = basis[i].term_mul(_sub(lij, lt[i]), one) - basis[j].term_mul(
+            _sub(lij, lt[j]), one
         )
-        remainder = reduce_poly(s, basis)
+        remainder = _divide(s, divisors)
         if remainder.is_zero():
             continue
         remainder = remainder.monic()
         basis.append(remainder)
-        lt.append(remainder.leading_term()[0])
+        divisors.append(_divisor(remainder))
+        lt.append(divisors[-1][0])
         new = len(basis) - 1
         for k in range(new):
-            pairs.add((k, new))
+            push(k, new)
 
     # minimalize: drop elements whose leading term another one divides
     order_idx = sorted(range(len(basis)), key=lambda k: key(lt[k]))
@@ -155,12 +194,11 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
     for k in order_idx:
         if not any(_divides(lt[m], lt[k]) for m in kept):
             kept.append(k)
-    minimal = [basis[k] for k in kept]
     # interreduce tails for the unique reduced basis
     reduced: list[Polynomial] = []
-    for idx, g in enumerate(minimal):
-        others = [h for m, h in enumerate(minimal) if m != idx]
-        reduced.append(reduce_poly(g, others).monic() if others else g.monic())
+    for idx, k in enumerate(kept):
+        others = [divisors[m] for m in kept[:idx] + kept[idx + 1:]]
+        reduced.append(_divide(basis[k], others).monic() if others else basis[k].monic())
     reduced = [g for g in reduced if not g.is_zero()]
     reduced.sort(key=lambda g: key(g.leading_term()[0]))
     return reduced

@@ -3,12 +3,23 @@
 A polynomial is a map from exponent tuples to nonzero field elements. Values
 are immutable after construction; two polynomials are equal exactly when
 their rings and term maps are equal.
+
+`Polynomial(ring, terms)` validates: it checks every exponent tuple and drops
+zero coefficients, so it is the constructor for the parser and for callers.
+`Polynomial._make(ring, terms)` adopts the dict as it is, unchecked. Use it
+only for a term map built inside this package from the terms of polynomials
+of the same ring by field operations, with every zero coefficient already
+removed and the dict not touched afterwards: the results of `+`, `-`, `*`,
+`scale`, `term_mul` by a nonzero coefficient and the division kernel in
+`groebner.py`. Products of nonzero coefficients are nonzero because the
+coefficients form a field.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 
 from ..errors import CartierlabError
 from .fields import Field
@@ -36,6 +47,19 @@ class MonomialOrder:
             return _grevlex_key(exps)
         head, tail = exps[: self.block], exps[self.block:]
         return (head, _grevlex_key(tail))
+
+    def heap_key(self, exps: tuple) -> tuple:
+        """A flat key whose ascending order is this order's descending order.
+
+        Every entry of `key` negated, nesting flattened: popping a heap of
+        these keys yields the largest monomial first.
+        """
+        if self.kind == "lex":
+            return tuple(-e for e in exps)
+        if self.kind == "grevlex":
+            return (-sum(exps),) + exps[::-1]
+        head, tail = exps[: self.block], exps[self.block:]
+        return tuple(-e for e in head) + (-sum(tail),) + tail[::-1]
 
 
 def _grevlex_key(exps: tuple) -> tuple:
@@ -134,7 +158,7 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         nvars = len(ring.variables)
@@ -148,6 +172,17 @@ class Polynomial:
         self.ring = ring
         self._terms = clean
         self._hash = None
+        self._lead = None
+
+    @classmethod
+    def _make(cls, ring: PolyRing, terms: dict) -> "Polynomial":
+        """Adopt a clean term map without checks (see the module docstring)."""
+        poly = cls.__new__(cls)
+        poly.ring = ring
+        poly._terms = terms
+        poly._hash = None
+        poly._lead = None
+        return poly
 
     # -- inspection ---------------------------------------------------------
 
@@ -171,11 +206,12 @@ class Polynomial:
 
     def leading_term(self) -> tuple:
         """(exponents, coefficient) of the order-largest term."""
-        if not self._terms:
-            raise CartierlabError("the zero polynomial has no leading term")
-        key = self.ring.order.key
-        exp = max(self._terms, key=key)
-        return exp, self._terms[exp]
+        if self._lead is None:
+            if not self._terms:
+                raise CartierlabError("the zero polynomial has no leading term")
+            exp = max(self._terms, key=self.ring.order.key)
+            self._lead = (exp, self._terms[exp])
+        return self._lead
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -192,7 +228,7 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise CartierlabError(
                 f"ring mismatch: {self.ring.describe()} vs {other.ring.describe()}"
             )
@@ -207,11 +243,11 @@ class Polynomial:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        return Polynomial(self.ring, out)
+        return Polynomial._make(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
-        field = self.ring.field
-        return Polynomial(self.ring, {e: field.neg(c) for e, c in self._terms.items()})
+        neg = self.ring.field.neg
+        return Polynomial._make(self.ring, {e: neg(c) for e, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -222,13 +258,13 @@ class Polynomial:
         out: dict = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 s = field.add(out.get(exp, field.zero()), field.mul(c1, c2))
                 if field.is_zero(s):
                     out.pop(exp, None)
                 else:
                     out[exp] = s
-        return Polynomial(self.ring, out)
+        return Polynomial._make(self.ring, out)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -246,14 +282,18 @@ class Polynomial:
         field = self.ring.field
         if field.is_zero(c):
             return self.ring.zero()
-        return Polynomial(self.ring, {e: field.mul(c, v) for e, v in self._terms.items()})
+        mul = field.mul
+        return Polynomial._make(self.ring, {e: mul(c, v) for e, v in self._terms.items()})
 
     def term_mul(self, exps: tuple, coeff) -> "Polynomial":
         field = self.ring.field
-        out = {}
-        for e, c in self._terms.items():
-            out[tuple(a + b for a, b in zip(e, exps))] = field.mul(c, coeff)
-        return Polynomial(self.ring, out)
+        if field.is_zero(coeff):
+            return self.ring.zero()
+        mul = field.mul
+        out = {tuple(map(add, e, exps)): mul(c, coeff) for e, c in self._terms.items()}
+        if len(exps) == len(self.ring.variables) and min(exps, default=0) >= 0:
+            return Polynomial._make(self.ring, out)
+        return Polynomial(self.ring, out)  # a negative shift is checked term by term
 
     def monic(self) -> "Polynomial":
         if self.is_zero():

@@ -62,17 +62,6 @@ def umul(field, p: tuple, q: tuple) -> tuple:
     return utrim(field, out)
 
 
-def upow(field, p: tuple, n: int) -> tuple:
-    result = (field.one(),)
-    base = p
-    while n > 0:
-        if n & 1:
-            result = umul(field, result, base)
-        base = umul(field, base, base)
-        n >>= 1
-    return result
-
-
 def udivmod(field, p: tuple, q: tuple) -> tuple[tuple, tuple]:
     if not q:
         raise ZeroDivisionError("univariate division by the zero polynomial")
@@ -131,13 +120,6 @@ def uderiv(field, p: tuple) -> tuple:
         field,
         [field.mul(field.from_int(i), p[i]) for i in range(1, len(p))],
     )
-
-
-def ueval(field, p: tuple, x):
-    acc = field.zero()
-    for c in reversed(p):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def usquarefree_part(field, p: tuple) -> tuple:

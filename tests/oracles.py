@@ -2,7 +2,8 @@
 
 Nothing here calls the code paths under test: membership goes through dense
 linear algebra on monomial coordinates, expansion through naive dict
-convolution, and univariate division through schoolbook long division.
+convolution, univariate division through schoolbook long division, and
+multivariate reduction through the textbook loop on plain term dicts.
 """
 
 from __future__ import annotations
@@ -115,3 +116,33 @@ def brute_idempotent_count(p: int, dim: int, mul) -> int:
     c = count.bit_length() - 1
     assert 2**c == count, "idempotent count must be a power of two"
     return c
+
+
+def naive_reduce(f_terms: dict, basis_terms: list[dict], field, key) -> dict:
+    """Textbook full reduction on {exponent tuple: coefficient} maps.
+
+    Each step finds the leading term as the maximum by `key` over the whole
+    dividend, divides it by the first basis element whose leading term
+    divides it, and subtracts the whole multiple; a term nothing divides
+    moves to the remainder. The remainder's terms come in descending order.
+    """
+    p = dict(f_terms)
+    leads = [max(g, key=key) for g in basis_terms]
+    remainder: dict = {}
+    while p:
+        exp = max(p, key=key)
+        for g, lead in zip(basis_terms, leads):
+            if all(a <= b for a, b in zip(lead, exp)):
+                factor = field.div(p[exp], g[lead])
+                shift = tuple(a - b for a, b in zip(exp, lead))
+                for e, c in g.items():
+                    m = tuple(a + b for a, b in zip(e, shift))
+                    value = field.sub(p.get(m, field.zero()), field.mul(factor, c))
+                    if field.is_zero(value):
+                        p.pop(m, None)
+                    else:
+                        p[m] = value
+                break
+        else:
+            remainder[exp] = p.pop(exp)
+    return remainder

@@ -5,18 +5,37 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import membership_by_linear_algebra
-from cartierlab.errors import PairBudgetExceeded
+from oracles import membership_by_linear_algebra, naive_reduce
+from cartierlab.errors import CartierlabError, PairBudgetExceeded
 from cartierlab.polycore import (
     GREVLEX,
     Ideal,
     LEX,
+    MonomialOrder,
+    Polynomial,
     PolyRing,
+    PrimeField,
     QQ,
     parse_polynomial,
     reduce_poly,
 )
-from cartierlab.polycore.groebner import _divides, _lcm, _sub
+from cartierlab.polycore.groebner import (
+    _divides,
+    _lcm,
+    _sub,
+    buchberger,
+    divide_with_quotients,
+)
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property tests below skip
+    st = None
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 
 def make_ideal(ring, texts):
@@ -191,3 +210,125 @@ def test_free_function_aliases():
     ideal = make_ideal(ring, ["t^2 - 1"])
     assert [str(g) for g in groebner(ideal)] == ["t^2 - 1"]
     assert normal_form(parse_polynomial("t^3 - t", ring), ideal).is_zero()
+
+
+# -- the unchecked constructor -------------------------------------------------
+
+
+def test_cancelling_arithmetic_gives_the_zero_polynomial():
+    f7 = PrimeField(7)
+    for ring in (PolyRing(QQ, ["x", "y"]), PolyRing(f7, ["x", "y"], LEX)):
+        x = ring.variable("x")
+        f = parse_polynomial("3*x^2*y - y + 2", ring)
+        for zero in (x - x, f - f, f + (-f), f.scale(ring.field.zero()),
+                     f.term_mul((1, 2), ring.field.zero()), (f - f) * f):
+            assert zero.is_zero()
+            assert zero == ring.zero()
+            assert hash(zero) == hash(ring.zero())
+    ring = PolyRing(f7, ["x"])
+    f = parse_polynomial("x^2 + 3", ring)
+    assert (-f).terms() == {(2,): 6, (0,): 4}
+    assert -(-f) == f
+
+
+def test_hash_and_equality_survive_the_cached_leading_term():
+    ring = PolyRing(QQ, ["x", "y"])
+    x, y = ring.variable("x"), ring.variable("y")
+    built = (x + y) * x - y.scale(QQ.from_int(2))
+    parsed = parse_polynomial("-2*y + x*y + x^2", ring)
+    assert built.leading_term() == ((2, 0), QQ.one())  # cached on one side only
+    assert built == parsed and hash(built) == hash(parsed)
+    assert parsed.leading_term() == built.leading_term()
+    assert len({built, parsed}) == 1
+
+
+def test_term_mul_checks_a_negative_shift():
+    ring = PolyRing(QQ, ["x", "y"])
+    f = parse_polynomial("x^2 + x*y", ring)
+    assert f.term_mul((-1, 0), QQ.one()) == parse_polynomial("x + y", ring)
+    with pytest.raises(CartierlabError):
+        f.term_mul((0, -1), QQ.one())
+
+
+# -- properties of the division kernel and the pair queue ----------------------
+
+FIELDS = (QQ, PrimeField(32003))
+ORDERS = (LEX, GREVLEX, MonomialOrder("block", 1))
+NAMES = ("x", "y", "z")
+
+if st is None:
+    def property_test(fn):
+        return pytest.mark.skip(reason="hypothesis is not installed")(fn)
+else:
+    def property_test(fn):
+        checked = settings(max_examples=60, deadline=None, derandomize=True,
+                           database=None)
+        return checked(given(data=st.data())(fn))
+
+
+def draw_ring(data, orders=ORDERS) -> PolyRing:
+    field = data.draw(st.sampled_from(FIELDS))
+    order = data.draw(st.sampled_from(orders))
+    return PolyRing(field, NAMES[: data.draw(st.integers(2, 3))], order)
+
+
+def draw_poly(data, ring, max_terms=4, max_exp=3) -> Polynomial:
+    exps = st.tuples(*[st.integers(0, max_exp)] * ring.nvars())
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+    terms = data.draw(st.dictionaries(exps, coeffs, max_size=max_terms))
+    return Polynomial(ring, {e: ring.field.from_fraction(c) for e, c in terms.items()})
+
+
+def draw_basis(data, ring, size=3, **kwargs) -> list:
+    polys = [draw_poly(data, ring, **kwargs) for _ in range(data.draw(st.integers(1, size)))]
+    return [g for g in polys if not g.is_zero()] or [ring.variable("y")]
+
+
+@property_test
+def test_reduce_poly_matches_the_textbook_loop(data):
+    ring = draw_ring(data)
+    f = draw_poly(data, ring, max_terms=6, max_exp=4)
+    basis = draw_basis(data, ring)
+    expected = naive_reduce(f.terms(), [g.terms() for g in basis], ring.field,
+                            ring.order.key)
+    assert list(reduce_poly(f, basis).terms().items()) == list(expected.items())
+
+
+@property_test
+def test_divide_with_quotients_reassembles_the_dividend(data):
+    ring = draw_ring(data)
+    f = draw_poly(data, ring, max_terms=6, max_exp=4)
+    basis = draw_basis(data, ring)
+    quotients, remainder = divide_with_quotients(f, basis)
+    total = remainder
+    for q, g in zip(quotients, basis):
+        total = total + q * g
+    assert total == f
+    assert remainder == reduce_poly(f, basis)
+
+
+@property_test
+def test_heap_key_sorts_in_reverse_monomial_order(data):
+    order = data.draw(st.sampled_from(ORDERS))
+    nvars = data.draw(st.integers(2, 4))
+    exps = data.draw(st.sets(st.tuples(*[st.integers(0, 5)] * nvars), max_size=12))
+    assert sorted(exps, key=order.heap_key) == sorted(exps, key=order.key, reverse=True)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@property_test
+def test_buchberger_matches_sympy(data):
+    ring = draw_ring(data, orders=(LEX, GREVLEX))
+    gens = draw_basis(data, ring, max_terms=3, max_exp=2)
+    symbols = sympy.symbols(ring.variables)
+    domain = {"modulus": ring.field.p} if ring.field.characteristic else {"domain": "QQ"}
+    exprs = [sympy.sympify(str(g).replace("^", "**")) for g in gens]
+    expected = sympy.groebner(exprs, *symbols, order=ring.order.kind, **domain)
+    theirs = set()
+    for poly in expected.polys:
+        terms = {}
+        for exps, c in poly.terms():
+            c = sympy.Rational(c)
+            terms[exps] = ring.field.from_fraction(Fraction(int(c.p), int(c.q)))
+        theirs.add(Polynomial(ring, terms).monic())
+    assert set(buchberger(gens, ring)) == theirs
