@@ -1,17 +1,26 @@
 """Zero-dimensional quotient rings as finite-dimensional algebras.
 
 A FiniteAlgebra carries the monomial staircase basis and the multiplication
-table of R = ring/ideal. Connected components are counted by splitting the
-identity into primitive idempotents: probe elements in a fixed order, take
-the squarefree part of the minimal polynomial, split it into coprime factors,
-build an approximate idempotent from a Bezout identity, and lift it until it
-is exactly idempotent. Unknown is a first-class outcome; a count is only
-reported when every block is proven connected.
+table of A = ring/ideal. Connected components are counted on the reduced
+algebra A_red, which the squarefree parts of the variables' minimal
+polynomials present (Seidenberg). A primitive element z of A_red, the first
+of x_1 + c*x_2 + c^2*x_3 + ... (c = 0, 1, 2, ...) whose minimal polynomial m
+has degree dim A_red, gives A_red = k[z]/(m); the count is the number of
+irreducible factors of m, and the primitive idempotents are the CRT
+idempotents of those factors, lifted to A by h -> 3h^2 - 2h^3
+(Gianni-Trager-Zacharias 1988). Over a prime field F_p too small for the
+search to be sure of success, the count is the dimension of the Frobenius
+kernel {a : a^p = a}, spanned by the primitive idempotents (Berlekamp 1967).
+The factors of the variables' minimal polynomials cut m into pieces that
+are factored one by one. Unknown is a first-class outcome: a factor cap, or
+a field where neither route applies, gives Unknown with its reason, never a
+guessed count.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -26,8 +35,8 @@ from .errors import (
 from .polycore import unipoly as up
 from .polycore.factor import squarefree_factors
 from .polycore.fields import PrimeField, RationalField, RationalFunctionField
-from .polycore.groebner import Ideal
-from .polycore.linalg import first_dependence, rref
+from .polycore.groebner import Ideal, ideal_sum
+from .polycore.linalg import express_in_span, first_dependence, kernel_basis, rref
 from .polycore.rings import GREVLEX, Polynomial, PolyRing
 
 
@@ -206,12 +215,24 @@ class IdempotentDecomposition:
     count: int
 
 
-def _probe_stream(alg: FiniteAlgebra):
-    for i in range(1, alg.dim):
-        yield alg.basis_element(i)
-    for i in range(1, alg.dim):
-        for j in range(i + 1, alg.dim):
-            yield alg.add(alg.basis_element(i), alg.basis_element(j))
+@dataclass(frozen=True)
+class _Splitting:
+    """How the components of an algebra A are read off an algebra S.
+
+    S is A itself or A_red, whose staircase lies inside that of A. Either
+    S = k[z]/(m) up to nilpotents, for a primitive element z, and `factors`
+    are the irreducible factors of m; or `kernel` is a basis of
+    ker(a -> a^p - a) on S over F_p.
+    """
+
+    algebra: FiniteAlgebra
+    element: tuple | None = None
+    factors: tuple = ()
+    kernel: tuple = ()
+
+    @property
+    def count(self) -> int:
+        return len(self.factors) if self.element is not None else len(self.kernel)
 
 
 def _relative_minimal_polynomial(alg: FiniteAlgebra, unit: tuple, a: tuple) -> tuple:
@@ -236,46 +257,215 @@ def _hensel_idempotent(alg: FiniteAlgebra, h: tuple) -> tuple:
     raise CartierlabError("idempotent lifting failed to converge")  # pragma: no cover
 
 
-def _split_block(alg: FiniteAlgebra, unit: tuple) -> list[tuple]:
-    limit_hit = False
-    for probe in _probe_stream(alg):
-        a = alg.mul(unit, probe)
-        m = _relative_minimal_polynomial(alg, unit, a)
-        sq = up.usquarefree_part(alg.field, m)
+def _search_bound(alg: FiniteAlgebra) -> int:
+    """Constants c for which x_1 + c*x_2 + c^2*x_3 + ... can fail to be
+    primitive in a reduced algebra: at most (n - 1) * D(D - 1)/2."""
+    dim = alg.dim
+    return (alg.ring.nvars() - 1) * dim * (dim - 1) // 2
+
+
+def _constant(field, c: int):
+    """The c-th of the distinct constants 0, 1, 2, ... of the field. Over k(v)
+    in characteristic p, the base-p digits of c are the coefficients of a
+    polynomial in v, so that there are as many constants as the search needs."""
+    if not (isinstance(field, RationalFunctionField) and field.characteristic):
+        return field.from_int(c)
+    digits = []
+    while c:
+        c, d = divmod(c, field.characteristic)
+        digits.append(field.base.from_int(d))
+    return field.from_polynomial(tuple(digits))
+
+
+def _primitive_element(alg: FiniteAlgebra, mins: list[tuple]):
+    """(z, minimal polynomial of z) with deg = dim alg, or None.
+
+    The candidates are x_1 + c*x_2 + c^2*x_3 + ... for c = 0, 1, 2, ...;
+    a variable whose minimal polynomial (given in `mins`) already has full
+    degree is taken first. Over a reduced algebra the search succeeds once
+    it may try more than _search_bound constants.
+    """
+    field = alg.field
+    variables = [alg.variable_element(v) for v in alg.ring.variables]
+    for x, m in zip(variables, mins):
+        if up.udeg(m) == alg.dim:
+            return x, m
+    last = _search_bound(alg)
+    if field.characteristic and not isinstance(field, RationalFunctionField):
+        last = min(last, field.characteristic - 1)  # a finite field has p constants c
+    for c in range(1, last + 1):
+        const = _constant(field, c)
+        z, weight = alg.zero(), field.one()
+        for x in variables:
+            z = alg.add(z, alg.scale(weight, x))
+            weight = field.mul(weight, const)
+        m = minimal_polynomial(alg, z)
+        if up.udeg(m) == alg.dim:
+            return z, m
+    return None
+
+
+def _frobenius_kernel(alg: FiniteAlgebra) -> tuple:
+    """A basis of {a : a^p = a} over F_p: the span of the primitive idempotents.
+
+    Frobenius is a ring map, so the image of each staircase monomial is the
+    image of a smaller one times the image of one variable (Berlekamp 1967).
+    """
+    field = alg.field
+    frob = [alg.pow(alg.variable_element(v), field.p) for v in alg.ring.variables]
+    images = []
+    for exp in alg.basis:
+        i = next((i for i, e in enumerate(exp) if e), None)
+        if i is None:
+            images.append(alg.one())
+            continue
+        below = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+        images.append(alg.mul(images[alg._index[below]], frob[i]))
+    rows = [
+        [field.sub(images[j][r], field.one() if r == j else field.zero())
+         for j in range(alg.dim)]
+        for r in range(alg.dim)
+    ]
+    return tuple(tuple(v) for v in kernel_basis(field, rows))
+
+
+def _factors(field, m: tuple) -> tuple:
+    try:
+        return tuple(squarefree_factors(field, m))
+    except FactorSearchLimit as exc:
+        raise ProbeExhausted(f"a factor search hit its cap: {exc}") from None
+
+
+def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple,
+                             mins: list[tuple]) -> tuple:
+    """The irreducible factors of m, where alg = k[z]/(m) up to nilpotents.
+
+    Every variable is a polynomial q(z), so the factors f of its minimal
+    polynomial cut m into the pieces gcd(m, f(q(z))): the points where the
+    variable is a root of f. The residue field of such a point contains
+    k[x]/(f), so the degree of every factor of the piece is a multiple of
+    deg f, for each variable, and a piece of degree below twice the least
+    common multiple is irreducible. The other pieces are factored one by
+    one, which keeps their degrees under the factor caps where all of m
+    would hit them.
+    """
+    field = alg.field
+    pieces = [(up.usquarefree_part(field, m), 1)]  # (piece, divisor of its factors' degrees)
+    powers = None
+    for name, mi in zip(alg.ring.variables, mins):
+        x = alg.variable_element(name)
+        if up.udeg(mi) < 2 or x == z:
+            continue
         try:
-            factors = squarefree_factors(alg.field, sq)
+            factors = squarefree_factors(field, mi)
         except FactorSearchLimit:
-            limit_hit = True
+            continue  # this variable cuts nothing
+        if len(factors) == 1:
+            pieces = [(piece, math.lcm(low, up.udeg(factors[0]))) for piece, low in pieces]
             continue
-        if len(factors) < 2:
-            continue
-        g1 = factors[0]
-        g2 = (alg.field.one(),)
-        for f in factors[1:]:
-            g2 = up.umul(alg.field, g2, f)
-        _, _, v = up.uxgcd(alg.field, g1, g2)
-        h = alg.eval_upoly(up.umul(alg.field, v, g2), a, unit=unit)
-        h = _hensel_idempotent(alg, h)
-        if alg.is_zero_elem(h) or h == unit:
-            raise CartierlabError("splitting produced a trivial idempotent")  # pragma: no cover
-        return _split_block(alg, h) + _split_block(alg, alg.sub(unit, h))
-    if limit_hit:
-        raise ProbeExhausted(
-            "no splitting element found and a factor search hit its cap"
-        )
-    return [unit]
+        if powers is None:
+            powers = [alg.one()]
+            for _ in range(alg.dim - 1):
+                powers.append(alg.mul(powers[-1], z))
+        q = up.utrim(field, express_in_span(field, [list(w) for w in powers], list(x)))
+        cut = []
+        for piece, low in pieces:
+            for f in factors:
+                value = ()
+                for c in reversed(f):  # f(q) mod piece, by Horner
+                    value = up.umod(field, up.uadd(field, up.umul(field, value, q), (c,)), piece)
+                g = up.ugcd(field, piece, value)
+                if up.udeg(g) > 0:
+                    cut.append((g, math.lcm(low, up.udeg(f))))
+        pieces = cut
+    return tuple(f for piece, low in pieces
+                 for f in ((piece,) if up.udeg(piece) < 2 * low else _factors(field, piece)))
+
+
+def _splitting(alg: FiniteAlgebra, mins: list[tuple] | None = None) -> _Splitting:
+    """Certify the components of alg, from its variables' minimal polynomials.
+
+    Raises ProbeExhausted, naming the reason, when the count is not certified.
+    """
+    field = alg.field
+    if alg.dim == 1:  # alg = k = k[z]/(z - 1)
+        return _Splitting(alg, alg.one(), ((field.neg(field.one()), field.one()),))
+    if mins is None:
+        mins = variable_minimal_polynomials(alg)
+    red, red_mins = alg, mins
+    if all(up.udeg(m) < alg.dim for m in mins):  # no variable is primitive in alg
+        red, red_mins = _reduced_algebra(alg, mins)
+        if isinstance(field, PrimeField) and field.p <= _search_bound(red):
+            return _Splitting(red, kernel=_frobenius_kernel(red))
+    found = _primitive_element(red, red_mins)
+    if found is None:  # only over a non-prime finite field
+        raise ProbeExhausted(f"no candidate is primitive over {field.describe()}")
+    z, m = found
+    return _Splitting(red, z, _factors_along_variables(red, z, m, red_mins))
+
+
+def _crt_idempotents(alg: FiniteAlgebra, factors: tuple, a: tuple, unit: tuple) -> list[tuple]:
+    """e(a) for each factor f, where e = 1 mod f and 0 mod the other factors;
+    powers of a start from a^0 := unit, so e(a) splits the block of unit."""
+    field = alg.field
+    total = (field.one(),)
+    for f in factors:
+        total = up.umul(field, total, f)
+    powers = [unit]
+    for _ in range(up.udeg(total) - 1):
+        powers.append(alg.mul(powers[-1], a))
+    out = []
+    for f in factors:
+        rest = up.udivmod(field, total, f)[0]
+        _, _, v = up.uxgcd(field, f, rest)
+        e = alg.zero()
+        for c, power in zip(up.umod(field, up.umul(field, v, rest), total), powers):
+            e = alg.add(e, alg.scale(c, power))
+        out.append(e)
+    return out
+
+
+def _kernel_idempotents(split: _Splitting) -> list[tuple]:
+    """Split 1 by the kernel basis: every element of the kernel takes values
+    in F_p on the primitive idempotents, so its relative minimal polynomial
+    on a block is a product of distinct linear factors."""
+    alg = split.algebra
+    blocks = [alg.one()]
+    for b in split.kernel:
+        if len(blocks) == split.count:
+            break
+        refined = []
+        for unit in blocks:
+            a = alg.mul(b, unit)
+            factors = _factors(alg.field, _relative_minimal_polynomial(alg, unit, a))
+            refined += _crt_idempotents(alg, factors, a, unit) if len(factors) > 1 else [unit]
+        blocks = refined
+    return blocks
 
 
 def idempotent_decomposition(alg: FiniteAlgebra) -> IdempotentDecomposition:
-    """Primitive idempotents summing to 1; count = connected components."""
-    parts = _split_block(alg, alg.one())
+    """Primitive idempotents summing to 1; count = connected components.
+
+    Raises ProbeExhausted when the count cannot be certified.
+    """
+    split = _splitting(alg)
+    if split.count == 1:
+        return IdempotentDecomposition(alg, (alg.one(),), 1)
+    if split.element is not None:
+        parts = _crt_idempotents(split.algebra, split.factors, split.element,
+                                 split.algebra.one())
+    else:
+        parts = _kernel_idempotents(split)
+    if split.algebra is not alg:  # the staircase of A_red lies inside that of A
+        parts = [alg.from_poly(split.algebra.to_poly(e)) for e in parts]
+    parts = [_hensel_idempotent(alg, e) for e in parts]
     return IdempotentDecomposition(alg, tuple(parts), len(parts))
 
 
 def component_count(alg: FiniteAlgebra):
     """Number of connected components of Spec, or Unknown."""
     try:
-        return idempotent_decomposition(alg).count
+        return _splitting(alg).count
     except ProbeExhausted:
         return UNKNOWN
 
@@ -289,10 +479,9 @@ def variable_minimal_polynomials(alg: FiniteAlgebra) -> list[tuple]:
     ]
 
 
-def radical_generators(alg: FiniteAlgebra) -> list[Polynomial]:
-    """Extra generators presenting the reduced quotient (variable eliminants)."""
+def _radical_generators(alg: FiniteAlgebra, mins: list[tuple]) -> list[Polynomial]:
     gens = []
-    for name, m in zip(alg.ring.variables, variable_minimal_polynomials(alg)):
+    for name, m in zip(alg.ring.variables, mins):
         sq = up.usquarefree_part(alg.field, m)
         if up.udeg(sq) < up.udeg(m):
             total = alg.ring.zero()
@@ -305,21 +494,33 @@ def radical_generators(alg: FiniteAlgebra) -> list[Polynomial]:
     return gens
 
 
+def _reduced_algebra(alg: FiniteAlgebra, mins: list[tuple]):
+    """(A_red, minimal polynomials of its variables): the squarefree parts."""
+    gens = _radical_generators(alg, mins)
+    if not gens:
+        return alg, mins
+    red = quotient_algebra(alg.ring, ideal_sum(alg.ideal, Ideal(alg.ring, gens)))
+    return red, [up.usquarefree_part(alg.field, m) for m in mins]
+
+
+def radical_generators(alg: FiniteAlgebra) -> list[Polynomial]:
+    """Extra generators presenting the reduced quotient (variable eliminants)."""
+    return _radical_generators(alg, variable_minimal_polynomials(alg))
+
+
 def is_reduced(alg: FiniteAlgebra) -> bool:
-    return all(
-        up.udeg(up.usquarefree_part(alg.field, m)) == up.udeg(m)
-        for m in variable_minimal_polynomials(alg)
-    )
+    return not radical_generators(alg)
 
 
 def is_field_algebra(alg: FiniteAlgebra):
-    """True/False when decidable, Unknown when a factor cap blocks the count."""
-    if not is_reduced(alg):
+    """True/False when decidable, Unknown when the count is not certified."""
+    mins = variable_minimal_polynomials(alg)
+    if _radical_generators(alg, mins):
         return False
-    count = component_count(alg)
-    if count is UNKNOWN:
+    try:
+        return _splitting(alg, mins).count == 1
+    except ProbeExhausted:
         return UNKNOWN
-    return count == 1
 
 
 def nilradical_span(alg: FiniteAlgebra) -> list[tuple]:
@@ -339,7 +540,7 @@ def nilradical_span(alg: FiniteAlgebra) -> list[tuple]:
 def primitive_element_presentation(alg: FiniteAlgebra):
     """Present a field algebra as the base field or a simple extension.
 
-    Returns a Field, or None when no probe is primitive.
+    Returns a Field, or None when no candidate is primitive.
     """
     from .polycore.fields import SimpleExtensionField
 
@@ -349,11 +550,10 @@ def primitive_element_presentation(alg: FiniteAlgebra):
     name = "g"
     while name in taken:
         name += "_"
-    for probe in _probe_stream(alg):
-        m = minimal_polynomial(alg, probe)
-        if up.udeg(m) == alg.dim:
-            return SimpleExtensionField(alg.field, m, generator=name)
-    return None
+    found = _primitive_element(alg, variable_minimal_polynomials(alg))
+    if found is None:
+        return None
+    return SimpleExtensionField(alg.field, found[1], generator=name)
 
 
 # -- fibers that are finite over a polynomial subring ---------------------------

@@ -151,10 +151,6 @@ def verify_maximal(ext: ExtensionPresentation, prime: Ideal) -> FiniteAlgebra:
     return alg
 
 
-def _residue_presentation(alg: FiniteAlgebra):
-    return primitive_element_presentation(alg)
-
-
 def _stalk_semantics(ext: ExtensionPresentation) -> str:
     return "henselized-stalk" if ext.hints.finite else "fiber-components-only"
 
@@ -167,7 +163,7 @@ def stalk_at_maximal(ext: ExtensionPresentation, prime: Ideal) -> StalkReport:
     if fiber_ideal.is_unit_ideal():
         return StalkReport(
             prime,
-            _residue_presentation(residue_alg),
+            primitive_element_presentation(residue_alg),
             EMPTY,
             0,
             _stalk_semantics(ext),
@@ -195,7 +191,7 @@ def stalk_at_maximal(ext: ExtensionPresentation, prime: Ideal) -> StalkReport:
         stalk = components - 1
     return StalkReport(
         prime,
-        _residue_presentation(residue_alg),
+        primitive_element_presentation(residue_alg),
         components,
         stalk,
         _stalk_semantics(ext),

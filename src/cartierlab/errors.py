@@ -80,7 +80,13 @@ class InvariantViolation(CartierlabError):
 
 
 class ProbeExhausted(CartierlabError):
-    """No splitting element found but the block is not proven connected."""
+    """A component count could not be certified.
+
+    Raised when a factor search hits its cap, or when no candidate
+    combination of the variables is a primitive element of the reduced
+    algebra over a non-prime finite field, which has too few constants for
+    the search and no Frobenius-kernel count.
+    """
 
 
 class WellDefinednessError(CartierlabError):

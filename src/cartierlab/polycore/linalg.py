@@ -76,11 +76,28 @@ def first_dependence(field, vectors: list[list]):
 
     Returns (k, coeffs) where vectors[k] = sum(coeffs[i] * vectors[i], i < k),
     or None if the whole list is independent.
+
+    One echelon form is kept across the vectors: each row has a pivot, is
+    zero at the pivots of the rows before it, and carries the combination of
+    the input vectors it equals. A vector reduced against the rows in order
+    either leaves a new row or reaches zero, which gives the dependence.
     """
-    independent: list[list] = []
+    zero = field.zero()
+    rows: list[tuple[int, list, list]] = []  # (pivot, row, combination)
     for k, vec in enumerate(vectors):
-        coeffs = express_in_span(field, independent, list(vec))
-        if coeffs is not None:
-            return k, coeffs
-        independent.append(list(vec))
+        v = list(vec)
+        combo = [zero] * k + [field.one()]
+        for pivot, row, rcombo in rows:
+            c = v[pivot]
+            if field.is_zero(c):
+                continue
+            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+            for i, b in enumerate(rcombo):
+                if not field.is_zero(b):
+                    combo[i] = field.sub(combo[i], field.mul(c, b))
+        pivot = next((i for i, a in enumerate(v) if not field.is_zero(a)), None)
+        if pivot is None:  # sum(combo[i] * vectors[i]) = 0 with combo[k] = 1
+            return k, [field.neg(c) for c in combo[:k]]
+        inv = field.inv(v[pivot])
+        rows.append((pivot, [field.mul(inv, a) for a in v], [field.mul(inv, c) for c in combo]))
     return None

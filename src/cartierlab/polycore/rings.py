@@ -319,7 +319,8 @@ class Polynomial:
             cache = powers.setdefault(i, {0: target_ring.one(), 1: img})
             if e not in cache:
                 half = var_power(i, e // 2)
-                cache[e] = half * half * (img if e % 2 else target_ring.one())
+                square = half * half
+                cache[e] = square * img if e % 2 else square
             return cache[e]
 
         total = target_ring.zero()

@@ -2,8 +2,9 @@
 
 Nothing here calls the code paths under test: membership goes through dense
 linear algebra on monomial coordinates, expansion through naive dict
-convolution, univariate division through schoolbook long division, and
-multivariate reduction through the textbook loop on plain term dicts.
+convolution, univariate division through schoolbook long division,
+multivariate reduction through the textbook loop on plain term dicts, and
+the first linear dependence through one fresh elimination per vector.
 """
 
 from __future__ import annotations
@@ -146,3 +147,20 @@ def naive_reduce(f_terms: dict, basis_terms: list[dict], field, key) -> dict:
         else:
             remainder[exp] = p.pop(exp)
     return remainder
+
+
+def per_vector_first_dependence(field, vectors: list[list]):
+    """The first dependence among successive vectors, one rref per vector.
+
+    Solves each vector against all the vectors before it from scratch, as
+    first_dependence did before it kept one echelon form across them.
+    """
+    from cartierlab.polycore.linalg import express_in_span
+
+    independent: list[list] = []
+    for k, vec in enumerate(vectors):
+        coeffs = express_in_span(field, independent, list(vec))
+        if coeffs is not None:
+            return k, coeffs
+        independent.append(list(vec))
+    return None

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_idempotent_count
+from oracles import brute_idempotent_count, per_vector_first_dependence
+from cartierlab import artinian
 from cartierlab.artinian import (
     component_count,
     components_over_subring,
@@ -18,7 +19,13 @@ from cartierlab.artinian import (
     quotient_algebra,
     radical_generators,
 )
-from cartierlab.errors import NotFiniteOverSubring, NotZeroDimensional, UNKNOWN
+from cartierlab.errors import (
+    NotFiniteOverSubring,
+    NotZeroDimensional,
+    ProbeExhausted,
+    UNKNOWN,
+    ZeroRingError,
+)
 from cartierlab.polycore import (
     GREVLEX,
     Ideal,
@@ -29,6 +36,7 @@ from cartierlab.polycore import (
     parse_polynomial,
 )
 from cartierlab.polycore import unipoly as up
+from cartierlab.polycore.linalg import first_dependence
 
 
 def algebra(field, variables, texts):
@@ -184,6 +192,19 @@ def test_components_over_subring_cases():
     assert components_over_subring(domain_ring, Ideal(domain_ring, []), ["b"]) == 1
 
 
+def test_components_over_subring_in_characteristic_p():
+    # over F_2(b) the constants 0, 1 are too few for a primitive element of
+    # F_2(b)^4; the candidates go on with b, b + 1, b^2, ...
+    ring = PolyRing(PrimeField(2), ["b", "x", "y"], GREVLEX)
+    ideal = Ideal(ring, [parse_polynomial(t, ring) for t in ("x^2 + x", "y^2 + y")])
+    assert components_over_subring(ring, ideal, ["b"]) == 4
+    # x + b*y is primitive; its minimal polynomial, cut at x = 0 and x = 1,
+    # leaves two quadratics that y^2 + y + 1 shows irreducible with no factor
+    # search, which over F_2(b) stops at degree 1 for such coefficients
+    field4 = Ideal(ring, [parse_polynomial(t, ring) for t in ("x^2 + x", "y^2 + y + 1")])
+    assert components_over_subring(ring, field4, ["b"]) == 2
+
+
 def test_components_over_subring_non_integral_is_unknown():
     # y^2 - x^2 over QQ[x]: the generic idempotents have denominator 2x
     ring = PolyRing(QQ, ["x", "y"], GREVLEX)
@@ -197,3 +218,166 @@ def test_components_over_subring_requires_finiteness():
         components_over_subring(ring, Ideal(ring, []), ["b"])
     with pytest.raises(NotFiniteOverSubring):
         components_over_subring(ring, Ideal(ring, []), ["b", "e"])
+
+
+# -- certified counts: primitive element of A_red, Frobenius kernel ------------
+
+
+def assert_primitive_idempotents(alg, count):
+    """The decomposition has `count` nonzero idempotents, pairwise
+    orthogonal, summing to 1."""
+    dec = idempotent_decomposition(alg)
+    assert dec.count == count == len(dec.idempotents)
+    total = alg.zero()
+    for i, e in enumerate(dec.idempotents):
+        assert alg.mul(e, e) == e
+        assert not alg.is_zero_elem(e)
+        for f in dec.idempotents[i + 1:]:
+            assert alg.is_zero_elem(alg.mul(e, f))
+        total = alg.add(total, e)
+    assert total == alg.one()
+
+
+@pytest.fixture
+def frobenius_calls(monkeypatch):
+    """Counts the algebras whose count went through the Frobenius kernel."""
+    calls = []
+    original = artinian._frobenius_kernel
+
+    def counting(alg):
+        calls.append(alg.dim)
+        return original(alg)
+
+    monkeypatch.setattr(artinian, "_frobenius_kernel", counting)
+    return calls
+
+
+def _random_poly(rng, ring, p, degrees):
+    """Sum of random coefficients times x^i y^j for (i, j) in degrees."""
+    total = ring.zero()
+    for exps in degrees:
+        c = rng.randrange(p)
+        if c:
+            total = total + ring.monomial(exps, ring.field.from_int(c))
+    return total
+
+
+def _random_bivariate(rng, p):
+    """k[x, y]/(f(x), y^k + c_1(x) y^(k-1) + ... [, h]) over F_p, dim <= 6;
+    for half of them the c_i are constants."""
+    ring = PolyRing(PrimeField(p), ["x", "y"], GREVLEX)
+    dx = rng.randint(1, 3)
+    dy = rng.randint(1, max(1, 6 // dx))
+    f = ring.monomial((dx, 0), 1) + _random_poly(rng, ring, p, [(i, 0) for i in range(dx)])
+    tangled = rng.random() < 0.5  # g(x, y), else g(y): a tensor product
+    g = ring.monomial((0, dy), 1) + _random_poly(
+        rng, ring, p, [(i, j) for i in range(dx if tangled else 1) for j in range(dy)])
+    gens = [f, g]
+    if rng.random() < 0.3:
+        gens.append(_random_poly(rng, ring, p, [(1, 1), (0, 1), (1, 0), (0, 0)]))
+    return quotient_algebra(ring, Ideal(ring, gens))
+
+
+def test_bivariate_counts_over_f2_f3_match_enumeration(frobenius_calls):
+    """Random bivariate algebras with several Galois orbits, against brute force."""
+    rng = random.Random(2023)
+    counts = []
+    for p in (2, 3):
+        cases = 0
+        while cases < 40:
+            try:
+                alg = _random_bivariate(rng, p)
+            except ZeroRingError:
+                continue
+            if alg.dim < 2 or p**alg.dim > 729:
+                continue
+            expected = brute_idempotent_count(p, alg.dim, alg.mul)
+            assert component_count(alg) == expected
+            assert_primitive_idempotents(alg, expected)
+            counts.append(expected)
+            cases += 1
+    assert max(counts) >= 3
+    assert frobenius_calls  # some of them have no provable primitive element
+
+
+@pytest.mark.parametrize("p, relations, count, frobenius", [
+    (2, ["x^2 + x", "y^2 + y"], 4, True),  # F_2^4: no primitive element over F_2
+    (2, ["x^2 + x + 1", "y^2 + y + 1"], 2, True),  # F_4 (x) F_4 = F_4^2
+    (3, ["x^2 + 1", "y^2 + 1"], 2, True),  # F_9 (x) F_9 = F_9^2
+    (2, ["x^3 + x + 1", "y^2 + y + 1"], 1, True),  # F_8 (x) F_4 = F_64
+    (2, ["x^2", "y^2 + y"], 2, False),  # y is primitive in A_red = F_2[y]/(y^2 + y)
+    (3, ["(x^2 + 1)^2", "y - x"], 1, False),  # x is primitive in A
+])
+def test_small_prime_fields(p, relations, count, frobenius, frobenius_calls):
+    alg = algebra(PrimeField(p), ["x", "y"], relations)
+    assert brute_idempotent_count(p, alg.dim, alg.mul) == count
+    assert component_count(alg) == count
+    assert_primitive_idempotents(alg, count)
+    assert bool(frobenius_calls) is frobenius
+
+
+@pytest.mark.parametrize("field, variables, relations, count", [
+    # factors of x: x - 1, x + 2, x^2 + 1; of y: y, y - 3; every pair has a
+    # linear member, so each pair is one field: 3 * 2 components
+    (QQ, ["x", "y"], ["(x - 1)^2*(x + 2)*(x^2 + 1)", "y^2*(y - 3)"], 6),
+    # QQ(i) (x) QQ(i) = QQ(i)^2, plus QQ(i) (x) QQ at y = 7
+    (QQ, ["x", "y"], ["(x^2 + 1)^2", "(y^2 + 1)*(y - 7)"], 3),
+    (QQ, ["x", "y"], ["(x^2 - 2)^2", "y^2 + 1"], 1),  # QQ(sqrt 2, i)
+    (QQ, ["x", "y", "z"], ["x^2", "y^2 - y", "z^2 - 2"], 2),
+    # four fields of degree 4 or 2: the primitive element x + y has a minimal
+    # polynomial of degree 12, above the QQ factor cap, so it is factored in
+    # the pieces the factors of x and y cut it into
+    (QQ, ["x", "y"], ["(x^2 - 2)*(x^2 - 3)", "(y^2 - 5)*(y - 1)"], 4),
+    (QQ, ["x", "y"], ["x^2 - 2", "(y - x)^3"], 1),
+    # 32003 = 3 mod 4, so x^2 + 1 is irreducible
+    (PrimeField(32003), ["x", "y"], ["(x - 1)^2*(x - 2)*(x^2 + 1)", "(y - 3)^3*(y + 4)"], 6),
+    (PrimeField(32003), ["x", "y"], ["(x^2 + 1)^2", "(y^2 + 1)*(y - 7)"], 3),
+    (PrimeField(32003), ["x", "y", "z"], ["(x - 5)^2", "y^2 + 1", "(z - 1)*(z - 2)*z^2"], 3),
+])
+def test_counts_known_by_construction(field, variables, relations, count, frobenius_calls):
+    alg = algebra(field, variables, relations)
+    assert component_count(alg) == count
+    assert_primitive_idempotents(alg, count)
+    assert is_field_algebra(alg) is (count == 1 and is_reduced(alg))
+    assert not frobenius_calls
+
+
+def test_variable_minimal_polynomials_are_computed_once(monkeypatch):
+    calls = []
+    original = artinian.minimal_polynomial
+
+    def counting(alg, a):
+        calls.append(a)
+        return original(alg, a)
+
+    monkeypatch.setattr(artinian, "minimal_polynomial", counting)
+    a = algebra(QQ, ["x", "y"], ["x^2 - 2", "y - 3*x"])
+    assert is_field_algebra(a) is True
+    assert len(calls) == 2  # one per variable; x is primitive
+
+
+def test_non_prime_finite_field_without_primitive_element_is_unknown():
+    f4 = SimpleExtensionField(PrimeField(2), (1, 1, 1), generator="w")
+    a = algebra(f4, ["x", "y"], ["x^2 + x", "y^2 + y"])
+    assert component_count(a) is UNKNOWN
+    with pytest.raises(ProbeExhausted, match="no candidate is primitive over FP"):
+        idempotent_decomposition(a)
+
+
+def test_incremental_first_dependence_matches_per_vector_elimination():
+    rng = random.Random(77)
+    for field in (QQ, PrimeField(3), PrimeField(32003)):
+        for _ in range(60):
+            dim = rng.randint(1, 6)
+            count = rng.randint(1, dim + 2)
+            vectors = []
+            for _ in range(count):
+                if vectors and rng.random() < 0.3:  # a combination of earlier vectors
+                    vec = [field.zero()] * dim
+                    for w in vectors:
+                        c = field.from_int(rng.randint(-3, 3))
+                        vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, w)]
+                else:
+                    vec = [field.from_int(rng.randint(-3, 3)) for _ in range(dim)]
+                vectors.append(vec)
+            assert first_dependence(field, vectors) == per_vector_first_dependence(field, vectors)

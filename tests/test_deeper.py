@@ -127,9 +127,9 @@ def test_groebner_over_extension_field_coefficients():
     ideal = Ideal(ring, [parse_polynomial("x^2 + 1", ring)])
     alg = quotient_algebra(ring, ideal)
     assert alg.dim == 2
-    # the splitting needs a factorization route that does not exist over
-    # simple extensions beyond degree 1, so the count must be Unknown,
-    # except that the probe x has minimal polynomial z^2 + 1 = (z-i)(z+i)...
+    # x is primitive with minimal polynomial z^2 + 1 = (z - i)(z + i), but
+    # there is no factor search over simple extensions beyond degree 1, so
+    # the count comes out Unknown
     from cartierlab.errors import UNKNOWN
 
     count = component_count(alg)

@@ -1,10 +1,13 @@
 """Byte-for-byte snapshots of the CLI reports and of reduced bases.
 
 The CLI cases run `cartierlab.cli.main` in process on the shipped corpus:
-`corpus --json`, and `check --json` and `li --json` on every `.ext` and
-`.rankdata` file. Each snapshot holds the exit code, stdout and stderr; the
-corpus directory is written as `<corpus>` so that the files do not depend on
-where the package lives.
+`corpus --json`; `check --json` and `li --json` on every `.ext` and
+`.rankdata` file; `stalks --json` on seven extensions at fixed primes; and
+`units --json` on both `.ring` files. The stalks and units cases pin the
+printed residue fields and the order of the primitive idempotents. Each
+snapshot holds the exit code, stdout and stderr; the corpus directory is
+written as `<corpus>` so that the files do not depend on where the package
+lives.
 
 The basis cases are small random ideals over QQ and F_32003 in 2-3 variables
 under lex, grevlex and a block order. Each snapshot line holds the reduced
@@ -36,7 +39,25 @@ from cartierlab.polycore.groebner import buchberger
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CORPUS = os.path.dirname(corpus_path("node.ext"))
 FILES = sorted(n for n in os.listdir(CORPUS) if n.endswith((".ext", ".rankdata")))
-CLI_CASES = ["corpus"] + [f"{cmd}-{name}" for name in FILES for cmd in ("check", "li")]
+STALKS = (  # (file, --primes, --generic)
+    ("node.ext", "x, y; x - 3, y - 6", False),
+    ("two_lines.ext", "x; x - 1", True),
+    ("cusp.ext", "x, y", True),
+    ("family_split.ext", "x; x - 1", False),
+    ("line_into_node.ext", "x; x + 1; x - 3", True),
+    ("conjugate_pair.ext", "x; x^2 + 1", False),
+    ("laurent_square.ext", "s - 1", False),
+)
+UNITS = (("nil_base.ring", "3*t^-2 + 3*eps"), ("split_base.ring", "e*t^2 + 3 - 3*e"))
+CLI_CASES = {"corpus": ["corpus"]}
+for _name in FILES:
+    for _cmd in ("check", "li"):
+        CLI_CASES[f"{_cmd}-{_name}"] = [_cmd, _name]
+for _name, _primes, _generic in STALKS:
+    CLI_CASES[f"stalks-{_name}"] = (["stalks", _name, "--primes", _primes]
+                                    + (["--generic"] if _generic else []))
+for _name, _laurent in UNITS:
+    CLI_CASES[f"units-{_name}"] = ["units", "--base", _name, "--laurent", _laurent]
 BASES_FILE = "bases.txt"
 CLASSIC_IDEALS = (
     ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1"),  # cyclic-3
@@ -47,8 +68,8 @@ BUDGET = "100000"  # the default, given explicitly so CARTIERLAB_BUDGET cannot m
 
 
 def capture_cli(case: str) -> str:
-    cmd, _, name = case.partition("-")
-    argv = [cmd] + ([os.path.join(CORPUS, name)] if name else [])
+    argv = [os.path.join(CORPUS, a) if a.endswith((".ext", ".rankdata", ".ring")) else a
+            for a in CLI_CASES[case]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--json", "--pair-budget", BUDGET])
