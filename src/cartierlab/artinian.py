@@ -37,7 +37,7 @@ from .polycore.factor import squarefree_factors
 from .polycore.fields import PrimeField, RationalField, RationalFunctionField
 from .polycore.groebner import Ideal, ideal_sum
 from .polycore.linalg import express_in_span, first_dependence, kernel_basis, rref
-from .polycore.rings import GREVLEX, Polynomial, PolyRing
+from .polycore.rings import GREVLEX, Polynomial, PolyRing, fresh_name
 
 
 class FiniteAlgebra:
@@ -185,24 +185,18 @@ def quotient_algebra(ring: PolyRing, ideal: Ideal) -> FiniteAlgebra:
 
 def minimal_polynomial(alg: FiniteAlgebra, a: tuple) -> tuple:
     """Monic least-degree m with m(a) = 0, as a coefficient tuple."""
-    powers = [alg.one()]
+    return _relative_minimal_polynomial(alg, alg.one(), a)
+
+
+def _relative_minimal_polynomial(alg: FiniteAlgebra, unit: tuple, a: tuple) -> tuple:
+    """minimal_polynomial of a in the block of the idempotent unit: the
+    powers of a start from a^0 := unit. dim + 1 vectors in dim dimensions
+    always have a dependence."""
+    powers = [unit]
     for _ in range(alg.dim):
         powers.append(alg.mul(powers[-1], a))
-    dep = first_dependence(alg.field, [list(p) for p in powers])
-    if dep is None:  # cannot happen: dim+1 vectors in dim dimensions
-        raise CartierlabError("no dependence among element powers")
-    k, coeffs = dep
+    k, coeffs = first_dependence(alg.field, [list(p) for p in powers])
     return tuple(alg.field.neg(c) for c in coeffs) + (alg.field.one(),)
-
-
-def minimal_polynomial_as_poly(alg: FiniteAlgebra, a: tuple,
-                               variable: str = "z") -> Polynomial:
-    ring = PolyRing(alg.field, [variable], GREVLEX)
-    coeffs = minimal_polynomial(alg, a)
-    total = ring.zero()
-    for i, c in enumerate(coeffs):
-        total = total + ring.monomial((i,), c)
-    return total
 
 
 # -- idempotents --------------------------------------------------------------
@@ -233,14 +227,6 @@ class _Splitting:
     @property
     def count(self) -> int:
         return len(self.factors) if self.element is not None else len(self.kernel)
-
-
-def _relative_minimal_polynomial(alg: FiniteAlgebra, unit: tuple, a: tuple) -> tuple:
-    powers = [unit]
-    for _ in range(alg.dim):
-        powers.append(alg.mul(powers[-1], a))
-    k, coeffs = first_dependence(alg.field, [list(p) for p in powers])
-    return tuple(alg.field.neg(c) for c in coeffs) + (alg.field.one(),)
 
 
 def _hensel_idempotent(alg: FiniteAlgebra, h: tuple) -> tuple:
@@ -546,10 +532,7 @@ def primitive_element_presentation(alg: FiniteAlgebra):
 
     if alg.dim == 1:
         return alg.field
-    taken = set(alg.ring.variables) | set(alg.field.symbol_names())
-    name = "g"
-    while name in taken:
-        name += "_"
+    name = fresh_name("g", set(alg.ring.variables) | set(alg.field.symbol_names()))
     found = _primitive_element(alg, variable_minimal_polynomials(alg))
     if found is None:
         return None

@@ -17,6 +17,7 @@ from .artinian import (
     components_over_subring,
     idempotent_decomposition,
     is_field_algebra,
+    move_variable_to_field,
     primitive_element_presentation,
     quotient_algebra,
     radical_generators,
@@ -45,10 +46,10 @@ from .extensions import (
     nil_comparison,
     witness_candidates,
 )
-from .polycore.fields import PrimeField, RationalFunctionField
+from .polycore.fields import PrimeField
 from .polycore.groebner import Ideal, ideal_sum
 from .polycore.linalg import in_span, rref
-from .polycore.rings import GREVLEX, Polynomial, PolyRing
+from .polycore.rings import GREVLEX, Polynomial, PolyRing, fresh_name
 
 _EXHAUSTIVE_CAP = 100_000
 
@@ -234,24 +235,19 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
             "generic stalks over free polynomial sources support one variable"
         )
     v = ext.a_ring.variables[0]
-    K = RationalFunctionField(field, v)
-    new_vars = []
-    taken = set(K.symbol_names())
+    # the fiber over k(v): b_ideal + (image_v - v), with B's variables renamed
+    # away from v and v then moved into the coefficient field
+    taken = {v}
+    names = []
     for name in ext.b_ring.variables:
-        cand = name
-        while cand in taken:
-            cand += "_"
-        taken.add(cand)
-        new_vars.append(cand)
-    work = PolyRing(K, new_vars, GREVLEX)
-    embed = lambda c: K.make((c,), (field.one(),))
-    rename = dict(zip(ext.b_ring.variables, new_vars))
-    gens = []
-    for g in ext.b_ideal.generators:
-        gens.append(_rename_embed(g, work, rename, embed))
-    image_v = _rename_embed(ext.images[v], work, rename, embed)
-    gens.append(image_v - work.constant(K.variable_element()))
-    fiber_ideal = Ideal(work, gens)
+        names.append(fresh_name(name, taken))
+        taken.add(names[-1])
+    ring = PolyRing(field, names + [v], GREVLEX)
+    lift = lambda g: Polynomial(ring, {exp + (0,): c for exp, c in g.terms().items()})
+    gens = [lift(g) for g in ext.b_ideal.generators]
+    gens.append(lift(ext.images[v]) - ring.variable(v))
+    work, fiber_ideal = move_variable_to_field(ring, Ideal(ring, gens), v)
+    K = work.field
     notes = []
     if fiber_ideal.is_unit_ideal():
         return StalkReport(
@@ -271,25 +267,6 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
     return StalkReport(
         None, K, components, stalk, _stalk_semantics(ext), tuple(notes)
     )
-
-
-def _rename_embed(g: Polynomial, work: PolyRing, rename: dict, embed) -> Polynomial:
-    out: dict = {}
-    K = work.field
-    for exp, c in g.terms().items():
-        new = [0] * work.nvars()
-        for i, e in enumerate(exp):
-            if e:
-                new[work.variables.index(rename[g.ring.variables[i]])] = e
-        key = tuple(new)
-        val = embed(c)
-        if key in out:
-            val = K.add(out[key], val)
-        if K.is_zero(val):
-            out.pop(key, None)
-        else:
-            out[key] = val
-    return Polynomial(work, out)
 
 
 def stalk_rank(ext: ExtensionPresentation, prime: Ideal | None) -> StalkReport:
@@ -332,6 +309,11 @@ def li_conductor_square(ext: ExtensionPresentation) -> LIResult:
     try:
         reduced = _reduce_by_conductor(ext, cond)
     except DegenerateExtension:
+        if not ext.is_identity_onto():
+            raise CertificateFailure(
+                "unit conductor, but the subring is not all of the target: "
+                "the module_generators hint does not span it"
+            ) from None
         return LIResult(
             0,
             "ConductorSquare",

@@ -37,13 +37,14 @@ from .errors import (
     NotPrime,
     NotZeroDimensional,
     ParseError,
+    ProbeExhausted,
     ResourceLimitError,
     UNKNOWN,
     WellDefinednessError,
 )
 from .extensions import closure_search
 from .extfile import detect_kind, load_extension, load_rank_data, load_ring
-from .laurent import bass_decompose, is_laurent_unit, parse_laurent
+from .laurent import NotAUnit, bass_decompose, parse_laurent
 from .polycore import Ideal, parse_polynomial
 from .polycore.groebner import default_pair_budget, set_default_pair_budget
 
@@ -216,14 +217,20 @@ def cmd_units(args) -> tuple[dict, int]:
         element = parse_laurent(args.laurent, base)
     except ParseError as exc:
         raise InputError(f"laurent expression: {exc}") from None
-    verdict = is_laurent_unit(element)
+    dec = None
+    try:
+        dec = bass_decompose(element)
+        verdict = True
+    except NotAUnit:
+        verdict = False
+    except ProbeExhausted:
+        verdict = UNKNOWN
     entry = {
         "laurent": str(element),
         "base": base.describe(),
         "is_unit": _jsonable(verdict),
     }
-    if verdict is True:
-        dec = bass_decompose(element)
+    if dec is not None:
         entry["decomposition"] = {
             "u0": str(base.to_poly(dec.u0)),
             "exponents": list(dec.exponents),

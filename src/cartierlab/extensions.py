@@ -23,16 +23,9 @@ from .errors import (
     WellDefinednessError,
     ZeroRingError,
 )
-from .polycore.groebner import (
-    Ideal,
-    colon,
-    eliminate,
-    ideal_equals,
-    ideal_sum,
-    intersect,
-)
+from .polycore.groebner import Ideal, colon, ideal_sum, intersect
 from .polycore.linalg import rref
-from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing
+from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_name
 
 
 @dataclass(frozen=True)
@@ -75,18 +68,20 @@ class WitnessCheck:
     details: tuple
 
 
-def _fresh(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "_"
-    return name
-
-
 class ExtensionPresentation:
+    """A map of presented rings A = a_ring/a_ideal -> B = b_ring/b_ideal.
+
+    Membership in the image and the kernel of the map are both read off one
+    reduced basis of the tag ideal (b_ideal, tag_v - image_v) under an order
+    that eliminates B's variables (`_membership_ring`). With `a_ideal=None`
+    A is presented by that kernel, so the map is injective by construction;
+    the well-definedness and injectivity checks still run.
+    """
+
     def __init__(
         self,
         a_ring: PolyRing,
-        a_ideal: Ideal,
+        a_ideal: Ideal | None,
         b_ring: PolyRing,
         b_ideal: Ideal,
         images: dict,
@@ -101,25 +96,28 @@ class ExtensionPresentation:
             if img.ring != b_ring:
                 raise CartierlabError(f"image of {v!r} is not in the target ring")
         self.a_ring = a_ring
-        self.a_ideal = a_ideal
         self.b_ring = b_ring
         self.b_ideal = b_ideal
         self.images = dict(images)
         self.hints = hints or Hints()
         self.warnings: tuple[str, ...] = ()
-        self._membership_cache: tuple | None = None
+        self._membership_cache: Ideal | None = None
         self._contains_memo: dict = {}
+        if a_ideal is None:
+            a_ideal = self.contraction_ideal()
+        self.a_ideal = a_ideal
 
-        # well-definedness: relations of A map to zero in B
+        # well-definedness: relations of A map to zero in B, so a_ideal lies
+        # in the contraction of B's ideal
         for g in a_ideal.generators:
             if not b_ideal.contains_poly(self.substitute(g)):
                 raise WellDefinednessError(
                     f"relation {g} does not map to zero in the target"
                 )
-        # injectivity: the contraction of B's ideal must equal A's ideal
+        # injectivity: the contraction lies in a_ideal as well
         try:
             contraction = self.contraction_ideal()
-            if not ideal_equals(contraction, a_ideal):
+            if not all(a_ideal.contains_poly(g) for g in contraction.generators):
                 raise InjectivityError(
                     "the map has a kernel: contraction is strictly larger than "
                     "the stated relations"
@@ -137,16 +135,17 @@ class ExtensionPresentation:
             raise CartierlabError("polynomial is not in the source ring")
         return self.b_ideal.normal_form(a_poly.substitute(self.b_ring, self.images))
 
-    def _membership_ring(self):
-        """Combined ring (B variables first, then tags) with its basis."""
+    def _membership_ring(self) -> Ideal:
+        """The tag ideal in the ring of B's variables followed by one tag per
+        A variable, with its reduced basis under an order eliminating B's
+        variables (block, or lex when A has no variables)."""
         if self._membership_cache is None:
             field = self.b_ring.field
             taken = set(self.b_ring.variables) | set(field.symbol_names())
             tags = []
             for v in self.a_ring.variables:
-                t = _fresh(v, taken)
-                taken.add(t)
-                tags.append(t)
+                tags.append(fresh_name(v, taken))
+                taken.add(tags[-1])
             nb = self.b_ring.nvars()
             if tags:
                 order = MonomialOrder("block", nb) if nb else GREVLEX
@@ -156,19 +155,26 @@ class ExtensionPresentation:
             gens = [g.map_variables(work) for g in self.b_ideal.generators]
             for tag, v in zip(tags, self.a_ring.variables):
                 gens.append(work.variable(tag) - self.images[v].map_variables(work))
-            ideal = Ideal(work, gens)
-            ideal.groebner()
-            self._membership_cache = (work, tags, ideal)
+            self._membership_cache = Ideal(work, gens)
+            self._membership_cache.groebner()
         return self._membership_cache
 
+    def _to_source(self, g: Polynomial) -> Polynomial:
+        """A tag-ring polynomial free of B's variables, as an A-polynomial."""
+        nb = self.b_ring.nvars()
+        return Polynomial(self.a_ring, {exp[nb:]: c for exp, c in g.terms().items()})
+
     def contraction_ideal(self) -> Ideal:
-        """Kernel of k[A-variables] -> B, as an ideal of A's ring."""
-        work, tags, ideal = self._membership_ring()
-        eliminated = eliminate(ideal, list(self.b_ring.variables))
-        gens = []
-        for g in eliminated.generators:
-            gens.append(Polynomial(self.a_ring, g.terms()))
-        return Ideal(self.a_ring, gens)
+        """Kernel of k[A-variables] -> B, as an ideal of A's ring.
+
+        By the elimination theorem, the elements of the membership basis
+        that involve no B variable are a basis of the kernel.
+        """
+        nb = range(self.b_ring.nvars())
+        return Ideal(self.a_ring, [
+            self._to_source(g) for g in self._membership_ring().groebner()
+            if not g.involves(nb)
+        ])
 
     def contains(self, b_elem: Polynomial) -> SubalgebraMembership:
         """Subalgebra membership with a preimage certificate."""
@@ -178,15 +184,12 @@ class ExtensionPresentation:
         memo = self._contains_memo.get(key)
         if memo is not None:
             return memo
-        work, tags, ideal = self._membership_ring()
-        nb = self.b_ring.nvars()
-        nf = ideal.normal_form(key.map_variables(work))
-        if nf.involves(range(nb)):
+        ideal = self._membership_ring()
+        nf = ideal.normal_form(key.map_variables(ideal.ring))
+        if nf.involves(range(self.b_ring.nvars())):
             result = SubalgebraMembership(key, False, None)
         else:
-            pre_terms = {exp[nb:]: c for exp, c in nf.terms().items()}
-            preimage = Polynomial(self.a_ring, pre_terms)
-            result = SubalgebraMembership(key, True, preimage)
+            result = SubalgebraMembership(key, True, self._to_source(nf))
         self._contains_memo[key] = result
         return result
 
@@ -258,7 +261,12 @@ def _coordinate_rows(polys, order_key):
 
 
 def witness_candidates(ext: ExtensionPresentation, bound: int):
-    """Deterministic candidate stream: monomials, then echelon complements."""
+    """Deterministic candidate stream, not every element up to the bound.
+
+    First the normal forms of B's monomials of degree at most the bound,
+    then an echelon basis of their span modulo the images of A's monomials
+    of degree at most the bound. Other elements of B are never tried.
+    """
     field = ext.b_ring.field
     nf_monomials = []
     seen = set()
@@ -306,43 +314,28 @@ class ClosureResult:
 
 def adjoin_element(ext: ExtensionPresentation, b: Polynomial,
                    name_base: str = "w") -> ExtensionPresentation:
-    """Extend A's presentation by one element of B (full kernel recomputed)."""
+    """Extend A's presentation by one element of B, presented by the kernel."""
     taken = (
         set(ext.a_ring.variables)
         | set(ext.b_ring.variables)
         | set(ext.a_ring.field.symbol_names())
     )
-    w = _fresh(name_base + str(len(ext.a_ring.variables) + 1), taken)
+    w = fresh_name(name_base + str(len(ext.a_ring.variables) + 1), taken)
     new_a_ring = PolyRing(ext.a_ring.field, tuple(ext.a_ring.variables) + (w,), GREVLEX)
     images = dict(ext.images)
     images[w] = ext.b_ideal.normal_form(b)
-
-    field = ext.b_ring.field
-    taken2 = set(ext.b_ring.variables) | set(field.symbol_names())
-    tags = []
-    for v in new_a_ring.variables:
-        t = _fresh(v, taken2)
-        taken2.add(t)
-        tags.append(t)
-    nb = ext.b_ring.nvars()
-    order = MonomialOrder("block", nb) if nb else GREVLEX
-    work = PolyRing(field, tuple(ext.b_ring.variables) + tuple(tags), order)
-    gens = [g.map_variables(work) for g in ext.b_ideal.generators]
-    for tag, v in zip(tags, new_a_ring.variables):
-        gens.append(work.variable(tag) - images[v].map_variables(work))
-    kernel = eliminate(Ideal(work, gens), list(ext.b_ring.variables))
-    new_ideal = Ideal(new_a_ring, [Polynomial(new_a_ring, g.terms()) for g in kernel.generators])
     return ExtensionPresentation(
-        new_a_ring, new_ideal, ext.b_ring, ext.b_ideal, images, hints=ext.hints
+        new_a_ring, None, ext.b_ring, ext.b_ideal, images, hints=ext.hints
     )
 
 
 def closure_search(ext: ExtensionPresentation, kind: str,
                    degree_bound: int) -> ClosureResult:
-    """Adjoin witnesses of the given kind up to the degree bound, to a fixpoint.
+    """Adjoin witnesses of the given kind from `witness_candidates`, to a fixpoint.
 
-    The result contains no witness below the bound; this is bound-complete,
-    not a proof that the enlarged ring is closed in B.
+    At the fixpoint no candidate of the enlarged ring is a witness; a witness
+    outside the candidate list can remain. `exhausted` is True when the
+    enlarged ring is still not all of B, so it is no proof of closedness.
     """
     if kind not in _WITNESS_TESTS:
         raise CartierlabError(f"unknown closure kind {kind!r}")
@@ -374,6 +367,7 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
     """The largest ideal of B contained in A, as an ideal of A's ring.
 
     Requires module generators with fraction representations p/q over A;
+    each fraction is checked (generator * q = p in B), the conductor is
     computed as the intersection of the colon ideals (q) : p and certified
     elementwise by membership of generator * module generator.
     """
@@ -382,7 +376,14 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
         raise MissingHints("conductor needs the birational hint")
     if hints.module_generators is None:
         raise MissingHints("conductor needs module generators for B over A")
-    fractions = {g: (n, d) for g, n, d in (hints.fractions or ())}
+    fractions = {}
+    for gen, num, den in hints.fractions or ():
+        if not ext.b_ideal.contains_poly(gen * ext.substitute(den) - ext.substitute(num)):
+            raise CertificateFailure(
+                f"fractions entry {gen} : {num} | {den} is wrong: {gen} times "
+                f"the image of {den} is not the image of {num}"
+            )
+        fractions[gen] = (num, den)
     result: Ideal | None = None
     for gen in hints.module_generators:
         if gen not in fractions:

@@ -162,19 +162,19 @@ class _RadicalProjection:
         return self.reduced.is_zero_elem(self.project(elem))
 
 
-def is_laurent_unit(x: LaurentElement):
-    """True/False, or Unknown when the component decomposition is blocked.
+def _unit_exponents(x: LaurentElement):
+    """(decomposition of the base, its radical projection, the exponent of x
+    on each primitive idempotent), or None when x is not a unit.
 
     A Laurent polynomial is a unit exactly when, on each connected component
     of the reduced base, it is a single term with a nonzero coefficient.
+    Raises ProbeExhausted when the decomposition of the base is not certified.
     """
     base = x.base
-    try:
-        decomp = idempotent_decomposition(base)
-    except ProbeExhausted:
-        return UNKNOWN
+    decomp = idempotent_decomposition(base)
     proj = _RadicalProjection(base)
     red = proj.reduced
+    exponents = []
     for e in decomp.idempotents:
         e_red = proj.project(e)
         live = [
@@ -183,8 +183,17 @@ def is_laurent_unit(x: LaurentElement):
             if not red.is_zero_elem(red.mul(e_red, proj.project(c)))
         ]
         if len(live) != 1:
-            return False
-    return True
+            return None
+        exponents.append(live[0])
+    return decomp, proj, exponents
+
+
+def is_laurent_unit(x: LaurentElement):
+    """True/False, or Unknown when the component decomposition is blocked."""
+    try:
+        return _unit_exponents(x) is not None
+    except ProbeExhausted:
+        return UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -228,26 +237,18 @@ def _unipotent_inverse(x: LaurentElement) -> LaurentElement:
 
 
 def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
-    """The unique four-factor splitting of a Laurent unit."""
-    verdict = is_laurent_unit(x)
-    if verdict is UNKNOWN:
-        raise ProbeExhausted("component decomposition of the base is unknown")
-    if not verdict:
+    """The unique four-factor splitting of a Laurent unit.
+
+    Raises NotAUnit for a non-unit, and ProbeExhausted when the
+    decomposition of the base is not certified.
+    """
+    found = _unit_exponents(x)
+    if found is None:
         raise NotAUnit(f"{x} is not a unit of the Laurent extension")
+    decomp, proj, exponents = found
     base = x.base
-    decomp = idempotent_decomposition(base)
-    proj = _RadicalProjection(base)
-    red = proj.reduced
-    exponents = []
     t_unshift = LaurentElement(base, {})
-    for e in decomp.idempotents:
-        e_red = proj.project(e)
-        (n,) = [
-            n
-            for n, c in x.coeffs.items()
-            if not red.is_zero_elem(red.mul(e_red, proj.project(c)))
-        ]
-        exponents.append(n)
+    for e, n in zip(decomp.idempotents, exponents):
         t_unshift = t_unshift + LaurentElement(base, {-n: e})
     y = x * t_unshift
     u0 = y.coefficient(0)

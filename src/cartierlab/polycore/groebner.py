@@ -24,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 
 from ..errors import CartierlabError, CertificateFailure, PairBudgetExceeded
-from .rings import GREVLEX, MonomialOrder, Polynomial, PolyRing
+from .rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_name
 
 DEFAULT_PAIR_BUDGET = 100_000
 _budget = DEFAULT_PAIR_BUDGET
@@ -274,13 +274,6 @@ def ideal_product(i1: Ideal, i2: Ideal) -> Ideal:
     return Ideal(i1.ring, gens)
 
 
-def _fresh_name(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "_"
-    return name
-
-
 def eliminate(ideal: Ideal, names, target_ring: PolyRing | None = None,
               pair_budget: int | None = None) -> Ideal:
     """Intersect with the subring omitting the named variables.
@@ -315,7 +308,7 @@ def intersect(i1: Ideal, i2: Ideal, pair_budget: int | None = None) -> Ideal:
     ring = i1.ring
     if i2.ring != ring:
         raise CartierlabError("ideals live in different rings")
-    u = _fresh_name("u", set(ring.variables) | set(ring.field.symbol_names()))
+    u = fresh_name("u", set(ring.variables) | set(ring.field.symbol_names()))
     work = PolyRing(ring.field, (u,) + ring.variables, GREVLEX)
     uvar = work.variable(u)
     one = work.one()

@@ -27,6 +27,14 @@ from .fields import Field
 _IDENT = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
+def fresh_name(base: str, taken) -> str:
+    """base with underscores appended until it is not in taken."""
+    name = base
+    while name in taken:
+        name += "_"
+    return name
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """lex, grevlex, or a block order (lex on a prefix, grevlex on the rest)."""

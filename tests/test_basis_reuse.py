@@ -1,0 +1,79 @@
+"""Each reduced basis is computed once, and the traced entry points exist.
+
+A presentation answers membership and its kernel from one block-order basis
+of its tag ideal, so constructing it, or adjoining closure witnesses to it,
+never runs Buchberger twice on the same (ring, generators) input.
+
+`perfbench/tracing.py` patches the library's entry points by name; a
+refactor that deletes or renames one of them must fail here rather than in
+a traced benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+from collections import Counter
+
+import pytest
+
+from cartierlab.corpus import corpus_path
+from cartierlab.extensions import closure_search
+from cartierlab.extfile import load_extension
+
+CORPUS = os.path.dirname(corpus_path("node.ext"))
+EXT_FILES = sorted(n for n in os.listdir(CORPUS) if n.endswith(".ext"))
+# the package re-exports a function named `groebner`, which hides the module
+GROEBNER = importlib.import_module("cartierlab.polycore.groebner")
+TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "tracing.py")
+
+
+@pytest.fixture
+def basis_inputs(monkeypatch):
+    """The (ring, generators) input of every Buchberger run, in call order."""
+    seen = []
+    original = GROEBNER.buchberger
+
+    def recording(gens, ring, *args, **kwargs):
+        seen.append((ring, tuple(gens)))
+        return original(gens, ring, *args, **kwargs)
+
+    monkeypatch.setattr(GROEBNER, "buchberger", recording)
+    return seen
+
+
+def _repeated(seen) -> list[str]:
+    return [f"{ring.describe()}: {', '.join(map(str, gens))}"
+            for (ring, gens), n in Counter(seen).items() if n > 1]
+
+
+@pytest.mark.parametrize("name", EXT_FILES)
+def test_loading_runs_each_basis_once(basis_inputs, name):
+    load_extension(os.path.join(CORPUS, name))
+    assert basis_inputs
+    assert _repeated(basis_inputs) == []
+
+
+def test_closure_search_runs_each_basis_once(basis_inputs):
+    ext = load_extension(os.path.join(CORPUS, "cusp.ext"))
+    result = closure_search(ext, "seminormal", 3)
+    assert result.adjoined
+    assert _repeated(basis_inputs) == []
+
+
+def _span_points():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPAN_POINTS
+
+
+@pytest.mark.parametrize("group, mod_name, attr", _span_points())
+def test_traced_entry_point_resolves(group, mod_name, attr):
+    module = importlib.import_module(f"cartierlab.{mod_name}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert meth in vars(getattr(module, cls_name))
+    else:
+        assert callable(getattr(module, attr))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from cartierlab.artinian import quotient_algebra
@@ -19,14 +21,18 @@ from cartierlab.cartier import (
     stalk_rank,
     tower_check,
 )
+from cartierlab.cli import main
+from cartierlab.corpus import corpus_path
 from cartierlab.errors import (
     EMPTY,
+    CertificateFailure,
     InvariantViolation,
     NotArtinianLocal,
     NotPrime,
     UNKNOWN,
 )
 from cartierlab.extensions import ExtensionPresentation, Hints
+from cartierlab.extfile import load_extension
 from cartierlab.polycore import GREVLEX, Ideal, PolyRing, QQ, parse_polynomial
 
 
@@ -371,3 +377,103 @@ def test_identity_extension_rank_via_degenerate_conductor():
     assert result.rank == 0
     assert result.method == "ConductorSquare"
     assert "degenerate" in result.certificate
+
+
+# -- wrong hints are refused by name ----------------------------------------------------
+
+GLUED3 = """\
+# A = k + t(t^2 - 1)k[t]: the line with the points -1, 0, 1 glued
+[ring.A]
+field = QQ
+vars = x, y, z
+relations = y^2 - x*z, x^2*y + x*z - z^2, x^3 + x*y - y*z
+
+[ring.B]
+field = QQ
+vars = t
+relations =
+
+[map]
+x = t^3 - t
+y = t^4 - t^2
+z = t^5 - t^3
+
+[hints]
+finite = true
+birational = true
+module_generators = 1, t, t^2
+fractions = t : y | x ; t^2 : z | x
+"""
+
+GLUED_0_2 = """\
+# A = k + t(t - 2)k[t]: the line with the points 0, 2 glued
+[ring.A]
+field = QQ
+vars = x, y
+relations = x^3 + 2*x*y - y^2
+
+[ring.B]
+field = QQ
+vars = t
+relations =
+
+[map]
+x = t^2 - 2*t
+y = t^3 - 2*t^2
+
+[hints]
+finite = true
+birational = true
+module_generators = 1, t
+fractions = t : y | x
+"""
+
+
+def _node_text():
+    with open(corpus_path("node.ext"), encoding="utf-8") as handle:
+        return handle.read()
+
+
+WRONG_HINTS = {  # case -> (curve, hint key, wrong value, the entry the refusal names)
+    "node-module-generators": (_node_text, "module_generators", "1", "module_generators"),
+    "node-fraction": (_node_text, "fractions", "t : y | x^2", "t : y | x^2"),
+    "glued3-module-generators": (lambda: GLUED3, "module_generators", "1", "module_generators"),
+    "glued3-fraction": (lambda: GLUED3, "fractions", "t : y | x^2 ; t^2 : z | x", "t : y | x^2"),
+    "glued-0-2-fraction": (lambda: GLUED_0_2, "fractions", "t : y^2 | x", "t : y^2 | x"),
+}
+
+
+def _wrong_hint_file(tmp_path, case):
+    curve, key, value, _ = WRONG_HINTS[case]
+    text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", curve(), flags=re.M)
+    assert n == 1
+    path = tmp_path / f"{case}.ext"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", WRONG_HINTS)
+def test_wrong_hint_is_refused_by_name(tmp_path, case):
+    key, entry = WRONG_HINTS[case][1], WRONG_HINTS[case][3]
+    ext = load_extension(_wrong_hint_file(tmp_path, case))
+    with pytest.raises(CertificateFailure) as info:
+        li_auto(ext)
+    assert key in str(info.value) and entry in str(info.value)
+
+
+@pytest.mark.parametrize("case", WRONG_HINTS)
+def test_wrong_hint_cli_exits_2_naming_it(tmp_path, capsys, case):
+    key, entry = WRONG_HINTS[case][1], WRONG_HINTS[case][3]
+    assert main(["li", _wrong_hint_file(tmp_path, case)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and key in err and entry in err
+    assert "input error" not in err and "has a kernel" not in err
+
+
+@pytest.mark.parametrize("curve, rank", [(GLUED3, 2), (GLUED_0_2, 1)], ids=["glued3", "glued-0-2"])
+def test_correct_glued_hints_give_the_rank(tmp_path, curve, rank):
+    path = tmp_path / "glued.ext"
+    path.write_text(curve, encoding="utf-8")
+    result = li_auto(load_extension(str(path)))
+    assert (result.rank, result.method) == (rank, "ConductorSquare")

@@ -2,9 +2,11 @@
 
 The CLI cases run `cartierlab.cli.main` in process on the shipped corpus:
 `corpus --json`; `check --json` and `li --json` on every `.ext` and
-`.rankdata` file; `stalks --json` on seven extensions at fixed primes; and
-`units --json` on both `.ring` files. The stalks and units cases pin the
-printed residue fields and the order of the primitive idempotents. Each
+`.rankdata` file; `stalks --json` on seven extensions at fixed primes;
+`units --json` on both `.ring` files; and `seminormal --json` and
+`anodal --json` at bound 3 on four extensions. The stalks and units cases pin
+the printed residue fields and the order of the primitive idempotents; the
+closure cases pin the relations of each enlarged source ring. Each
 snapshot holds the exit code, stdout and stderr; the corpus directory is
 written as `<corpus>` so that the files do not depend on where the package
 lives.
@@ -49,6 +51,7 @@ STALKS = (  # (file, --primes, --generic)
     ("laurent_square.ext", "s - 1", False),
 )
 UNITS = (("nil_base.ring", "3*t^-2 + 3*eps"), ("split_base.ring", "e*t^2 + 3 - 3*e"))
+CLOSURES = ("cusp.ext", "node.ext", "nil_toy.ext", "chain_bottom.ext")
 CLI_CASES = {"corpus": ["corpus"]}
 for _name in FILES:
     for _cmd in ("check", "li"):
@@ -58,6 +61,9 @@ for _name, _primes, _generic in STALKS:
                                     + (["--generic"] if _generic else []))
 for _name, _laurent in UNITS:
     CLI_CASES[f"units-{_name}"] = ["units", "--base", _name, "--laurent", _laurent]
+for _kind in ("seminormal", "anodal"):
+    for _name in CLOSURES:
+        CLI_CASES[f"{_kind}-{_name}"] = [_kind, _name, "--bound", "3"]
 BASES_FILE = "bases.txt"
 CLASSIC_IDEALS = (
     ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1"),  # cyclic-3
