@@ -5,6 +5,10 @@ B, and optional hints (finiteness, birationality, module generators with
 fraction representations, and externally supplied Picard deviation ranks).
 Construction always checks well-definedness and, unless the injectivity
 check runs out of budget under assume_injective, that the kernel is zero.
+Both checks, and the conductor's elementwise certificate, are normal forms
+against one reduced basis of the tag ideal and expand no image; the
+relations are substituted into the images only when that basis is over the
+pair budget.
 """
 
 from __future__ import annotations
@@ -73,9 +77,14 @@ class ExtensionPresentation:
 
     Membership in the image and the kernel of the map are both read off one
     reduced basis of the tag ideal (b_ideal, tag_v - image_v) under an order
-    that eliminates B's variables (`_membership_ring`). With `a_ideal=None`
-    A is presented by that kernel, so the map is injective by construction;
-    the well-definedness and injectivity checks still run.
+    that eliminates B's variables (`_membership_ring`). So are both
+    construction checks: a relation g maps to zero in B exactly when g, with
+    each A variable replaced by its tag, reduces to 0 against that basis, and
+    the map is injective when the kernel lies in a_ideal. Only when the basis
+    is over the pair budget are the relations checked by substituting the
+    images, before the budget error is raised or, under assume_injective,
+    recorded as a warning. With `a_ideal=None` A is presented by the kernel,
+    so the map is injective by construction; both checks still run.
     """
 
     def __init__(
@@ -106,16 +115,27 @@ class ExtensionPresentation:
         if a_ideal is None:
             a_ideal = self.contraction_ideal()
         self.a_ideal = a_ideal
+        try:
+            tag_ideal, over_budget = self._membership_ring(), None
+        except PairBudgetExceeded as exc:
+            tag_ideal, over_budget = None, exc
 
-        # well-definedness: relations of A map to zero in B, so a_ideal lies
-        # in the contraction of B's ideal
+        # well-definedness: relations of A map to zero in B, that is, written
+        # in the tags they lie in the tag ideal; without its basis the images
+        # are substituted instead
         for g in a_ideal.generators:
-            if not b_ideal.contains_poly(self.substitute(g)):
+            if tag_ideal is None:
+                zero = b_ideal.contains_poly(self.substitute(g))
+            else:
+                zero = tag_ideal.contains_poly(self._to_tags(g))
+            if not zero:
                 raise WellDefinednessError(
                     f"relation {g} does not map to zero in the target"
                 )
         # injectivity: the contraction lies in a_ideal as well
         try:
+            if over_budget is not None:
+                raise over_budget
             contraction = self.contraction_ideal()
             if not all(a_ideal.contains_poly(g) for g in contraction.generators):
                 raise InjectivityError(
@@ -158,6 +178,12 @@ class ExtensionPresentation:
             self._membership_cache = Ideal(work, gens)
             self._membership_cache.groebner()
         return self._membership_cache
+
+    def _to_tags(self, a_poly: Polynomial) -> Polynomial:
+        """An A-polynomial in the tag ring, each A variable replaced by its tag."""
+        pad = (0,) * self.b_ring.nvars()
+        return Polynomial(self._membership_ring().ring,
+                          {pad + exp: c for exp, c in a_poly.terms().items()})
 
     def _to_source(self, g: Polynomial) -> Polynomial:
         """A tag-ring polynomial free of B's variables, as an A-polynomial."""
@@ -369,7 +395,9 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
     Requires module generators with fraction representations p/q over A;
     each fraction is checked (generator * q = p in B), the conductor is
     computed as the intersection of the colon ideals (q) : p and certified
-    elementwise by membership of generator * module generator.
+    elementwise: for each of its generators g and each module generator m,
+    g(tags) * m reduces against the tag basis to a polynomial free of B's
+    variables, that is, g * m lies in A.
     """
     hints = ext.hints
     if not hints.birational:
@@ -396,11 +424,14 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
         result = quot if result is None else intersect(result, quot)
     if result is None:
         result = Ideal(ext.a_ring, [ext.a_ring.one()])
-    result = Ideal(ext.a_ring, list(result.groebner()))
+    result = result.reduced()
+    tag_ideal = ext._membership_ring()
+    tagged_gens = [gen.map_variables(tag_ideal.ring) for gen in hints.module_generators]
+    nb = range(ext.b_ring.nvars())
     for g in result.generators:
-        g_in_b = ext.substitute(g)
-        for gen in hints.module_generators:
-            if not ext.contains(ext.b_ideal.normal_form(g_in_b * gen)).member:
+        g_tags = ext._to_tags(g)
+        for gen, gen_tags in zip(hints.module_generators, tagged_gens):
+            if tag_ideal.normal_form(g_tags * gen_tags).involves(nb):
                 raise CertificateFailure(
                     f"conductor generator {g} times {gen} escapes the subring"
                 )

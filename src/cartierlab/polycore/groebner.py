@@ -226,6 +226,13 @@ class Ideal:
             self._gb = tuple(buchberger(list(self.generators), self.ring, pair_budget))
         return self._gb
 
+    def reduced(self) -> "Ideal":
+        """The same ideal generated by its reduced basis, which it keeps cached."""
+        basis = self.groebner()
+        out = Ideal(self.ring, basis)
+        out._gb = basis
+        return out
+
     def normal_form(self, f: Polynomial, pair_budget: int | None = None) -> Polynomial:
         if f.ring != self.ring:
             raise CartierlabError("polynomial from a different ring")

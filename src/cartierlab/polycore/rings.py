@@ -313,13 +313,10 @@ class Polynomial:
 
     # -- ring moves ---------------------------------------------------------
 
-    def substitute(self, target_ring: PolyRing, images: dict, coeff_map=None):
+    def substitute(self, target_ring: PolyRing, images: dict):
         """Evaluate with each variable replaced by images[name] in target_ring."""
-        field = target_ring.field
-        if coeff_map is None:
-            if self.ring.field != field:
-                raise CartierlabError("coefficient map required between fields")
-            coeff_map = lambda c: c
+        if self.ring.field != target_ring.field:
+            raise CartierlabError("target ring has a different coefficient field")
         powers: dict = {}
 
         def var_power(i: int, e: int) -> Polynomial:
@@ -333,20 +330,18 @@ class Polynomial:
 
         total = target_ring.zero()
         for exps, c in self._terms.items():
-            piece = target_ring.constant(coeff_map(c))
+            piece = target_ring.constant(c)
             for i, e in enumerate(exps):
                 if e:
                     piece = piece * var_power(i, e)
             total = total + piece
         return total
 
-    def map_variables(self, target_ring: PolyRing, coeff_map=None) -> "Polynomial":
+    def map_variables(self, target_ring: PolyRing) -> "Polynomial":
         """Move by variable name into a ring with a superset of the variables."""
+        if self.ring.field != target_ring.field:
+            raise CartierlabError("target ring has a different coefficient field")
         field = target_ring.field
-        if coeff_map is None:
-            if self.ring.field != field:
-                raise CartierlabError("coefficient map required between fields")
-            coeff_map = lambda c: c
         index = []
         for v in self.ring.variables:
             try:
@@ -365,9 +360,7 @@ class Polynomial:
                     )
                 new[index[i]] = e
             key = tuple(new)
-            val = coeff_map(c)
-            if key in out:
-                val = field.add(out[key], val)
+            val = field.add(out[key], c) if key in out else c
             if field.is_zero(val):
                 out.pop(key, None)
             else:

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Nothing here calls the code paths under test: membership goes through dense
-linear algebra on monomial coordinates, expansion through naive dict
-convolution, univariate division through schoolbook long division,
-multivariate reduction through the textbook loop on plain term dicts, and
-the first linear dependence through one fresh elimination per vector.
+linear algebra on monomial coordinates, expansion (of a product, or of a
+relation at a map's images) through naive dict convolution, univariate
+division through schoolbook long division, multivariate reduction through
+the textbook loop on plain term dicts, and the first linear dependence
+through one fresh elimination per vector.
 """
 
 from __future__ import annotations
@@ -147,6 +148,31 @@ def naive_reduce(f_terms: dict, basis_terms: list[dict], field, key) -> dict:
         else:
             remainder[exp] = p.pop(exp)
     return remainder
+
+
+def naive_image_remainder(g_terms: dict, images: list[dict], nvars: int,
+                          basis_terms: list[dict], field, key) -> dict:
+    """The remainder of g(images) against a basis of the target's ideal.
+
+    g's terms are expanded one variable factor at a time by schoolbook
+    convolution over `field` (images[i] replaces g's i-th variable, nvars is
+    the number of target variables), and the sum is reduced by `naive_reduce`.
+    """
+    total: dict = {}
+    for exps, c in g_terms.items():
+        piece = {(0,) * nvars: c}
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                out: dict = {}
+                for e1, c1 in piece.items():
+                    for e2, c2 in image.items():
+                        m = tuple(a + b for a, b in zip(e1, e2))
+                        out[m] = field.add(out.get(m, field.zero()), field.mul(c1, c2))
+                piece = {m: v for m, v in out.items() if not field.is_zero(v)}
+        for m, v in piece.items():
+            total[m] = field.add(total.get(m, field.zero()), v)
+    total = {m: v for m, v in total.items() if not field.is_zero(v)}
+    return naive_reduce(total, basis_terms, field, key)
 
 
 def per_vector_first_dependence(field, vectors: list[list]):

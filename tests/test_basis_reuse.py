@@ -2,7 +2,8 @@
 
 A presentation answers membership and its kernel from one block-order basis
 of its tag ideal, so constructing it, or adjoining closure witnesses to it,
-never runs Buchberger twice on the same (ring, generators) input.
+never runs Buchberger twice on the same (ring, generators) input, and
+`li_auto` never hands Buchberger a basis that an earlier run returned.
 
 `perfbench/tracing.py` patches the library's entry points by name; a
 refactor that deletes or renames one of them must fail here rather than in
@@ -18,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+from cartierlab.cartier import li_auto
 from cartierlab.corpus import corpus_path
 from cartierlab.extensions import closure_search
 from cartierlab.extfile import load_extension
@@ -43,6 +45,21 @@ def basis_inputs(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def basis_runs(monkeypatch):
+    """(ring, generators, reduced basis) of every Buchberger run, in call order."""
+    runs = []
+    original = GROEBNER.buchberger
+
+    def recording(gens, ring, *args, **kwargs):
+        basis = original(gens, ring, *args, **kwargs)
+        runs.append((ring, tuple(gens), tuple(basis)))
+        return basis
+
+    monkeypatch.setattr(GROEBNER, "buchberger", recording)
+    return runs
+
+
 def _repeated(seen) -> list[str]:
     return [f"{ring.describe()}: {', '.join(map(str, gens))}"
             for (ring, gens), n in Counter(seen).items() if n > 1]
@@ -60,6 +77,15 @@ def test_closure_search_runs_each_basis_once(basis_inputs):
     result = closure_search(ext, "seminormal", 3)
     assert result.adjoined
     assert _repeated(basis_inputs) == []
+
+
+@pytest.mark.parametrize("name", ["node.ext", "cusp.ext", "chain_full.ext"])
+def test_li_auto_never_reduces_a_reduced_basis(basis_runs, name):
+    li_auto(load_extension(os.path.join(CORPUS, name)))
+    outputs = set()
+    for ring, gens, basis in basis_runs:
+        assert (ring, gens) not in outputs, f"{ring.describe()}: {', '.join(map(str, gens))}"
+        outputs.add((ring, basis))
 
 
 def _span_points():

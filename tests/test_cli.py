@@ -225,3 +225,38 @@ def test_assume_injective_under_tiny_budget(capsys):
     parsed = json.loads(out)
     assert parsed["results"][0]["injective"] == "assumed"
     assert any("injectivity assumed" in w for w in parsed["warnings"])
+
+
+def test_ill_defined_map_is_named_when_the_basis_is_over_budget(capsys, tmp_path):
+    # the tag basis of the node map needs more than one S-pair, so the
+    # relations are checked by substituting the images
+    bad = tmp_path / "bad.ext"
+    bad.write_text(
+        "[ring.A]\nfield = QQ\nvars = x, y\nrelations = y^2 - x^3\n\n"
+        "[ring.B]\nfield = QQ\nvars = t\nrelations =\n\n"
+        "[map]\nx = t^2 - 1\ny = t^3 - t\n"
+    )
+    for flags in ([], ["--assume-injective"]):
+        code, out, _ = run_cli(
+            capsys, "check", str(bad), "--pair-budget", "1", "--json", *flags
+        )
+        assert code == 2
+        entry = json.loads(out)["results"][0]
+        assert entry["failure"] == "well-definedness"
+        assert entry["detail"] == "relation -x^3 + y^2 does not map to zero in the target"
+
+
+def test_conductor_certificate_failure_on_zero_divisor_fraction(capsys, tmp_path):
+    # t * x = 0 in B, so the fraction t = 0 / x checks, but its denominator is
+    # a zero divisor: the colon ideal is the unit ideal, and 1 * t is not in A
+    ext = tmp_path / "zero_divisor.ext"
+    ext.write_text(
+        "[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n"
+        "[ring.B]\nfield = QQ\nvars = u, t\nrelations = u^2, t^2, u*t\n\n"
+        "[map]\nx = u\n\n"
+        "[hints]\nfinite = true\nbirational = true\n"
+        "module_generators = 1, t\nfractions = t : 0 | x\n"
+    )
+    code, _, err = run_cli(capsys, "li", str(ext), "--method", "conductor")
+    assert code == 2
+    assert "conductor generator 1 times t escapes the subring" in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,22 @@ from cartierlab.extensions import (
     nil_comparison,
     reduce_mod_conductor,
 )
-from cartierlab.polycore import GREVLEX, Ideal, PolyRing, QQ, parse_polynomial
+from cartierlab.polycore import (
+    GREVLEX,
+    Ideal,
+    Polynomial,
+    PolyRing,
+    PrimeField,
+    QQ,
+    parse_polynomial,
+)
+from oracles import naive_image_remainder
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test below skips
+    st = None
 
 
 def build(a_vars, a_rels, b_vars, b_rels, images, hints=None, field=QQ):
@@ -356,3 +372,69 @@ def test_two_step_seminormal_closure_on_higher_cusp():
         [parse_polynomial("x^2", ext.a_ring), parse_polynomial("y", ext.a_ring)],
     )
     assert ideal_equals(cond, expected)
+
+
+# -- well-definedness against substitution -------------------------------------
+
+if st is None:
+    def property_test(fn):
+        return pytest.mark.skip(reason="hypothesis is not installed")(fn)
+else:
+    def property_test(fn):
+        checked = settings(max_examples=100, deadline=None, derandomize=True,
+                           database=None)
+        return checked(given(data=st.data())(fn))
+
+
+def draw_poly(data, ring, min_terms=0, max_terms=3, max_exp=2) -> Polynomial:
+    exps = st.tuples(*[st.integers(0, max_exp)] * ring.nvars())
+    coeffs = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 2))
+    terms = data.draw(st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms))
+    return Polynomial(ring, {e: ring.field.from_fraction(c) for e, c in terms.items()})
+
+
+@property_test
+def test_well_definedness_matches_substitute_and_reduce(data):
+    # x -> p and y -> P(p), so y - P(x) is in the kernel, and so is f(x) when
+    # the target ideal is (f(p)); the relations are multiples of these, one of
+    # them sometimes perturbed
+    field = data.draw(st.sampled_from((QQ, PrimeField(7))))
+    b_ring = PolyRing(field, ("t", "s")[: data.draw(st.integers(1, 2))], GREVLEX)
+    a_ring = PolyRing(field, ("x", "y"), GREVLEX)
+    x_ring = PolyRing(field, ("x",), GREVLEX)
+    p = draw_poly(data, b_ring)
+    lift, f = draw_poly(data, x_ring), draw_poly(data, x_ring)
+    images = {"x": p, "y": lift.substitute(b_ring, {"x": p})}
+    kernel = [a_ring.variable("y") - lift.map_variables(a_ring)]
+    target = data.draw(st.sampled_from(("zero", "image", "random")))
+    if target == "image":
+        b_gens = [f.substitute(b_ring, {"x": p})]
+        kernel.append(f.map_variables(a_ring))
+    else:
+        b_gens = [draw_poly(data, b_ring)] if target == "random" else []
+    relations = [
+        draw_poly(data, a_ring, 1, 2, 1) * data.draw(st.sampled_from(kernel))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(relations) - 1))
+        relations[i] = relations[i] + draw_poly(data, a_ring, 1, 2)
+    a_ideal, b_ideal = Ideal(a_ring, relations), Ideal(b_ring, b_gens)
+
+    basis = [g.terms() for g in b_ideal.groebner()]
+    image_terms = [images[v].terms() for v in a_ring.variables]
+    rejected = [
+        g for g in a_ideal.generators
+        if naive_image_remainder(g.terms(), image_terms, b_ring.nvars(), basis,
+                                 field, b_ring.order.key)
+    ]
+    try:
+        ExtensionPresentation(a_ring, a_ideal, b_ring, b_ideal, images)
+    except WellDefinednessError as exc:
+        assert rejected and str(exc) == (
+            f"relation {rejected[0]} does not map to zero in the target"
+        )
+    except InjectivityError:
+        assert not rejected
+    else:
+        assert not rejected
