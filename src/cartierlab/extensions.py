@@ -27,7 +27,7 @@ from .errors import (
     WellDefinednessError,
     ZeroRingError,
 )
-from .polycore.groebner import Ideal, colon, ideal_sum, intersect
+from .polycore.groebner import Ideal, colon, default_pair_budget, ideal_sum, intersect
 from .polycore.linalg import rref
 from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_name
 
@@ -110,7 +110,7 @@ class ExtensionPresentation:
         self.images = dict(images)
         self.hints = hints or Hints()
         self.warnings: tuple[str, ...] = ()
-        self._membership_cache: Ideal | None = None
+        self._membership_cache: Ideal | PairBudgetExceeded | None = None
         self._contains_memo: dict = {}
         if a_ideal is None:
             a_ideal = self.contraction_ideal()
@@ -158,8 +158,16 @@ class ExtensionPresentation:
     def _membership_ring(self) -> Ideal:
         """The tag ideal in the ring of B's variables followed by one tag per
         A variable, with its reduced basis under an order eliminating B's
-        variables (block, or lex when A has no variables)."""
-        if self._membership_cache is None:
+        variables (block, or lex when A has no variables).
+
+        The ideal is cached only once its basis exists. A basis over the pair
+        budget is cached as its error, which later calls re-raise without
+        running Buchberger again unless the budget has grown since.
+        """
+        cached = self._membership_cache
+        if isinstance(cached, PairBudgetExceeded) and cached.budget >= default_pair_budget():
+            raise cached
+        if not isinstance(cached, Ideal):
             field = self.b_ring.field
             taken = set(self.b_ring.variables) | set(field.symbol_names())
             tags = []
@@ -175,8 +183,13 @@ class ExtensionPresentation:
             gens = [g.map_variables(work) for g in self.b_ideal.generators]
             for tag, v in zip(tags, self.a_ring.variables):
                 gens.append(work.variable(tag) - self.images[v].map_variables(work))
-            self._membership_cache = Ideal(work, gens)
-            self._membership_cache.groebner()
+            ideal = Ideal(work, gens)
+            try:
+                ideal.groebner()
+            except PairBudgetExceeded as exc:
+                self._membership_cache = exc
+                raise
+            self._membership_cache = ideal
         return self._membership_cache
 
     def _to_tags(self, a_poly: Polynomial) -> Polynomial:

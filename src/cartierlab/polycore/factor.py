@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from ..errors import CartierlabError, FactorSearchLimit
 from . import unipoly as up
@@ -113,19 +112,19 @@ def _eval_int(p: list[int], x: int) -> int:
     return acc
 
 
-def _rational_roots(p: list[int]) -> list[Fraction]:
+def _rational_roots(p: list[int]) -> list:
     roots = []
     work = list(p)
     while work and work[0] == 0:
-        roots.append(Fraction(0))
+        roots.append(QQ.zero())
         work = work[1:]
         break  # multiplicities do not matter for squarefree inputs
     if len(work) <= 1:
         return roots
     for num in _int_divisors(work[0]) if work[0] else [0]:
         for den in _int_divisors(work[-1]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                total = Fraction(0)
+            for cand in (QQ.div(num, den), QQ.div(-num, den)):
+                total = 0
                 for c in reversed(work):
                     total = total * cand + c
                 if total == 0 and cand not in roots:
@@ -136,11 +135,11 @@ def _rational_roots(p: list[int]) -> list[Fraction]:
 def _lagrange(points: list[tuple[int, int]]) -> tuple:
     result: tuple = ()
     for i, (xi, yi) in enumerate(points):
-        term: tuple = (Fraction(yi),)
+        term: tuple = (QQ.from_int(yi),)
         for j, (xj, _) in enumerate(points):
             if i == j:
                 continue
-            term = up.umul(QQ, term, (Fraction(-xj, xi - xj), Fraction(1, xi - xj)))
+            term = up.umul(QQ, term, (QQ.div(-xj, xi - xj), QQ.inv(xi - xj)))
         result = up.uadd(QQ, result, term)
     return result
 
@@ -148,7 +147,7 @@ def _lagrange(points: list[tuple[int, int]]) -> tuple:
 def _kronecker_factor(p: list[int]) -> tuple | None:
     """Search a nontrivial factor of a squarefree primitive integer poly."""
     deg = len(p) - 1
-    qpoly = tuple(Fraction(c) for c in p)
+    qpoly = tuple(QQ.from_int(c) for c in p)
     xs = [0]
     k = 1
     while len(xs) < deg // 2 + 1:
@@ -189,7 +188,7 @@ def _factor_qq(sq: tuple) -> list[tuple]:
     factors: list[tuple] = []
     work = sq
     for root in _rational_roots(_to_integer_poly(work)):
-        lin = (-root, Fraction(1))
+        lin = (QQ.neg(root), QQ.one())
         quo, rem = up.udivmod(QQ, work, lin)
         if not rem:
             factors.append(lin)
@@ -280,13 +279,13 @@ def _factor_fp(field: PrimeField, sq: tuple) -> list[tuple]:
 # rational function fields
 
 
-def _fraction_is_square(q: Fraction) -> Fraction | None:
+def _fraction_is_square(q):
     if q < 0:
         return None
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+        return QQ.div(rn, rd)
     return None
 
 

@@ -1,9 +1,10 @@
 """Coefficient fields: QQ, F_p, simple extensions, and rational functions.
 
 Every field exposes the same operation interface over opaque element values
-(Fraction for QQ, int for F_p, coefficient tuples for extensions, reduced
-numerator/denominator pairs for rational functions). All element values are
-immutable and hashable, so polynomials over any field compare by value.
+(for QQ an int when integral and otherwise a Fraction, int for F_p,
+coefficient tuples for extensions, reduced numerator/denominator pairs for
+rational functions). All element values are immutable and hashable, so
+polynomials over any field compare by value.
 """
 
 from __future__ import annotations
@@ -115,31 +116,53 @@ class Field:
         return self.describe()
 
 
+def _canonical(q):
+    """A rational number as an int when it is integral, else as a Fraction."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 class RationalField(Field):
+    """QQ, with each element in one canonical form: an int when the
+    denominator is 1, otherwise a Fraction with denominator greater than 1.
+
+    Integral data, which is most of it, then stays in int arithmetic, and
+    every operation returns the canonical form. int and Fraction agree on
+    equality, hashing and str, so polynomials compare, hash and print the
+    same whichever form a coefficient has. `/` is never applied to two ints,
+    because that gives a float: an integral quotient is taken with divmod,
+    and any other becomes a Fraction.
+    """
+
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        if a == 0:
+        return self.div(1, a)
+
+    def div(self, a, b):
+        if b == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _canonical(a / b)
 
     def is_zero(self, a):
         return a == 0
@@ -148,10 +171,10 @@ class RationalField(Field):
         return a == 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, q):
-        return q
+        return _canonical(q)
 
     def sign_split(self, a):
         return (-1, -a) if a < 0 else (1, a)

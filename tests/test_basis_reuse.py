@@ -3,7 +3,9 @@
 A presentation answers membership and its kernel from one block-order basis
 of its tag ideal, so constructing it, or adjoining closure witnesses to it,
 never runs Buchberger twice on the same (ring, generators) input, and
-`li_auto` never hands Buchberger a basis that an earlier run returned.
+`li_auto` never hands Buchberger a basis that an earlier run returned. A
+tag basis over the pair budget is not attempted again either, so a command
+under `--assume-injective` fails on it once.
 
 `perfbench/tracing.py` patches the library's entry points by name; a
 refactor that deletes or renames one of them must fail here rather than in
@@ -12,15 +14,19 @@ a traced benchmark run.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
 from collections import Counter
 
 import pytest
 
 from cartierlab.cartier import li_auto
+from cartierlab.cli import main
 from cartierlab.corpus import corpus_path
+from cartierlab.errors import PairBudgetExceeded
 from cartierlab.extensions import closure_search
 from cartierlab.extfile import load_extension
 
@@ -60,6 +66,23 @@ def basis_runs(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def failed_inputs(monkeypatch):
+    """The (ring, generators) input of every Buchberger run over the pair budget."""
+    failed = []
+    original = GROEBNER.buchberger
+
+    def recording(gens, ring, *args, **kwargs):
+        try:
+            return original(gens, ring, *args, **kwargs)
+        except PairBudgetExceeded:
+            failed.append((ring, tuple(gens)))
+            raise
+
+    monkeypatch.setattr(GROEBNER, "buchberger", recording)
+    return failed
+
+
 def _repeated(seen) -> list[str]:
     return [f"{ring.describe()}: {', '.join(map(str, gens))}"
             for (ring, gens), n in Counter(seen).items() if n > 1]
@@ -86,6 +109,32 @@ def test_li_auto_never_reduces_a_reduced_basis(basis_runs, name):
     for ring, gens, basis in basis_runs:
         assert (ring, gens) not in outputs, f"{ring.describe()}: {', '.join(map(str, gens))}"
         outputs.add((ring, basis))
+
+
+@pytest.mark.parametrize("budget", ["1", "2", "3"])
+def test_assume_injective_fails_each_input_once(failed_inputs, budget):
+    argv = ["li", os.path.join(CORPUS, "node.ext"), "--assume-injective",
+            "--pair-budget", budget]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 3
+    assert f"resource limit: S-pair budget of {budget} exceeded" in err.getvalue()
+    assert failed_inputs
+    assert _repeated(failed_inputs) == []
+
+
+def test_over_budget_tag_basis_is_retried_under_a_larger_budget(failed_inputs):
+    previous = GROEBNER.default_pair_budget()
+    GROEBNER.set_default_pair_budget(1)
+    try:
+        ext = load_extension(os.path.join(CORPUS, "node.ext"), assume_injective=True)
+        with pytest.raises(PairBudgetExceeded):
+            ext.contains(ext.b_ring.variable("t"))
+    finally:
+        GROEBNER.set_default_pair_budget(previous)
+    assert len(failed_inputs) == 1
+    assert not ext.contains(ext.b_ring.variable("t")).member
+    assert ext.contains(ext.b_ring.parse("t^2 - 1")).member
 
 
 def _span_points():

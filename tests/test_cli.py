@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 from cartierlab.cli import main
 from cartierlab.corpus import corpus_path
@@ -260,3 +264,11 @@ def test_conductor_certificate_failure_on_zero_divisor_fraction(capsys, tmp_path
     code, _, err = run_cli(capsys, "li", str(ext), "--method", "conductor")
     assert code == 2
     assert "conductor generator 1 times t escapes the subring" in err
+
+
+def test_cli_digest_script_prints_one_line():
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_digest.py")
+    done = subprocess.run([sys.executable, script], capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert done.stderr == ""
+    assert re.fullmatch(r"\d+ calls sha256:[0-9a-f]{64}\n", done.stdout)
