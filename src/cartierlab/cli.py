@@ -4,11 +4,18 @@ units, and the corpus regression runner.
 Reports are deterministic: the same inputs produce byte-identical output.
 Exit codes: 0 success (Unknown results included), 1 corpus regression
 failure, 2 input error, 3 resource limit.
+
+The argument parser is built once per process, at the first `main` call,
+and reused by every later call. `main` resolves the S-pair budget on every
+call: `--pair-budget`, else `CARTIERLAB_BUDGET`, else the library default.
+Each command reads its input file once and takes the input digest from the
+same bytes it parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -43,10 +50,10 @@ from .errors import (
     WellDefinednessError,
 )
 from .extensions import closure_search
-from .extfile import detect_kind, load_extension, load_rank_data, load_ring
+from .extfile import detect_kind, load_extension, load_rank_data, load_ring, read_description
 from .laurent import NotAUnit, bass_decompose, parse_laurent
 from .polycore import Ideal, parse_polynomial
-from .polycore.groebner import default_pair_budget, set_default_pair_budget
+from .polycore.groebner import DEFAULT_PAIR_BUDGET, default_pair_budget, set_default_pair_budget
 
 TOOL = "cartierlab"
 
@@ -65,9 +72,10 @@ def _jsonable(value):
     return str(value)
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return "sha256:" + hashlib.sha256(handle.read()).hexdigest()
+def _read_input(path: str):
+    """The input digest and the parsed sections of one description file, read once."""
+    data, description = read_description(path)
+    return "sha256:" + hashlib.sha256(data).hexdigest(), description
 
 
 def _report(command: str, results, warnings=(), input_digest=None) -> dict:
@@ -117,9 +125,9 @@ def _stalk_entry(report) -> dict:
 
 
 def cmd_check(args) -> tuple[dict, int]:
-    digest = _digest(args.file)
+    digest, description = _read_input(args.file)
     try:
-        ext = load_extension(args.file, assume_injective=args.assume_injective)
+        ext = load_extension(args.file, args.assume_injective, description)
     except (WellDefinednessError, InjectivityError) as exc:
         kind = "well-definedness" if isinstance(exc, WellDefinednessError) else "injectivity"
         report = _report(
@@ -140,7 +148,8 @@ def cmd_check(args) -> tuple[dict, int]:
 
 
 def cmd_stalks(args) -> tuple[dict, int]:
-    ext = load_extension(args.file, assume_injective=args.assume_injective)
+    digest, description = _read_input(args.file)
+    ext = load_extension(args.file, args.assume_injective, description)
     if not args.primes and not args.generic:
         raise InputError("stalks needs --primes and/or --generic")
     entries = []
@@ -148,20 +157,20 @@ def cmd_stalks(args) -> tuple[dict, int]:
         entries.append(_stalk_entry(stalk_rank(ext, prime)))
     if args.generic:
         entries.append(_stalk_entry(stalk_rank(ext, None)))
-    return _report("stalks", entries, input_digest=_digest(args.file)), 0
+    return _report("stalks", entries, input_digest=digest), 0
 
 
 def cmd_li(args) -> tuple[dict, int]:
-    digest = _digest(args.file)
-    kind = detect_kind(args.file)
+    digest, description = _read_input(args.file)
+    kind = detect_kind(args.file, description)
     if kind == "rankdata":
         if args.method not in ("auto", "fiveterm"):
             raise InputError("rank-data files support only --method auto or fiveterm")
-        result = li_five_term(load_rank_data(args.file))
+        result = li_five_term(load_rank_data(args.file, description))
         return _report("li", [_li_entry(result)], input_digest=digest), 0
     if kind == "ring":
         raise InputError("li needs an extension or rank-data file")
-    ext = load_extension(args.file, assume_injective=args.assume_injective)
+    ext = load_extension(args.file, args.assume_injective, description)
     primes = _parse_primes(ext, args.primes or "")
     try:
         if args.method == "auto":
@@ -180,7 +189,8 @@ def cmd_li(args) -> tuple[dict, int]:
 
 
 def _closure_command(args, kind: str) -> tuple[dict, int]:
-    ext = load_extension(args.file, assume_injective=args.assume_injective)
+    digest, description = _read_input(args.file)
+    ext = load_extension(args.file, args.assume_injective, description)
     result = closure_search(ext, kind, args.bound)
     closure = result.extension
     entry = {
@@ -194,7 +204,7 @@ def _closure_command(args, kind: str) -> tuple[dict, int]:
             "images": {v: str(closure.images[v]) for v in closure.a_ring.variables},
         },
     }
-    return _report(kind, [entry], warnings=ext.warnings, input_digest=_digest(args.file)), 0
+    return _report(kind, [entry], warnings=ext.warnings, input_digest=digest), 0
 
 
 def cmd_seminormal(args):
@@ -212,7 +222,8 @@ def cmd_terms(args) -> tuple[dict, int]:
 
 
 def cmd_units(args) -> tuple[dict, int]:
-    base = load_ring(args.base)
+    digest, description = _read_input(args.base)
+    base = load_ring(args.base, description)
     try:
         element = parse_laurent(args.laurent, base)
     except ParseError as exc:
@@ -238,7 +249,7 @@ def cmd_units(args) -> tuple[dict, int]:
             "p_part": str(dec.p_part),
             "q_part": str(dec.q_part),
         }
-    return _report("units", [entry], input_digest=_digest(args.base)), 0
+    return _report("units", [entry], input_digest=digest), 0
 
 
 def cmd_corpus(args) -> tuple[dict, int]:
@@ -295,7 +306,13 @@ def emit(report: dict, as_json: bool) -> None:
 # -- argument parsing ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built at the first call and shared by every later one.
+
+    It holds no value that depends on the environment or on an earlier
+    call: `--pair-budget` defaults to None and `main` resolves it.
+    """
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description=(
@@ -310,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--pair-budget",
         type=int,
-        default=int(os.environ.get("CARTIERLAB_BUDGET", "100000")),
+        default=None,
         help="S-pair budget for basis computations (env CARTIERLAB_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -354,13 +371,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pair_budget(flag: int | None) -> int:
+    """`--pair-budget`, else `CARTIERLAB_BUDGET`, else the library default.
+
+    A value that is not a positive integer raises ValueError naming its source.
+    """
+    if flag is not None:
+        if flag < 1:
+            raise ValueError("pair budget must be positive")
+        return flag
+    text = os.environ.get("CARTIERLAB_BUDGET")
+    if text is None:
+        return DEFAULT_PAIR_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"CARTIERLAB_BUDGET must be a positive integer, found {text!r}")
+    return budget
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.pair_budget < 1:
-        print("error: pair budget must be positive", file=sys.stderr)
+    try:
+        budget = _pair_budget(args.pair_budget)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     previous_budget = default_pair_budget()
-    set_default_pair_budget(args.pair_budget)
+    set_default_pair_budget(budget)
     try:
         report, code = args.func(args)
     except ResourceLimitError as exc:

@@ -3,6 +3,8 @@
 Each entry replays an analysis on a shipped description file and compares
 against the expected value recorded here. Non-certified literature values
 are carried as notes only and never asserted against computed output.
+A pass computes each presentation's rank once; the rows that need it again
+(the stability verdicts, the tower and the product) reuse that result.
 """
 
 from __future__ import annotations
@@ -61,21 +63,21 @@ def run_corpus(bound: int = 6) -> list[dict]:
     rows: list[dict] = []
 
     node = load_extension(corpus_path("node.ext"))
-    li = li_auto(node)
-    rows.append(_row("node.ext", "li rank", 1, _show(li.rank)))
-    rows.append(_row("node.ext", "li method", "ConductorSquare", li.method))
+    node_stability = laurent_stability(node, degree_bound=4)
+    node_li = node_stability.li
+    rows.append(_row("node.ext", "li rank", 1, _show(node_li.rank)))
+    rows.append(_row("node.ext", "li method", "ConductorSquare", node_li.method))
     rows.append(
         _row("node.ext", "stalk at (x, y)", 1, _show(stalk_rank(node, _prime(node, "x", "y")).stalk_rank))
     )
-    rows.append(
-        _row("node.ext", "laurent stability", "no", laurent_stability(node, degree_bound=4).answer)
-    )
+    rows.append(_row("node.ext", "laurent stability", "no", node_stability.answer))
     rows.append(
         _row("node.rankdata", "li rank", 1, _show(li_five_term(load_rank_data(corpus_path("node.rankdata"))).rank))
     )
 
     cusp = load_extension(corpus_path("cusp.ext"))
-    rows.append(_row("cusp.ext", "li rank", 0, _show(li_auto(cusp).rank)))
+    cusp_li = li_auto(cusp)
+    rows.append(_row("cusp.ext", "li rank", 0, _show(cusp_li.rank)))
     closure = closure_search(cusp, "seminormal", 3)
     rows.append(
         _row("cusp.ext", "seminormal witnesses at bound 3", ["t"], [str(w) for w in closure.adjoined])
@@ -227,21 +229,20 @@ def run_corpus(bound: int = 6) -> list[dict]:
     rows.append(_row("nil_cube.ext", "li rank", 0, _show(li_auto(cube).rank)))
 
     ident = load_extension(corpus_path("identity_line.ext"))
-    rows.append(_row("identity_line.ext", "li rank", 0, _show(li_auto(ident).rank)))
-    rows.append(_row("identity_line.ext", "ni verdict", "Zero", ni_verdict(ident, bound).status))
-    rows.append(
-        _row("identity_line.ext", "laurent stability", "yes", laurent_stability(ident, degree_bound=bound).answer)
-    )
+    ident_stability = laurent_stability(ident, degree_bound=bound)
+    rows.append(_row("identity_line.ext", "li rank", 0, _show(ident_stability.li.rank)))
+    rows.append(_row("identity_line.ext", "ni verdict", "Zero", ident_stability.ni.status))
+    rows.append(_row("identity_line.ext", "laurent stability", "yes", ident_stability.answer))
 
     bottom = load_extension(corpus_path("chain_bottom.ext"))
     full = load_extension(corpus_path("chain_full.ext"))
-    ranks = (li_auto(bottom).rank, li_auto(full).rank, li_auto(cusp).rank)
+    ranks = (li_auto(bottom).rank, li_auto(full).rank, cusp_li.rank)
     rows.append(_row("chain", "tower ranks (A<B, A<C, B<C)", (0, 0, 0), tuple(_show(r) for r in ranks)))
     if all(r is not UNKNOWN for r in ranks):
         tower = tower_check(ranks[0], ranks[1], ranks[2])
         rows.append(_row("chain", "tower check", True, tower.passes))
 
-    product = product_rank([li_auto(node), li_auto(cusp)])
+    product = product_rank([node_li, cusp_li])
     rows.append(_row("product", "node x cusp rank", 1, _show(product.rank)))
 
     rows.append(_row("terms", "n = 1 multiset", {"I": 1, "L": 1, "N^1": 2}, decomposition_terms(1)))

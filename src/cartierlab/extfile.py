@@ -4,12 +4,18 @@ Extension files carry sections [ring.A], [ring.B] (field, vars, relations),
 [map] (one image per source variable), and an optional [hints] section.
 Rank-data files carry a single [rankdata] section; ring files a [ring]
 section. Unknown sections or keys are input errors.
+
+`read_description` reads a file once, as bytes and parsed sections; every
+loader takes the path and, optionally, those sections, so a caller that
+needs the bytes too (the CLI's input digest) never reads the file twice.
 """
 
 from __future__ import annotations
 
 import configparser
+import io
 import re
+from configparser import ConfigParser
 
 from .artinian import FiniteAlgebra, quotient_algebra
 from .cartier import RankData
@@ -32,19 +38,26 @@ _HINT_KEYS = {
 _RANKDATA_KEYS = {"c_A", "c_B", "lpic_A", "lpic_B", "lpic_kernel"}
 
 
-def _read(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(
+def read_description(path: str) -> tuple[bytes, ConfigParser]:
+    """The bytes of a description file and their parsed sections, read once."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    parser = ConfigParser(
         delimiters=("=",), interpolation=None, comment_prefixes=("#",)
     )
     parser.optionxform = str
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        parser.read_file(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), source=path)
     except configparser.Error as exc:
         raise InputError(f"malformed description file {path}: {exc}") from None
-    return parser
+    return data, parser
+
+
+def _sections(path: str, description: ConfigParser | None) -> ConfigParser:
+    return read_description(path)[1] if description is None else description
 
 
 def _split_list(text: str) -> list[str]:
@@ -138,8 +151,10 @@ def _parse_hints(section, a_ring: PolyRing, b_ring: PolyRing) -> Hints:
     return Hints(**kwargs)
 
 
-def load_extension(path: str, assume_injective: bool = False) -> ExtensionPresentation:
-    parser = _read(path)
+def load_extension(
+    path: str, assume_injective: bool = False, description: ConfigParser | None = None,
+) -> ExtensionPresentation:
+    parser = _sections(path, description)
     sections = set(parser.sections())
     required = {"ring.A", "ring.B", "map"}
     if not required <= sections:
@@ -170,8 +185,8 @@ def load_extension(path: str, assume_injective: bool = False) -> ExtensionPresen
     )
 
 
-def load_rank_data(path: str) -> RankData:
-    parser = _read(path)
+def load_rank_data(path: str, description: ConfigParser | None = None) -> RankData:
+    parser = _sections(path, description)
     if parser.sections() != ["rankdata"]:
         raise InputError(f"{path} must contain exactly the [rankdata] section")
     section = parser["rankdata"]
@@ -189,17 +204,17 @@ def load_rank_data(path: str) -> RankData:
         raise InputError(str(exc)) from None
 
 
-def load_ring(path: str) -> FiniteAlgebra:
-    parser = _read(path)
+def load_ring(path: str, description: ConfigParser | None = None) -> FiniteAlgebra:
+    parser = _sections(path, description)
     if parser.sections() != ["ring"]:
         raise InputError(f"{path} must contain exactly the [ring] section")
     ring, ideal = _parse_ring(parser["ring"], "ring")
     return quotient_algebra(ring, ideal)
 
 
-def detect_kind(path: str) -> str:
+def detect_kind(path: str, description: ConfigParser | None = None) -> str:
     """'extension', 'rankdata', or 'ring', from the section structure."""
-    sections = set(_read(path).sections())
+    sections = set(_sections(path, description).sections())
     if "rankdata" in sections:
         return "rankdata"
     if "ring" in sections:

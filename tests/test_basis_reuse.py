@@ -7,6 +7,9 @@ never runs Buchberger twice on the same (ring, generators) input, and
 tag basis over the pair budget is not attempted again either, so a command
 under `--assume-injective` fails on it once.
 
+`run_corpus` computes each presentation's rank once per pass: the rows that
+need it again reuse that result.
+
 `perfbench/tracing.py` patches the library's entry points by name; a
 refactor that deletes or renames one of them must fail here rather than in
 a traced benchmark run.
@@ -25,6 +28,7 @@ import pytest
 
 from cartierlab.cartier import li_auto
 from cartierlab.cli import main
+from cartierlab import corpus
 from cartierlab.corpus import corpus_path
 from cartierlab.errors import PairBudgetExceeded
 from cartierlab.extensions import closure_search
@@ -135,6 +139,22 @@ def test_over_budget_tag_basis_is_retried_under_a_larger_budget(failed_inputs):
     assert len(failed_inputs) == 1
     assert not ext.contains(ext.b_ring.variable("t")).member
     assert ext.contains(ext.b_ring.parse("t^2 - 1")).member
+
+
+def test_run_corpus_ranks_each_presentation_once(monkeypatch):
+    seen = []  # the presentations themselves, so that no id is reused
+    original = corpus.li_auto
+
+    def recording(ext, *args, **kwargs):
+        seen.append(ext)
+        return original(ext, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "li_auto", recording)
+    rows = corpus.run_corpus()
+    assert all(row["status"] == "pass" for row in rows)
+    assert seen
+    repeated = [ext.b_ring.describe() for ext in seen if sum(e is ext for e in seen) > 1]
+    assert repeated == []
 
 
 def _span_points():

@@ -6,7 +6,9 @@ import re
 import subprocess
 import sys
 
-from cartierlab.cli import main
+import pytest
+
+from cartierlab.cli import build_parser, main
 from cartierlab.corpus import corpus_path
 
 
@@ -272,3 +274,67 @@ def test_cli_digest_script_prints_one_line():
                           timeout=300, check=True)
     assert done.stderr == ""
     assert re.fullmatch(r"\d+ calls sha256:[0-9a-f]{64}\n", done.stdout)
+
+
+# one mixed sequence whose calls differ in the defaults they rely on
+REUSE_SEQUENCE = (
+    ("li", corpus_path("cusp.ext"), "--method", "conductor", "--json"),
+    ("li", corpus_path("cusp.ext"), "--json"),
+    ("stalks", corpus_path("two_lines.ext"), "--primes", "x; x - 1"),
+    ("stalks", corpus_path("two_lines.ext"), "--generic"),
+    ("seminormal", corpus_path("cusp.ext"), "--bound", "2", "--json"),
+    ("seminormal", corpus_path("cusp.ext"), "--bound", "3", "--json"),
+    ("corpus", "--json"),
+)
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.delenv("CARTIERLAB_BUDGET", raising=False)
+    fresh = {}
+    for argv in REUSE_SEQUENCE:
+        build_parser.cache_clear()
+        fresh[argv] = run_cli(capsys, *argv)
+    build_parser.cache_clear()
+    for order in (REUSE_SEQUENCE, REUSE_SEQUENCE[::-1]):
+        for argv in order:
+            assert run_cli(capsys, *argv) == fresh[argv], argv
+    assert build_parser.cache_info().misses == 1
+    assert all(code == 0 for code, _, _ in fresh.values())
+
+
+def test_budget_variable_is_read_on_every_call(capsys, monkeypatch):
+    node = corpus_path("node.ext")
+    monkeypatch.setenv("CARTIERLAB_BUDGET", "1")
+    code, _, err = run_cli(capsys, "li", node)
+    assert code == 3
+    assert "resource limit" in err
+    monkeypatch.delenv("CARTIERLAB_BUDGET")
+    assert run_cli(capsys, "li", node)[0] == 0
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("CARTIERLAB_BUDGET", bad)
+        for argv in (("li", node), ("terms", "--n", "1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: CARTIERLAB_BUDGET must be a positive integer, found {bad!r}\n"
+        # an explicit flag wins over the variable
+        assert run_cli(capsys, "li", node, "--pair-budget", "100000")[0] == 0
+        assert run_cli(capsys, "li", node, "--pair-budget", "1")[0] == 3
+
+
+MISSING_INPUT_COMMANDS = (
+    ("check", "{path}"),
+    ("li", "{path}"),
+    ("stalks", "{path}", "--generic"),
+    ("seminormal", "{path}"),
+    ("anodal", "{path}"),
+    ("units", "--base", "{path}", "--laurent", "t"),
+)
+
+
+@pytest.mark.parametrize("argv", MISSING_INPUT_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_input_is_input_error(capsys, tmp_path, argv, target):
+    path = str(tmp_path / "missing.ext") if target == "missing" else str(tmp_path)
+    code, out, err = run_cli(capsys, *(part.format(path=path) for part in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read {path}: ")
