@@ -5,15 +5,19 @@ B, and optional hints (finiteness, birationality, module generators with
 fraction representations, and externally supplied Picard deviation ranks).
 Construction always checks well-definedness and, unless the injectivity
 check runs out of budget under assume_injective, that the kernel is zero.
-Both checks, and the conductor's elementwise certificate, are normal forms
-against one reduced basis of the tag ideal and expand no image; the
+Both checks, and the conductor's certificate c * B inside A, are normal
+forms against one reduced basis of the tag ideal and expand no image; the
 relations are substituted into the images only when that basis is over the
-pair budget.
+pair budget. The leading monomials of that basis also decide whether B is
+finite over A and give B-monomials spanning B over A, so the certificate
+covers all of B whatever the module_generators hint says.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import le
 
 from .artinian import nilradical_span, quotient_algebra
 from .errors import (
@@ -155,6 +159,11 @@ class ExtensionPresentation:
             raise CartierlabError("polynomial is not in the source ring")
         return self.b_ideal.normal_form(a_poly.substitute(self.b_ring, self.images))
 
+    def extend(self, ideal: Ideal) -> Ideal:
+        """The ideal of B's ring presenting B/IB, for an ideal I of A's ring."""
+        pushed = [self.substitute(g) for g in ideal.generators]
+        return Ideal(self.b_ring, list(self.b_ideal.generators) + pushed)
+
     def _membership_ring(self) -> Ideal:
         """The tag ideal in the ring of B's variables followed by one tag per
         A variable, with its reduced basis under an order eliminating B's
@@ -274,8 +283,6 @@ _WITNESS_TESTS = {
 
 
 def _graded_monomials(ring: PolyRing, bound: int):
-    import itertools
-
     n = ring.nvars()
     if n == 0:
         yield ring.one()
@@ -403,14 +410,19 @@ def closure_search(ext: ExtensionPresentation, kind: str,
 
 
 def conductor(ext: ExtensionPresentation) -> Ideal:
-    """The largest ideal of B contained in A, as an ideal of A's ring.
+    """The conductor (A : B), the largest ideal of B contained in A, as an
+    ideal of A's ring.
 
-    Requires module generators with fraction representations p/q over A;
-    each fraction is checked (generator * q = p in B), the conductor is
-    computed as the intersection of the colon ideals (q) : p and certified
-    elementwise: for each of its generators g and each module generator m,
-    g(tags) * m reduces against the tag basis to a polynomial free of B's
-    variables, that is, g * m lies in A.
+    Requires module generators with fraction representations p/q over A.
+    Each fraction is checked (generator * q = p in B). The conductor lies in
+    each colon ideal (q) : p, and their intersection c is certified to be
+    the conductor by c * B inside A: for each generator g of c and each
+    monomial m of a set spanning B over A, g(tags) * m reduces against the
+    tag basis to a polynomial free of B's variables. The hinted module
+    generators are tried first, then the monomials read off the tag basis
+    (`_spanning_monomials`), which also proves B finite over A. A unit c is
+    certified by the images generating B. So c is an ideal of B, and
+    A/c -> B/cB is well defined and injective.
     """
     hints = ext.hints
     if not hints.birational:
@@ -434,38 +446,87 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
         num, den = fractions[gen]
         base = ideal_sum(ext.a_ideal, Ideal(ext.a_ring, [den]))
         quot = colon(base, Ideal(ext.a_ring, [num]))
-        result = quot if result is None else intersect(result, quot)
+        result = quot if result is None else _meet(result, quot)
     if result is None:
         result = Ideal(ext.a_ring, [ext.a_ring.one()])
     result = result.reduced()
     tag_ideal = ext._membership_ring()
-    tagged_gens = [gen.map_variables(tag_ideal.ring) for gen in hints.module_generators]
     nb = range(ext.b_ring.nvars())
-    for g in result.generators:
-        g_tags = ext._to_tags(g)
-        for gen, gen_tags in zip(hints.module_generators, tagged_gens):
-            if tag_ideal.normal_form(g_tags * gen_tags).involves(nb):
-                raise CertificateFailure(
-                    f"conductor generator {g} times {gen} escapes the subring"
-                )
+
+    def certify(module_generators) -> None:
+        tagged = [gen.map_variables(tag_ideal.ring) for gen in module_generators]
+        for g in result.generators:
+            g_tags = ext._to_tags(g)
+            for gen, gen_tags in zip(module_generators, tagged):
+                if tag_ideal.normal_form(g_tags * gen_tags).involves(nb):
+                    raise CertificateFailure(
+                        f"conductor generator {g} times {gen} escapes the subring"
+                    )
+
+    certify(hints.module_generators)
+    if result.is_unit_ideal():
+        if not ext.is_identity_onto():
+            raise CertificateFailure(
+                "unit conductor, but the subring is not all of the target: "
+                "the module_generators hint does not span it"
+            )
+        return result
+    certify([m for m in _spanning_monomials(ext) if m not in hints.module_generators])
     return result
 
 
+def _meet(running: Ideal, quot: Ideal) -> Ideal:
+    """running ∩ quot, intersecting only when neither contains the other.
+
+    Containment is decided by normal forms against each side's basis, which
+    stays cached on it.
+    """
+    if quot.generators == running.generators or _inside(running, quot):
+        return running
+    if _inside(quot, running):
+        return quot
+    return intersect(running, quot)
+
+
+def _inside(small: Ideal, big: Ideal) -> bool:
+    return all(big.contains_poly(g) for g in small.generators)
+
+
+def _spanning_monomials(ext: ExtensionPresentation) -> list[Polynomial]:
+    """B-monomials that span B as an A-module, read off the tag basis.
+
+    By the relative finiteness theorem (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 5 §6), B is finite over A exactly when,
+    for each variable v of B, some leading monomial of the tag basis (which
+    eliminates B's variables) is a pure power of v. Every element of B then
+    reduces to an A-combination of the B-monomials below those powers that
+    no leading monomial free of the tags divides.
+    """
+    nb = ext.b_ring.nvars()
+    leading = [g.leading_term()[0] for g in ext._membership_ring().groebner()]
+    pure = [e[:nb] for e in leading if not any(e[nb:])]
+    bounds = []
+    for i, v in enumerate(ext.b_ring.variables):
+        powers = [e[i] for e in pure if e[i] == sum(e)]
+        if not powers:
+            raise CertificateFailure(
+                f"finite hint does not hold: no element of the tag basis has a "
+                f"pure power of {v} as leading monomial, so B is not finite over A"
+            )
+        bounds.append(range(min(powers)))
+    exps = (e for e in itertools.product(*bounds)
+            if not any(all(map(le, p, e)) for p in pure))
+    return [ext.b_ring.monomial(e) for e in sorted(exps, key=ext.b_ring.order.key)]
+
+
 def reduce_mod_conductor(ext: ExtensionPresentation) -> ExtensionPresentation:
-    """Quotient both sides by the conductor (an ideal on either side)."""
-    return _reduce_by_conductor(ext, conductor(ext))
-
-
-def _reduce_by_conductor(ext: ExtensionPresentation, cond: Ideal) -> ExtensionPresentation:
-    """`reduce_mod_conductor` for a conductor the caller already has."""
+    """The pair A/c -> B/cB for the conductor c, as a checked presentation."""
+    cond = conductor(ext)
     if cond.is_unit_ideal():
         raise DegenerateExtension("unit conductor: the extension is an equality")
-    new_a_ideal = ideal_sum(ext.a_ideal, cond)
-    pushed = [ext.substitute(g) for g in cond.generators]
-    new_b_ideal = ideal_sum(ext.b_ideal, Ideal(ext.b_ring, pushed))
     hints = Hints(finite=ext.hints.finite, module_generators=ext.hints.module_generators)
     return ExtensionPresentation(
-        ext.a_ring, new_a_ideal, ext.b_ring, new_b_ideal, ext.images, hints=hints
+        ext.a_ring, cond, ext.b_ring, ext.extend(cond), ext.images, hints=hints
     )
 
 

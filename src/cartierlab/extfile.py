@@ -39,7 +39,10 @@ _RANKDATA_KEYS = {"c_A", "c_B", "lpic_A", "lpic_B", "lpic_kernel"}
 
 
 def read_description(path: str) -> tuple[bytes, ConfigParser]:
-    """The bytes of a description file and their parsed sections, read once."""
+    """The bytes of a description file and their parsed sections, read once.
+
+    A file that cannot be read or is not UTF-8 text is an input error.
+    """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -50,7 +53,11 @@ def read_description(path: str) -> tuple[bytes, ConfigParser]:
     )
     parser.optionxform = str
     try:
-        parser.read_file(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), source=path)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc})") from None
+    try:
+        parser.read_file(io.StringIO(text, newline=None), source=path)
     except configparser.Error as exc:
         raise InputError(f"malformed description file {path}: {exc}") from None
     return data, parser

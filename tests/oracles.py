@@ -4,8 +4,10 @@ Nothing here calls the code paths under test: membership goes through dense
 linear algebra on monomial coordinates, expansion (of a product, or of a
 relation at a map's images) through naive dict convolution, univariate
 division through schoolbook long division, multivariate reduction through
-the textbook loop on plain term dicts, and the first linear dependence
-through one fresh elimination per vector.
+the textbook loop on plain term dicts, the first linear dependence through
+one fresh elimination per vector, and the conductor through every colon
+ideal intersected in turn. The last two replay, on the library's own
+primitives, an algorithm the library has since replaced.
 """
 
 from __future__ import annotations
@@ -190,3 +192,29 @@ def per_vector_first_dependence(field, vectors: list[list]):
             return k, coeffs
         independent.append(list(vec))
     return None
+
+
+def conductor_by_every_intersection(ext):
+    """The reduced basis of the conductor fold that intersects every colon
+    ideal (den) : num in turn, with no containment test.
+
+    This is the fold `conductor` used before it skipped redundant
+    intersections; it calls the library's `colon` and `intersect`, so what it
+    checks is the skipping, not those operations. Module generators without
+    a fraction must lie in A and are passed over, as in `conductor`.
+    """
+    from cartierlab.polycore.groebner import Ideal, colon, ideal_sum, intersect
+
+    fractions = {gen: (num, den) for gen, num, den in ext.hints.fractions or ()}
+    result = None
+    for gen in ext.hints.module_generators:
+        if gen not in fractions:
+            assert ext.contains(gen).member
+            continue
+        num, den = fractions[gen]
+        base = ideal_sum(ext.a_ideal, Ideal(ext.a_ring, [den]))
+        quot = colon(base, Ideal(ext.a_ring, [num]))
+        result = quot if result is None else intersect(result, quot)
+    if result is None:
+        return (ext.a_ring.one(),)
+    return result.groebner()

@@ -7,6 +7,10 @@ never runs Buchberger twice on the same (ring, generators) input, and
 tag basis over the pair budget is not attempted again either, so a command
 under `--assume-injective` fails on it once.
 
+The conductor square runs on the presentation it is given: `li_auto` builds
+no second one for A/c -> B/cB, and the conductor's fold intersects two colon
+ideals only when neither contains the other.
+
 `run_corpus` computes each presentation's rank once per pass: the rows that
 need it again reuse that result.
 
@@ -28,16 +32,17 @@ import pytest
 
 from cartierlab.cartier import li_auto
 from cartierlab.cli import main
-from cartierlab import corpus
+from cartierlab import corpus, extensions
 from cartierlab.corpus import corpus_path
 from cartierlab.errors import PairBudgetExceeded
-from cartierlab.extensions import closure_search
+from cartierlab.extensions import ExtensionPresentation, closure_search
 from cartierlab.extfile import load_extension
 
 CORPUS = os.path.dirname(corpus_path("node.ext"))
 EXT_FILES = sorted(n for n in os.listdir(CORPUS) if n.endswith(".ext"))
 # the package re-exports a function named `groebner`, which hides the module
 GROEBNER = importlib.import_module("cartierlab.polycore.groebner")
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "tracing.py")
 
 
@@ -113,6 +118,36 @@ def test_li_auto_never_reduces_a_reduced_basis(basis_runs, name):
     for ring, gens, basis in basis_runs:
         assert (ring, gens) not in outputs, f"{ring.describe()}: {', '.join(map(str, gens))}"
         outputs.add((ring, basis))
+
+
+@pytest.mark.parametrize("path", [
+    os.path.join(CORPUS, "node.ext"),
+    os.path.join(CORPUS, "cusp.ext"),
+    os.path.join(CORPUS, "chain_full.ext"),
+    os.path.join(FIXTURES, "monomial-3-5-7-qq.ext"),
+], ids=os.path.basename)
+def test_conductor_square_builds_one_presentation(monkeypatch, path):
+    built, meets = [], []
+    original_init = ExtensionPresentation.__init__
+    original_intersect = extensions.intersect
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    def intersect(i1, i2, *args, **kwargs):
+        meets.append((i1, i2))
+        return original_intersect(i1, i2, *args, **kwargs)
+
+    monkeypatch.setattr(ExtensionPresentation, "__init__", init)
+    monkeypatch.setattr(extensions, "intersect", intersect)
+    ext = load_extension(path)
+    result = li_auto(ext)
+    assert result.method == "ConductorSquare"
+    assert built == [ext]
+    for i1, i2 in meets:
+        assert not all(i2.contains_poly(g) for g in i1.generators)
+        assert not all(i1.contains_poly(g) for g in i2.generators)
 
 
 @pytest.mark.parametrize("budget", ["1", "2", "3"])

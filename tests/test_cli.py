@@ -338,3 +338,93 @@ def test_unreadable_input_is_input_error(capsys, tmp_path, argv, target):
     code, out, err = run_cli(capsys, *(part.format(path=path) for part in argv))
     assert (code, out) == (2, "")
     assert err.startswith(f"input error: cannot read {path}: ")
+
+
+NON_UTF8_INPUTS = (
+    ("check", "[ring.A]\nfield = QQ\nvars = x\nrelations =\n\n"
+     "[ring.B]\nfield = QQ\nvars = x\nrelations =\n\n[map]\nx = x\n"),
+    ("li", "[ring.A]\nfield = QQ\nvars = x\nrelations =\n\n"
+     "[ring.B]\nfield = QQ\nvars = x\nrelations =\n\n[map]\nx = x\n"),
+    ("units", "[ring]\nfield = QQ\nvars = e\nrelations = e^2 - e\n"),
+)
+
+
+@pytest.mark.parametrize("command, text", NON_UTF8_INPUTS, ids=[c for c, _ in NON_UTF8_INPUTS])
+def test_non_utf8_description_is_input_error(capsys, tmp_path, command, text):
+    # the same file without the 0xff byte in its comment line is accepted
+    path = tmp_path / "bad.txt"
+    argv = [command, "--base", str(path), "--laurent", "e"] if command == "units" else [command, str(path)]
+    head, rest = text.split("\n", 1)
+    path.write_bytes(f"{head}\n# note\n{rest}".encode())
+    assert run_cli(capsys, *argv)[0] == 0
+    path.write_bytes(f"{head}\n# note \xff\n{rest}".encode("latin-1"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read {path}: not UTF-8 text (")
+    assert "0xff" in err
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+def test_wrong_module_generators_on_shifted_curve_are_refused(capsys, tmp_path):
+    # (t + 1)^2 * (x, y, z) lies in A, but t * x = (t + 1)^4 - (t + 1)^3 does
+    # not: the true conductor is (t + 1)^5 * k[t], not the maximal ideal
+    with open(os.path.join(FIXTURES, "monomial-3-5-7-qq.ext")) as handle:
+        text = handle.read()
+    text = re.sub(r"(?m)^module_generators = .*$", "module_generators = 1, (t + 1)^2", text)
+    text = re.sub(r"(?m)^fractions = .*$", "fractions = (t + 1)^2 : y | x", text)
+    path = tmp_path / "wrong.ext"
+    path.write_text(text)
+    for method in ("auto", "conductor"):
+        code, out, err = run_cli(capsys, "li", str(path), "--json", "--method", method)
+        assert (code, out) == (2, "")
+        assert err == "error: conductor generator x times t escapes the subring\n"
+
+
+def test_finite_hint_without_monic_relation_is_refused(capsys, tmp_path):
+    # B = A[1/a] is birational over A = QQ[a] but not finite: y = 1/a has no
+    # monic relation over A; the fraction y = 1 / a checks and 1 * y, a * y
+    # lie in A, so only the finiteness certificate refuses it
+    path = tmp_path / "localized.ext"
+    path.write_text(
+        "[ring.A]\nfield = QQ\nvars = a\nrelations =\n\n"
+        "[ring.B]\nfield = QQ\nvars = x, y\nrelations = x*y - 1\n\n"
+        "[map]\na = x\n\n"
+        "[hints]\nfinite = true\nbirational = true\n"
+        "module_generators = 1, y\nfractions = y : 1 | a\n"
+    )
+    code, out, err = run_cli(capsys, "li", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: finite hint does not hold: no element of the tag basis has a pure "
+        "power of y as leading monomial, so B is not finite over A\n"
+    )
+
+
+def test_conductor_refusal_texts_are_unchanged(capsys, tmp_path):
+    zero_divisor = tmp_path / "zero_divisor.ext"
+    zero_divisor.write_text(
+        "[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n"
+        "[ring.B]\nfield = QQ\nvars = u, t\nrelations = u^2, t^2, u*t\n\n"
+        "[map]\nx = u\n\n"
+        "[hints]\nfinite = true\nbirational = true\n"
+        "module_generators = 1, t\nfractions = t : 0 | x\n"
+    )
+    # the node with module_generators = 1: the conductor fold is empty
+    unit = tmp_path / "unit.ext"
+    unit.write_text(
+        "[ring.A]\nfield = QQ\nvars = x, y\nrelations = x^3 + x^2 - y^2\n\n"
+        "[ring.B]\nfield = QQ\nvars = t\nrelations =\n\n"
+        "[map]\nx = (t + 1)*(t - 1)\ny = t*(t + 1)*(t - 1)\n\n"
+        "[hints]\nfinite = true\nbirational = true\n"
+        "module_generators = 1\nfractions = t : y | x\n"
+    )
+    expected = (
+        (zero_divisor, "error: conductor generator 1 times t escapes the subring\n"),
+        (unit, "error: unit conductor, but the subring is not all of the target: "
+               "the module_generators hint does not span it\n"),
+    )
+    for path, message in expected:
+        code, out, err = run_cli(capsys, "li", str(path), "--json", "--method", "conductor")
+        assert (code, out, err) == (2, "", message)

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cartierlab.cartier import li_auto
+from cartierlab.corpus import corpus_path
 from cartierlab.errors import (
+    CertificateFailure,
     DegenerateExtension,
     InjectivityError,
     MissingHints,
@@ -14,6 +19,7 @@ from cartierlab.errors import (
 from cartierlab.extensions import (
     ExtensionPresentation,
     Hints,
+    _spanning_monomials,
     adjoin_element,
     closure_search,
     conductor,
@@ -22,6 +28,7 @@ from cartierlab.extensions import (
     nil_comparison,
     reduce_mod_conductor,
 )
+from cartierlab.extfile import load_extension
 from cartierlab.polycore import (
     GREVLEX,
     Ideal,
@@ -31,7 +38,7 @@ from cartierlab.polycore import (
     QQ,
     parse_polynomial,
 )
-from oracles import naive_image_remainder
+from oracles import conductor_by_every_intersection, naive_image_remainder
 
 try:
     from hypothesis import given, settings
@@ -212,6 +219,60 @@ def test_conductor_identity_is_unit():
     assert conductor(ext).is_unit_ideal()
     with pytest.raises(DegenerateExtension):
         reduce_mod_conductor(ext)
+
+
+CORPUS = os.path.dirname(corpus_path("node.ext"))
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+FRACTION_FILES = sorted(
+    os.path.join(directory, name)
+    for directory in (CORPUS, FIXTURES)
+    for name in os.listdir(directory)
+    if name.endswith(".ext") and "\nfractions =" in Path(directory, name).read_text()
+)
+
+
+@pytest.mark.parametrize("path", FRACTION_FILES, ids=os.path.basename)
+def test_conductor_matches_the_fold_over_every_intersection(path):
+    ext = load_extension(path)
+    assert conductor(ext).generators == conductor_by_every_intersection(ext)
+
+
+@pytest.mark.parametrize("path", sorted(
+    os.path.join(FIXTURES, name) for name in os.listdir(FIXTURES)), ids=os.path.basename)
+def test_shifted_monomial_curves_have_rank_zero(path):
+    # k[u^S] inside k[u] with u = t -+ 1 is subintegral: both sides of the
+    # conductor square are local
+    result = li_auto(load_extension(path))
+    assert (result.rank, result.method) == (0, "ConductorSquare")
+    assert result.certificate["components_A_mod_conductor"] == 1
+    assert result.certificate["components_B_mod_conductor"] == 1
+
+
+def test_conductor_is_certified_on_monomials_spanning_the_target():
+    ext = load_extension(os.path.join(FIXTURES, "monomial-3-5-7-qq.ext"))
+    assert [str(m) for m in _spanning_monomials(ext)] == ["1", "t", "t^2"]
+    # (t + 1)^2 alone: the colon (x) : y is the maximal ideal, and every
+    # generator of it times 1 and (t + 1)^2 lies in A, but x * t does not
+    u2 = ext.b_ring.parse("(t + 1)^2")
+    hints = Hints(finite=True, birational=True, module_generators=(ext.b_ring.one(), u2),
+                  fractions=((u2, ext.a_ring.parse("y"), ext.a_ring.parse("x")),))
+    wrong = ExtensionPresentation(ext.a_ring, ext.a_ideal, ext.b_ring, ext.b_ideal,
+                                  ext.images, hints)
+    for call in (conductor, reduce_mod_conductor):
+        with pytest.raises(CertificateFailure, match="^conductor generator x times t escapes"):
+            call(wrong)
+
+
+def test_unit_conductor_needs_the_images_to_generate_the_target():
+    # t^2 = x / 1 makes the colon ideal the unit ideal, and 1 * t^2 lies in A
+    b_ring = PolyRing(QQ, ["t"], GREVLEX)
+    a_ring = PolyRing(QQ, ["x", "y"], GREVLEX)
+    t2 = parse_polynomial("t^2", b_ring)
+    hints = Hints(finite=True, birational=True, module_generators=(b_ring.one(), t2),
+                  fractions=((t2, parse_polynomial("x", a_ring), a_ring.one()),))
+    cusp = build(["x", "y"], ["y^2 - x^3"], ["t"], [], {"x": "t^2", "y": "t^3"}, hints)
+    with pytest.raises(CertificateFailure, match="^unit conductor, but the subring"):
+        conductor(cusp)
 
 
 def test_reduce_mod_conductor_node_and_cusp():
