@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import le
 
 from .errors import (
     CartierlabError,
@@ -49,22 +50,7 @@ class FiniteAlgebra:
         gb = ideal.groebner()
         if len(gb) == 1 and gb[0].is_constant():
             raise ZeroRingError("quotient by the unit ideal")
-        lead = [g.leading_term()[0] for g in gb]
-        bounds = []
-        for i, name in enumerate(ring.variables):
-            pure = [
-                exp[i]
-                for exp in lead
-                if exp[i] > 0 and all(e == 0 for j, e in enumerate(exp) if j != i)
-            ]
-            if not pure:
-                raise NotZeroDimensional(name)
-            bounds.append(min(pure))
-        basis = []
-        for exps in itertools.product(*(range(b) for b in bounds)):
-            if not any(all(l <= e for l, e in zip(lt, exps)) for lt in lead):
-                basis.append(exps)
-        basis.sort(key=ring.order.key)
+        basis = staircase([g.leading_term()[0] for g in gb], ring.variables, ring.order.key)
         self.ring = ring
         self.ideal = ideal
         self.field = ring.field
@@ -176,6 +162,20 @@ class FiniteAlgebra:
     def describe(self) -> str:
         gens = ", ".join(str(g) for g in self.ideal.generators) or "0"
         return f"{self.ring.describe()}/({gens})"
+
+
+def staircase(leading, variables, order_key) -> list[tuple]:
+    """The exponents no leading exponent divides, sorted by `order_key`. A
+    variable with no pure power among them raises NotZeroDimensional."""
+    bounds = []
+    for i, name in enumerate(variables):
+        powers = [e[i] for e in leading if e[i] == sum(e)]
+        if not powers:
+            raise NotZeroDimensional(name)
+        bounds.append(range(min(powers)))
+    exps = (e for e in itertools.product(*bounds)
+            if not any(all(map(le, lead, e)) for lead in leading))
+    return sorted(exps, key=order_key)
 
 
 def quotient_algebra(ring: PolyRing, ideal: Ideal) -> FiniteAlgebra:
@@ -623,13 +623,3 @@ def components_over_subring(ring: PolyRing, ideal: Ideal, free_variables):
             return UNKNOWN
     return decomp.count
 
-
-# -- exhaustive enumeration over prime fields -----------------------------------
-
-
-def iter_all_elements(alg: FiniteAlgebra):
-    """All elements of an algebra over a prime field (use with a size guard)."""
-    if not isinstance(alg.field, PrimeField):
-        raise CartierlabError("exhaustive enumeration needs a prime field")
-    for coords in itertools.product(range(alg.field.p), repeat=alg.dim):
-        yield tuple(coords)

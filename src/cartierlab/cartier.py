@@ -4,6 +4,8 @@ Four certified routes are exposed: the Artinian-local section formula, the
 finite-connected vanishing criterion, the conductor-square reduction for
 finite birational extensions of one-dimensional domains, and the five-term
 units/Picard sequence on supplied rank data. Everything else is Unknown.
+One table, ROUTES, names and orders the routes on an extension; `li_auto`
+and the CLI's `li --method` both run them through `run_route`.
 """
 
 from __future__ import annotations
@@ -44,13 +46,8 @@ from .extensions import (
     nil_comparison,
     witness_candidates,
 )
-from .polycore.fields import PrimeField
 from .polycore.groebner import Ideal, ideal_sum
-from .polycore.linalg import in_span, rref
 from .polycore.rings import GREVLEX, Polynomial, PolyRing, fresh_name
-
-_EXHAUSTIVE_CAP = 100_000
-
 
 # -- result types ----------------------------------------------------------------
 
@@ -445,35 +442,47 @@ def li_five_term_from_extension(ext: ExtensionPresentation) -> LIResult:
     return LIResult(result.rank, result.method, certificate)
 
 
+# -- the route table ------------------------------------------------------------------
+
+# A route raises one of these when it does not apply to the input.
+DOES_NOT_APPLY = (MissingHints, NotArtinianLocal, NotPrime, NotZeroDimensional, ZeroRingError)
+
+# name -> (method, call), in the order `li_auto` tries them. A call looks its
+# route up in this module when it runs, so wrappers set there see every call.
+ROUTES = {
+    "hensel": ("HenselLocalFormula", lambda ext, primes, generic: li_hensel_local(ext)),
+    "conductor": ("ConductorSquare", lambda ext, primes, generic: li_conductor_square(ext)),
+    "connected": ("FiniteConnected", lambda ext, primes, generic: li_finite_connected(ext, primes, generic)),
+    "fiveterm": ("FiveTermSequence", lambda ext, primes, generic: li_five_term_from_extension(ext)),
+}
+
+
+def run_route(name: str, ext: ExtensionPresentation, primes: list[Ideal] | None = None,
+              include_generic: bool = False) -> LIResult:
+    """One route of the table; Unknown with the reason when it does not apply."""
+    method, call = ROUTES[name]
+    try:
+        return call(ext, primes, include_generic)
+    except DOES_NOT_APPLY as exc:
+        return LIResult(UNKNOWN, method, {"reason": str(exc)})
+
+
 def li_auto(
     ext: ExtensionPresentation,
     primes: list[Ideal] | None = None,
     include_generic: bool = False,
 ) -> LIResult:
-    """Try the four routes in order and report the first certified rank."""
-    attempts: list[str] = []
-    try:
-        return li_hensel_local(ext)
-    except (NotArtinianLocal, NotZeroDimensional, ZeroRingError) as exc:
-        attempts.append(f"HenselLocalFormula: {exc}")
-    try:
-        result = li_conductor_square(ext)
+    """The first rank a route certifies, in table order; otherwise method
+    "none" with each route's reason under `attempts`."""
+    attempts = []
+    for name in ROUTES:
+        result = run_route(name, ext, primes, include_generic)
         if result.rank is not UNKNOWN:
             return result
-        attempts.append("ConductorSquare: component counts unknown")
-    except (MissingHints, NotZeroDimensional) as exc:
-        attempts.append(f"ConductorSquare: {exc}")
-    try:
-        result = li_finite_connected(ext, primes, include_generic)
-        if result.rank is not UNKNOWN:
-            return result
-        attempts.append(f"FiniteConnected: {result.certificate.get('reason') or result.certificate.get('inconclusive')}")
-    except (MissingHints, NotPrime) as exc:
-        attempts.append(f"FiniteConnected: {exc}")
-    try:
-        return li_five_term_from_extension(ext)
-    except MissingHints as exc:
-        attempts.append(f"FiveTermSequence: {exc}")
+        cert = result.certificate
+        # only the conductor square's Unknown carries the counts, not a reason
+        reason = cert.get("reason") or cert.get("inconclusive") or "component counts unknown"
+        attempts.append(f"{result.method}: {reason}")
     return LIResult(UNKNOWN, "none", {"attempts": tuple(attempts)})
 
 
@@ -511,70 +520,27 @@ def _reduced_ideal(ring: PolyRing, ideal: Ideal):
 # -- seminormality obstruction --------------------------------------------------------
 
 
-def _subalgebra_span(alg: FiniteAlgebra, generators: list[tuple]) -> list[list]:
-    """Row-echelon basis of the unital subalgebra generated by the elements."""
-    field = alg.field
-    rows, _ = rref(field, [list(alg.one())] + [list(g) for g in generators])
-    changed = True
-    while changed:
-        changed = False
-        for g in generators:
-            for row in list(rows):
-                prod = alg.mul(tuple(row), g)
-                if not in_span(field, rows, list(prod)):
-                    rows, _ = rref(field, rows + [list(prod)])
-                    changed = True
-    return rows
-
-
 def ni_verdict(ext: ExtensionPresentation, degree_bound: int) -> NIVerdict:
-    """Vanishing verdict for the polynomial deviation (seminormality obstruction)."""
+    """NI(A, B) vanishes exactly when A is seminormal in B (Swan 1980).
+
+    A nilpotent of B outside A gives NonZero. An Artinian B whose nilpotents
+    lie in A gives Zero: A/nil is a product of fields, so b^2, b^3 in A give
+    b = b^3 (b^2)^+ mod nil. Otherwise a candidate witness gives NonZero,
+    and without one the verdict is Zero only when A is all of B.
+    """
     nil = nil_comparison(ext)
     if nil.status == "differ":
         return NIVerdict("NonZero", witness=nil.witness, nil_reason=nil.reason)
+    if nil.artinian:
+        reason = f"{nil.reason}; over an Artinian target that makes the subring seminormal"
+        return NIVerdict("Zero", nil_reason=reason)
     for cand in witness_candidates(ext, degree_bound):
         check = is_seminormal_witness(ext, cand)
         if check.is_witness:
             return NIVerdict("NonZero", witness=cand)
     if nil.status == "equal" and ext.is_identity_onto():
         return NIVerdict("Zero", nil_reason="the subring is all of the target")
-    if nil.status == "equal" and isinstance(ext.b_ring.field, PrimeField):
-        decided = _exhaustive_seminormal_scan(ext)
-        if decided is not None:
-            if decided is True:
-                return NIVerdict("Zero", nil_reason="exhaustive scan found no witness")
-            return NIVerdict("NonZero", witness=decided)
     return NIVerdict("UnknownUpToBound", bound=degree_bound)
-
-
-def _exhaustive_seminormal_scan(ext: ExtensionPresentation):
-    """Over a small prime-field Artinian target, decide by full enumeration.
-
-    Returns True (no witness anywhere), a witness element, or None when the
-    target is too large or not Artinian.
-    """
-    from .artinian import iter_all_elements
-
-    try:
-        alg = quotient_algebra(ext.b_ring, ext.b_ideal)
-    except (NotZeroDimensional, ZeroRingError):
-        return None
-    p = ext.b_ring.field.p
-    if p**alg.dim > _EXHAUSTIVE_CAP:
-        return None
-    gens = [alg.from_poly(ext.substitute(ext.a_ring.variable(v))) for v in ext.a_ring.variables]
-    span = _subalgebra_span(alg, gens)
-    field = alg.field
-    for coords in iter_all_elements(alg):
-        if in_span(field, span, list(coords)):
-            continue
-        sq = alg.mul(coords, coords)
-        if not in_span(field, span, list(sq)):
-            continue
-        cube = alg.mul(sq, coords)
-        if in_span(field, span, list(cube)):
-            return alg.to_poly(coords)
-    return True
 
 
 def laurent_stability(

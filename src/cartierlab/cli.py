@@ -23,14 +23,12 @@ import sys
 
 from . import __version__
 from .cartier import (
+    ROUTES,
     decomposition_terms,
     li_auto,
-    li_conductor_square,
-    li_finite_connected,
     li_five_term,
-    li_five_term_from_extension,
-    li_hensel_local,
     LIResult,
+    run_route,
     stalk_rank,
 )
 from .corpus import run_corpus
@@ -39,10 +37,7 @@ from .errors import (
     EMPTY,
     InputError,
     InjectivityError,
-    MissingHints,
-    NotArtinianLocal,
     NotPrime,
-    NotZeroDimensional,
     ParseError,
     ProbeExhausted,
     ResourceLimitError,
@@ -171,27 +166,25 @@ def cmd_li(args) -> tuple[dict, int]:
     if kind == "ring":
         raise InputError("li needs an extension or rank-data file")
     ext = load_extension(args.file, args.assume_injective, description)
-    primes = _parse_primes(ext, args.primes or "")
-    try:
-        if args.method == "auto":
-            result = li_auto(ext, primes or None, include_generic=args.generic)
-        elif args.method == "hensel":
-            result = li_hensel_local(ext)
-        elif args.method == "connected":
-            result = li_finite_connected(ext, primes or None, include_generic=args.generic)
-        elif args.method == "conductor":
-            result = li_conductor_square(ext)
-        else:  # fiveterm on an extension needs computable component counts
-            result = li_five_term_from_extension(ext)
-    except (NotArtinianLocal, MissingHints, NotZeroDimensional, NotPrime) as exc:
-        result = LIResult(UNKNOWN, args.method, {"reason": str(exc)})
+    primes = _parse_primes(ext, args.primes or "") or None
+    if args.method == "auto":
+        result = li_auto(ext, primes, include_generic=args.generic)
+    else:
+        result = run_route(args.method, ext, primes, include_generic=args.generic)
     return _report("li", [_li_entry(result)], warnings=ext.warnings, input_digest=digest), 0
 
 
+def _degree_bound(args) -> int:
+    if args.bound < 1:
+        raise InputError("--bound must be at least 1")
+    return args.bound
+
+
 def _closure_command(args, kind: str) -> tuple[dict, int]:
+    bound = _degree_bound(args)
     digest, description = _read_input(args.file)
     ext = load_extension(args.file, args.assume_injective, description)
-    result = closure_search(ext, kind, args.bound)
+    result = closure_search(ext, kind, bound)
     closure = result.extension
     entry = {
         "kind": kind,
@@ -253,7 +246,7 @@ def cmd_units(args) -> tuple[dict, int]:
 
 
 def cmd_corpus(args) -> tuple[dict, int]:
-    rows = run_corpus(bound=args.bound)
+    rows = run_corpus(bound=_degree_bound(args))
     failures = [r for r in rows if r["status"] != "pass"]
     report = _report(
         "corpus",
@@ -350,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     li_p.add_argument(
         "--method",
         default="auto",
-        choices=["auto", "hensel", "connected", "conductor", "fiveterm"],
+        choices=["auto", *ROUTES],
     )
     add_file_command("seminormal", cmd_seminormal, with_bound=True)
     add_file_command("anodal", cmd_anodal, with_bound=True)

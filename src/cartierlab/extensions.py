@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import le
 
-from .artinian import nilradical_span, quotient_algebra
+from .artinian import nilradical_span, quotient_algebra, staircase
 from .errors import (
     CartierlabError,
     CertificateFailure,
@@ -504,19 +503,15 @@ def _spanning_monomials(ext: ExtensionPresentation) -> list[Polynomial]:
     """
     nb = ext.b_ring.nvars()
     leading = [g.leading_term()[0] for g in ext._membership_ring().groebner()]
-    pure = [e[:nb] for e in leading if not any(e[nb:])]
-    bounds = []
-    for i, v in enumerate(ext.b_ring.variables):
-        powers = [e[i] for e in pure if e[i] == sum(e)]
-        if not powers:
-            raise CertificateFailure(
-                f"finite hint does not hold: no element of the tag basis has a "
-                f"pure power of {v} as leading monomial, so B is not finite over A"
-            )
-        bounds.append(range(min(powers)))
-    exps = (e for e in itertools.product(*bounds)
-            if not any(all(map(le, p, e)) for p in pure))
-    return [ext.b_ring.monomial(e) for e in sorted(exps, key=ext.b_ring.order.key)]
+    try:
+        exps = staircase([e[:nb] for e in leading if not any(e[nb:])],
+                         ext.b_ring.variables, ext.b_ring.order.key)
+    except NotZeroDimensional as exc:
+        raise CertificateFailure(
+            f"finite hint does not hold: no element of the tag basis has a "
+            f"pure power of {exc.variable} as leading monomial, so B is not finite over A"
+        ) from None
+    return [ext.b_ring.monomial(e) for e in exps]
 
 
 def reduce_mod_conductor(ext: ExtensionPresentation) -> ExtensionPresentation:
@@ -538,10 +533,14 @@ class NilComparison:
     status: str  # equal | differ | unknown
     reason: str
     witness: Polynomial | None = None
+    artinian: bool = False  # B was presented as a finite-dimensional algebra
 
 
 def nil_comparison(ext: ExtensionPresentation) -> NilComparison:
-    """Compare the nilradicals: equal exactly when every nilpotent of B lies in A."""
+    """Compare the nilradicals: equal exactly when every nilpotent of B lies in A.
+
+    `artinian` marks a B built as an algebra; there "equal" also proves A
+    seminormal in B (`cartier.ni_verdict`)."""
     if ext.b_ideal.is_zero_ideal():
         return NilComparison("equal", "target is a free polynomial ring (reduced)")
     try:
@@ -552,12 +551,14 @@ def nil_comparison(ext: ExtensionPresentation) -> NilComparison:
         )
     span = nilradical_span(alg)
     if not span:
-        return NilComparison("equal", "target is reduced")
+        return NilComparison("equal", "target is reduced", artinian=True)
     for vec in span:
         poly = alg.to_poly(vec)
         if not ext.contains(poly).member:
             return NilComparison(
                 "differ", f"nilpotent {poly} of the target lies outside the subring",
-                witness=poly,
+                witness=poly, artinian=True,
             )
-    return NilComparison("equal", "every nilpotent of the target lies in the subring")
+    return NilComparison(
+        "equal", "every nilpotent of the target lies in the subring", artinian=True
+    )

@@ -221,9 +221,9 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb: tuple[Polynomial, ...] | None = None
 
-    def groebner(self, pair_budget: int | None = None) -> tuple[Polynomial, ...]:
+    def groebner(self) -> tuple[Polynomial, ...]:
         if self._gb is None:
-            self._gb = tuple(buchberger(list(self.generators), self.ring, pair_budget))
+            self._gb = tuple(buchberger(list(self.generators), self.ring))
         return self._gb
 
     def reduced(self) -> "Ideal":
@@ -233,13 +233,13 @@ class Ideal:
         out._gb = basis
         return out
 
-    def normal_form(self, f: Polynomial, pair_budget: int | None = None) -> Polynomial:
+    def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise CartierlabError("polynomial from a different ring")
-        return reduce_poly(f, list(self.groebner(pair_budget)))
+        return reduce_poly(f, list(self.groebner()))
 
-    def contains_poly(self, f: Polynomial, pair_budget: int | None = None) -> bool:
-        return self.normal_form(f, pair_budget).is_zero()
+    def contains_poly(self, f: Polynomial) -> bool:
+        return self.normal_form(f).is_zero()
 
     def is_zero_ideal(self) -> bool:
         return not self.groebner()
@@ -253,15 +253,14 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def groebner(ideal: Ideal, pair_budget: int | None = None) -> tuple[Polynomial, ...]:
+def groebner(ideal: Ideal) -> tuple[Polynomial, ...]:
     """The reduced monic basis of the ideal (cached on the ideal)."""
-    return ideal.groebner(pair_budget)
+    return ideal.groebner()
 
 
-def normal_form(f: Polynomial, ideal: Ideal,
-                pair_budget: int | None = None) -> Polynomial:
+def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
     """The unique remainder of f against the reduced basis."""
-    return ideal.normal_form(f, pair_budget)
+    return ideal.normal_form(f)
 
 
 def ideal_equals(i1: Ideal, i2: Ideal) -> bool:
@@ -281,8 +280,7 @@ def ideal_product(i1: Ideal, i2: Ideal) -> Ideal:
     return Ideal(i1.ring, gens)
 
 
-def eliminate(ideal: Ideal, names, target_ring: PolyRing | None = None,
-              pair_budget: int | None = None) -> Ideal:
+def eliminate(ideal: Ideal, names, target_ring: PolyRing | None = None) -> Ideal:
     """Intersect with the subring omitting the named variables.
 
     Computed with a block order placing the eliminated variables first;
@@ -304,13 +302,13 @@ def eliminate(ideal: Ideal, names, target_ring: PolyRing | None = None,
         order = MonomialOrder("lex")
     work = PolyRing(ring.field, names + keep, order)
     moved = Ideal(work, [g.map_variables(work) for g in ideal.generators])
-    gb = moved.groebner(pair_budget)
+    gb = moved.groebner()
     drop = list(range(len(names)))
     kept = [g for g in gb if not g.involves(drop)]
     return Ideal(target_ring, [g.map_variables(target_ring) for g in kept])
 
 
-def intersect(i1: Ideal, i2: Ideal, pair_budget: int | None = None) -> Ideal:
+def intersect(i1: Ideal, i2: Ideal) -> Ideal:
     """Intersection via a tag variable u: eliminate u from u*I + (1-u)*J."""
     ring = i1.ring
     if i2.ring != ring:
@@ -321,10 +319,10 @@ def intersect(i1: Ideal, i2: Ideal, pair_budget: int | None = None) -> Ideal:
     one = work.one()
     gens = [uvar * g.map_variables(work) for g in i1.generators]
     gens += [(one - uvar) * g.map_variables(work) for g in i2.generators]
-    return eliminate(Ideal(work, gens), [u], target_ring=ring, pair_budget=pair_budget)
+    return eliminate(Ideal(work, gens), [u], target_ring=ring)
 
 
-def colon(ideal: Ideal, divisor: Ideal, pair_budget: int | None = None) -> Ideal:
+def colon(ideal: Ideal, divisor: Ideal) -> Ideal:
     """Ideal quotient I : J = {f : f*J inside I}."""
     ring = ideal.ring
     if divisor.ring != ring:
@@ -333,7 +331,7 @@ def colon(ideal: Ideal, divisor: Ideal, pair_budget: int | None = None) -> Ideal
         return Ideal(ring, [ring.one()])
     result: Ideal | None = None
     for g in divisor.generators:
-        meet = intersect(ideal, Ideal(ring, [g]), pair_budget)
+        meet = intersect(ideal, Ideal(ring, [g]))
         single = Ideal(ring, [exact_divide(h, g) for h in meet.generators])
-        result = single if result is None else intersect(result, single, pair_budget)
+        result = single if result is None else intersect(result, single)
     return result

@@ -144,9 +144,6 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.variables)
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.field, self.variables, order)
-
     def describe(self) -> str:
         return f"{self.field.describe()}[{', '.join(self.variables)}]"
 
@@ -206,11 +203,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return not self._terms or set(self._terms) == {self.ring._zero_exp}
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise CartierlabError("polynomial is not constant")
-        return self._terms.get(self.ring._zero_exp, self.ring.field.zero())
 
     def leading_term(self) -> tuple:
         """(exponents, coefficient) of the order-largest term."""

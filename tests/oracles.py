@@ -5,8 +5,9 @@ linear algebra on monomial coordinates, expansion (of a product, or of a
 relation at a map's images) through naive dict convolution, univariate
 division through schoolbook long division, multivariate reduction through
 the textbook loop on plain term dicts, the first linear dependence through
-one fresh elimination per vector, and the conductor through every colon
-ideal intersected in turn. The last two replay, on the library's own
+one fresh elimination per vector, the conductor through every colon ideal
+intersected in turn, and seminormality over a small prime field through
+every element of the target. The last three replay, on the library's own
 primitives, an algorithm the library has since replaced.
 """
 
@@ -218,3 +219,40 @@ def conductor_by_every_intersection(ext):
     if result is None:
         return (ext.a_ring.one(),)
     return result.groebner()
+
+
+def seminormal_by_exhaustive_scan(ext):
+    """Whether A is seminormal in an Artinian B over a prime field, decided
+    by trying every element of B: True when no b outside A has b^2 and b^3
+    in A, otherwise the first such b.
+
+    This is the scan `ni_verdict` ran before the nilradical test replaced
+    it. A is the span of the unital subalgebra its images generate in B's
+    algebra; the caller keeps p^dim B small.
+    """
+    from cartierlab.artinian import quotient_algebra
+    from cartierlab.polycore.linalg import in_span, rref
+
+    alg = quotient_algebra(ext.b_ring, ext.b_ideal)
+    field = alg.field
+    gens = [alg.from_poly(ext.substitute(ext.a_ring.variable(v)))
+            for v in ext.a_ring.variables]
+    span, _ = rref(field, [list(alg.one())] + [list(g) for g in gens])
+    changed = True
+    while changed:
+        changed = False
+        for g in gens:
+            for row in list(span):
+                prod = alg.mul(tuple(row), g)
+                if not in_span(field, span, list(prod)):
+                    span, _ = rref(field, span + [list(prod)])
+                    changed = True
+    for coords in itertools.product(range(field.p), repeat=alg.dim):
+        if in_span(field, span, list(coords)):
+            continue
+        square = alg.mul(coords, coords)
+        if in_span(field, span, list(square)) and in_span(
+            field, span, list(alg.mul(square, coords))
+        ):
+            return alg.to_poly(coords)
+    return True

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -318,7 +319,7 @@ def test_conductor_five_term_agreement_on_node():
 
 
 def test_ni_exhaustive_decision_over_prime_field():
-    # over F_5 with an Artinian target the witness space is scanned completely
+    # over F_5 with a reduced Artinian target the nilradical test decides
     from cartierlab.polycore import PrimeField
 
     f5 = PrimeField(5)
@@ -333,7 +334,9 @@ def test_ni_exhaustive_decision_over_prime_field():
     )
     verdict = ni_verdict(ext, 3)
     assert verdict.status == "Zero"
-    assert "exhaustive" in verdict.nil_reason
+    assert verdict.nil_reason == (
+        "target is reduced; over an Artinian target that makes the subring seminormal"
+    )
 
 
 def test_ni_monomial_witness_over_prime_field():
@@ -352,6 +355,95 @@ def test_ni_monomial_witness_over_prime_field():
     verdict = ni_verdict(ext, 2)
     assert verdict.status == "NonZero"
     assert str(verdict.witness) == "t"
+
+
+def _random_artinian_pair(rng, p):
+    """A presentation A -> B with B = F_p[x, y]/I Artinian and p^dim B small.
+
+    I is (f(x), g(y)) with random monic f and g, or the monomial ideal
+    (x^i, y^j, x^(i-1) y^(j-1)) of a local algebra. A is presented by the
+    kernel of its images: half the time up to two random elements of B,
+    otherwise a basis of nil(B) and perhaps one random element of F_p[x].
+    """
+    from cartierlab.artinian import nilradical_span
+    from cartierlab.polycore import PrimeField
+
+    field = PrimeField(p)
+    b_ring = PolyRing(field, ["x", "y"], GREVLEX)
+    while True:
+        dx, dy = rng.randint(1, 3), rng.randint(1, 3)
+        if p ** (dx * dy) <= 1024:
+            break
+
+    def combination(exps):
+        return sum((b_ring.monomial(e, rng.randrange(p)) for e in exps), b_ring.zero())
+
+    if rng.random() < 0.5:
+        gens = [b_ring.monomial((dx, 0), 1) + combination([(i, 0) for i in range(dx)]),
+                b_ring.monomial((0, dy), 1) + combination([(0, j) for j in range(dy)])]
+    else:
+        gens = [b_ring.monomial((dx, 0), 1), b_ring.monomial((0, dy), 1)]
+        if dx > 1 and dy > 1:
+            gens.append(b_ring.monomial((dx - 1, dy - 1), 1))
+    b_ideal = Ideal(b_ring, gens)
+    box = [(i, j) for i in range(dx) for j in range(dy) if (i, j) != (0, 0)]
+    if rng.random() < 0.5:
+        images = [combination(box) for _ in range(rng.randint(0, 2))]
+    else:
+        alg = quotient_algebra(b_ring, b_ideal)
+        images = [alg.to_poly(v) for v in nilradical_span(alg)]
+        images += [combination([e for e in box if e[1] == 0]) for _ in range(rng.randint(0, 1))]
+    a_ring = PolyRing(field, [f"a{i}" for i in range(len(images))], GREVLEX)
+    return ExtensionPresentation(a_ring, None, b_ring, b_ideal, dict(zip(a_ring.variables, images)))
+
+
+def test_ni_matches_the_exhaustive_scan_over_small_prime_fields():
+    """150 seeded Artinian pairs over F_2, F_3 and F_5: the verdict is Zero
+    exactly when no element of B is a seminormality witness."""
+    import random
+
+    from cartierlab.artinian import nilradical_span
+    from oracles import seminormal_by_exhaustive_scan
+
+    rng = random.Random(20261018)
+    seen = Counter()
+    for k in range(150):
+        ext = _random_artinian_pair(rng, (2, 3, 5)[k % 3])
+        verdict = ni_verdict(ext, 3)
+        scan = seminormal_by_exhaustive_scan(ext)
+        assert verdict.status == ("Zero" if scan is True else "NonZero"), ext.describe()
+        if scan is not True:
+            assert not ext.contains(verdict.witness).member
+        nilpotent = bool(nilradical_span(quotient_algebra(ext.b_ring, ext.b_ideal)))
+        seen[verdict.status, nilpotent, ext.is_identity_onto()] += 1
+    # the cases the scan used to settle: nilpotents inside A, A not all of B
+    assert seen["Zero", True, False] >= 5
+    assert seen["NonZero", True, False] >= 10
+
+
+@pytest.mark.parametrize("b_rels, images", [
+    (["u^2 - u"], {}),
+    (["u^2 - 2"], {}),
+    (["x^3 - x^2"], {"a": "x^2 - x"}),
+    (["x^2 + 1", "y^2"], {"a": "y", "b": "x*y"}),
+], ids=["idempotent", "sqrt2", "fat-point-and-point", "nil-over-gaussian"])
+def test_ni_is_zero_over_artinian_qq_targets_with_nilpotents_inside(b_rels, images):
+    """Over QQ no scan is possible; these pairs were UnknownUpToBound before
+    the nilradical test. The candidate search finds no witness either."""
+    from cartierlab.extensions import is_seminormal_witness, witness_candidates
+
+    a_ring = PolyRing(QQ, list(images), GREVLEX)
+    b_ring = PolyRing(QQ, sorted({v for v in "uxy" if any(v in r for r in b_rels)}), GREVLEX)
+    b_ideal = Ideal(b_ring, [parse_polynomial(r, b_ring) for r in b_rels])
+    image_polys = {v: parse_polynomial(t, b_ring) for v, t in images.items()}
+    ext = ExtensionPresentation(a_ring, None, b_ring, b_ideal, image_polys)
+    assert not ext.is_identity_onto()
+    verdict = ni_verdict(ext, 4)
+    assert verdict.status == "Zero"
+    assert verdict.nil_reason.endswith(
+        "; over an Artinian target that makes the subring seminormal"
+    )
+    assert not any(is_seminormal_witness(ext, c).is_witness for c in witness_candidates(ext, 4))
 
 
 def test_tower_check_accepts_results_and_rejects_unknown():

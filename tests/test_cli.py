@@ -428,3 +428,21 @@ def test_conductor_refusal_texts_are_unchanged(capsys, tmp_path):
     for path, message in expected:
         code, out, err = run_cli(capsys, "li", str(path), "--json", "--method", "conductor")
         assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("seminormal", corpus_path("cusp.ext"), "--bound", "0"),
+    ("anodal", corpus_path("node.ext"), "--bound", "0"),
+    ("seminormal", corpus_path("cusp.ext"), "--bound", "-2", "--json"),
+    ("corpus", "--bound", "-1"),
+    ("corpus", "--bound", "0", "--json"),
+], ids=lambda argv: " ".join(a for a in argv if not a.endswith(".ext")))
+def test_bound_below_one_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "input error: --bound must be at least 1\n")
+
+
+def test_bound_of_one_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "seminormal", corpus_path("cusp.ext"), "--bound", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["bound"] == 1

@@ -24,7 +24,9 @@ from cartierlab.polycore.groebner import (
     _lcm,
     _sub,
     buchberger,
+    default_pair_budget,
     divide_with_quotients,
+    set_default_pair_budget,
 )
 
 try:
@@ -136,9 +138,14 @@ def test_membership_consistency_random():
 def test_pair_budget_is_enforced():
     ring = PolyRing(QQ, ["x", "y", "z"], GREVLEX)
     ideal = make_ideal(ring, ["x^3 - 2*x*y", "x^2*y - 2*y^2 + x", "z^2 - x*y"])
-    with pytest.raises(PairBudgetExceeded):
-        ideal2 = Ideal(ring, list(ideal.generators))
-        ideal2.groebner(pair_budget=1)
+    previous = default_pair_budget()
+    set_default_pair_budget(1)
+    try:
+        with pytest.raises(PairBudgetExceeded):
+            ideal2 = Ideal(ring, list(ideal.generators))
+            ideal2.groebner()
+    finally:
+        set_default_pair_budget(previous)
 
 
 def test_random_ideal_corpus_s_pair_property():
