@@ -30,15 +30,16 @@ from .errors import (
     NotFiniteOverSubring,
     NotZeroDimensional,
     ProbeExhausted,
+    RadicalUnavailable,
     UNKNOWN,
     ZeroRingError,
 )
 from .polycore import unipoly as up
 from .polycore.factor import squarefree_factors
 from .polycore.fields import PrimeField, RationalField, RationalFunctionField
-from .polycore.groebner import Ideal, ideal_sum
+from .polycore.groebner import Ideal, colon, ideal_sum
 from .polycore.linalg import express_in_span, first_dependence, kernel_basis, rref
-from .polycore.rings import GREVLEX, Polynomial, PolyRing, fresh_name
+from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_name
 
 
 class FiniteAlgebra:
@@ -380,7 +381,9 @@ def _splitting(alg: FiniteAlgebra, mins: list[tuple] | None = None) -> _Splittin
         mins = variable_minimal_polynomials(alg)
     red, red_mins = alg, mins
     if all(up.udeg(m) < alg.dim for m in mins):  # no variable is primitive in alg
-        red, red_mins = _reduced_algebra(alg, mins)
+        red = reduced_algebra(alg, mins)
+        if red is not alg:
+            red_mins = [up.usquarefree_part(field, m) for m in mins]
         if isinstance(field, PrimeField) and field.p <= _search_bound(red):
             return _Splitting(red, kernel=_frobenius_kernel(red))
     found = _primitive_element(red, red_mins)
@@ -432,7 +435,8 @@ def _kernel_idempotents(split: _Splitting) -> list[tuple]:
 def idempotent_decomposition(alg: FiniteAlgebra) -> IdempotentDecomposition:
     """Primitive idempotents summing to 1; count = connected components.
 
-    Raises ProbeExhausted when the count cannot be certified.
+    Raises ProbeExhausted when the count cannot be certified, and
+    RadicalUnavailable when a radical needs a p-th root the field lacks.
     """
     split = _splitting(alg)
     if split.count == 1:
@@ -452,7 +456,7 @@ def component_count(alg: FiniteAlgebra):
     """Number of connected components of Spec, or Unknown."""
     try:
         return _splitting(alg).count
-    except ProbeExhausted:
+    except (ProbeExhausted, RadicalUnavailable):
         return UNKNOWN
 
 
@@ -480,17 +484,23 @@ def _radical_generators(alg: FiniteAlgebra, mins: list[tuple]) -> list[Polynomia
     return gens
 
 
-def _reduced_algebra(alg: FiniteAlgebra, mins: list[tuple]):
-    """(A_red, minimal polynomials of its variables): the squarefree parts."""
+def reduced_algebra(alg: FiniteAlgebra, mins: list[tuple] | None = None) -> FiniteAlgebra:
+    """A_red: alg itself when reduced, else the quotient of alg's ring by its
+    ideal plus `radical_generators`. `mins` are the variables' minimal
+    polynomials when the caller has them."""
+    if mins is None:
+        mins = variable_minimal_polynomials(alg)
     gens = _radical_generators(alg, mins)
     if not gens:
-        return alg, mins
-    red = quotient_algebra(alg.ring, ideal_sum(alg.ideal, Ideal(alg.ring, gens)))
-    return red, [up.usquarefree_part(alg.field, m) for m in mins]
+        return alg
+    return quotient_algebra(alg.ring, ideal_sum(alg.ideal, Ideal(alg.ring, gens)))
 
 
 def radical_generators(alg: FiniteAlgebra) -> list[Polynomial]:
-    """Extra generators presenting the reduced quotient (variable eliminants)."""
+    """Extra generators presenting the reduced quotient (variable eliminants).
+
+    Raises RadicalUnavailable when a squarefree part needs a p-th root the
+    field lacks, as k(v) in characteristic p does."""
     return _radical_generators(alg, variable_minimal_polynomials(alg))
 
 
@@ -499,13 +509,14 @@ def is_reduced(alg: FiniteAlgebra) -> bool:
 
 
 def is_field_algebra(alg: FiniteAlgebra):
-    """True/False when decidable, Unknown when the count is not certified."""
+    """True/False when decidable, Unknown when the count or the radical is
+    not certified."""
     mins = variable_minimal_polynomials(alg)
-    if _radical_generators(alg, mins):
-        return False
     try:
+        if _radical_generators(alg, mins):
+            return False
         return _splitting(alg, mins).count == 1
-    except ProbeExhausted:
+    except (ProbeExhausted, RadicalUnavailable):
         return UNKNOWN
 
 
@@ -577,7 +588,9 @@ def move_variable_to_field(ring: PolyRing, ideal: Ideal, free: str):
 def components_over_subring(ring: PolyRing, ideal: Ideal, free_variables):
     """Components of ring/ideal when it is finite over k[free variable].
 
-    The count is certified only when every primitive idempotent of the
+    The quotient must be torsion-free over k[free variable], so that it
+    embeds in its generic fiber; else NotFiniteOverSubring is raised. The
+    count is certified only when every primitive idempotent of the
     generic-fiber algebra has polynomial coordinates and lifts to an exact
     idempotent of the quotient; otherwise the result is Unknown.
     """
@@ -595,9 +608,13 @@ def components_over_subring(ring: PolyRing, ideal: Ideal, free_variables):
         raise NotFiniteOverSubring(
             "the quotient is torsion over the chosen subring"
         ) from None
+    if not _torsion_free(ring, ideal, free[0]):
+        raise NotFiniteOverSubring(
+            f"the quotient has {free[0]}-torsion, which its generic fiber does not see"
+        )
     try:
         decomp = idempotent_decomposition(alg)
-    except ProbeExhausted:
+    except (ProbeExhausted, RadicalUnavailable):
         return UNKNOWN
     K = alg.field
     free_idx = ring.variables.index(free[0])
@@ -623,3 +640,29 @@ def components_over_subring(ring: PolyRing, ideal: Ideal, free_variables):
             return UNKNOWN
     return decomp.count
 
+
+def _torsion_free(ring: PolyRing, ideal: Ideal, free: str) -> bool:
+    """True when ring/ideal has no torsion over k[free], that is I : h = I.
+
+    Under a block order comparing the other variables first, a reduced basis
+    of I is also one of I k(free)[others], and the contraction of that ideal
+    is I : h^infinity, where h is the product of the basis elements' leading
+    coefficients in k[free] (Gianni, Trager and Zacharias, JSC 6 (1988),
+    Prop. 3.7 and 3.8). It equals I exactly when I : h does.
+    """
+    if ideal.is_zero_ideal():
+        return True
+    keep = [v for v in ring.variables if v != free]
+    work = PolyRing(ring.field, keep + [free], MonomialOrder("block", len(keep)))
+    work_ideal = Ideal(work, [g.map_variables(work) for g in ideal.generators])
+    coefficients = set()
+    for g in work_ideal.groebner():
+        lead = g.leading_term()[0][:-1]
+        coefficients.add(Polynomial(work, {
+            (0,) * len(keep) + exp[-1:]: c for exp, c in g.terms().items() if exp[:-1] == lead
+        }))
+    h = math.prod(coefficients, start=work.one())
+    if h.is_constant():
+        return True
+    return all(work_ideal.contains_poly(g)
+               for g in colon(work_ideal, Ideal(work, [h])).generators)

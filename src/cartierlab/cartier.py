@@ -23,6 +23,7 @@ from .artinian import (
     primitive_element_presentation,
     quotient_algebra,
     radical_generators,
+    reduced_algebra,
 )
 from .errors import (
     CartierlabError,
@@ -170,16 +171,18 @@ def stalk_at_maximal(ext: ExtensionPresentation, prime: Ideal) -> StalkReport:
         fiber_alg = quotient_algebra(ext.b_ring, fiber_ideal)
         components = component_count(fiber_alg)
     except NotZeroDimensional:
-        components = UNKNOWN
+        components, reasons = UNKNOWN, []
         for v in ext.b_ring.variables:
             try:
                 components = components_over_subring(ext.b_ring, fiber_ideal, [v])
-            except NotFiniteOverSubring:
+            except NotFiniteOverSubring as exc:
+                reasons.append(f"{v}: {exc}")
                 continue
             notes.append(f"fiber counted over the polynomial subring in {v}")
             break
         else:
-            notes.append("fiber is not finite over any single-variable subring")
+            notes.append("no single-variable subring certifies the count ("
+                         + "; ".join(reasons) + ")")
     if components is UNKNOWN:
         stalk: object = UNKNOWN
         notes.append("component count not certified")
@@ -491,30 +494,24 @@ def li_auto(
 
 def li_reduce_red(ext: ExtensionPresentation) -> ExtensionPresentation:
     """Pass to reduced quotients; the rank is unchanged by this reduction."""
-    a_reduced, a_extra = _reduced_ideal(ext.a_ring, ext.a_ideal)
-    b_reduced, b_extra = _reduced_ideal(ext.b_ring, ext.b_ideal)
-    if a_extra is None or b_extra is None:
-        raise RadicalUnavailable(
-            "radicals are computed only for zero-dimensional presentations"
-        )
-    if not a_extra and not b_extra:
+    reduced = []
+    for ring, ideal in ((ext.a_ring, ext.a_ideal), (ext.b_ring, ext.b_ideal)):
+        if ideal.is_zero_ideal():  # free polynomial ring: already reduced
+            reduced.append(ideal)
+            continue
+        try:
+            alg = quotient_algebra(ring, ideal)
+        except (NotZeroDimensional, ZeroRingError):
+            raise RadicalUnavailable(
+                "radicals are computed only for zero-dimensional presentations"
+            ) from None
+        reduced.append(reduced_algebra(alg).ideal)
+    a_reduced, b_reduced = reduced
+    if a_reduced is ext.a_ideal and b_reduced is ext.b_ideal:
         return ext
     return ExtensionPresentation(
         ext.a_ring, a_reduced, ext.b_ring, b_reduced, ext.images, hints=ext.hints
     )
-
-
-def _reduced_ideal(ring: PolyRing, ideal: Ideal):
-    if ideal.is_zero_ideal():
-        return ideal, []  # free polynomial ring: already reduced
-    try:
-        alg = quotient_algebra(ring, ideal)
-    except (NotZeroDimensional, ZeroRingError):
-        return ideal, None
-    extra = radical_generators(alg)
-    if not extra:
-        return ideal, []
-    return ideal_sum(ideal, Ideal(ring, extra)), extra
 
 
 # -- seminormality obstruction --------------------------------------------------------
@@ -523,14 +520,20 @@ def _reduced_ideal(ring: PolyRing, ideal: Ideal):
 def ni_verdict(ext: ExtensionPresentation, degree_bound: int) -> NIVerdict:
     """NI(A, B) vanishes exactly when A is seminormal in B (Swan 1980).
 
-    A nilpotent of B outside A gives NonZero. An Artinian B whose nilpotents
-    lie in A gives Zero: A/nil is a product of fields, so b^2, b^3 in A give
+    A nilpotent b of B outside A gives NonZero, with witness b^k for the
+    largest k such that b^k is not in A: every higher power lies in A, so
+    (b^k)^2 and (b^k)^3 do. An Artinian B whose nilpotents lie in A gives
+    Zero: A/nil is a product of fields, so b^2, b^3 in A give
     b = b^3 (b^2)^+ mod nil. Otherwise a candidate witness gives NonZero,
     and without one the verdict is Zero only when A is all of B.
     """
     nil = nil_comparison(ext)
     if nil.status == "differ":
-        return NIVerdict("NonZero", witness=nil.witness, nil_reason=nil.reason)
+        b = witness = nil.witness
+        power = ext.b_ideal.normal_form(b * b)
+        while not ext.contains(power).member:  # ends: some power of b is 0
+            witness, power = power, ext.b_ideal.normal_form(power * b)
+        return NIVerdict("NonZero", witness=witness, nil_reason=nil.reason)
     if nil.artinian:
         reason = f"{nil.reason}; over an Artinian target that makes the subring seminormal"
         return NIVerdict("Zero", nil_reason=reason)

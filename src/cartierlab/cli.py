@@ -30,6 +30,7 @@ from .cartier import (
     LIResult,
     run_route,
     stalk_rank,
+    verify_maximal,
 )
 from .corpus import run_corpus
 from .errors import (
@@ -167,6 +168,8 @@ def cmd_li(args) -> tuple[dict, int]:
         raise InputError("li needs an extension or rank-data file")
     ext = load_extension(args.file, args.assume_injective, description)
     primes = _parse_primes(ext, args.primes or "") or None
+    for prime in primes or ():
+        verify_maximal(ext, prime)  # a bad prime is an input error, not a route's Unknown
     if args.method == "auto":
         result = li_auto(ext, primes, include_generic=args.generic)
     else:

@@ -31,7 +31,6 @@ from .errors import (
     ZeroRingError,
 )
 from .polycore.groebner import Ideal, colon, default_pair_budget, ideal_sum, intersect
-from .polycore.linalg import rref
 from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_name
 
 
@@ -293,61 +292,18 @@ def _graded_monomials(ring: PolyRing, bound: int):
             yield ring.monomial(exps)
 
 
-def _coordinate_rows(polys, order_key):
-    monomials = sorted({e for p in polys for e in p.terms()}, key=order_key, reverse=True)
-    index = {m: i for i, m in enumerate(monomials)}
-    rows = []
-    for p in polys:
-        row = [p.ring.field.zero()] * len(monomials)
-        for e, c in p.terms().items():
-            row[index[e]] = c
-        rows.append(row)
-    return rows, monomials
-
-
 def witness_candidates(ext: ExtensionPresentation, bound: int):
-    """Deterministic candidate stream, not every element up to the bound.
-
-    First the normal forms of B's monomials of degree at most the bound,
-    then an echelon basis of their span modulo the images of A's monomials
-    of degree at most the bound. Other elements of B are never tried.
+    """The candidate list of the witness searches, not every element up to
+    the bound: the nonzero normal forms of B's monomials of degree at most
+    the bound, each once, in graded order. It depends on B alone, so an
+    enlarged subring has the same list. Other elements of B are never tried.
     """
-    field = ext.b_ring.field
-    nf_monomials = []
     seen = set()
     for m in _graded_monomials(ext.b_ring, bound):
         nf = ext.b_ideal.normal_form(m)
-        if nf.is_zero() or nf in seen:
-            continue
-        seen.add(nf)
-        nf_monomials.append(nf)
-        yield nf
-    # complement of the A-span inside the span of the candidates
-    a_images = []
-    for am in _graded_monomials(ext.a_ring, bound):
-        a_images.append(ext.substitute(am))
-    combined = nf_monomials + [p for p in a_images if not p.is_zero()]
-    rows, monomials = _coordinate_rows(combined, ext.b_ring.order.key)
-    a_rows = rows[len(nf_monomials):]
-    a_ech, a_pivots = rref(field, a_rows)
-    residuals = []
-    for row in rows[: len(nf_monomials)]:
-        vec = list(row)
-        for arow, piv in zip(a_ech, a_pivots):
-            c = vec[piv]
-            if not field.is_zero(c):
-                vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, arow)]
-        if any(not field.is_zero(x) for x in vec):
-            residuals.append(vec)
-    ech, _ = rref(field, residuals)
-    for vec in ech:
-        terms = {}
-        for m, c in zip(monomials, vec):
-            if not field.is_zero(c):
-                terms[m] = c
-        poly = Polynomial(ext.b_ring, terms)
-        if poly not in seen:
-            yield poly
+        if not nf.is_zero() and nf not in seen:
+            seen.add(nf)
+            yield nf
 
 
 @dataclass(frozen=True)
@@ -376,10 +332,14 @@ def adjoin_element(ext: ExtensionPresentation, b: Polynomial,
 
 def closure_search(ext: ExtensionPresentation, kind: str,
                    degree_bound: int) -> ClosureResult:
-    """Adjoin witnesses of the given kind from `witness_candidates`, to a fixpoint.
+    """Adjoin witnesses of the given kind to a fixpoint.
 
-    At the fixpoint no candidate of the enlarged ring is a witness; a witness
-    outside the candidate list can remain. `exhausted` is True when the
+    The candidates are `witness_candidates(ext, degree_bound)`, the normal
+    forms of B's monomials of degree at most the bound. The list is built
+    once; after each adjoin it is scanned again from its start against the
+    enlarged ring, and the first candidate outside that ring which is a
+    witness is adjoined next. At the fixpoint no candidate is a witness; a
+    witness outside the list can remain. `exhausted` is True when the
     enlarged ring is still not all of B, so it is no proof of closedness.
     """
     if kind not in _WITNESS_TESTS:
@@ -387,12 +347,13 @@ def closure_search(ext: ExtensionPresentation, kind: str,
     if degree_bound < 1:
         raise CartierlabError("degree bound must be at least 1")
     test = _WITNESS_TESTS[kind]
+    candidates = list(witness_candidates(ext, degree_bound))
     current = ext
     adjoined: list[Polynomial] = []
     changed = True
     while changed:
         changed = False
-        for cand in witness_candidates(current, degree_bound):
+        for cand in candidates:
             if current.contains(cand).member:
                 continue
             check = test(current, cand)

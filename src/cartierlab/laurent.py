@@ -15,8 +15,7 @@ from .artinian import (
     FiniteAlgebra,
     component_count,
     idempotent_decomposition,
-    quotient_algebra,
-    radical_generators,
+    reduced_algebra,
 )
 from .errors import (
     CartierlabError,
@@ -25,7 +24,6 @@ from .errors import (
     ProbeExhausted,
     UNKNOWN,
 )
-from .polycore.groebner import Ideal, ideal_sum
 from .polycore.parse import Evaluator, parse_with_evaluator
 
 
@@ -140,31 +138,9 @@ class LaurentElement:
         return f"LaurentElement({self})"
 
 
-# -- reduction mod nilpotents ----------------------------------------------------
-
-
-class _RadicalProjection:
-    """Projection of a base algebra onto its reduced quotient."""
-
-    def __init__(self, base: FiniteAlgebra):
-        extra = radical_generators(base)
-        if extra:
-            reduced_ideal = ideal_sum(base.ideal, Ideal(base.ring, extra))
-            self.reduced = quotient_algebra(base.ring, reduced_ideal)
-        else:
-            self.reduced = base
-        self.base = base
-
-    def project(self, elem: tuple) -> tuple:
-        return self.reduced.from_poly(self.base.to_poly(elem))
-
-    def is_nilpotent(self, elem: tuple) -> bool:
-        return self.reduced.is_zero_elem(self.project(elem))
-
-
 def _unit_exponents(x: LaurentElement):
-    """(decomposition of the base, its radical projection, the exponent of x
-    on each primitive idempotent), or None when x is not a unit.
+    """(decomposition of the base, its reduced algebra, the exponent of x on
+    each primitive idempotent), or None when x is not a unit.
 
     A Laurent polynomial is a unit exactly when, on each connected component
     of the reduced base, it is a single term with a nonzero coefficient.
@@ -172,20 +148,19 @@ def _unit_exponents(x: LaurentElement):
     """
     base = x.base
     decomp = idempotent_decomposition(base)
-    proj = _RadicalProjection(base)
-    red = proj.reduced
+    red = reduced_algebra(base)
     exponents = []
     for e in decomp.idempotents:
-        e_red = proj.project(e)
+        e_red = red.from_poly(base.to_poly(e))
         live = [
             n
             for n, c in x.coeffs.items()
-            if not red.is_zero_elem(red.mul(e_red, proj.project(c)))
+            if not red.is_zero_elem(red.mul(e_red, red.from_poly(base.to_poly(c))))
         ]
         if len(live) != 1:
             return None
         exponents.append(live[0])
-    return decomp, proj, exponents
+    return decomp, red, exponents
 
 
 def is_laurent_unit(x: LaurentElement):
@@ -245,7 +220,7 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
     found = _unit_exponents(x)
     if found is None:
         raise NotAUnit(f"{x} is not a unit of the Laurent extension")
-    decomp, proj, exponents = found
+    decomp, red, exponents = found
     base = x.base
     t_unshift = LaurentElement(base, {})
     for e, n in zip(decomp.idempotents, exponents):
@@ -288,7 +263,7 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
                     raise CertificateFailure("tail constant term is not one")
             elif n * side < 0:
                 raise CertificateFailure("tail supported on the wrong side")
-            elif not proj.is_nilpotent(c):
+            elif not red.is_zero_elem(red.from_poly(base.to_poly(c))):
                 raise CertificateFailure("tail coefficient is not nilpotent")
     return result
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import CartierlabError
+from ..errors import CartierlabError, RadicalUnavailable
 from . import unipoly as up
 
 _MR_BASES = (2, 3, 5, 7)  # deterministic Miller-Rabin witnesses for n < 3.2e9
@@ -447,6 +447,17 @@ class RationalFunctionField(Field):
 
     def from_fraction(self, q):
         return self.from_polynomial(up.uconst(self.base, self.base.from_fraction(q)))
+
+    def pth_root(self, a):
+        """The p-th root of a p-th power; k(v) is not perfect, so any other
+        element raises RadicalUnavailable."""
+        p = self.characteristic
+        if not p or any(not self.base.is_zero(c)
+                        for part in a for i, c in enumerate(part) if i % p):
+            raise RadicalUnavailable(
+                f"{self.format_element(a)} is not a p-th power in {self.describe()}")
+        num, den = ([self.base.pth_root(c) for c in part[::p]] for part in a)
+        return self._reduce(tuple(num), tuple(den))
 
     def is_polynomial(self, a) -> bool:
         """True when the reduced denominator is 1."""

@@ -397,3 +397,45 @@ def test_staircase_is_shared_by_algebras_and_spanning_monomials():
     assert str(info.value) == (
         "ideal is not zero-dimensional: no pure power of 'y' among the leading terms"
     )
+
+
+def test_components_over_subring_refuses_a_quotient_with_torsion():
+    # QQ[x] x QQ over QQ[x]: the point (0, 1) is x-torsion, and the generic
+    # fiber over QQ(x) sees only the line
+    ring = PolyRing(QQ, ["x", "y"], GREVLEX)
+    ideal = Ideal(ring, [parse_polynomial(t, ring) for t in ("y^2 - y", "x*y")])
+    with pytest.raises(NotFiniteOverSubring, match="x-torsion"):
+        components_over_subring(ring, ideal, ["x"])
+    # x*y - 1: the leading coefficient x is a unit, so there is no torsion
+    unit = Ideal(ring, [parse_polynomial("x*y - 1", ring)])
+    assert components_over_subring(ring, unit, ["x"]) == 1
+
+
+def test_counts_over_an_imperfect_function_field():
+    from cartierlab.artinian import move_variable_to_field
+    from cartierlab.errors import RadicalUnavailable
+
+    ring = PolyRing(PrimeField(3), ["y", "x"], GREVLEX)
+    # y^3 - x over F_3(x): x has no cube root, so no radical is computed
+    work, ideal = move_variable_to_field(ring, Ideal(ring, [parse_polynomial("y^3 - x", ring)]), "x")
+    alg = quotient_algebra(work, ideal)
+    assert component_count(alg) is UNKNOWN
+    assert is_field_algebra(alg) is UNKNOWN
+    with pytest.raises(RadicalUnavailable, match="x is not a p-th power in FP\\(3\\)\\(x\\)"):
+        radical_generators(alg)
+    # (y - x)^3 = y^3 - x^3 is a cube: one component, certified
+    work, ideal = move_variable_to_field(ring, Ideal(ring, [parse_polynomial("y^3 - x^3", ring)]), "x")
+    alg = quotient_algebra(work, ideal)
+    assert component_count(alg) == 1
+    assert [str(g) for g in radical_generators(alg)] == ["y + 2*x"]  # y - x over F_3
+
+
+def test_reduced_algebra_is_the_quotient_by_the_radical_generators():
+    from cartierlab.artinian import reduced_algebra
+
+    reduced = algebra(QQ, ["x"], ["x^2 - 1"])
+    assert reduced_algebra(reduced) is reduced
+    fat = algebra(QQ, ["x", "y"], ["x^2", "y^2 - y"])
+    red = reduced_algebra(fat)
+    assert red.dim == 2 and is_reduced(red)
+    assert red.ideal.generators == fat.ideal.generators + tuple(radical_generators(fat))

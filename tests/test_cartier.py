@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 
@@ -35,6 +36,7 @@ from cartierlab.errors import (
 from cartierlab.extensions import ExtensionPresentation, Hints
 from cartierlab.extfile import load_extension
 from cartierlab.polycore import GREVLEX, Ideal, PolyRing, QQ, parse_polynomial
+from test_routes import EXT_PATHS
 
 
 def build(a_vars, a_rels, b_vars, b_rels, images, hints=None):
@@ -569,3 +571,18 @@ def test_correct_glued_hints_give_the_rank(tmp_path, curve, rank):
     path.write_text(curve, encoding="utf-8")
     result = li_auto(load_extension(str(path)))
     assert (result.rank, result.method) == (rank, "ConductorSquare")
+
+
+@pytest.mark.parametrize("path", EXT_PATHS, ids=os.path.basename)
+def test_every_nonzero_ni_witness_is_a_seminormality_witness(path):
+    from cartierlab.extensions import is_seminormal_witness
+
+    ext = load_extension(path)
+    verdict = ni_verdict(ext, 3)
+    if verdict.status == "NonZero":
+        assert is_seminormal_witness(ext, verdict.witness).is_witness
+
+
+def test_ni_witness_on_the_cube_zero_line_is_u_squared():
+    verdict = ni_verdict(load_extension(corpus_path("nil_cube.ext")), 3)
+    assert (verdict.status, str(verdict.witness)) == ("NonZero", "u^2")

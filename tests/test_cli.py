@@ -446,3 +446,34 @@ def test_bound_of_one_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "seminormal", corpus_path("cusp.ext"), "--bound", "1", "--json")
     assert code == 0
     assert json.loads(out)["results"][0]["bound"] == 1
+
+
+def test_stalk_over_a_subring_with_torsion_is_not_counted(capsys):
+    # QQ[s,x,y]/(y^2 - y, x*y) at s = 0 is QQ[x] x QQ: two components, one of
+    # them x-torsion, so counting over QQ(x) would give 1
+    path = os.path.join(FIXTURES, "torsion-over-line.ext")
+    code, out, _ = run_cli(capsys, "stalks", path, "--primes", "s", "--json")
+    assert code == 0
+    entry = json.loads(out)["results"][0]
+    assert entry["fiber_components"] in (2, "unknown")
+    assert "x: the quotient has x-torsion, which its generic fiber does not see" in entry["notes"][0]
+
+
+def test_generic_stalk_over_an_imperfect_field_is_unknown(capsys):
+    path = os.path.join(FIXTURES, "frobenius-fp3.ext")
+    code, out, err = run_cli(capsys, "stalks", path, "--generic", "--json")
+    assert (code, err) == (0, "")
+    entry = json.loads(out)["results"][0]
+    assert entry["residue_field"] == "FP(3)(x)"
+    assert entry["fiber_components"] in (1, "unknown")
+    code, out, err = run_cli(capsys, "li", path, "--generic", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"][0]["rank"] in (0, "unknown")
+
+
+@pytest.mark.parametrize("method", ["auto", "connected", "conductor"])
+def test_li_refuses_a_prime_that_is_not_maximal(capsys, method):
+    code, out, err = run_cli(capsys, "li", corpus_path("node.ext"), "--primes", "x",
+                             "--method", method)
+    assert (code, out) == (2, "")
+    assert err == "input error: the quotient by the ideal is not a field\n"

@@ -238,7 +238,8 @@ def test_conductor_matches_the_fold_over_every_intersection(path):
 
 
 @pytest.mark.parametrize("path", sorted(
-    os.path.join(FIXTURES, name) for name in os.listdir(FIXTURES)), ids=os.path.basename)
+    os.path.join(FIXTURES, name) for name in os.listdir(FIXTURES) if name.startswith("monomial-")),
+    ids=os.path.basename)
 def test_shifted_monomial_curves_have_rank_zero(path):
     # k[u^S] inside k[u] with u = t -+ 1 is subintegral: both sides of the
     # conductor square are local
@@ -499,3 +500,36 @@ def test_well_definedness_matches_substitute_and_reduce(data):
         assert not rejected
     else:
         assert not rejected
+
+
+def test_witness_candidates_are_the_target_monomials_listed_once():
+    from cartierlab.extensions import witness_candidates
+
+    cube = load_extension(corpus_path("nil_cube.ext"))
+    assert [str(c) for c in witness_candidates(cube, 4)] == ["1", "u", "u^2"]
+    cusp = cusp_extension()
+    assert [str(c) for c in witness_candidates(cusp, 3)] == ["1", "t", "t^2", "t^3"]
+    # the list depends on B alone: the enlarged ring of a search has the same one
+    enlarged = closure_search(cusp, "seminormal", 3).extension
+    assert list(witness_candidates(enlarged, 3)) == list(witness_candidates(cusp, 3))
+
+
+def test_closure_search_lists_candidates_once_without_substituting(monkeypatch):
+    from cartierlab import extensions
+
+    calls = []
+    original = extensions.witness_candidates
+
+    def counted(ext, bound):
+        calls.append(bound)
+        return original(ext, bound)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the candidate list substitutes no A-monomial and runs no rref")
+
+    monkeypatch.setattr(extensions, "witness_candidates", counted)
+    monkeypatch.setattr(ExtensionPresentation, "substitute", refuse)
+    monkeypatch.setattr(extensions, "rref", refuse, raising=False)
+    result = closure_search(cusp_extension(), "seminormal", 3)
+    assert [str(w) for w in result.adjoined] == ["t"]
+    assert calls == [3]

@@ -252,3 +252,14 @@ def test_verify_irreducible_accepts_and_rejects():
         verify_irreducible(QQ, qpoly(-1, 0, 1))
     f7 = PrimeField(7)
     verify_irreducible(f7, tuple(f7.from_int(c) for c in (1, 0, 1)))  # z^2+1, -1 non-square mod 7
+
+
+def test_pth_root_over_a_function_field_in_characteristic_p():
+    from cartierlab.errors import RadicalUnavailable
+
+    k = RationalFunctionField(PrimeField(3), "v")
+    v = k.variable_element()
+    cube = k.inv(k.add(k.mul(k.mul(v, v), v), k.one()))  # 1/(v^3 + 1)
+    assert k.pth_root(cube) == k.inv(k.add(v, k.one()))
+    with pytest.raises(RadicalUnavailable, match="is not a p-th power in FP\\(3\\)\\(v\\)"):
+        k.pth_root(v)

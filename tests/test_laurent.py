@@ -105,13 +105,13 @@ def _random_unit(base, rng):
         block = block + LaurentElement(base, {rng.randint(-2, 2): e})
     x = LaurentElement.constant(base, u0) * block
     # nilpotent tails
-    from cartierlab.laurent import _RadicalProjection
+    from cartierlab.artinian import reduced_algebra
 
-    proj = _RadicalProjection(base)
+    red = reduced_algebra(base)
     nil_elems = []
     for i in range(base.dim):
         cand = base.basis_element(i)
-        if proj.is_nilpotent(cand):
+        if red.is_zero_elem(red.from_poly(base.to_poly(cand))):
             nil_elems.append(cand)
     for degree_sign in (1, -1):
         tail = LaurentElement.one(base)
