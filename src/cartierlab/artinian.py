@@ -452,11 +452,14 @@ def idempotent_decomposition(alg: FiniteAlgebra) -> IdempotentDecomposition:
     return IdempotentDecomposition(alg, tuple(parts), len(parts))
 
 
-def component_count(alg: FiniteAlgebra):
-    """Number of connected components of Spec, or Unknown."""
+def component_count(alg: FiniteAlgebra, reasons: list | None = None):
+    """Number of connected components of Spec, or Unknown; the reason for an
+    Unknown is appended to `reasons` when that list is given."""
     try:
         return _splitting(alg).count
-    except (ProbeExhausted, RadicalUnavailable):
+    except (ProbeExhausted, RadicalUnavailable) as exc:
+        if reasons is not None:
+            reasons.append(str(exc))
         return UNKNOWN
 
 

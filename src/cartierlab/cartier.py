@@ -167,9 +167,10 @@ def stalk_at_maximal(ext: ExtensionPresentation, prime: Ideal) -> StalkReport:
             ("empty fiber",),
         )
     components: object
+    why: list[str] = []
     try:
         fiber_alg = quotient_algebra(ext.b_ring, fiber_ideal)
-        components = component_count(fiber_alg)
+        components = component_count(fiber_alg, why)
     except NotZeroDimensional:
         components, reasons = UNKNOWN, []
         for v in ext.b_ring.variables:
@@ -185,7 +186,7 @@ def stalk_at_maximal(ext: ExtensionPresentation, prime: Ideal) -> StalkReport:
                          + "; ".join(reasons) + ")")
     if components is UNKNOWN:
         stalk: object = UNKNOWN
-        notes.append("component count not certified")
+        notes.append(": ".join(["component count not certified"] + why))
     else:
         stalk = components - 1
     return StalkReport(
@@ -251,15 +252,16 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
         return StalkReport(
             None, K, EMPTY, 0, _stalk_semantics(ext), ("empty fiber",)
         )
+    why: list[str] = []
     try:
         alg = quotient_algebra(work, fiber_ideal)
-        components = component_count(alg)
+        components = component_count(alg, why)
     except NotZeroDimensional:
         components = UNKNOWN
         notes.append("generic fiber is not finite over the fraction field")
     if components is UNKNOWN:
         stalk: object = UNKNOWN
-        notes.append("component count not certified")
+        notes.append(": ".join(["component count not certified"] + why))
     else:
         stalk = components - 1
     return StalkReport(

@@ -86,7 +86,8 @@ class ExtensionPresentation:
     is over the pair budget are the relations checked by substituting the
     images, before the budget error is raised or, under assume_injective,
     recorded as a warning. With `a_ideal=None` A is presented by the kernel,
-    so the map is injective by construction; both checks still run.
+    so the map is injective by construction; both checks still run, and the
+    contraction, built once, brings its reduced basis (`contraction_ideal`).
     """
 
     def __init__(
@@ -114,8 +115,9 @@ class ExtensionPresentation:
         self.warnings: tuple[str, ...] = ()
         self._membership_cache: Ideal | PairBudgetExceeded | None = None
         self._contains_memo: dict = {}
+        contraction = None
         if a_ideal is None:
-            a_ideal = self.contraction_ideal()
+            a_ideal = contraction = self.contraction_ideal()
         self.a_ideal = a_ideal
         try:
             tag_ideal, over_budget = self._membership_ring(), None
@@ -138,7 +140,8 @@ class ExtensionPresentation:
         try:
             if over_budget is not None:
                 raise over_budget
-            contraction = self.contraction_ideal()
+            if contraction is None:
+                contraction = self.contraction_ideal()
             if not all(a_ideal.contains_poly(g) for g in contraction.generators):
                 raise InjectivityError(
                     "the map has a kernel: contraction is strictly larger than "
@@ -214,13 +217,15 @@ class ExtensionPresentation:
         """Kernel of k[A-variables] -> B, as an ideal of A's ring.
 
         By the elimination theorem, the elements of the membership basis
-        that involve no B variable are a basis of the kernel.
+        that involve no B variable are a basis of the kernel. The tag order
+        restricted to them is grevlex in A's variable order, so under a
+        grevlex A they are its reduced basis, adopted without Buchberger.
         """
         nb = range(self.b_ring.nvars())
         return Ideal(self.a_ring, [
             self._to_source(g) for g in self._membership_ring().groebner()
             if not g.involves(nb)
-        ])
+        ], reduced=self.a_ring.order == GREVLEX)
 
     def contains(self, b_elem: Polynomial) -> SubalgebraMembership:
         """Subalgebra membership with a preimage certificate."""

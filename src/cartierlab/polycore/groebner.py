@@ -8,15 +8,22 @@ leading term is divided by the first basis element whose leading term
 divides it, and only that element's tail is subtracted, since the leading
 terms cancel exactly. Remainders and quotients are therefore those of the
 textbook division loop, term for term (tests/oracles.py keeps that loop).
+An `Ideal` keeps the divisor list of its reduced basis (leading term,
+coefficient and tail of each element) with the basis: it is built on the
+first normal form and `reduced()` hands it on.
 
 Pairs: the S-pairs wait in a heap of (lcm total degree, i, j, lcm), the lcm
 computed once when the pair is pushed, so the next pair is the one with the
 smallest lcm total degree, ties broken by pair indices. The chain
 criterion, the S-pair count that the pair budget bounds, and every
 intermediate basis depend on this selection order and on the divisor choice
-above, so neither may change without changing outputs. The reduced basis is
-sorted by leading term and made monic, so identical inputs give
-bit-identical outputs."""
+above, so neither may change without changing outputs. Interreduction
+reduces each minimal element, in ascending leading-term order, against the
+reduced elements before it. That is exact: every term met lies below the
+element's leading term, which no larger leading term divides, so the result
+is monic with no tail term divisible by any leading term, the unique
+reduced basis element with that leading term. Identical inputs therefore
+give bit-identical outputs, sorted by leading term."""
 
 from __future__ import annotations
 
@@ -65,13 +72,13 @@ def _divisor(g: Polynomial) -> tuple:
     return lead, coeff, [(e, c) for e, c in g._terms.items() if e != lead]
 
 
-def _divide(f: Polynomial, divisors: list, quotients: list | None = None) -> Polynomial:
-    """The division kernel: the remainder of f, quotient terms into `quotients`."""
-    ring = f.ring
+def _divide(ring: PolyRing, terms: dict, divisors: list,
+            quotients: list | None = None) -> Polynomial:
+    """The division kernel: the remainder of the term dict, which it consumes,
+    with quotient terms into `quotients`."""
     field = ring.field
     fadd, fmul, fneg, fdiv, is_zero = field.add, field.mul, field.neg, field.div, field.is_zero
     heap_key = ring.order.heap_key
-    terms = dict(f._terms)
     heap = [(heap_key(e), e) for e in terms]
     heapify(heap)
     remainder: dict = {}
@@ -113,14 +120,14 @@ def _divisors(f: Polynomial, basis: list[Polynomial]) -> list:
 
 def reduce_poly(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """Full normal form of f against the basis (deterministic divisor choice)."""
-    return _divide(f, _divisors(f, basis))
+    return _divide(f.ring, dict(f._terms), _divisors(f, basis))
 
 
 def divide_with_quotients(
     f: Polynomial, basis: list[Polynomial]
 ) -> tuple[list[Polynomial], Polynomial]:
     quotients: list[dict] = [{} for _ in basis]
-    remainder = _divide(f, _divisors(f, basis), quotients)
+    remainder = _divide(f.ring, dict(f._terms), _divisors(f, basis), quotients)
     return [Polynomial._make(f.ring, q) for q in quotients], remainder
 
 
@@ -140,7 +147,7 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
     budget = _budget if pair_budget is None else pair_budget
     basis = [g.monic() for g in generators if not g.is_zero()]
     key = ring.order.key
-    one = ring.field.one()
+    neg, fsub, is_zero = ring.field.neg, ring.field.sub, ring.field.is_zero
     divisors = [_divisor(g) for g in basis]
     lt = [d[0] for d in divisors]
     queue: list = []
@@ -152,55 +159,50 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
     for j in range(len(basis)):
         for i in range(j):
             push(i, j)
-    done: set[tuple[int, int]] = set()
+    done: list[set[int]] = [set() for _ in basis]  # done[i]: i's popped partners
     reductions = 0
 
     while queue:
         _, i, j, lij = heappop(queue)
-        done.add((i, j))
+        done[i].add(j)
+        done[j].add(i)
         if lij == tuple(map(add, lt[i], lt[j])):
             continue  # coprime leading terms
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lt[k], lij):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik in done and pjk in done:
-                chained = True
-                break
-        if chained:
+        # chain criterion: some k with lt[k] | lij whose pairs with i and j are done
+        if any(k in done[j] and all(map(le, lt[k], lij)) for k in done[i]):
             continue
         reductions += 1
         if reductions > budget:
             raise PairBudgetExceeded(budget)
-        s = basis[i].term_mul(_sub(lij, lt[i]), one) - basis[j].term_mul(
-            _sub(lij, lt[j]), one
-        )
-        remainder = _divide(s, divisors)
+        # the monic leading terms cancel: S is the difference of the shifted tails
+        si, sj = _sub(lij, lt[i]), _sub(lij, lt[j])
+        s = {tuple(map(add, e, si)): c for e, c in divisors[i][2]}
+        for e, c in divisors[j][2]:
+            m = tuple(map(add, e, sj))
+            diff = fsub(s.pop(m), c) if m in s else neg(c)
+            if not is_zero(diff):
+                s[m] = diff
+        remainder = _divide(ring, s, divisors)
         if remainder.is_zero():
             continue
         remainder = remainder.monic()
         basis.append(remainder)
         divisors.append(_divisor(remainder))
         lt.append(divisors[-1][0])
+        done.append(set())
         new = len(basis) - 1
         for k in range(new):
             push(k, new)
 
-    # minimalize: drop elements whose leading term another one divides
-    order_idx = sorted(range(len(basis)), key=lambda k: key(lt[k]))
-    kept: list[int] = []
-    for k in order_idx:
-        if not any(_divides(lt[m], lt[k]) for m in kept):
-            kept.append(k)
-    # interreduce tails for the unique reduced basis
+    # minimalize, and interreduce against the smaller reduced elements only
     reduced: list[Polynomial] = []
-    for idx, k in enumerate(kept):
-        others = [divisors[m] for m in kept[:idx] + kept[idx + 1:]]
-        reduced.append(_divide(basis[k], others).monic() if others else basis[k].monic())
-    reduced = [g for g in reduced if not g.is_zero()]
-    reduced.sort(key=lambda g: key(g.leading_term()[0]))
+    kept: list = []  # the divisors of the reduced elements so far
+    for k in sorted(range(len(basis)), key=lambda k: key(lt[k])):
+        if any(_divides(d[0], lt[k]) for d in kept):
+            continue  # another leading term divides this one
+        g = _divide(ring, dict(basis[k]._terms), kept) if kept else basis[k]
+        reduced.append(g)
+        kept.append(_divisor(g))
     return reduced
 
 
@@ -208,9 +210,11 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
 
 
 class Ideal:
-    """An ideal with a write-once cache of its reduced basis."""
+    """An ideal with a write-once cache of its reduced basis and of that
+    basis's divisor list. With `reduced=True` the generators are adopted as
+    the reduced basis: the caller vouches that they are one."""
 
-    def __init__(self, ring: PolyRing, generators):
+    def __init__(self, ring: PolyRing, generators, reduced: bool = False):
         gens = []
         for g in generators:
             if g.ring != ring:
@@ -219,7 +223,8 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gb: tuple[Polynomial, ...] | None = None
+        self._gb: tuple[Polynomial, ...] | None = self.generators if reduced else None
+        self._gb_divisors: list | None = None
 
     def groebner(self) -> tuple[Polynomial, ...]:
         if self._gb is None:
@@ -228,15 +233,16 @@ class Ideal:
 
     def reduced(self) -> "Ideal":
         """The same ideal generated by its reduced basis, which it keeps cached."""
-        basis = self.groebner()
-        out = Ideal(self.ring, basis)
-        out._gb = basis
+        out = Ideal(self.ring, self.groebner(), reduced=True)
+        out._gb_divisors = self._gb_divisors
         return out
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise CartierlabError("polynomial from a different ring")
-        return reduce_poly(f, list(self.groebner()))
+        if self._gb_divisors is None:
+            self._gb_divisors = [_divisor(g) for g in self.groebner()]
+        return _divide(self.ring, dict(f._terms), self._gb_divisors)
 
     def contains_poly(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()

@@ -6,9 +6,10 @@ relation at a map's images) through naive dict convolution, univariate
 division through schoolbook long division, multivariate reduction through
 the textbook loop on plain term dicts, the first linear dependence through
 one fresh elimination per vector, the conductor through every colon ideal
-intersected in turn, and seminormality over a small prime field through
-every element of the target. The last three replay, on the library's own
-primitives, an algorithm the library has since replaced.
+intersected in turn, seminormality over a small prime field through every
+element of the target, and reduced bases through Buchberger's algorithm as
+it interreduced before it went in ascending order. The last four replay, on
+the library's own primitives, an algorithm the library has since replaced.
 """
 
 from __future__ import annotations
@@ -256,3 +257,70 @@ def seminormal_by_exhaustive_scan(ext):
         ):
             return alg.to_poly(coords)
     return True
+
+
+def buchberger_reference(generators, ring, pair_budget=None):
+    """(reduced basis, S-pairs reduced) by Buchberger's algorithm as it was
+    before the ascending interreduction.
+
+    The same pair selection, criteria and pair budget as `buchberger`, but
+    each S-polynomial is built as the difference of two shifted generators,
+    the chain criterion tests every k, and each minimal element is
+    interreduced against the unreduced forms of all the others. The pair
+    count is the one the pair budget bounds: the budget R it returns is
+    enough and R - 1 is not.
+    """
+    from heapq import heappop, heappush
+
+    from cartierlab.errors import PairBudgetExceeded
+    from cartierlab.polycore.groebner import (
+        _divides, _lcm, _sub, default_pair_budget, reduce_poly,
+    )
+
+    budget = default_pair_budget() if pair_budget is None else pair_budget
+    basis = [g.monic() for g in generators if not g.is_zero()]
+    key = ring.order.key
+    one = ring.field.one()
+    lt = [g.leading_term()[0] for g in basis]
+    queue = []
+
+    def push(i, j):
+        lij = _lcm(lt[i], lt[j])
+        heappush(queue, (sum(lij), i, j, lij))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
+    done = set()
+    reductions = 0
+    while queue:
+        _, i, j, lij = heappop(queue)
+        done.add((i, j))
+        if lij == tuple(a + b for a, b in zip(lt[i], lt[j])):
+            continue
+        if any(k not in (i, j) and _divides(lt[k], lij)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k in range(len(basis))):
+            continue
+        reductions += 1
+        if reductions > budget:
+            raise PairBudgetExceeded(budget)
+        s = basis[i].term_mul(_sub(lij, lt[i]), one) - basis[j].term_mul(_sub(lij, lt[j]), one)
+        remainder = reduce_poly(s, basis)
+        if remainder.is_zero():
+            continue
+        basis.append(remainder.monic())
+        lt.append(basis[-1].leading_term()[0])
+        for k in range(len(basis) - 1):
+            push(k, len(basis) - 1)
+    kept = []
+    for k in sorted(range(len(basis)), key=lambda k: key(lt[k])):
+        if not any(_divides(lt[m], lt[k]) for m in kept):
+            kept.append(k)
+    reduced = []
+    for idx, k in enumerate(kept):
+        others = [basis[m] for m in kept[:idx] + kept[idx + 1:]]
+        reduced.append(reduce_poly(basis[k], others).monic() if others else basis[k].monic())
+    reduced = [g for g in reduced if not g.is_zero()]
+    reduced.sort(key=lambda g: key(g.leading_term()[0]))
+    return reduced, reductions

@@ -125,6 +125,18 @@ def test_decomposition_invariants():
             assert a.is_zero_elem(a.mul(e, f))
 
 
+def test_component_count_appends_the_reason_for_unknown():
+    from cartierlab.polycore.fields import RationalFunctionField
+
+    reasons = []
+    field = RationalFunctionField(PrimeField(3), "x")
+    alg = algebra(field, ["y"], ["y^3 - x"])
+    assert component_count(alg, reasons) is UNKNOWN
+    assert reasons == ["2*x is not a p-th power in FP(3)(x)"]
+    assert component_count(algebra(QQ, ["t"], ["t^2 - 1"]), reasons) == 2
+    assert len(reasons) == 1
+
+
 def test_component_count_against_f5_enumeration():
     """Idempotent counts over F_5 match exhaustive enumeration (10 algebras)."""
     f5 = PrimeField(5)

@@ -14,6 +14,12 @@ ideals only when neither contains the other.
 `run_corpus` computes each presentation's rank once per pass: the rows that
 need it again reuse that result.
 
+An ideal prepares its reduced basis for division once: repeated normal forms
+against it, and against the ideal `reduced()` hands back, build the divisor
+list of each basis element once. A witness search runs no Buchberger in an
+A ring: each adjoined witness's presentation takes the reduced basis of its
+relations from the B-free part of its tag basis.
+
 `perfbench/tracing.py` patches the library's entry points by name; a
 refactor that deletes or renames one of them must fail here rather than in
 a traced benchmark run.
@@ -37,6 +43,7 @@ from cartierlab.corpus import corpus_path
 from cartierlab.errors import PairBudgetExceeded
 from cartierlab.extensions import ExtensionPresentation, closure_search
 from cartierlab.extfile import load_extension
+from cartierlab.polycore import GREVLEX, QQ, Ideal, PolyRing, parse_polynomial, reduce_poly
 
 CORPUS = os.path.dirname(corpus_path("node.ext"))
 EXT_FILES = sorted(n for n in os.listdir(CORPUS) if n.endswith(".ext"))
@@ -109,6 +116,43 @@ def test_closure_search_runs_each_basis_once(basis_inputs):
     result = closure_search(ext, "seminormal", 3)
     assert result.adjoined
     assert _repeated(basis_inputs) == []
+
+
+def test_closure_search_runs_no_basis_in_an_a_ring(basis_inputs, monkeypatch):
+    built = []
+    original_init = ExtensionPresentation.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtensionPresentation, "__init__", init)
+    ext = load_extension(os.path.join(CORPUS, "cusp.ext"))
+    basis_inputs.clear()  # loading checks the file's relations on their own basis
+    result = closure_search(ext, "seminormal", 3)
+    assert result.adjoined and len(built) == 1 + len(result.adjoined)
+    a_rings = {presentation.a_ring for presentation in built}
+    assert basis_inputs
+    assert [ring.describe() for ring, _ in basis_inputs if ring in a_rings] == []
+
+
+def test_normal_forms_build_the_divisor_list_once(monkeypatch):
+    ring = PolyRing(QQ, ["x", "y", "z"], GREVLEX)
+    ideal = Ideal(ring, [parse_polynomial(t, ring) for t in ("x^2 - y*z", "y^2 - x*z", "z^3 - x")])
+    basis = ideal.groebner()
+    probes = [parse_polynomial(t, ring) for t in ("x^3*y + z", "x*y*z - 1", "y^4 - x^2*z")]
+    expected = [reduce_poly(f, list(basis)) for f in probes]
+    built = []
+    original = GROEBNER._divisor
+
+    def counting(g):
+        built.append(g)
+        return original(g)
+
+    monkeypatch.setattr(GROEBNER, "_divisor", counting)
+    assert [ideal.normal_form(f) for f in probes] == expected
+    assert [ideal.reduced().normal_form(f) for f in probes] == expected
+    assert built == list(basis)
 
 
 @pytest.mark.parametrize("name", ["node.ext", "cusp.ext", "chain_full.ext"])

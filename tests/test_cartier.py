@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from cartierlab import artinian
 from cartierlab.artinian import quotient_algebra
 from cartierlab.cartier import (
     LIResult,
@@ -31,6 +32,7 @@ from cartierlab.errors import (
     InvariantViolation,
     NotArtinianLocal,
     NotPrime,
+    ProbeExhausted,
     UNKNOWN,
 )
 from cartierlab.extensions import ExtensionPresentation, Hints
@@ -103,6 +105,23 @@ def test_node_stalk_at_origin():
     assert report.fiber_components == 2
     assert report.stalk_rank == 1
     assert report.semantics == "henselized-stalk"
+
+
+def test_uncertified_fiber_count_notes_its_reason(monkeypatch):
+    ext = node_extension()
+    splitting = artinian._splitting
+
+    def capped(alg, *args):
+        if alg.ring == ext.b_ring:  # the fiber, not the residue field
+            raise ProbeExhausted("a factor search hit its cap: degree 9 over QQ")
+        return splitting(alg, *args)
+
+    monkeypatch.setattr(artinian, "_splitting", capped)
+    report = stalk_rank(ext, prime(ext, "x", "y"))
+    assert report.fiber_components is UNKNOWN
+    assert report.notes == (
+        "component count not certified: a factor search hit its cap: degree 9 over QQ",
+    )
 
 
 def test_two_lines_stalk_table():

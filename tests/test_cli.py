@@ -471,6 +471,14 @@ def test_generic_stalk_over_an_imperfect_field_is_unknown(capsys):
     assert json.loads(out)["results"][0]["rank"] in (0, "unknown")
 
 
+def test_uncertified_generic_count_names_the_missing_root(capsys):
+    path = os.path.join(FIXTURES, "frobenius-fp3.ext")
+    code, out, _ = run_cli(capsys, "stalks", path, "--generic", "--json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["notes"] == [
+        "component count not certified: 2*x is not a p-th power in FP(3)(x)"]
+
+
 @pytest.mark.parametrize("method", ["auto", "connected", "conductor"])
 def test_li_refuses_a_prime_that_is_not_maximal(capsys, method):
     code, out, err = run_cli(capsys, "li", corpus_path("node.ext"), "--primes", "x",

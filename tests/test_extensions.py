@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import os
 import random
 from fractions import Fraction
@@ -32,13 +33,16 @@ from cartierlab.extfile import load_extension
 from cartierlab.polycore import (
     GREVLEX,
     Ideal,
+    LEX,
     Polynomial,
     PolyRing,
     PrimeField,
     QQ,
     parse_polynomial,
 )
+from cartierlab.polycore.groebner import buchberger
 from oracles import conductor_by_every_intersection, naive_image_remainder
+from test_routes import EXT_PATHS
 
 try:
     from hypothesis import given, settings
@@ -533,3 +537,40 @@ def test_closure_search_lists_candidates_once_without_substituting(monkeypatch):
     result = closure_search(cusp_extension(), "seminormal", 3)
     assert [str(w) for w in result.adjoined] == ["t"]
     assert calls == [3]
+
+
+def assert_contraction_basis_is_buchbergers(ext):
+    assert ext.a_ring.order == GREVLEX  # the order under which the basis is adopted
+    contraction = ext.contraction_ideal()
+    assert contraction.groebner() == tuple(buchberger(list(contraction.generators), ext.a_ring))
+
+
+@pytest.mark.parametrize("path", EXT_PATHS, ids=os.path.basename)
+def test_contraction_adopts_the_reduced_basis_buchberger_gives(path):
+    ext = load_extension(path)
+    assert_contraction_basis_is_buchbergers(ext)
+    current = ext
+    for w in closure_search(ext, "seminormal", 3).adjoined:  # every enlarged ring
+        current = adjoin_element(current, w)
+        assert_contraction_basis_is_buchbergers(current)
+
+
+def test_contraction_under_lex_runs_buchberger(monkeypatch):
+    module = importlib.import_module("cartierlab.polycore.groebner")
+    rings = []
+    original = module.buchberger
+
+    def recording(gens, ring, *args, **kwargs):
+        rings.append(ring)
+        return original(gens, ring, *args, **kwargs)
+
+    monkeypatch.setattr(module, "buchberger", recording)
+    a_ring = PolyRing(QQ, ["x", "y", "z"], LEX)
+    b_ring = PolyRing(QQ, ["t"], GREVLEX)
+    images = {v: parse_polynomial(f"t^{e}", b_ring) for v, e in zip("xyz", (3, 4, 5))}
+    ext = ExtensionPresentation(a_ring, None, b_ring, Ideal(b_ring, []), images)
+    assert a_ring in rings  # the tag block is grevlex, so its basis is not adopted
+    contraction = ext.contraction_ideal()
+    lex_basis = tuple(original(list(contraction.generators), a_ring))
+    assert contraction.groebner() == lex_basis
+    assert set(lex_basis) != set(contraction.generators)  # grevlex and lex bases differ here
