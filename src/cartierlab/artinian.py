@@ -3,7 +3,10 @@
 A FiniteAlgebra carries the monomial staircase basis and the multiplication
 table of A = ring/ideal. Connected components are counted on the reduced
 algebra A_red, which the squarefree parts of the variables' minimal
-polynomials present (Seidenberg). A primitive element z of A_red, the first
+polynomials present (Seidenberg). An algebra computes those minimal
+polynomials once (`FiniteAlgebra.minimal_polynomials`) and builds A_red
+once (`reduced_algebra`), which starts with the squarefree parts as its
+own minimal polynomials. A primitive element z of A_red, the first
 of x_1 + c*x_2 + c^2*x_3 + ... (c = 0, 1, 2, ...) whose minimal polynomial m
 has degree dim A_red, gives A_red = k[z]/(m); the count is the number of
 irreducible factors of m, and the primitive idempotents are the CRT
@@ -59,6 +62,9 @@ class FiniteAlgebra:
         self.dim = len(basis)
         self._index = {exp: i for i, exp in enumerate(basis)}
         self._table: dict[tuple[int, int], tuple] = {}
+        # write-once: the variables' minimal polynomials, and A_red
+        self._minimal_polynomials: list[tuple] | None = None
+        self._reduced: FiniteAlgebra | None = None
 
     # -- elements ------------------------------------------------------------
 
@@ -135,11 +141,10 @@ class FiniteAlgebra:
     def is_zero_elem(self, a: tuple) -> bool:
         return all(self.field.is_zero(c) for c in a)
 
-    def eval_upoly(self, coeffs: tuple, a: tuple, unit: tuple | None = None) -> tuple:
-        """Evaluate a univariate coefficient tuple at a, with a^0 := unit."""
-        unit = self.one() if unit is None else unit
+    def eval_upoly(self, coeffs: tuple, a: tuple) -> tuple:
+        """Evaluate a univariate coefficient tuple at a."""
         acc = self.zero()
-        power = unit
+        power = self.one()
         for c in coeffs:
             acc = self.add(acc, self.scale(c, power))
             power = self.mul(power, a)
@@ -159,6 +164,13 @@ class FiniteAlgebra:
 
     def variable_element(self, name: str) -> tuple:
         return self.from_poly(self.ring.variable(name))
+
+    def minimal_polynomials(self) -> list[tuple]:
+        """The variables' minimal polynomials, in ring order, computed once."""
+        if self._minimal_polynomials is None:
+            self._minimal_polynomials = [minimal_polynomial(self, self.variable_element(v))
+                                         for v in self.ring.variables]
+        return self._minimal_polynomials
 
     def describe(self) -> str:
         gens = ", ".join(str(g) for g in self.ideal.generators) or "0"
@@ -264,17 +276,17 @@ def _constant(field, c: int):
     return field.from_polynomial(tuple(digits))
 
 
-def _primitive_element(alg: FiniteAlgebra, mins: list[tuple]):
+def _primitive_element(alg: FiniteAlgebra):
     """(z, minimal polynomial of z) with deg = dim alg, or None.
 
     The candidates are x_1 + c*x_2 + c^2*x_3 + ... for c = 0, 1, 2, ...;
-    a variable whose minimal polynomial (given in `mins`) already has full
-    degree is taken first. Over a reduced algebra the search succeeds once
-    it may try more than _search_bound constants.
+    a variable whose minimal polynomial already has full degree is taken
+    first. Over a reduced algebra the search succeeds once it may try more
+    than _search_bound constants.
     """
     field = alg.field
     variables = [alg.variable_element(v) for v in alg.ring.variables]
-    for x, m in zip(variables, mins):
+    for x, m in zip(variables, alg.minimal_polynomials()):
         if up.udeg(m) == alg.dim:
             return x, m
     last = _search_bound(alg)
@@ -323,8 +335,7 @@ def _factors(field, m: tuple) -> tuple:
         raise ProbeExhausted(f"a factor search hit its cap: {exc}") from None
 
 
-def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple,
-                             mins: list[tuple]) -> tuple:
+def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
     """The irreducible factors of m, where alg = k[z]/(m) up to nilpotents.
 
     Every variable is a polynomial q(z), so the factors f of its minimal
@@ -339,7 +350,7 @@ def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple,
     field = alg.field
     pieces = [(up.usquarefree_part(field, m), 1)]  # (piece, divisor of its factors' degrees)
     powers = None
-    for name, mi in zip(alg.ring.variables, mins):
+    for name, mi in zip(alg.ring.variables, alg.minimal_polynomials()):
         x = alg.variable_element(name)
         if up.udeg(mi) < 2 or x == z:
             continue
@@ -369,7 +380,7 @@ def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple,
                  for f in ((piece,) if up.udeg(piece) < 2 * low else _factors(field, piece)))
 
 
-def _splitting(alg: FiniteAlgebra, mins: list[tuple] | None = None) -> _Splitting:
+def _splitting(alg: FiniteAlgebra) -> _Splitting:
     """Certify the components of alg, from its variables' minimal polynomials.
 
     Raises ProbeExhausted, naming the reason, when the count is not certified.
@@ -377,20 +388,16 @@ def _splitting(alg: FiniteAlgebra, mins: list[tuple] | None = None) -> _Splittin
     field = alg.field
     if alg.dim == 1:  # alg = k = k[z]/(z - 1)
         return _Splitting(alg, alg.one(), ((field.neg(field.one()), field.one()),))
-    if mins is None:
-        mins = variable_minimal_polynomials(alg)
-    red, red_mins = alg, mins
-    if all(up.udeg(m) < alg.dim for m in mins):  # no variable is primitive in alg
-        red = reduced_algebra(alg, mins)
-        if red is not alg:
-            red_mins = [up.usquarefree_part(field, m) for m in mins]
+    red = alg
+    if all(up.udeg(m) < alg.dim for m in alg.minimal_polynomials()):  # no variable is primitive
+        red = reduced_algebra(alg)
         if isinstance(field, PrimeField) and field.p <= _search_bound(red):
             return _Splitting(red, kernel=_frobenius_kernel(red))
-    found = _primitive_element(red, red_mins)
+    found = _primitive_element(red)
     if found is None:  # only over a non-prime finite field
         raise ProbeExhausted(f"no candidate is primitive over {field.describe()}")
     z, m = found
-    return _Splitting(red, z, _factors_along_variables(red, z, m, red_mins))
+    return _Splitting(red, z, _factors_along_variables(red, z, m))
 
 
 def _crt_idempotents(alg: FiniteAlgebra, factors: tuple, a: tuple, unit: tuple) -> list[tuple]:
@@ -466,15 +473,14 @@ def component_count(alg: FiniteAlgebra, reasons: list | None = None):
 # -- reducedness and radicals ---------------------------------------------------
 
 
-def variable_minimal_polynomials(alg: FiniteAlgebra) -> list[tuple]:
-    return [
-        minimal_polynomial(alg, alg.variable_element(v)) for v in alg.ring.variables
-    ]
+def radical_generators(alg: FiniteAlgebra) -> list[Polynomial]:
+    """Extra generators presenting the reduced quotient: the squarefree part
+    of each variable's minimal polynomial that is a proper divisor of it.
 
-
-def _radical_generators(alg: FiniteAlgebra, mins: list[tuple]) -> list[Polynomial]:
+    Raises RadicalUnavailable when a squarefree part needs a p-th root the
+    field lacks, as k(v) in characteristic p does."""
     gens = []
-    for name, m in zip(alg.ring.variables, mins):
+    for name, m in zip(alg.ring.variables, alg.minimal_polynomials()):
         sq = up.usquarefree_part(alg.field, m)
         if up.udeg(sq) < up.udeg(m):
             total = alg.ring.zero()
@@ -487,24 +493,25 @@ def _radical_generators(alg: FiniteAlgebra, mins: list[tuple]) -> list[Polynomia
     return gens
 
 
-def reduced_algebra(alg: FiniteAlgebra, mins: list[tuple] | None = None) -> FiniteAlgebra:
-    """A_red: alg itself when reduced, else the quotient of alg's ring by its
-    ideal plus `radical_generators`. `mins` are the variables' minimal
-    polynomials when the caller has them."""
-    if mins is None:
-        mins = variable_minimal_polynomials(alg)
-    gens = _radical_generators(alg, mins)
-    if not gens:
-        return alg
-    return quotient_algebra(alg.ring, ideal_sum(alg.ideal, Ideal(alg.ring, gens)))
+def reduced_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:
+    """A_red, built once per algebra: alg itself when reduced, else the
+    quotient of alg's ring by its ideal plus `radical_generators`.
 
-
-def radical_generators(alg: FiniteAlgebra) -> list[Polynomial]:
-    """Extra generators presenting the reduced quotient (variable eliminants).
-
-    Raises RadicalUnavailable when a squarefree part needs a p-th root the
-    field lacks, as k(v) in characteristic p does."""
-    return _radical_generators(alg, variable_minimal_polynomials(alg))
+    A variable's minimal polynomial on A_red is the monic squarefree part of
+    its minimal polynomial m on alg: that part vanishes on A_red, and the
+    minimal polynomial on A_red, evaluated on alg, is nilpotent, so some
+    power of it is a multiple of m. A_red starts with those parts."""
+    if alg._reduced is None:
+        gens = radical_generators(alg)
+        if not gens:
+            alg._reduced = alg
+        else:
+            red = quotient_algebra(alg.ring, ideal_sum(alg.ideal, Ideal(alg.ring, gens)))
+            red._minimal_polynomials = [
+                up.usquarefree_part(alg.field, m) for m in alg.minimal_polynomials()
+            ]
+            alg._reduced = red
+    return alg._reduced
 
 
 def is_reduced(alg: FiniteAlgebra) -> bool:
@@ -514,11 +521,8 @@ def is_reduced(alg: FiniteAlgebra) -> bool:
 def is_field_algebra(alg: FiniteAlgebra):
     """True/False when decidable, Unknown when the count or the radical is
     not certified."""
-    mins = variable_minimal_polynomials(alg)
     try:
-        if _radical_generators(alg, mins):
-            return False
-        return _splitting(alg, mins).count == 1
+        return not radical_generators(alg) and _splitting(alg).count == 1
     except (ProbeExhausted, RadicalUnavailable):
         return UNKNOWN
 
@@ -547,7 +551,7 @@ def primitive_element_presentation(alg: FiniteAlgebra):
     if alg.dim == 1:
         return alg.field
     name = fresh_name("g", set(alg.ring.variables) | set(alg.field.symbol_names()))
-    found = _primitive_element(alg, variable_minimal_polynomials(alg))
+    found = _primitive_element(alg)
     if found is None:
         return None
     return SimpleExtensionField(alg.field, found[1], generator=name)

@@ -202,8 +202,9 @@ def stalk_at_maximal(ext: ExtensionPresentation, prime: Ideal) -> StalkReport:
 def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
     """Stalk at the zero ideal; the source must be certified a domain."""
     field = ext.a_ring.field
-    # Artinian source: the zero ideal is prime only for a field
-    if not ext.a_ideal.is_zero_ideal():
+    # Artinian source (relations, or no variables): the zero ideal is prime
+    # only for a field
+    if not ext.a_ideal.is_zero_ideal() or not ext.a_ring.variables:
         try:
             alg = quotient_algebra(ext.a_ring, ext.a_ideal)
         except (NotZeroDimensional, ZeroRingError):

@@ -35,7 +35,6 @@ from .cartier import (
 from .corpus import run_corpus
 from .errors import (
     CartierlabError,
-    EMPTY,
     InputError,
     InjectivityError,
     NotPrime,
@@ -44,6 +43,7 @@ from .errors import (
     ResourceLimitError,
     UNKNOWN,
     WellDefinednessError,
+    shown,
 )
 from .extensions import closure_search
 from .extfile import detect_kind, load_extension, load_rank_data, load_ring, read_description
@@ -55,10 +55,7 @@ TOOL = "cartierlab"
 
 
 def _jsonable(value):
-    if value is UNKNOWN:
-        return "unknown"
-    if value is EMPTY:
-        return "empty"
+    value = shown(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

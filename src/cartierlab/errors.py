@@ -122,3 +122,8 @@ class EmptyFiber(_Singleton):
 
 UNKNOWN = UnknownOutcome()
 EMPTY = EmptyFiber()
+
+
+def shown(value):
+    """value, with the Unknown and Empty markers written as "unknown" and "empty"."""
+    return "unknown" if value is UNKNOWN else "empty" if value is EMPTY else value

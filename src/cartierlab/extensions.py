@@ -3,8 +3,10 @@
 A presentation carries both quotient rings, the images of A's variables in
 B, and optional hints (finiteness, birationality, module generators with
 fraction representations, and externally supplied Picard deviation ranks).
-Construction always checks well-definedness and, unless the injectivity
-check runs out of budget under assume_injective, that the kernel is zero.
+Construction from stated relations checks well-definedness and, unless
+the injectivity check runs out of budget under assume_injective, that the
+kernel is zero; a source presented by the kernel itself (`a_ideal=None`, as
+`adjoin_element` builds it) satisfies both by construction and skips them.
 Both checks, and the conductor's certificate c * B inside A, are normal
 forms against one reduced basis of the tag ideal and expand no image; the
 relations are substituted into the images only when that basis is over the
@@ -15,6 +17,7 @@ covers all of B whatever the module_generators hint says.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -45,19 +48,8 @@ class Hints:
     lpic_kernel_rank: int | None = None
 
     def consumed(self) -> list[str]:
-        out = []
-        for name in (
-            "finite",
-            "birational",
-            "module_generators",
-            "fractions",
-            "lpic_A_rank",
-            "lpic_B_rank",
-            "lpic_kernel_rank",
-        ):
-            if getattr(self, name) is not None:
-                out.append(name)
-        return out
+        """The names of the hints that are set, in field order."""
+        return [f.name for f in dataclasses.fields(self) if getattr(self, f.name) is not None]
 
 
 @dataclass(frozen=True)
@@ -85,9 +77,11 @@ class ExtensionPresentation:
     the map is injective when the kernel lies in a_ideal. Only when the basis
     is over the pair budget are the relations checked by substituting the
     images, before the budget error is raised or, under assume_injective,
-    recorded as a warning. With `a_ideal=None` A is presented by the kernel,
-    so the map is injective by construction; both checks still run, and the
-    contraction, built once, brings its reduced basis (`contraction_ideal`).
+    recorded as a warning. With `a_ideal=None` A is presented by the kernel
+    (`contraction_ideal`), which brings its reduced basis, and neither check
+    runs: the kernel's generators come from the tag basis, so they map to
+    zero, and the kernel lies in itself. A tag basis over the pair budget
+    raises from `contraction_ideal` then, whatever assume_injective says.
     """
 
     def __init__(
@@ -115,9 +109,9 @@ class ExtensionPresentation:
         self.warnings: tuple[str, ...] = ()
         self._membership_cache: Ideal | PairBudgetExceeded | None = None
         self._contains_memo: dict = {}
-        contraction = None
         if a_ideal is None:
-            a_ideal = contraction = self.contraction_ideal()
+            self.a_ideal = self.contraction_ideal()
+            return
         self.a_ideal = a_ideal
         try:
             tag_ideal, over_budget = self._membership_ring(), None
@@ -140,9 +134,7 @@ class ExtensionPresentation:
         try:
             if over_budget is not None:
                 raise over_budget
-            if contraction is None:
-                contraction = self.contraction_ideal()
-            if not all(a_ideal.contains_poly(g) for g in contraction.generators):
+            if not all(a_ideal.contains_poly(g) for g in self.contraction_ideal().generators):
                 raise InjectivityError(
                     "the map has a kernel: contraction is strictly larger than "
                     "the stated relations"
@@ -318,15 +310,14 @@ class ClosureResult:
     exhausted: bool
 
 
-def adjoin_element(ext: ExtensionPresentation, b: Polynomial,
-                   name_base: str = "w") -> ExtensionPresentation:
+def adjoin_element(ext: ExtensionPresentation, b: Polynomial) -> ExtensionPresentation:
     """Extend A's presentation by one element of B, presented by the kernel."""
     taken = (
         set(ext.a_ring.variables)
         | set(ext.b_ring.variables)
         | set(ext.a_ring.field.symbol_names())
     )
-    w = fresh_name(name_base + str(len(ext.a_ring.variables) + 1), taken)
+    w = fresh_name(f"w{len(ext.a_ring.variables) + 1}", taken)
     new_a_ring = PolyRing(ext.a_ring.field, tuple(ext.a_ring.variables) + (w,), GREVLEX)
     images = dict(ext.images)
     images[w] = ext.b_ideal.normal_form(b)

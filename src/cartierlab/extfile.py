@@ -13,6 +13,7 @@ needs the bytes too (the CLI's input digest) never reads the file twice.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 import re
 from configparser import ConfigParser
@@ -26,15 +27,7 @@ from .polycore import GREVLEX, Ideal, PolyRing, PrimeField, QQ, parse_polynomial
 _FIELD_RE = re.compile(r"^FP\((\d+)\)$")
 
 _RING_KEYS = {"field", "vars", "relations"}
-_HINT_KEYS = {
-    "finite",
-    "birational",
-    "module_generators",
-    "fractions",
-    "lpic_A_rank",
-    "lpic_B_rank",
-    "lpic_kernel_rank",
-}
+_HINT_KEYS = {f.name for f in dataclasses.fields(Hints)}
 _RANKDATA_KEYS = {"c_A", "c_B", "lpic_A", "lpic_B", "lpic_kernel"}
 
 

@@ -279,13 +279,10 @@ def lu_rank(base: FiniteAlgebra):
 class _LaurentEvaluator(Evaluator):
     allow_negative_exponents = True
 
-    def __init__(self, base: FiniteAlgebra, tvar: str = "t"):
-        if tvar in base.ring.variables or tvar in base.field.symbol_names():
-            raise CartierlabError(
-                f"the Laurent variable {tvar!r} collides with a base symbol"
-            )
+    def __init__(self, base: FiniteAlgebra):
+        if "t" in base.ring.variables or "t" in base.field.symbol_names():
+            raise CartierlabError("the Laurent variable 't' collides with a base symbol")
         self.base = base
-        self.tvar = tvar
 
     def from_fraction(self, q: Fraction, text, pos):
         try:
@@ -296,7 +293,7 @@ class _LaurentEvaluator(Evaluator):
             raise ParseError(str(exc), text, pos) from None
 
     def variable(self, name, text, pos):
-        if name == self.tvar:
+        if name == "t":
             return LaurentElement.t_power(self.base, 1)
         if name in self.base.ring.variables:
             return LaurentElement.constant(self.base, self.base.variable_element(name))
@@ -305,18 +302,6 @@ class _LaurentEvaluator(Evaluator):
             return LaurentElement.constant(self.base, self.base.scalar(elem))
         raise ParseError(f"unknown variable {name!r}", text, pos)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def pow(self, a, n, text, pos):
         try:
             return a**n
@@ -324,6 +309,6 @@ class _LaurentEvaluator(Evaluator):
             raise ParseError(str(exc), text, pos) from None
 
 
-def parse_laurent(text: str, base: FiniteAlgebra, tvar: str = "t") -> LaurentElement:
-    """Parse the shared grammar extended with negative powers of the t variable."""
-    return parse_with_evaluator(text, _LaurentEvaluator(base, tvar))
+def parse_laurent(text: str, base: FiniteAlgebra) -> LaurentElement:
+    """Parse the shared grammar extended with negative powers of t."""
+    return parse_with_evaluator(text, _LaurentEvaluator(base))

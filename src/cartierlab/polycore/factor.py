@@ -289,41 +289,16 @@ def _fraction_is_square(q):
     return None
 
 
-def _prime_sqrt(field: PrimeField, a: int) -> int | None:
-    p = field.p
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 def _base_sqrt(base: Field, a):
+    """A square root of a in QQ or F_p, or None. Over F_p (p odd) it is the
+    smaller root of z^2 - a, read off the factors of that polynomial."""
     if isinstance(base, RationalField):
         return _fraction_is_square(a)
     if isinstance(base, PrimeField):
-        return _prime_sqrt(base, a)
+        if base.is_zero(a):
+            return base.zero()
+        factors = _factor_fp(base, (base.neg(a), base.zero(), base.one()))
+        return min((base.neg(f[0]) for f in factors if up.udeg(f) == 1), default=None)
     return None
 
 

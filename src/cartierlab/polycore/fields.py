@@ -264,8 +264,7 @@ class SimpleExtensionField(Field):
     search is attempted and construction fails only when a factor is found.
     """
 
-    def __init__(self, base: Field, min_poly: tuple, generator: str = "g",
-                 _skip_check: bool = False):
+    def __init__(self, base: Field, min_poly: tuple, generator: str = "g"):
         if up.udeg(min_poly) < 1:
             raise CartierlabError("minimal polynomial must have degree >= 1")
         if not base.is_one(min_poly[-1]):
@@ -277,10 +276,9 @@ class SimpleExtensionField(Field):
         self.generator = generator
         self.degree = up.udeg(min_poly)
         self.characteristic = base.characteristic
-        if not _skip_check:
-            from .factor import verify_irreducible
+        from .factor import verify_irreducible
 
-            verify_irreducible(base, self.min_poly)
+        verify_irreducible(base, self.min_poly)
 
     def _wrap(self, coeffs: tuple) -> tuple:
         out = list(coeffs) + [self.base.zero()] * (self.degree - len(coeffs))

@@ -60,7 +60,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class Evaluator:
-    """What the parser needs to build values during the descent."""
+    """What the parser needs to build values during the descent; by default
+    values combine with their own +, - and * operators."""
 
     allow_negative_exponents = False
 
@@ -71,16 +72,16 @@ class Evaluator:
         raise NotImplementedError
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return a - b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def pow(self, a, n: int, text: str, pos: int):
         raise NotImplementedError
@@ -215,18 +216,6 @@ class PolynomialEvaluator(Evaluator):
         if elem is not None:
             return self.ring.constant(elem)
         raise ParseError(f"unknown variable {name!r}", text, pos)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def pow(self, a, n, text, pos):
         if n < 0:

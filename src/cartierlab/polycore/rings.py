@@ -194,10 +194,6 @@ class Polynomial:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def sorted_terms(self, reverse: bool = True) -> list:
-        key = self.ring.order.key
-        return sorted(self._terms.items(), key=lambda kv: key(kv[0]), reverse=reverse)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -380,7 +376,8 @@ class Polynomial:
         field = self.ring.field
         names = self.ring.variables
         parts: list[str] = []
-        for exps, c in self.sorted_terms():
+        key = self.ring.order.key
+        for exps, c in sorted(self._terms.items(), key=lambda kv: key(kv[0]), reverse=True):
             sign, mag = field.sign_split(c)
             factors = []
             for name, e in zip(names, exps):

@@ -10,14 +10,21 @@ line give byte-identical reports on all of these calls.
 
 Run it from a checkout; it imports the package from that checkout's `src/`:
 
-    python tests/cli_digest.py
+    python tests/cli_digest.py [--records FILE]
+
+With `--records FILE` it also writes every call to FILE as a JSON list of
+{"argv", "code", "stdout", "stderr"} objects, the corpus directory again
+written as `<corpus>`, so that two checkouts whose lines differ can be
+compared call by call.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 
@@ -39,28 +46,47 @@ def corpus_argvs(corpus: str) -> list[list[str]]:
     return [argv + fmt for argv in base for fmt in ([], ["--json"])]
 
 
-def digest(argvs: list[list[str]], corpus: str) -> str:
+def call_records(argvs: list[list[str]], corpus: str) -> list[dict]:
+    """argv, exit code, stdout and stderr of each call, with `<corpus>` for
+    the corpus directory."""
     from cartierlab.cli import main
 
-    sha = hashlib.sha256()
+    records = []
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        record = "\0".join([" ".join(argv), str(code), out.getvalue(), err.getvalue()])
-        sha.update(record.replace(corpus, "<corpus>").encode("utf-8") + b"\0\0")
+        records.append({
+            "argv": [a.replace(corpus, "<corpus>") for a in argv],
+            "code": code,
+            "stdout": out.getvalue().replace(corpus, "<corpus>"),
+            "stderr": err.getvalue().replace(corpus, "<corpus>"),
+        })
+    return records
+
+
+def digest(records: list[dict]) -> str:
+    sha = hashlib.sha256()
+    for r in records:
+        record = "\0".join([" ".join(r["argv"]), str(r["code"]), r["stdout"], r["stderr"]])
+        sha.update(record.encode("utf-8") + b"\0\0")
     return sha.hexdigest()
 
 
-def run() -> str:
+def run(records_path: str | None = None) -> str:
     os.environ.pop("CARTIERLAB_BUDGET", None)  # digest the default pair budget
     sys.path.insert(0, os.path.abspath(SRC))
     from cartierlab.corpus import corpus_path
 
     corpus = os.path.dirname(corpus_path("node.ext"))
-    argvs = corpus_argvs(corpus)
-    return f"{len(argvs)} calls sha256:{digest(argvs, corpus)}"
+    records = call_records(corpus_argvs(corpus), corpus)
+    if records_path is not None:
+        with open(records_path, "w", encoding="utf-8") as handle:
+            json.dump(records, handle, indent=1)
+    return f"{len(records)} calls sha256:{digest(records)}"
 
 
 if __name__ == "__main__":
-    print(run())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--records", metavar="FILE", help="also write each call as JSON to FILE")
+    print(run(parser.parse_args().records))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -366,6 +367,50 @@ def test_variable_minimal_polynomials_are_computed_once(monkeypatch):
     a = algebra(QQ, ["x", "y"], ["x^2 - 2", "y - 3*x"])
     assert is_field_algebra(a) is True
     assert len(calls) == 2  # one per variable; x is primitive
+
+
+@pytest.fixture
+def variable_min_polys(monkeypatch):
+    """(algebra ideal, variable name) for every minimal polynomial computed of
+    a variable element, in call order."""
+    calls = []
+    original = artinian.minimal_polynomial
+
+    def recording(alg, a):
+        for name in alg.ring.variables:
+            if a == alg.variable_element(name):
+                calls.append((alg.ideal.generators, name))
+        return original(alg, a)
+
+    monkeypatch.setattr(artinian, "minimal_polynomial", recording)
+    return calls
+
+
+def test_bass_decompose_computes_each_variable_minimal_polynomial_once(variable_min_polys):
+    from cartierlab.laurent import bass_decompose, parse_laurent
+
+    base = algebra(QQ, ["e", "eps"], ["e^2 - e", "eps^2", "e*eps"])
+    dec = bass_decompose(parse_laurent("e*t^2 + 1 - e + eps*t^-1", base))
+    assert dec.exponents == (0, 2) or dec.exponents == (2, 0)
+    assert variable_min_polys
+    assert [key for key, n in Counter(variable_min_polys).items() if n > 1] == []
+
+
+def test_primitive_element_presentation_reuses_verify_maximal_minimal_polynomials(
+        variable_min_polys):
+    from cartierlab.cartier import verify_maximal
+    from cartierlab.extensions import ExtensionPresentation
+
+    ring = PolyRing(QQ, ["x", "y"], GREVLEX)
+    ext = ExtensionPresentation(ring, Ideal(ring, []), ring, Ideal(ring, []),
+                                {v: ring.variable(v) for v in ring.variables})
+    prime = Ideal(ring, [parse_polynomial(t, ring) for t in ("x^2 - 2", "y - 3*x")])
+    residue = verify_maximal(ext, prime)
+    assert len(variable_min_polys) == 2
+    variable_min_polys.clear()
+    field = primitive_element_presentation(residue)
+    assert field.describe() == "QQ[g]/(g^2 - 2)"
+    assert variable_min_polys == []
 
 
 def test_non_prime_finite_field_without_primitive_element_is_unknown():

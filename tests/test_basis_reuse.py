@@ -18,7 +18,9 @@ An ideal prepares its reduced basis for division once: repeated normal forms
 against it, and against the ideal `reduced()` hands back, build the divisor
 list of each basis element once. A witness search runs no Buchberger in an
 A ring: each adjoined witness's presentation takes the reduced basis of its
-relations from the B-free part of its tag basis.
+relations from the B-free part of its tag basis. A presentation by that
+kernel runs no normal form when it is built: its relations map to zero and
+contain the kernel by construction.
 
 `perfbench/tracing.py` patches the library's entry points by name; a
 refactor that deletes or renames one of them must fail here rather than in
@@ -134,6 +136,23 @@ def test_closure_search_runs_no_basis_in_an_a_ring(basis_inputs, monkeypatch):
     a_rings = {presentation.a_ring for presentation in built}
     assert basis_inputs
     assert [ring.describe() for ring, _ in basis_inputs if ring in a_rings] == []
+
+
+def test_kernel_presentation_checks_nothing_by_normal_form(monkeypatch):
+    ring = PolyRing(QQ, ["x", "y", "z"], GREVLEX)
+    b_ring = PolyRing(QQ, ["t"], GREVLEX)
+    images = {v: parse_polynomial(f"t^{e}", b_ring) for v, e in zip("xyz", (3, 4, 5))}
+    forms = []
+    original = GROEBNER.Ideal.normal_form
+
+    def counting(self, f):
+        forms.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(GROEBNER.Ideal, "normal_form", counting)
+    ext = ExtensionPresentation(ring, None, b_ring, Ideal(b_ring, []), images)
+    assert forms == []
+    assert {str(g) for g in ext.a_ideal.generators} == {"y^2 - x*z", "x^3 - y*z", "x^2*y - z^2"}
 
 
 def test_normal_forms_build_the_divisor_list_once(monkeypatch):

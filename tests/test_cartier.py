@@ -124,6 +124,17 @@ def test_uncertified_fiber_count_notes_its_reason(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("name, components", [
+    ("nil_toy.ext", 1), ("idem_toy.ext", 2), ("nil_cube.ext", 1),
+])
+def test_generic_stalk_over_a_field_source(name, components):
+    # A = QQ with no variables: its zero ideal is prime, and the generic
+    # fiber is B itself
+    report = stalk_rank(load_extension(corpus_path(name)), None)
+    assert report.residue_description() == "QQ"
+    assert (report.fiber_components, report.stalk_rank) == (components, components - 1)
+
+
 def test_two_lines_stalk_table():
     ext = build(["x"], [], ["x", "y"], ["y^2 - x^2"], {"x": "x"}, Hints(finite=True))
     at_zero = stalk_rank(ext, prime(ext, "x"))

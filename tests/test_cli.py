@@ -471,6 +471,20 @@ def test_generic_stalk_over_an_imperfect_field_is_unknown(capsys):
     assert json.loads(out)["results"][0]["rank"] in (0, "unknown")
 
 
+@pytest.mark.parametrize("name, components", [
+    ("nil_toy.ext", 1), ("idem_toy.ext", 2), ("nil_cube.ext", 1),
+])
+def test_generic_stalk_over_a_field_source(capsys, name, components):
+    code, out, err = run_cli(capsys, "stalks", corpus_path(name), "--generic", "--json")
+    assert (code, err) == (0, "")
+    entry = json.loads(out)["results"][0]
+    assert (entry["prime"], entry["residue_field"]) == ("generic", "QQ")
+    assert (entry["fiber_components"], entry["stalk_rank"]) == (components, components - 1)
+    code, out, err = run_cli(capsys, "stalks", corpus_path(name), "--generic")
+    assert (code, err) == (0, "")
+    assert f"fiber_components: {components}\n" in out
+
+
 def test_uncertified_generic_count_names_the_missing_root(capsys):
     path = os.path.join(FIXTURES, "frobenius-fp3.ext")
     code, out, _ = run_cli(capsys, "stalks", path, "--generic", "--json")

@@ -163,6 +163,18 @@ def test_membership_with_colliding_variable_names():
     assert str(res.preimage) == "x^3 - 2*x"
 
 
+@pytest.mark.parametrize("p", [7, 13])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_generic_quadratic_split_over_a_prime_function_field(p, c):
+    # the generic fiber is FP(p)(x)[y]/(y^2 - c*x^2), two points exactly when
+    # c is a square mod p: the discriminant's root needs the root of c in F_p
+    ext = build(PrimeField(p), ["x"], [], ["x", "y"], [f"y^2 - {c}*x^2"], {"x": "x"})
+    report = stalk_rank(ext, None)
+    split = any(r * r % p == c for r in range(p))
+    assert report.residue_description() == f"FP({p})(x)"
+    assert (report.fiber_components, report.stalk_rank) == ((2, 1) if split else (1, 0))
+
+
 def test_prime_field_residue_splitting():
     f5 = PrimeField(5)
     ext = build(

@@ -9,7 +9,7 @@ from cartierlab.corpus import corpus_path
 from cartierlab.errors import CartierlabError, FactorSearchLimit
 from cartierlab.extfile import load_extension
 from cartierlab.polycore import unipoly as up
-from cartierlab.polycore.factor import squarefree_factors, verify_irreducible
+from cartierlab.polycore.factor import _base_sqrt, squarefree_factors, verify_irreducible
 from cartierlab.polycore.groebner import buchberger
 from cartierlab.polycore.fields import (
     PrimeField,
@@ -263,3 +263,15 @@ def test_pth_root_over_a_function_field_in_characteristic_p():
     assert k.pth_root(cube) == k.inv(k.add(v, k.one()))
     with pytest.raises(RadicalUnavailable, match="is not a p-th power in FP\\(3\\)\\(v\\)"):
         k.pth_root(v)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 29, 41])
+def test_prime_field_square_roots(p):
+    field = PrimeField(p)
+    squares = {a * a % p for a in range(p)}
+    for a in range(p):
+        r = _base_sqrt(field, field.from_int(a))
+        if a in squares:
+            assert field.mul(r, r) == field.from_int(a)
+        else:
+            assert r is None
