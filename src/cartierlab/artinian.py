@@ -106,27 +106,30 @@ class FiniteAlgebra:
         return tuple(self.field.mul(c, x) for x in a)
 
     def _basis_product(self, i: int, j: int) -> tuple:
+        """basis[i] * basis[j] as its nonzero (k, coefficient) pairs, cached."""
         if i > j:
             i, j = j, i
         cached = self._table.get((i, j))
         if cached is None:
             exp = tuple(a + b for a, b in zip(self.basis[i], self.basis[j]))
-            cached = self.from_poly(self.ring.monomial(exp, self.field.one()))
+            nf = self.ideal.normal_form(self.ring.monomial(exp, self.field.one()))
+            cached = tuple(sorted((self._index[e], c) for e, c in nf.terms().items()))
             self._table[(i, j)] = cached
         return cached
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        out = [self.field.zero()] * self.dim
+        field = self.field
+        add, times, is_zero = field.add, field.mul, field.is_zero
+        product = self._basis_product
+        out = [field.zero()] * self.dim
+        b_terms = [(j, cb) for j, cb in enumerate(b) if not is_zero(cb)]
         for i, ca in enumerate(a):
-            if self.field.is_zero(ca):
+            if is_zero(ca):
                 continue
-            for j, cb in enumerate(b):
-                if self.field.is_zero(cb):
-                    continue
-                c = self.field.mul(ca, cb)
-                for k, s in enumerate(self._basis_product(i, j)):
-                    if not self.field.is_zero(s):
-                        out[k] = self.field.add(out[k], self.field.mul(c, s))
+            for j, cb in b_terms:
+                c = times(ca, cb)
+                for k, s in product(i, j):
+                    out[k] = add(out[k], times(c, s))
         return tuple(out)
 
     def pow(self, a: tuple, n: int) -> tuple:

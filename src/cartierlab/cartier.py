@@ -153,7 +153,12 @@ def _stalk_semantics(ext: ExtensionPresentation) -> str:
 
 
 def stalk_at_maximal(ext: ExtensionPresentation, prime: Ideal) -> StalkReport:
-    residue_alg = verify_maximal(ext, prime)
+    return _stalk_over_residue(ext, prime, verify_maximal(ext, prime))
+
+
+def _stalk_over_residue(ext: ExtensionPresentation, prime: Ideal,
+                        residue_alg: FiniteAlgebra) -> StalkReport:
+    """The stalk at a prime whose residue algebra A/prime is a certified field."""
     pushed = [ext.substitute(g) for g in prime.generators]
     fiber_ideal = ideal_sum(ext.b_ideal, Ideal(ext.b_ring, pushed))
     notes: list[str] = []
@@ -212,8 +217,7 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
         if alg is not None:
             if is_field_algebra(alg) is not True:
                 raise NotPrime("the zero ideal is prime only when the source is a domain")
-            report = stalk_at_maximal(ext, Ideal(ext.a_ring, []))
-            return report
+            return _stalk_over_residue(ext, Ideal(ext.a_ring, []), alg)
         if ext.hints.finite and ext.hints.birational:
             return StalkReport(
                 None,

@@ -2,7 +2,17 @@
 
 Over QQ: rational roots plus a Kronecker-style bounded factor search, capped
 at degree 8 (a cap hit raises FactorSearchLimit, never a wrong answer).
-Over F_p: Cantor-Zassenhaus with a seeded deterministic random stream.
+Over F_p: Cantor-Zassenhaus with a seeded deterministic random stream, on
+the plain coefficient ints of PrimeField. One kernel multiplies modulo a
+monic polynomial: it sums the products as ints and reduces each coefficient
+by `% p` once. x^p mod v is computed once per input v, by square-and-multiply;
+from it come the Frobenius rows x^(ip) mod v (Berlekamp's Q-matrix), and
+every later p-th power is the row combination h^p = sum_i h_i x^(ip). That
+holds modulo every factor g of v too, since x^(ip) mod g is
+(x^(ip) mod v) mod g, so the distinct-degree steps and the equal-degree
+splits of all factors share the rows. An equal-degree split of degree d
+takes a^((p^d - 1)/2) as (a a^p ... a^(p^(d-1)))^((p - 1)/2), and over F_2
+the trace a + a^2 + ... + a^(2^(d-1)).
 Over k(v): exact factoring for base-coefficient polynomials and for
 quadratics via a discriminant square test; anything else hits the cap.
 """
@@ -214,64 +224,121 @@ def _factor_qq(sq: tuple) -> list[tuple]:
 # prime fields
 
 
-def _powmod(field: PrimeField, base: tuple, exponent: int, modulus: tuple) -> tuple:
-    result = up.umod(field, (field.one(),), modulus)
-    base = up.umod(field, base, modulus)
-    while exponent > 0:
-        if exponent & 1:
-            result = up.umod(field, up.umul(field, result, base), modulus)
-        base = up.umod(field, up.umul(field, base, base), modulus)
-        exponent >>= 1
+def _mulmod(a: tuple, b: tuple, m: tuple, p: int) -> tuple:
+    """a*b mod m over F_p, for monic m. The kernel of this section: the
+    products are summed as plain ints and each coefficient is reduced by
+    `% p` once, after the division by m."""
+    if not a or not b:
+        return ()
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                prod[k] += x * y
+    return _rem(prod, m, p)
+
+
+def _rem(c: list, m: tuple, p: int) -> tuple:
+    """c mod m over F_p for monic m, where c is a list of unreduced ints
+    (consumed)."""
+    n = len(m) - 1
+    low = m[:-1]
+    for top in range(len(c) - 1, n - 1, -1):
+        q = c[top] % p
+        if q:
+            for k, r in enumerate(low, top - n):
+                c[k] -= q * r
+    del c[n:]
+    c = [x % p for x in c]
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _powmod(a: tuple, e: int, m: tuple, p: int) -> tuple:
+    """a^e mod m over F_p by square-and-multiply, for monic m of degree >= 1."""
+    result = (1,)
+    while e:
+        if e & 1:
+            result = _mulmod(result, a, m, p)
+        e >>= 1
+        if e:
+            a = _mulmod(a, a, m, p)
     return result
 
 
-def _equal_degree_split(field: PrimeField, f: tuple, d: int,
+def _frobenius(h: tuple, rows: list, m: tuple, p: int) -> tuple:
+    """h^p mod m over F_p, as sum_i h_i * x^(ip). The rows are x^(ip) mod v
+    for a multiple v of m of degree above deg h, so reducing the sum mod m
+    gives the answer for every factor m of v."""
+    acc = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for k, r in enumerate(row):
+                acc[k] += c * r
+    return _rem(acc, m, p)
+
+
+def _frobenius_rows(v: tuple, p: int) -> list[tuple]:
+    """x^(ip) mod v for i < deg v (Berlekamp's Q-matrix), from one
+    exponentiation xi = x^p mod v; v is monic of degree >= 2."""
+    xi = _powmod((0, 1), p, v, p)
+    rows = [(1,)]
+    for _ in range(len(v) - 2):
+        rows.append(_mulmod(rows[-1], xi, v, p))
+    return rows
+
+
+def _equal_degree_split(field: PrimeField, f: tuple, d: int, rows: list,
                         rng: random.Random) -> list[tuple]:
-    """Split a product of distinct irreducibles all of degree d."""
+    """Split a product of distinct irreducibles all of degree d; `rows` are
+    the Frobenius rows of a multiple of f."""
     if up.udeg(f) == d:
-        return [up.umonic(field, f)]
+        return [f]
     p = field.p
-    x = (field.zero(), field.one())
     for _ in range(200):
-        a = tuple(field.from_int(rng.randrange(p)) for _ in range(up.udeg(f)))
-        a = up.utrim(field, a)
+        a = up.utrim(field, [rng.randrange(p) for _ in range(up.udeg(f))])
         if up.udeg(a) < 1:
             continue
-        if p == 2:
-            b = a
-            t = a
-            for _ in range(d - 1):
-                t = up.umod(field, up.umul(field, t, t), f)
-                b = up.uadd(field, b, t)
-        else:
-            b = up.usub(field, _powmod(field, a, (p**d - 1) // 2, f), (field.one(),))
+        # p = 2: the trace a + a^2 + ... + a^(2^(d-1)); p odd:
+        # a^((p^d - 1)/2) = (a * a^p * ... * a^(p^(d-1)))^((p - 1)/2)
+        b = conj = a
+        for _ in range(d - 1):
+            conj = _frobenius(conj, rows, f, p)
+            b = up.uadd(field, b, conj) if p == 2 else _mulmod(b, conj, f, p)
+        if p != 2:
+            b = up.usub(field, _powmod(b, (p - 1) // 2, f, p), (1,))
         g = up.ugcd(field, b, f)
         if 0 < up.udeg(g) < up.udeg(f):
             rest = up.udivmod(field, f, g)[0]
-            return _equal_degree_split(field, g, d, rng) + _equal_degree_split(
-                field, rest, d, rng
-            )
+            return (_equal_degree_split(field, g, d, rows, rng)
+                    + _equal_degree_split(field, rest, d, rows, rng))
     raise CartierlabError("equal-degree splitting failed to converge")  # pragma: no cover
 
 
 def _factor_fp(field: PrimeField, sq: tuple) -> list[tuple]:
+    """Cantor-Zassenhaus: distinct-degree, then equal-degree splitting, with
+    every p-th power read off one set of Frobenius rows of the input."""
     rng = random.Random(_CZ_SEED)
     factors: list[tuple] = []
     v = up.umonic(field, sq)
-    h = (field.zero(), field.one())  # x
-    x = h
+    if up.udeg(v) == 1:
+        return [v]
+    p = field.p
+    rows = _frobenius_rows(v, p)
+    x = h = (0, 1)
     d = 0
     while up.udeg(v) > 0:
         d += 1
         if 2 * d > up.udeg(v):
-            factors.extend(_equal_degree_split(field, v, up.udeg(v), rng))
+            factors.extend(_equal_degree_split(field, v, up.udeg(v), rows, rng))
             break
-        h = _powmod(field, h, field.p, v)
+        h = _frobenius(h, rows, v, p)
         g = up.ugcd(field, up.usub(field, h, x), v)
         if up.udeg(g) > 0:
-            factors.extend(_equal_degree_split(field, g, d, rng))
+            factors.extend(_equal_degree_split(field, g, d, rows, rng))
             v = up.udivmod(field, v, g)[0]
-            h = up.umod(field, h, v)
+            h = _rem(list(h), v, p)
     return factors
 
 

@@ -496,3 +496,44 @@ def test_reduced_algebra_is_the_quotient_by_the_radical_generators():
     red = reduced_algebra(fat)
     assert red.dim == 2 and is_reduced(red)
     assert red.ideal.generators == fat.ideal.generators + tuple(radical_generators(fat))
+
+
+def _random_element(rng, alg):
+    field = alg.field
+    coords = []
+    for _ in range(alg.dim):
+        if rng.random() < 0.4:
+            coords.append(field.zero())
+        elif field is QQ:
+            coords.append(field.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        elif isinstance(field, PrimeField):
+            coords.append(field.from_int(rng.randrange(field.p)))
+        else:
+            a, b = rng.randrange(field.characteristic), rng.randrange(field.characteristic)
+            coords.append(field.add(field.from_int(a),
+                                    field.mul(field.from_int(b), field.generator_element())))
+    return tuple(coords)
+
+
+F5W = SimpleExtensionField(PrimeField(5), (3, 0, 1), generator="w")  # w^2 = 2
+
+
+@pytest.mark.parametrize("field, variables, relations", [
+    (QQ, ["x", "y"], ["x^2", "y^4"]),
+    (QQ, ["t"], ["t^5 - 2*t^4 + t^3"]),
+    (PrimeField(7), ["x", "y"], ["x^2 - y", "y^3"]),
+    (PrimeField(32003), ["x", "y"], ["x^3", "y^2 - x"]),
+    (F5W, ["x", "y"], ["x^2 - w*y", "y^3"]),
+    (F5W, ["t"], ["(t - w)^3*(t + 1)"]),
+], ids=["qq-dim8", "qq-dim5", "f7-dim6", "f32003-dim6", "f25-dim6", "f25-dim4"])
+def test_mul_is_the_polynomial_product(field, variables, relations):
+    a = algebra(field, variables, relations)
+    assert 4 <= a.dim <= 8 and is_reduced(a) is False
+    rng = random.Random(a.dim)
+    for _ in range(40):
+        u, v = _random_element(rng, a), _random_element(rng, a)
+        assert a.mul(u, v) == a.from_poly(a.to_poly(u) * a.to_poly(v))
+    assert a._table
+    for pairs in a._table.values():
+        assert [k for k, _ in pairs] == sorted({k for k, _ in pairs})
+        assert not any(field.is_zero(c) for _, c in pairs)

@@ -12,7 +12,8 @@ no second one for A/c -> B/cB, and the conductor's fold intersects two colon
 ideals only when neither contains the other.
 
 `run_corpus` computes each presentation's rank once per pass: the rows that
-need it again reuse that result.
+need it again reuse that result. A generic stalk over a field source builds
+that source's algebra once.
 
 An ideal prepares its reduced basis for division once: repeated normal forms
 against it, and against the ideal `reduced()` hands back, build the divisor
@@ -38,7 +39,8 @@ from collections import Counter
 
 import pytest
 
-from cartierlab.cartier import li_auto
+from cartierlab.artinian import FiniteAlgebra
+from cartierlab.cartier import li_auto, stalk_rank
 from cartierlab.cli import main
 from cartierlab import corpus, extensions
 from cartierlab.corpus import corpus_path
@@ -253,6 +255,24 @@ def test_run_corpus_ranks_each_presentation_once(monkeypatch):
     assert seen
     repeated = [ext.b_ring.describe() for ext in seen if sum(e is ext for e in seen) > 1]
     assert repeated == []
+
+
+def test_generic_stalk_over_an_artinian_source_builds_it_once(monkeypatch):
+    """The generic stalk over a field source reuses the algebra it certified
+    a field as the residue algebra: QQ is built once, then the fiber."""
+    built = []
+    original_init = FiniteAlgebra.__init__
+
+    def init(self, ring, ideal):
+        built.append(ring.describe())
+        original_init(self, ring, ideal)
+
+    ext = load_extension(os.path.join(CORPUS, "nil_toy.ext"))
+    monkeypatch.setattr(FiniteAlgebra, "__init__", init)
+    report = stalk_rank(ext, None)
+    assert report.fiber_components == 1
+    assert built[:2] == [ext.a_ring.describe(), ext.b_ring.describe()]
+    assert built.count(ext.a_ring.describe()) == 1
 
 
 def _span_points():
