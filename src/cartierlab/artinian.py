@@ -4,9 +4,10 @@ A FiniteAlgebra carries the monomial staircase basis and the multiplication
 table of A = ring/ideal. Connected components are counted on the reduced
 algebra A_red, which the squarefree parts of the variables' minimal
 polynomials present (Seidenberg). An algebra computes those minimal
-polynomials once (`FiniteAlgebra.minimal_polynomials`) and builds A_red
+polynomials and their squarefree parts once (`FiniteAlgebra`), builds A_red
 once (`reduced_algebra`), which starts with the squarefree parts as its
-own minimal polynomials. A primitive element z of A_red, the first
+own minimal polynomials, and certifies its splitting once (`_splitting`),
+which every count and decomposition reads. A primitive element z of A_red, the first
 of x_1 + c*x_2 + c^2*x_3 + ... (c = 0, 1, 2, ...) whose minimal polynomial m
 has degree dim A_red, gives A_red = k[z]/(m); the count is the number of
 irreducible factors of m, and the primitive idempotents are the CRT
@@ -15,9 +16,10 @@ idempotents of those factors, lifted to A by h -> 3h^2 - 2h^3
 search to be sure of success, the count is the dimension of the Frobenius
 kernel {a : a^p = a}, spanned by the primitive idempotents (Berlekamp 1967).
 The factors of the variables' minimal polynomials cut m into pieces that
-are factored one by one. Unknown is a first-class outcome: a factor cap, or
-a field where neither route applies, gives Unknown with its reason, never a
-guessed count.
+are factored one by one: over QQ and F_p the factorizer is complete below
+its one cap, while over k(v) the cut is what brings the pieces within its
+reach. Unknown is a first-class outcome: a factor cap, or a field where
+neither route applies, gives Unknown with its reason, never a guessed count.
 """
 
 from __future__ import annotations
@@ -62,9 +64,12 @@ class FiniteAlgebra:
         self.dim = len(basis)
         self._index = {exp: i for i, exp in enumerate(basis)}
         self._table: dict[tuple[int, int], tuple] = {}
-        # write-once: the variables' minimal polynomials, and A_red
+        # write-once: the variables' minimal polynomials and their squarefree
+        # parts, A_red, and the certified splitting
         self._minimal_polynomials: list[tuple] | None = None
+        self._squarefree_parts: list[tuple] | None = None
         self._reduced: FiniteAlgebra | None = None
+        self._split: _Splitting | None = None
 
     # -- elements ------------------------------------------------------------
 
@@ -175,6 +180,15 @@ class FiniteAlgebra:
                                          for v in self.ring.variables]
         return self._minimal_polynomials
 
+    def squarefree_parts(self) -> list[tuple]:
+        """The monic squarefree parts of the variables' minimal polynomials,
+        computed once. Raises RadicalUnavailable when one needs a p-th root
+        the field lacks, as k(v) in characteristic p does."""
+        if self._squarefree_parts is None:
+            self._squarefree_parts = [m if up.udeg(m) < 2 else up.usquarefree_part(self.field, m)
+                                      for m in self.minimal_polynomials()]
+        return self._squarefree_parts
+
     def describe(self) -> str:
         gens = ", ".join(str(g) for g in self.ideal.generators) or "0"
         return f"{self.ring.describe()}/({gens})"
@@ -192,11 +206,6 @@ def staircase(leading, variables, order_key) -> list[tuple]:
     exps = (e for e in itertools.product(*bounds)
             if not any(all(map(le, lead, e)) for lead in leading))
     return sorted(exps, key=order_key)
-
-
-def quotient_algebra(ring: PolyRing, ideal: Ideal) -> FiniteAlgebra:
-    """The staircase-basis presentation of a zero-dimensional quotient."""
-    return FiniteAlgebra(ring, ideal)
 
 
 def minimal_polynomial(alg: FiniteAlgebra, a: tuple) -> tuple:
@@ -339,7 +348,8 @@ def _factors(field, m: tuple) -> tuple:
 
 
 def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
-    """The irreducible factors of m, where alg = k[z]/(m) up to nilpotents.
+    """The irreducible factors of the squarefree part of m, where
+    alg = k[z]/(m) up to nilpotents.
 
     Every variable is a polynomial q(z), so the factors f of its minimal
     polynomial cut m into the pieces gcd(m, f(q(z))): the points where the
@@ -347,18 +357,25 @@ def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
     k[x]/(f), so the degree of every factor of the piece is a multiple of
     deg f, for each variable, and a piece of degree below twice the least
     common multiple is irreducible. The other pieces are factored one by
-    one, which keeps their degrees under the factor caps where all of m
-    would hit them.
+    one.
+
+    Over QQ and F_p the factorizer is complete, and the cut only makes the
+    pieces smaller. Over k(v) it is what certifies most counts: the k(v)
+    factorizer reaches only polynomials with constant coefficients and
+    quadratics, and m seldom is either. On F_2(b)[x,y]/(x^2 + x, y^2 + y),
+    m has degree 4, and x and y cut it into four linear pieces.
     """
     field = alg.field
-    pieces = [(up.usquarefree_part(field, m), 1)]  # (piece, divisor of its factors' degrees)
+    xs = [alg.variable_element(v) for v in alg.ring.variables]
+    if z in xs:  # the one case where alg may have nilpotents
+        m = alg.squarefree_parts()[xs.index(z)]
+    pieces = [(m, 1)]  # (piece, divisor of its factors' degrees)
     powers = None
-    for name, mi in zip(alg.ring.variables, alg.minimal_polynomials()):
-        x = alg.variable_element(name)
+    for x, mi, sq in zip(xs, alg.minimal_polynomials(), alg.squarefree_parts()):
         if up.udeg(mi) < 2 or x == z:
             continue
         try:
-            factors = squarefree_factors(field, mi)
+            factors = squarefree_factors(field, sq)
         except FactorSearchLimit:
             continue  # this variable cuts nothing
         if len(factors) == 1:
@@ -384,10 +401,17 @@ def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
 
 
 def _splitting(alg: FiniteAlgebra) -> _Splitting:
-    """Certify the components of alg, from its variables' minimal polynomials.
+    """Certify the components of alg, from its variables' minimal
+    polynomials, once per algebra.
 
     Raises ProbeExhausted, naming the reason, when the count is not certified.
     """
+    if alg._split is None:
+        alg._split = _find_splitting(alg)
+    return alg._split
+
+
+def _find_splitting(alg: FiniteAlgebra) -> _Splitting:
     field = alg.field
     if alg.dim == 1:  # alg = k = k[z]/(z - 1)
         return _Splitting(alg, alg.one(), ((field.neg(field.one()), field.one()),))
@@ -479,12 +503,10 @@ def component_count(alg: FiniteAlgebra, reasons: list | None = None):
 def radical_generators(alg: FiniteAlgebra) -> list[Polynomial]:
     """Extra generators presenting the reduced quotient: the squarefree part
     of each variable's minimal polynomial that is a proper divisor of it.
-
-    Raises RadicalUnavailable when a squarefree part needs a p-th root the
-    field lacks, as k(v) in characteristic p does."""
+    Raises RadicalUnavailable as `FiniteAlgebra.squarefree_parts` does."""
     gens = []
-    for name, m in zip(alg.ring.variables, alg.minimal_polynomials()):
-        sq = up.usquarefree_part(alg.field, m)
+    for name, m, sq in zip(alg.ring.variables, alg.minimal_polynomials(),
+                           alg.squarefree_parts()):
         if up.udeg(sq) < up.udeg(m):
             total = alg.ring.zero()
             var = alg.ring.variable(name)
@@ -503,16 +525,15 @@ def reduced_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:
     A variable's minimal polynomial on A_red is the monic squarefree part of
     its minimal polynomial m on alg: that part vanishes on A_red, and the
     minimal polynomial on A_red, evaluated on alg, is nilpotent, so some
-    power of it is a multiple of m. A_red starts with those parts."""
+    power of it is a multiple of m. A_red starts with those parts, as its
+    minimal polynomials and as their own squarefree parts."""
     if alg._reduced is None:
         gens = radical_generators(alg)
         if not gens:
             alg._reduced = alg
         else:
-            red = quotient_algebra(alg.ring, ideal_sum(alg.ideal, Ideal(alg.ring, gens)))
-            red._minimal_polynomials = [
-                up.usquarefree_part(alg.field, m) for m in alg.minimal_polynomials()
-            ]
+            red = FiniteAlgebra(alg.ring, ideal_sum(alg.ideal, Ideal(alg.ring, gens)))
+            red._minimal_polynomials = red._squarefree_parts = alg.squarefree_parts()
             alg._reduced = red
     return alg._reduced
 
@@ -611,7 +632,7 @@ def components_over_subring(ring: PolyRing, ideal: Ideal, free_variables):
         )
     new_ring, new_ideal = move_variable_to_field(ring, ideal, free[0])
     try:
-        alg = quotient_algebra(new_ring, new_ideal)
+        alg = FiniteAlgebra(new_ring, new_ideal)
     except NotZeroDimensional as exc:
         raise NotFiniteOverSubring(str(exc)) from None
     except ZeroRingError:

@@ -21,7 +21,6 @@ from .artinian import (
     is_field_algebra,
     move_variable_to_field,
     primitive_element_presentation,
-    quotient_algebra,
     radical_generators,
     reduced_algebra,
 )
@@ -133,7 +132,7 @@ def verify_maximal(ext: ExtensionPresentation, prime: Ideal) -> FiniteAlgebra:
         raise NotPrime("prime must live in the source ring")
     total = ideal_sum(ext.a_ideal, prime)
     try:
-        alg = quotient_algebra(ext.a_ring, total)
+        alg = FiniteAlgebra(ext.a_ring, total)
     except ZeroRingError:
         raise NotPrime("the ideal is the unit ideal") from None
     except NotZeroDimensional:
@@ -174,7 +173,7 @@ def _stalk_over_residue(ext: ExtensionPresentation, prime: Ideal,
     components: object
     why: list[str] = []
     try:
-        fiber_alg = quotient_algebra(ext.b_ring, fiber_ideal)
+        fiber_alg = FiniteAlgebra(ext.b_ring, fiber_ideal)
         components = component_count(fiber_alg, why)
     except NotZeroDimensional:
         components, reasons = UNKNOWN, []
@@ -211,7 +210,7 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
     # only for a field
     if not ext.a_ideal.is_zero_ideal() or not ext.a_ring.variables:
         try:
-            alg = quotient_algebra(ext.a_ring, ext.a_ideal)
+            alg = FiniteAlgebra(ext.a_ring, ext.a_ideal)
         except (NotZeroDimensional, ZeroRingError):
             alg = None
         if alg is not None:
@@ -259,7 +258,7 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
         )
     why: list[str] = []
     try:
-        alg = quotient_algebra(work, fiber_ideal)
+        alg = FiniteAlgebra(work, fiber_ideal)
         components = component_count(alg, why)
     except NotZeroDimensional:
         components = UNKNOWN
@@ -287,7 +286,7 @@ def stalk_rank(ext: ExtensionPresentation, prime: Ideal | None) -> StalkReport:
 def li_hensel_local(ext: ExtensionPresentation) -> LIResult:
     """Sections-over-a-point formula: rank = components(B) - 1 for local Artinian A."""
     try:
-        a_alg = quotient_algebra(ext.a_ring, ext.a_ideal)
+        a_alg = FiniteAlgebra(ext.a_ring, ext.a_ideal)
     except (NotZeroDimensional, ZeroRingError) as exc:
         raise NotArtinianLocal(f"source is not Artinian: {exc}") from None
     c_a = component_count(a_alg)
@@ -295,7 +294,7 @@ def li_hensel_local(ext: ExtensionPresentation) -> LIResult:
         raise NotArtinianLocal("could not certify the source is connected")
     if c_a != 1:
         raise NotArtinianLocal(f"source has {c_a} components, so it is not local")
-    b_alg = quotient_algebra(ext.b_ring, ext.b_ideal)
+    b_alg = FiniteAlgebra(ext.b_ring, ext.b_ideal)
     c_b = component_count(b_alg)
     if c_b is UNKNOWN:
         return LIResult(UNKNOWN, "HenselLocalFormula", {"reason": "target component count unknown"})
@@ -324,8 +323,8 @@ def li_conductor_square(ext: ExtensionPresentation) -> LIResult:
             {"conductor": ("1",), "degenerate": "unit conductor (equality)"},
             hints_used=tuple(ext.hints.consumed()),
         )
-    a_alg = quotient_algebra(ext.a_ring, cond)
-    b_alg = quotient_algebra(ext.b_ring, ext.extend(cond))
+    a_alg = FiniteAlgebra(ext.a_ring, cond)
+    b_alg = FiniteAlgebra(ext.b_ring, ext.extend(cond))
     c_a = component_count(a_alg)
     c_b = component_count(b_alg)
     certificate = {
@@ -365,7 +364,7 @@ def li_five_term(data: RankData) -> LIResult:
 
 
 def _artinian_maximal_ideals(ext: ExtensionPresentation) -> list[Ideal]:
-    alg = quotient_algebra(ext.a_ring, ext.a_ideal)
+    alg = FiniteAlgebra(ext.a_ring, ext.a_ideal)
     decomp = idempotent_decomposition(alg)
     rad = radical_generators(alg)
     primes = []
@@ -438,8 +437,8 @@ def li_finite_connected(
 def li_five_term_from_extension(ext: ExtensionPresentation) -> LIResult:
     """Assemble rank data when both sides are Artinian (Picard ranks vanish)."""
     try:
-        a_alg = quotient_algebra(ext.a_ring, ext.a_ideal)
-        b_alg = quotient_algebra(ext.b_ring, ext.b_ideal)
+        a_alg = FiniteAlgebra(ext.a_ring, ext.a_ideal)
+        b_alg = FiniteAlgebra(ext.b_ring, ext.b_ideal)
     except (NotZeroDimensional, ZeroRingError) as exc:
         raise MissingHints(f"five-term data needs Artinian sides: {exc}") from None
     c_a = component_count(a_alg)
@@ -507,7 +506,7 @@ def li_reduce_red(ext: ExtensionPresentation) -> ExtensionPresentation:
             reduced.append(ideal)
             continue
         try:
-            alg = quotient_algebra(ring, ideal)
+            alg = FiniteAlgebra(ring, ideal)
         except (NotZeroDimensional, ZeroRingError):
             raise RadicalUnavailable(
                 "radicals are computed only for zero-dimensional presentations"

@@ -31,7 +31,9 @@ class PairBudgetExceeded(ResourceLimitError):
 
 
 class FactorSearchLimit(ResourceLimitError):
-    """Factor search over the rationals gave up (degree or combination cap)."""
+    """A factor search stopped at its cap, so no factorization is claimed:
+    the subset recombination over QQ, or a degree beyond the searches over
+    k(v) and over simple extensions."""
 
 
 class NotZeroDimensional(CartierlabError):

@@ -21,7 +21,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 
-from .artinian import nilradical_span, quotient_algebra, staircase
+from .artinian import FiniteAlgebra, nilradical_span, staircase
 from .errors import (
     CartierlabError,
     CertificateFailure,
@@ -501,7 +501,7 @@ def nil_comparison(ext: ExtensionPresentation) -> NilComparison:
     if ext.b_ideal.is_zero_ideal():
         return NilComparison("equal", "target is a free polynomial ring (reduced)")
     try:
-        alg = quotient_algebra(ext.b_ring, ext.b_ideal)
+        alg = FiniteAlgebra(ext.b_ring, ext.b_ideal)
     except (NotZeroDimensional, ZeroRingError):
         return NilComparison(
             "unknown", "target is not presented as a finite-dimensional algebra"

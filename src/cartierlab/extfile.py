@@ -18,9 +18,9 @@ import io
 import re
 from configparser import ConfigParser
 
-from .artinian import FiniteAlgebra, quotient_algebra
+from .artinian import FiniteAlgebra
 from .cartier import RankData
-from .errors import InputError, InvariantViolation, ParseError
+from .errors import CartierlabError, InputError, InvariantViolation, ParseError
 from .extensions import ExtensionPresentation, Hints
 from .polycore import GREVLEX, Ideal, PolyRing, PrimeField, QQ, parse_polynomial
 
@@ -64,13 +64,16 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _parse_field(text: str):
+def _parse_field(text: str, label: str):
     text = text.strip()
     if text == "QQ":
         return QQ
     match = _FIELD_RE.match(text)
     if match:
-        return PrimeField(int(match.group(1)))
+        try:
+            return PrimeField(int(match.group(1)))
+        except CartierlabError as exc:
+            raise InputError(f"[{label}] field: {exc}") from None
     raise InputError(f'field must be "QQ" or "FP(p)", found {text!r}')
 
 
@@ -80,9 +83,11 @@ def _parse_ring(section, label: str) -> tuple[PolyRing, Ideal]:
         raise InputError(f"unknown keys in [{label}]: {sorted(unknown)}")
     if "field" not in section or "vars" not in section:
         raise InputError(f"[{label}] needs the keys field and vars")
-    field = _parse_field(section["field"])
-    variables = _split_list(section.get("vars", ""))
-    ring = PolyRing(field, variables, GREVLEX)
+    field = _parse_field(section["field"], label)
+    try:
+        ring = PolyRing(field, _split_list(section["vars"]), GREVLEX)
+    except CartierlabError as exc:
+        raise InputError(f"[{label}] vars: {exc}") from None
     relations = []
     for text in _split_list(section.get("relations", "")):
         try:
@@ -164,6 +169,9 @@ def load_extension(
         raise InputError(f"unknown sections in {path}: {sorted(unknown)}")
     a_ring, a_ideal = _parse_ring(parser["ring.A"], "ring.A")
     b_ring, b_ideal = _parse_ring(parser["ring.B"], "ring.B")
+    if a_ring.field != b_ring.field:
+        raise InputError(f"[ring.A] is over {a_ring.field.describe()} but [ring.B] over "
+                         f"{b_ring.field.describe()}: they must share a coefficient field")
     image_section = parser["map"]
     if set(image_section) != set(a_ring.variables):
         raise InputError(
@@ -209,7 +217,7 @@ def load_ring(path: str, description: ConfigParser | None = None) -> FiniteAlgeb
     if parser.sections() != ["ring"]:
         raise InputError(f"{path} must contain exactly the [ring] section")
     ring, ideal = _parse_ring(parser["ring"], "ring")
-    return quotient_algebra(ring, ideal)
+    return FiniteAlgebra(ring, ideal)
 
 
 def detect_kind(path: str, description: ConfigParser | None = None) -> str:

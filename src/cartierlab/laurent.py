@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .artinian import (
     FiniteAlgebra,
-    component_count,
     idempotent_decomposition,
     reduced_algebra,
 )
@@ -52,9 +51,6 @@ class LaurentElement:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def coefficient(self, n: int):
         return self.coeffs.get(n, self.base.zero())
@@ -266,11 +262,6 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
             elif not red.is_zero_elem(red.from_poly(base.to_poly(c))):
                 raise CertificateFailure("tail coefficient is not nilpotent")
     return result
-
-
-def lu_rank(base: FiniteAlgebra):
-    """Rank of the unit-group deviation: the number of components."""
-    return component_count(base)
 
 
 # -- parsing -----------------------------------------------------------------------

@@ -15,12 +15,9 @@ from .groebner import (
     colon,
     default_pair_budget,
     eliminate,
-    groebner,
     ideal_equals,
-    ideal_product,
     ideal_sum,
     intersect,
-    normal_form,
     reduce_poly,
     set_default_pair_budget,
 )
@@ -45,12 +42,9 @@ __all__ = [
     "colon",
     "default_pair_budget",
     "eliminate",
-    "groebner",
     "ideal_equals",
-    "ideal_product",
     "ideal_sum",
     "intersect",
-    "normal_form",
     "parse_polynomial",
     "reduce_poly",
     "set_default_pair_budget",

@@ -1,7 +1,12 @@
 """Univariate factorization over the supported coefficient fields.
 
-Over QQ: rational roots plus a Kronecker-style bounded factor search, capped
-at degree 8 (a cap hit raises FactorSearchLimit, never a wrong answer).
+Over QQ: Zassenhaus (J. Number Theory 1 (1969); von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 15-16) on the F_p code below. The squarefree
+input is made primitive over Z and factored modulo the first prime that
+keeps it squarefree of full degree; the factors are Hensel-lifted to p^k
+above twice the leading coefficient times the Mignotte bound, and products of
+subsets of them are tried by division over Z. The answer is exact; past
+_RECOMBINATION_CAP subsets FactorSearchLimit is raised, never a wrong answer.
 Over F_p: Cantor-Zassenhaus with a seeded deterministic random stream, on
 the plain coefficient ints of PrimeField. One kernel multiplies modulo a
 monic polynomial: it sums the products as ints and reduces each coefficient
@@ -19,6 +24,7 @@ quadratics via a discriminant square test; anything else hits the cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -33,9 +39,7 @@ from .fields import (
     SimpleExtensionField,
 )
 
-QQ_DEGREE_CAP = 8
-_KRONECKER_COMBO_CAP = 200_000
-_DIVISOR_VALUE_CAP = 10**12
+_RECOMBINATION_CAP = 1 << 16  # subsets of modular factors tried over QQ
 
 _CZ_SEED = 0xC247
 
@@ -65,10 +69,10 @@ def squarefree_factors(field: Field, p: tuple) -> list[tuple]:
 
 
 def verify_irreducible(field: Field, p: tuple) -> None:
-    """Raise if p is detected to be reducible.
+    """Raise if p is reducible or has a repeated factor.
 
-    Complete over prime fields; over QQ a search cap means the claim is
-    accepted after the verification attempt.
+    Exact over prime fields, and over QQ below the recombination cap; an
+    input past that cap is accepted after the attempt.
     """
     if up.udeg(p) < 1:
         raise CartierlabError("a constant is not irreducible")
@@ -88,136 +92,123 @@ def verify_irreducible(field: Field, p: tuple) -> None:
 
 
 def _to_integer_poly(p: tuple) -> list[int]:
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    """The primitive integer multiple of a nonzero p."""
+    denom = math.lcm(*(c.denominator for c in p))
     ints = [int(c * denom) for c in p]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    return [c // content for c in ints] if content else ints
-
-
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        raise FactorSearchLimit("divisor enumeration of zero")
-    if n > _DIVISOR_VALUE_CAP:
-        raise FactorSearchLimit(f"value too large for divisor enumeration: {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _eval_int(p: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _rational_roots(p: list[int]) -> list:
-    roots = []
-    work = list(p)
-    while work and work[0] == 0:
-        roots.append(QQ.zero())
-        work = work[1:]
-        break  # multiplicities do not matter for squarefree inputs
-    if len(work) <= 1:
-        return roots
-    for num in _int_divisors(work[0]) if work[0] else [0]:
-        for den in _int_divisors(work[-1]):
-            for cand in (QQ.div(num, den), QQ.div(-num, den)):
-                total = 0
-                for c in reversed(work):
-                    total = total * cand + c
-                if total == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
-
-
-def _lagrange(points: list[tuple[int, int]]) -> tuple:
-    result: tuple = ()
-    for i, (xi, yi) in enumerate(points):
-        term: tuple = (QQ.from_int(yi),)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = up.umul(QQ, term, (QQ.div(-xj, xi - xj), QQ.inv(xi - xj)))
-        result = up.uadd(QQ, result, term)
-    return result
-
-
-def _kronecker_factor(p: list[int]) -> tuple | None:
-    """Search a nontrivial factor of a squarefree primitive integer poly."""
-    deg = len(p) - 1
-    qpoly = tuple(QQ.from_int(c) for c in p)
-    xs = [0]
-    k = 1
-    while len(xs) < deg // 2 + 1:
-        xs.extend([k, -k])
-        k += 1
-    for d in range(2, deg // 2 + 1):
-        pts = xs[: d + 1]
-        divisor_lists = []
-        for idx, x in enumerate(pts):
-            v = _eval_int(p, x)
-            divisors = _int_divisors(v)
-            if idx == 0:
-                divisor_lists.append(divisors)  # sign fixed on the first point
-            else:
-                divisor_lists.append([w for dd in divisors for w in (dd, -dd)])
-        combos = 1
-        for lst in divisor_lists:
-            combos *= len(lst)
-        if combos > _KRONECKER_COMBO_CAP:
-            raise FactorSearchLimit(
-                f"Kronecker search would need {combos} combinations"
-            )
-        stack = [[]]
-        for lst in divisor_lists:
-            stack = [acc + [w] for acc in stack for w in lst]
-        for values in stack:
-            cand = _lagrange(list(zip(pts, values)))
-            if up.udeg(cand) != d:
-                continue
-            quo, rem = up.udivmod(QQ, qpoly, cand)
-            if not rem and up.udeg(quo) >= 1:
-                return cand
-    return None
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
 
 def _factor_qq(sq: tuple) -> list[tuple]:
-    """Irreducible monic factors of a squarefree monic polynomial over QQ."""
-    factors: list[tuple] = []
-    work = sq
-    for root in _rational_roots(_to_integer_poly(work)):
-        lin = (QQ.neg(root), QQ.one())
-        quo, rem = up.udivmod(QQ, work, lin)
-        if not rem:
-            factors.append(lin)
-            work = quo
-    while up.udeg(work) >= 1:
-        if up.udeg(work) == 1:
-            factors.append(up.umonic(QQ, work))
-            break
-        if up.udeg(work) > QQ_DEGREE_CAP:
-            raise FactorSearchLimit(
-                f"factor search over QQ capped at degree {QQ_DEGREE_CAP}"
-            )
-        found = _kronecker_factor(_to_integer_poly(work))
-        if found is None:
-            factors.append(up.umonic(QQ, work))
-            break
-        factors.append(up.umonic(QQ, found))
-        work = up.udivmod(QQ, work, found)[0]
-    return factors
+    """Irreducible monic factors of a squarefree monic polynomial over QQ, by
+    Zassenhaus: factor modulo a prime, Hensel-lift, recombine over Z."""
+    if up.udeg(sq) == 1:
+        return [sq]
+    if not sq[0]:  # x divides sq once
+        return [(0, 1)] + _factor_qq(sq[1:])
+    f = _to_integer_poly(sq)
+    field, fp = _good_reduction(f)
+    factors = _factor_fp(field, fp)
+    if len(factors) == 1:
+        return [sq]
+    # a proper factor g of f has degree at most m = deg f - 1, so its
+    # coefficients are at most binomial(m, m/2) ||f||_2 (Mignotte); the candidates are
+    # lc(f)/lc(g) * g, so modulo q above twice their bound the symmetric
+    # residues are the integers themselves
+    m = len(f) - 2
+    bound = 2 * abs(f[-1]) * math.comb(m, m // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
+    q, lifted = _hensel_lift(field, f, factors, bound)
+    return [up.umonic(QQ, g) for g in _recombine(tuple(f), lifted, q)]
+
+
+def _good_reduction(f: list[int]):
+    """(F_p, monic f mod p) for the first prime p that does not divide the
+    leading coefficient of f and keeps f squarefree; only finitely many
+    primes divide the leading coefficient or the discriminant."""
+    for p in itertools.count(2):
+        if f[-1] % p == 0 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        field = PrimeField(p)
+        fp = up.umonic(field, up.utrim(field, [c % p for c in f]))
+        if up.udeg(up.ugcd(field, fp, up.uderiv(field, fp))) == 0:
+            return field, fp
+
+
+def _product_mod(a: list, b: list, q: int) -> list:
+    """a*b over Z/q, for integer coefficient lists."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, i):
+            prod[k] += x * y
+    return [c % q for c in prod]
+
+
+def _hensel_lift(field: PrimeField, f: list[int], factors: list[tuple], bound: int):
+    """(q, lifted): q = p^k > bound and monic lifts of the factors of f mod p
+    with f = lc(f) * prod(lifted) mod q. Each step from p^j to p^(j+1) adds
+    p^j * (s_i e mod g_i) to g_i, where e = (f/lc - prod)/p^j and
+    sum_i s_i f/g_i = 1 mod p, which holds for s_i = (f/g_i)^(-1) mod g_i."""
+    p = q = field.p
+    while q <= bound:
+        q *= p
+    target = [c * pow(f[-1], -1, q) % q for c in f]  # f/lc(f) mod q
+    inverses = []
+    for g in factors:  # in the field F_p[x]/(g) of p^deg(g) elements, c^-1 = c^(p^deg(g) - 2)
+        cofactor = (1,)
+        for h in factors:
+            if h is not g:
+                cofactor = _mulmod(cofactor, h, g, p)
+        inverses.append(_powmod(cofactor, p ** (len(g) - 1) - 2, g, p))
+    lifted = [list(g) for g in factors]
+    pj = p
+    while pj < q:
+        prod = [1]
+        for g in lifted:
+            prod = _product_mod(prod, g, pj * p)
+        e = [(t - c) % (pj * p) // pj for t, c in zip(target, prod)]
+        while e and not e[-1]:
+            e.pop()
+        for g, s, g0 in zip(lifted, inverses, factors):
+            for i, c in enumerate(_mulmod(s, tuple(e), g0, p)):
+                g[i] += pj * c
+        pj *= p
+    return q, lifted
+
+
+def _recombine(f: tuple, lifted: list[list], q: int) -> list[tuple]:
+    """The irreducible factors of f over Z, from its monic factors mod q:
+    the products of the subsets of s factors, s = 1, 2, ..., times lc(f) and
+    taken symmetrically mod q, are tried by division. A factor found leaves
+    the rest of f and its factors, whose subsets are tried from the same s."""
+    found = []
+    s = tried = 0
+    while 2 * (s + 1) <= len(lifted):
+        s += 1
+        for subset in itertools.combinations(range(len(lifted)), s):
+            tried += 1
+            if tried > _RECOMBINATION_CAP:
+                raise FactorSearchLimit(
+                    f"factor recombination over QQ capped at {_RECOMBINATION_CAP} subsets")
+            c0 = f[-1]
+            for i in subset:  # the constant term first: it must divide lc(f) f(0)
+                c0 = c0 * lifted[i][0] % q
+            c0 -= q if 2 * c0 > q else 0
+            if not c0 or f[-1] * f[0] % c0:
+                continue
+            g = [f[-1]]
+            for i in subset:
+                g = _product_mod(g, lifted[i], q)
+            g = [c - q if 2 * c > q else c for c in g]
+            content = math.gcd(*g)
+            g = tuple(c // content for c in g)
+            quo, rem = up.udivmod(QQ, f, g)
+            if not rem:  # g is primitive, so quo is integral (Gauss)
+                found.append(g)
+                f = quo
+                lifted = [h for i, h in enumerate(lifted) if i not in subset]
+                s -= 1
+                break
+    return found + [f]
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,8 @@ class PrimeField(Field):
 class SimpleExtensionField(Field):
     """base[g]/(m(g)) for a monic irreducible m; elements are coefficient tuples.
 
-    Irreducibility is decided exactly over prime fields; over QQ the factor
-    search is attempted and construction fails only when a factor is found.
+    Irreducibility of m is decided exactly over prime fields, and over QQ
+    below the factorizer's recombination cap; past that cap m is accepted.
     """
 
     def __init__(self, base: Field, min_poly: tuple, generator: str = "g"):

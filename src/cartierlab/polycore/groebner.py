@@ -259,16 +259,6 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def groebner(ideal: Ideal) -> tuple[Polynomial, ...]:
-    """The reduced monic basis of the ideal (cached on the ideal)."""
-    return ideal.groebner()
-
-
-def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
-    """The unique remainder of f against the reduced basis."""
-    return ideal.normal_form(f)
-
-
 def ideal_equals(i1: Ideal, i2: Ideal) -> bool:
     if i1.ring != i2.ring:
         raise CartierlabError("ideals live in different rings")
@@ -279,11 +269,6 @@ def ideal_equals(i1: Ideal, i2: Ideal) -> bool:
 
 def ideal_sum(i1: Ideal, i2: Ideal) -> Ideal:
     return Ideal(i1.ring, list(i1.generators) + list(i2.generators))
-
-
-def ideal_product(i1: Ideal, i2: Ideal) -> Ideal:
-    gens = [f * g for f in i1.generators for g in i2.generators]
-    return Ideal(i1.ring, gens)
 
 
 def eliminate(ideal: Ideal, names, target_ring: PolyRing | None = None) -> Ideal:

@@ -3,7 +3,7 @@
 Runs `cartierlab.cli.main` in process: `check`, `li`, `stalks --generic`,
 `seminormal --bound 3` and `anodal --bound 2` on every `.ext` and
 `.rankdata` file of the corpus, each in text and with `--json`, plus `units`
-on both `.ring` files and `terms`. It prints one line: the number of calls
+on both `.ring` files, `terms` and `corpus`. It prints one line: the number of calls
 and a sha256 over each call's argv, exit code, stdout and stderr, with the
 corpus directory written as `<corpus>`. Two checkouts that print the same
 line give byte-identical reports on all of these calls.
@@ -43,6 +43,7 @@ def corpus_argvs(corpus: str) -> list[list[str]]:
     base += [["units", "--base", os.path.join(corpus, ring), "--laurent", laurent]
              for ring, laurent in UNITS]
     base += [["terms", "--n", n] for n in TERMS]
+    base.append(["corpus"])
     return [argv + fmt for argv in base for fmt in ([], ["--json"])]
 
 

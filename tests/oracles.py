@@ -231,10 +231,10 @@ def seminormal_by_exhaustive_scan(ext):
     it. A is the span of the unital subalgebra its images generate in B's
     algebra; the caller keeps p^dim B small.
     """
-    from cartierlab.artinian import quotient_algebra
+    from cartierlab.artinian import FiniteAlgebra
     from cartierlab.polycore.linalg import in_span, rref
 
-    alg = quotient_algebra(ext.b_ring, ext.b_ideal)
+    alg = FiniteAlgebra(ext.b_ring, ext.b_ideal)
     field = alg.field
     gens = [alg.from_poly(ext.substitute(ext.a_ring.variable(v)))
             for v in ext.a_ring.variables]

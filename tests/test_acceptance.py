@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import brute_idempotent_count
-from cartierlab.artinian import component_count, quotient_algebra
+from cartierlab.artinian import FiniteAlgebra, component_count
 from cartierlab.cartier import (
     decomposition_terms,
     li_auto,
@@ -189,7 +189,7 @@ def test_criterion_8b_idempotent_oracle():
                 poly = poly + ring.monomial((i,), f5.from_int(c))
         if poly.total_degree() < 1:
             continue
-        alg = quotient_algebra(ring, Ideal(ring, [poly]))
+        alg = FiniteAlgebra(ring, Ideal(ring, [poly]))
         if alg.dim > 4:
             continue
         count = component_count(alg)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from oracles import brute_idempotent_count, per_vector_first_dependence
 from cartierlab import artinian
 from cartierlab.artinian import (
+    FiniteAlgebra,
     component_count,
     components_over_subring,
     idempotent_decomposition,
@@ -17,8 +19,8 @@ from cartierlab.artinian import (
     minimal_polynomial,
     nilradical_span,
     primitive_element_presentation,
-    quotient_algebra,
     radical_generators,
+    reduced_algebra,
 )
 from cartierlab.errors import (
     NotFiniteOverSubring,
@@ -42,7 +44,7 @@ from cartierlab.polycore.linalg import first_dependence
 
 def algebra(field, variables, texts):
     ring = PolyRing(field, variables, GREVLEX)
-    return quotient_algebra(ring, Ideal(ring, [parse_polynomial(t, ring) for t in texts]))
+    return FiniteAlgebra(ring, Ideal(ring, [parse_polynomial(t, ring) for t in texts]))
 
 
 def test_staircase_bases():
@@ -59,7 +61,7 @@ def test_staircase_bases():
 def test_not_zero_dimensional_names_variable():
     ring = PolyRing(QQ, ["x", "y"], GREVLEX)
     with pytest.raises(NotZeroDimensional) as err:
-        quotient_algebra(ring, Ideal(ring, [parse_polynomial("x^2", ring)]))
+        FiniteAlgebra(ring, Ideal(ring, [parse_polynomial("x^2", ring)]))
     assert err.value.variable == "y"
 
 
@@ -154,7 +156,7 @@ def test_component_count_against_f5_enumeration():
                 poly = poly + ring.monomial((i,), f5.from_int(c))
         if poly.total_degree() < 1:
             continue
-        alg = quotient_algebra(ring, Ideal(ring, [poly]))
+        alg = FiniteAlgebra(ring, Ideal(ring, [poly]))
         if alg.dim > 4:
             continue
         count = component_count(alg)
@@ -288,7 +290,7 @@ def _random_bivariate(rng, p):
     gens = [f, g]
     if rng.random() < 0.3:
         gens.append(_random_poly(rng, ring, p, [(1, 1), (0, 1), (1, 0), (0, 0)]))
-    return quotient_algebra(ring, Ideal(ring, gens))
+    return FiniteAlgebra(ring, Ideal(ring, gens))
 
 
 def test_bivariate_counts_over_f2_f3_match_enumeration(frobenius_calls):
@@ -338,8 +340,8 @@ def test_small_prime_fields(p, relations, count, frobenius, frobenius_calls):
     (QQ, ["x", "y"], ["(x^2 - 2)^2", "y^2 + 1"], 1),  # QQ(sqrt 2, i)
     (QQ, ["x", "y", "z"], ["x^2", "y^2 - y", "z^2 - 2"], 2),
     # four fields of degree 4 or 2: the primitive element x + y has a minimal
-    # polynomial of degree 12, above the QQ factor cap, so it is factored in
-    # the pieces the factors of x and y cut it into
+    # polynomial of degree 12, which is factored in the pieces the factors
+    # of x and y cut it into
     (QQ, ["x", "y"], ["(x^2 - 2)*(x^2 - 3)", "(y^2 - 5)*(y - 1)"], 4),
     (QQ, ["x", "y"], ["x^2 - 2", "(y - x)^3"], 1),
     # 32003 = 3 mod 4, so x^2 + 1 is irreducible
@@ -353,6 +355,51 @@ def test_counts_known_by_construction(field, variables, relations, count, froben
     assert_primitive_idempotents(alg, count)
     assert is_field_algebra(alg) is (count == 1 and is_reduced(alg))
     assert not frobenius_calls
+
+
+@pytest.mark.parametrize("relations, count", [
+    (["x^6 - 2", "y^2 - 2"], 2),  # sqrt 2 = (2^(1/6))^3 lies in QQ(2^(1/6))
+    (["x^3 - 2", "y^3 - 3"], 1),  # QQ(2^(1/3), 3^(1/3)) has degree 9
+    (["x^4 - 2", "y^2 + 1"], 1),  # QQ(2^(1/4), i) has degree 8
+])
+def test_counts_of_number_field_products(relations, count):
+    alg = algebra(QQ, ["x", "y"], relations)
+    start = time.perf_counter()
+    assert component_count(alg) == count
+    assert time.perf_counter() - start < 1
+
+
+def test_squarefree_parts_are_computed_once_per_algebra(monkeypatch):
+    from cartierlab.cartier import _artinian_maximal_ideals
+    from cartierlab.extensions import ExtensionPresentation
+
+    calls = []
+    original = up.usquarefree_part
+
+    def recording(field, p):
+        calls.append(p)
+        return original(field, p)
+
+    monkeypatch.setattr(up, "usquarefree_part", recording)
+    # x is primitive in the first, nothing is primitive in the second
+    for relations in (["(x^2 - 2)^2", "y - x^2"], ["x^2*(x - 1)", "y^2 - 1", "x*y - x"]):
+        alg = algebra(QQ, ["x", "y"], relations)
+        count = component_count(alg)
+        calls.clear()
+        radical_generators(alg)
+        reduced_algebra(alg)
+        assert is_field_algebra(alg) is False
+        nilradical_span(alg)
+        assert component_count(alg) == count
+        assert idempotent_decomposition(alg).count == count
+        assert calls == []
+        # the maximal ideals of a fresh copy take the squarefree parts of its count only
+        component_count(algebra(QQ, ["x", "y"], relations))
+        counted, calls[:] = list(calls), []
+        ext = ExtensionPresentation(alg.ring, alg.ideal, alg.ring, alg.ideal,
+                                    {v: alg.ring.variable(v) for v in alg.ring.variables})
+        assert len(_artinian_maximal_ideals(ext)) == count
+        assert calls == counted
 
 
 def test_variable_minimal_polynomials_are_computed_once(monkeypatch):
@@ -446,8 +493,8 @@ def test_staircase_is_shared_by_algebras_and_spanning_monomials():
     assert artinian.staircase(leading, ring.variables, ring.order.key) == [
         (0, 0), (0, 1), (1, 0), (0, 2),
     ]
-    alg = quotient_algebra(ring, Ideal(ring, [parse_polynomial(t, ring)
-                                              for t in ("x^2", "x*y", "y^3")]))
+    alg = FiniteAlgebra(ring, Ideal(ring, [parse_polynomial(t, ring)
+                                           for t in ("x^2", "x*y", "y^3")]))
     assert alg.basis == ((0, 0), (0, 1), (1, 0), (0, 2))
     with pytest.raises(NotZeroDimensional) as info:
         artinian.staircase([(2, 0), (1, 1)], ring.variables, ring.order.key)
@@ -475,14 +522,14 @@ def test_counts_over_an_imperfect_function_field():
     ring = PolyRing(PrimeField(3), ["y", "x"], GREVLEX)
     # y^3 - x over F_3(x): x has no cube root, so no radical is computed
     work, ideal = move_variable_to_field(ring, Ideal(ring, [parse_polynomial("y^3 - x", ring)]), "x")
-    alg = quotient_algebra(work, ideal)
+    alg = FiniteAlgebra(work, ideal)
     assert component_count(alg) is UNKNOWN
     assert is_field_algebra(alg) is UNKNOWN
     with pytest.raises(RadicalUnavailable, match="x is not a p-th power in FP\\(3\\)\\(x\\)"):
         radical_generators(alg)
     # (y - x)^3 = y^3 - x^3 is a cube: one component, certified
     work, ideal = move_variable_to_field(ring, Ideal(ring, [parse_polynomial("y^3 - x^3", ring)]), "x")
-    alg = quotient_algebra(work, ideal)
+    alg = FiniteAlgebra(work, ideal)
     assert component_count(alg) == 1
     assert [str(g) for g in radical_generators(alg)] == ["y + 2*x"]  # y - x over F_3
 

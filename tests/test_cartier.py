@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from cartierlab import artinian
-from cartierlab.artinian import quotient_algebra
+from cartierlab.artinian import FiniteAlgebra
 from cartierlab.cartier import (
     LIResult,
     RankData,
@@ -217,6 +217,17 @@ def test_hensel_local_examples():
         li_hensel_local(node_extension())
 
 
+def test_hensel_local_refuses_a_source_it_cannot_certify_connected(monkeypatch):
+    from cartierlab import cartier
+
+    split = build(["e"], ["e^2 - e"], ["e", "u"], ["e^2 - e", "u^2 - u"], {"e": "e"})
+    with pytest.raises(NotArtinianLocal, match="^source has 2 components, so it is not local$"):
+        li_hensel_local(split)
+    monkeypatch.setattr(cartier, "component_count", lambda alg, reasons=None: UNKNOWN)
+    with pytest.raises(NotArtinianLocal, match="^could not certify the source is connected$"):
+        li_hensel_local(split)
+
+
 def test_conductor_square_node_and_cusp():
     node = li_conductor_square(node_extension())
     assert node.rank == 1
@@ -270,7 +281,7 @@ def test_li_auto_routes():
 def test_reduce_red_nilpotent_toy():
     ext = build([], [], ["u"], ["u^2"], {})
     reduced = li_reduce_red(ext)
-    alg = quotient_algebra(reduced.b_ring, reduced.b_ideal)
+    alg = FiniteAlgebra(reduced.b_ring, reduced.b_ideal)
     assert alg.dim == 1
     assert li_auto(reduced).rank == 0
     # reduced input comes back unchanged
@@ -422,7 +433,7 @@ def _random_artinian_pair(rng, p):
     if rng.random() < 0.5:
         images = [combination(box) for _ in range(rng.randint(0, 2))]
     else:
-        alg = quotient_algebra(b_ring, b_ideal)
+        alg = FiniteAlgebra(b_ring, b_ideal)
         images = [alg.to_poly(v) for v in nilradical_span(alg)]
         images += [combination([e for e in box if e[1] == 0]) for _ in range(rng.randint(0, 1))]
     a_ring = PolyRing(field, [f"a{i}" for i in range(len(images))], GREVLEX)
@@ -446,7 +457,7 @@ def test_ni_matches_the_exhaustive_scan_over_small_prime_fields():
         assert verdict.status == ("Zero" if scan is True else "NonZero"), ext.describe()
         if scan is not True:
             assert not ext.contains(verdict.witness).member
-        nilpotent = bool(nilradical_span(quotient_algebra(ext.b_ring, ext.b_ideal)))
+        nilpotent = bool(nilradical_span(FiniteAlgebra(ext.b_ring, ext.b_ideal)))
         seen[verdict.status, nilpotent, ext.is_identity_onto()] += 1
     # the cases the scan used to settle: nilpotents inside A, A not all of B
     assert seen["Zero", True, False] >= 5

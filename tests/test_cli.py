@@ -46,6 +46,63 @@ def test_check_fails_on_kernel(capsys, tmp_path):
     assert "injectivity" in out
 
 
+def _two_rings(a_field, b_field, a_vars="x"):
+    return (f"[ring.A]\nfield = {a_field}\nvars = {a_vars}\n\n"
+            f"[ring.B]\nfield = {b_field}\nvars = t\n\n[map]\nx = t^2\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (_two_rings("FP(4)", "FP(4)"), "[ring.A] field: prime field modulus is not prime: 4"),
+    (_two_rings("FP(2147483659)", "FP(2147483659)"),
+     "[ring.A] field: prime field modulus out of range: 2147483659"),
+    (_two_rings("QQ", "QQ", a_vars="x, x"), "[ring.A] vars: duplicate variable 'x'"),
+    (_two_rings("QQ", "FP(5)"),
+     "[ring.A] is over QQ but [ring.B] over FP(5): they must share a coefficient field"),
+], ids=["composite-modulus", "modulus-out-of-range", "duplicate-variable", "mixed-fields"])
+def test_malformed_ring_section_is_input_error(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.ext"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+IDEMPOTENT_SOURCE = (
+    "[ring.A]\nfield = QQ\nvars = e\nrelations = e^2 - e\n\n"
+    "[ring.B]\nfield = QQ\nvars = e, u\nrelations = e^2 - e, u^2 - u\n\n[map]\ne = e\n"
+)
+
+
+def test_hensel_route_refuses_a_source_that_is_not_local(capsys, tmp_path):
+    path = tmp_path / "idempotent.ext"
+    path.write_text(IDEMPOTENT_SOURCE)
+    code, out, _ = run_cli(capsys, "li", str(path), "--method", "hensel", "--json")
+    assert code == 0
+    result = json.loads(out)["results"][0]
+    assert (result["rank"], result["method"]) == ("unknown", "HenselLocalFormula")
+    assert result["certificate"] == {"reason": "source has 2 components, so it is not local"}
+    code, out, _ = run_cli(capsys, "li", str(path), "--json")
+    assert code == 0
+    result = json.loads(out)["results"][0]
+    assert (result["rank"], result["method"]) == (2, "FiveTermSequence")
+    assert (result["certificate"]["c_A"], result["certificate"]["c_B"]) == (2, 4)
+
+
+def test_corpus_text_report(capsys):
+    code, out, err = run_cli(capsys, "corpus")
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "cartierlab 0.1.0 :: corpus"
+    code, json_out, _ = run_cli(capsys, "corpus", "--json")
+    assert code == 0 and len(rows) == len(json.loads(json_out)["results"])
+    row = re.compile(r"(pass|fail)  [^:]+: .+ \(expected .+, got .+\)(  \[.+\])?")
+    assert [line for line in rows if not row.fullmatch(line)] == []
+    assert rows[0] == "pass  node.ext: li rank (expected 1, got 1)"
+    noted = [line for line in rows if line.startswith("pass  family_split.ext: li rank")]
+    assert noted == ["pass  family_split.ext: li rank without hints (expected 'unknown', "
+                     "got 'unknown')  [recorded literature value: 0 (not certified by this "
+                     "toolkit)]"]
+
+
 def test_unknown_key_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.ext"
     bad.write_text(

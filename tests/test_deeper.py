@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartierlab.artinian import component_count, quotient_algebra
+from cartierlab.artinian import FiniteAlgebra, component_count
 from cartierlab.cartier import li_auto, li_conductor_square, li_hensel_local, stalk_rank
 from cartierlab.errors import CartierlabError, ZeroRingError
 from cartierlab.extensions import ExtensionPresentation, Hints
@@ -82,7 +82,7 @@ def test_hensel_route_with_nilpotent_lifting():
     )
     result = li_hensel_local(ext)
     assert result.rank == 1
-    alg = quotient_algebra(ext.b_ring, ext.b_ideal)
+    alg = FiniteAlgebra(ext.b_ring, ext.b_ideal)
     assert alg.dim == 4
     assert component_count(alg) == 2
 
@@ -115,7 +115,7 @@ def test_eliminate_everything_and_unit_ideal():
 def test_quotient_by_unit_ideal_is_zero_ring():
     ring = PolyRing(QQ, ["x"], GREVLEX)
     with pytest.raises(ZeroRingError):
-        quotient_algebra(ring, Ideal(ring, [parse_polynomial("1", ring)]))
+        FiniteAlgebra(ring, Ideal(ring, [parse_polynomial("1", ring)]))
 
 
 def test_groebner_over_extension_field_coefficients():
@@ -125,7 +125,7 @@ def test_groebner_over_extension_field_coefficients():
     ring = PolyRing(gauss, ["x"], GREVLEX)
     # x^2 + 1 factors over QQ(i): the quotient splits into two components
     ideal = Ideal(ring, [parse_polynomial("x^2 + 1", ring)])
-    alg = quotient_algebra(ring, ideal)
+    alg = FiniteAlgebra(ring, ideal)
     assert alg.dim == 2
     # x is primitive with minimal polynomial z^2 + 1 = (z - i)(z + i), but
     # there is no factor search over simple extensions beyond degree 1, so

@@ -281,16 +281,16 @@ def test_unit_conductor_needs_the_images_to_generate_the_target():
 
 
 def test_reduce_mod_conductor_node_and_cusp():
-    from cartierlab.artinian import quotient_algebra
+    from cartierlab.artinian import FiniteAlgebra
 
     node = reduce_mod_conductor(node_extension())
-    a_alg = quotient_algebra(node.a_ring, node.a_ideal)
-    b_alg = quotient_algebra(node.b_ring, node.b_ideal)
+    a_alg = FiniteAlgebra(node.a_ring, node.a_ideal)
+    b_alg = FiniteAlgebra(node.b_ring, node.b_ideal)
     assert a_alg.dim == 1 and b_alg.dim == 2
 
     cusp = reduce_mod_conductor(cusp_extension())
-    assert quotient_algebra(cusp.a_ring, cusp.a_ideal).dim == 1
-    b_alg = quotient_algebra(cusp.b_ring, cusp.b_ideal)
+    assert FiniteAlgebra(cusp.a_ring, cusp.a_ideal).dim == 1
+    b_alg = FiniteAlgebra(cusp.b_ring, cusp.b_ideal)
     assert b_alg.dim == 2
     assert not __import__("cartierlab.artinian", fromlist=["is_reduced"]).is_reduced(b_alg)
 

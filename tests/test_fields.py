@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -173,7 +175,7 @@ def test_factor_qq_quadratics_and_roots():
     assert len(factors) == 3
     # z^2 + 1 irreducible
     assert qq_factors(qpoly(1, 0, 1)) == [qpoly(1, 0, 1)]
-    # z^4 + 1 irreducible over QQ (needs the Kronecker search)
+    # z^4 + 1 is irreducible over QQ but splits modulo every prime
     assert qq_factors(qpoly(1, 0, 0, 0, 1)) == [qpoly(1, 0, 0, 0, 1)]
     # (z^2+1)(z^2+2) has no rational roots but splits
     prod = up.umul(QQ, qpoly(1, 0, 1), qpoly(2, 0, 1))
@@ -183,11 +185,37 @@ def test_factor_qq_quadratics_and_roots():
     assert sorted(qq_factors(prod)) == [(Fraction(-1, 2), 1), (3, 1)]
 
 
-def test_factor_degree_cap():
-    # z^10 + z + 1 exceeds the rational factor-search cap after root stripping
-    coeffs = [Fraction(1), Fraction(1)] + [Fraction(0)] * 8 + [Fraction(1)]
-    with pytest.raises(FactorSearchLimit):
-        squarefree_factors(QQ, tuple(coeffs))
+def swinnerton_dyer(primes) -> tuple:
+    """The minimal polynomial of the sum of the square roots of the primes,
+    of degree 2^len(primes), which splits modulo every prime into factors of
+    degree at most 2. With f(x + sqrt(p)) = A + sqrt(p) B, each prime takes
+    f to f(x + sqrt(p)) f(x - sqrt(p)) = A^2 - p B^2."""
+    f = qpoly(0, 1)
+    for p in primes:
+        a, b = [0] * len(f), [0] * len(f)
+        for i, c in enumerate(f):
+            for j in range(i + 1):  # c x^(i-j) sqrt(p)^j, from c (x + sqrt(p))^i
+                (b if j % 2 else a)[i - j] += c * math.comb(i, j) * p ** (j // 2)
+        a, b = up.utrim(QQ, a), up.utrim(QQ, b)
+        f = up.usub(QQ, up.umul(QQ, a, a), up.uscale(QQ, p, up.umul(QQ, b, b)))
+    return f
+
+
+def test_factor_recombination_cap():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    # z^10 + z + 1 = (z^2 + z + 1)(z^8 - z^7 + z^5 - z^4 + z^3 - z + 1)
+    _, pairs = sympy.factor_list(z**10 + z + 1)
+    expected = sorted(tuple(int(c) for c in reversed(sympy.Poly(f, z).all_coeffs()))
+                      for f, _ in pairs)
+    assert squarefree_factors(QQ, qpoly(1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)) == expected
+    # sqrt 2 + ... + sqrt 7: 8 quadratic factors modulo 11, recombined in 162 subsets
+    assert squarefree_factors(QQ, swinnerton_dyer([2, 3, 5, 7])) == [swinnerton_dyer([2, 3, 5, 7])]
+    # sqrt 2 + ... + sqrt 13: its 32 modular factors have 2^31 subsets to try
+    start = time.perf_counter()
+    with pytest.raises(FactorSearchLimit, match="recombination"):
+        squarefree_factors(QQ, swinnerton_dyer([2, 3, 5, 7, 11, 13]))
+    assert time.perf_counter() - start < 10
 
 
 def test_factor_prime_field():

@@ -210,15 +210,6 @@ def test_normal_form_idempotent_on_random_probes():
         assert ideal.normal_form(nf) == nf
 
 
-def test_free_function_aliases():
-    from cartierlab.polycore import groebner, normal_form
-
-    ring = PolyRing(QQ, ["t"], GREVLEX)
-    ideal = make_ideal(ring, ["t^2 - 1"])
-    assert [str(g) for g in groebner(ideal)] == ["t^2 - 1"]
-    assert normal_form(parse_polynomial("t^3 - t", ring), ideal).is_zero()
-
-
 # -- the unchecked constructor -------------------------------------------------
 
 

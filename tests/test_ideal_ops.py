@@ -11,7 +11,6 @@ from cartierlab.polycore import (
     colon,
     eliminate,
     ideal_equals,
-    ideal_product,
     ideal_sum,
     intersect,
     parse_polynomial,
@@ -62,12 +61,10 @@ def test_eliminate_into_target_ring():
     assert [str(g) for g in result.groebner()] == ["y - 1"]
 
 
-def test_sum_and_product():
+def test_sum():
     ring = ring_xy()
     s = ideal_sum(I(ring, "x"), I(ring, "y"))
     assert ideal_equals(s, I(ring, "x", "y"))
-    p = ideal_product(I(ring, "x", "y"), I(ring, "x"))
-    assert ideal_equals(p, I(ring, "x^2", "x*y"))
 
 
 def test_node_relation_appears_in_contraction():

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from cartierlab.artinian import quotient_algebra
+from cartierlab.artinian import FiniteAlgebra, component_count
 from cartierlab.errors import ParseError
 from cartierlab.laurent import (
     LaurentElement,
     NotAUnit,
     bass_decompose,
     is_laurent_unit,
-    lu_rank,
     parse_laurent,
 )
 from cartierlab.polycore import GREVLEX, Ideal, PolyRing, QQ, parse_polynomial
@@ -20,7 +19,7 @@ from cartierlab.polycore import GREVLEX, Ideal, PolyRing, QQ, parse_polynomial
 
 def algebra(variables, texts):
     ring = PolyRing(QQ, variables, GREVLEX)
-    return quotient_algebra(ring, Ideal(ring, [parse_polynomial(t, ring) for t in texts]))
+    return FiniteAlgebra(ring, Ideal(ring, [parse_polynomial(t, ring) for t in texts]))
 
 
 BASE_QQ = algebra([], [])
@@ -87,9 +86,9 @@ def test_not_a_unit_raises():
 
 
 def test_lu_ranks():
-    assert lu_rank(BASE_QQ) == 1
-    assert lu_rank(BASE_SPLIT) == 2
-    assert lu_rank(BASE_TRIPLE) == 3
+    assert component_count(BASE_QQ) == 1
+    assert component_count(BASE_SPLIT) == 2
+    assert component_count(BASE_TRIPLE) == 3
 
 
 def _random_unit(base, rng):
