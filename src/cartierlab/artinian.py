@@ -18,8 +18,11 @@ kernel {a : a^p = a}, spanned by the primitive idempotents (Berlekamp 1967).
 The factors of the variables' minimal polynomials cut m into pieces that
 are factored one by one: over QQ and F_p the factorizer is complete below
 its one cap, while over k(v) the cut is what brings the pieces within its
-reach. Unknown is a first-class outcome: a factor cap, or a field where
-neither route applies, gives Unknown with its reason, never a guessed count.
+reach. What is factored here is squarefree already (squarefree parts, pieces
+of m, relative minimal polynomials on A_red), so it goes to
+`irreducible_factors`; a residue field is presented by its splitting's z and
+m. A factor cap, or a field where neither route applies, gives Unknown with
+its reason, never a guessed count.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     ZeroRingError,
 )
 from .polycore import unipoly as up
-from .polycore.factor import squarefree_factors
+from .polycore.factor import irreducible_factors
 from .polycore.fields import PrimeField, RationalField, RationalFunctionField
 from .polycore.groebner import Ideal, colon, ideal_sum
 from .polycore.linalg import express_in_span, first_dependence, kernel_basis, rref
@@ -342,7 +345,7 @@ def _frobenius_kernel(alg: FiniteAlgebra) -> tuple:
 
 def _factors(field, m: tuple) -> tuple:
     try:
-        return tuple(squarefree_factors(field, m))
+        return tuple(irreducible_factors(field, m))
     except FactorSearchLimit as exc:
         raise ProbeExhausted(f"a factor search hit its cap: {exc}") from None
 
@@ -375,7 +378,7 @@ def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
         if up.udeg(mi) < 2 or x == z:
             continue
         try:
-            factors = squarefree_factors(field, sq)
+            factors = irreducible_factors(field, sq)
         except FactorSearchLimit:
             continue  # this variable cuts nothing
         if len(factors) == 1:
@@ -568,17 +571,24 @@ def nilradical_span(alg: FiniteAlgebra) -> list[tuple]:
 def primitive_element_presentation(alg: FiniteAlgebra):
     """Present a field algebra as the base field or a simple extension.
 
-    Returns a Field, or None when no candidate is primitive.
+    The splitting holds z and its minimal polynomial m, the single factor;
+    only a Frobenius kernel (small F_p) has no z, and there the search runs.
+    Returns a Field, or None when no candidate is primitive or m is past the
+    factor search.
     """
     from .polycore.fields import SimpleExtensionField
 
     if alg.dim == 1:
         return alg.field
     name = fresh_name("g", set(alg.ring.variables) | set(alg.field.symbol_names()))
-    found = _primitive_element(alg)
+    split = _splitting(alg)
+    found = _primitive_element(alg) if split.element is None else (split.element, *split.factors)
     if found is None:
         return None
-    return SimpleExtensionField(alg.field, found[1], generator=name)
+    try:
+        return SimpleExtensionField(alg.field, found[1], generator=name)
+    except FactorSearchLimit:
+        return None
 
 
 # -- fibers that are finite over a polynomial subring ---------------------------

@@ -1,5 +1,7 @@
 """Univariate factorization over the supported coefficient fields.
 
+Callers pass `irreducible_factors` a monic squarefree input, as every caller
+in the library holds one; `squarefree_factors` takes the squarefree part once.
 Over QQ: Zassenhaus (J. Number Theory 1 (1969); von zur Gathen and Gerhard,
 Modern Computer Algebra, ch. 15-16) on the F_p code below. The squarefree
 input is made primitive over Z and factored modulo the first prime that
@@ -37,6 +39,7 @@ from .fields import (
     RationalField,
     RationalFunctionField,
     SimpleExtensionField,
+    _is_prime,
 )
 
 _RECOMBINATION_CAP = 1 << 16  # subsets of modular factors tried over QQ
@@ -50,7 +53,12 @@ def squarefree_factors(field: Field, p: tuple) -> list[tuple]:
     Raises FactorSearchLimit when the search cannot be completed; the caller
     must then report Unknown rather than a count.
     """
-    sq = up.usquarefree_part(field, p)
+    return irreducible_factors(field, up.usquarefree_part(field, p))
+
+
+def irreducible_factors(field: Field, sq: tuple) -> list[tuple]:
+    """The monic irreducible factors of a monic squarefree sq, sorted over QQ
+    and F_p. Raises FactorSearchLimit as `squarefree_factors` does."""
     if up.udeg(sq) <= 0:
         return []
     if isinstance(field, RationalField):
@@ -61,7 +69,7 @@ def squarefree_factors(field: Field, p: tuple) -> list[tuple]:
         return _factor_rational_functions(field, sq)
     if isinstance(field, SimpleExtensionField):
         if up.udeg(sq) == 1:
-            return [up.umonic(field, sq)]
+            return [sq]
         raise FactorSearchLimit(
             f"no factor search implemented over {field.describe()} beyond degree 1"
         )
@@ -69,21 +77,15 @@ def squarefree_factors(field: Field, p: tuple) -> list[tuple]:
 
 
 def verify_irreducible(field: Field, p: tuple) -> None:
-    """Raise if p is reducible or has a repeated factor.
-
-    Exact over prime fields, and over QQ below the recombination cap; an
-    input past that cap is accepted after the attempt.
-    """
+    """Raise CartierlabError if p is reducible or has a repeated factor, and
+    FactorSearchLimit when the factor search cannot decide: irreducibility is
+    decided or refused, never assumed."""
     if up.udeg(p) < 1:
         raise CartierlabError("a constant is not irreducible")
     sq = up.usquarefree_part(field, p)
     if up.udeg(sq) != up.udeg(p):
         raise CartierlabError("polynomial has a repeated factor")
-    try:
-        factors = squarefree_factors(field, p)
-    except FactorSearchLimit:
-        return
-    if len(factors) != 1 or up.udeg(factors[0]) != up.udeg(p):
+    if len(irreducible_factors(field, sq)) != 1:
         raise CartierlabError("polynomial is reducible")
 
 
@@ -126,7 +128,7 @@ def _good_reduction(f: list[int]):
     leading coefficient of f and keeps f squarefree; only finitely many
     primes divide the leading coefficient or the discriminant."""
     for p in itertools.count(2):
-        if f[-1] % p == 0 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if f[-1] % p == 0 or not _is_prime(p):
             continue
         field = PrimeField(p)
         fp = up.umonic(field, up.utrim(field, [c % p for c in f]))
@@ -307,12 +309,12 @@ def _equal_degree_split(field: PrimeField, f: tuple, d: int, rows: list,
     raise CartierlabError("equal-degree splitting failed to converge")  # pragma: no cover
 
 
-def _factor_fp(field: PrimeField, sq: tuple) -> list[tuple]:
-    """Cantor-Zassenhaus: distinct-degree, then equal-degree splitting, with
-    every p-th power read off one set of Frobenius rows of the input."""
+def _factor_fp(field: PrimeField, v: tuple) -> list[tuple]:
+    """Cantor-Zassenhaus on a monic squarefree v: distinct-degree, then
+    equal-degree splitting, with every p-th power read off one set of
+    Frobenius rows of the input."""
     rng = random.Random(_CZ_SEED)
     factors: list[tuple] = []
-    v = up.umonic(field, sq)
     if up.udeg(v) == 1:
         return [v]
     p = field.p
@@ -361,10 +363,9 @@ def _base_sqrt(base: Field, a):
 
 
 def _poly_sqrt(base: Field, p: tuple) -> tuple | None:
-    """Exact square root in base[v], or None."""
-    if not p:
-        return ()
-    if up.udeg(p) % 2 != 0 or base.characteristic == 2:
+    """Exact square root in base[v] of a nonzero p, or None; base has odd or
+    zero characteristic."""
+    if up.udeg(p) % 2 != 0:
         return None
     lead = _base_sqrt(base, p[-1])
     if lead is None:
@@ -390,34 +391,23 @@ def _factor_rational_functions(field: RationalFunctionField, sq: tuple) -> list[
     base = field.base
     if all(field.is_polynomial(c) and up.udeg(field.numerator(c)) <= 0 for c in sq):
         # coefficients lie in the base field: factor there and embed
-        down = tuple(
-            field.numerator(c)[0] if field.numerator(c) else base.zero() for c in sq
-        )
-        lifted = []
-        for fac in squarefree_factors(base, down):
-            lifted.append(tuple(field.from_polynomial(up.uconst(base, c)) for c in fac))
-        return lifted
-    sq = up.umonic(field, sq)
+        down = tuple(field.numerator(c)[0] if field.numerator(c) else base.zero() for c in sq)
+        return [tuple(field.from_polynomial(up.uconst(base, c)) for c in f)
+                for f in irreducible_factors(base, down)]
     if up.udeg(sq) == 1:
         return [sq]
     if up.udeg(sq) == 2:
         if field.characteristic == 2:
             raise FactorSearchLimit("quadratic split unavailable in characteristic 2")
         b, c = sq[1], sq[0]
-        disc = field.sub(field.mul(b, b), field.mul(field.from_int(4), c))
-        num, den = disc
-        sn = _poly_sqrt(base, num)
-        sd = _poly_sqrt(base, den)
+        # b^2 - 4c is nonzero, as sq is squarefree
+        num, den = field.sub(field.mul(b, b), field.mul(field.from_int(4), c))
+        sn, sd = _poly_sqrt(base, num), _poly_sqrt(base, den)
         if sn is None or sd is None:
             return [sq]  # non-square discriminant: irreducible over base(v)
         root_disc = field.make(sn, sd)
         half = field.inv(field.from_int(2))
         r1 = field.mul(field.sub(root_disc, b), half)
         r2 = field.mul(field.neg(field.add(root_disc, b)), half)
-        return [
-            (field.neg(r1), field.one()),
-            (field.neg(r2), field.one()),
-        ]
-    raise FactorSearchLimit(
-        "factor search over rational functions limited to degree 2"
-    )
+        return [(field.neg(r1), field.one()), (field.neg(r2), field.one())]
+    raise FactorSearchLimit("factor search over rational functions limited to degree 2")

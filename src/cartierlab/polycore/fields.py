@@ -260,8 +260,8 @@ class PrimeField(Field):
 class SimpleExtensionField(Field):
     """base[g]/(m(g)) for a monic irreducible m; elements are coefficient tuples.
 
-    Irreducibility of m is decided exactly over prime fields, and over QQ
-    below the factorizer's recombination cap; past that cap m is accepted.
+    Irreducibility of m is decided by the factorizer, or refused with
+    FactorSearchLimit past the limits of its searches; never assumed.
     """
 
     def __init__(self, base: Field, min_poly: tuple, generator: str = "g"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -458,6 +459,53 @@ def test_primitive_element_presentation_reuses_verify_maximal_minimal_polynomial
     field = primitive_element_presentation(residue)
     assert field.describe() == "QQ[g]/(g^2 - 2)"
     assert variable_min_polys == []
+
+
+@pytest.mark.parametrize("field, variables, relations", [
+    (QQ, ["x", "y", "z"], ["x^2 - 2", "y^2 - 3", "z - 1"]),  # z has degree 1
+    (QQ, ["x", "y"], ["x^2*(x - 1)", "y^2 - 1", "x*y - x"]),  # not reduced
+    (PrimeField(101), ["x", "y"], ["x^3 - 2", "y^2 - 3"]),
+])
+def test_component_count_takes_each_squarefree_part_once(monkeypatch, field, variables,
+                                                         relations):
+    callers = []
+    original = up.usquarefree_part
+
+    def recording(field, p):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return original(field, p)
+
+    monkeypatch.setattr(up, "usquarefree_part", recording)
+    alg = algebra(field, variables, relations)
+    component_count(alg)
+    # the factorizer is handed squarefree inputs and never takes the part again
+    assert callers == ["cartierlab.artinian"] * sum(
+        up.udeg(m) >= 2 for m in alg.minimal_polynomials())
+
+
+def test_stalk_rank_computes_each_minimal_polynomial_once_per_algebra(monkeypatch):
+    from cartierlab.cartier import stalk_rank
+    from cartierlab.extensions import ExtensionPresentation
+
+    calls = []
+    original = artinian.minimal_polynomial
+
+    def recording(alg, a):
+        calls.append((alg, a))
+        return original(alg, a)
+
+    monkeypatch.setattr(artinian, "minimal_polynomial", recording)
+    ring = PolyRing(QQ, ["x", "y"], GREVLEX)
+    ext = ExtensionPresentation(ring, Ideal(ring, []), ring, Ideal(ring, []),
+                                {v: ring.variable(v) for v in ring.variables})
+    prime = Ideal(ring, [parse_polynomial(t, ring) for t in ("x^2 - 2", "y^2 - 3")])
+    report = stalk_rank(ext, prime)
+    assert report.residue_description() == "QQ[g]/(g^4 - 10*g^2 + 1)"
+    assert report.fiber_components == 1
+    # the residue algebra and the fiber: x + y once on each
+    sums = [alg for alg, a in calls
+            if a == alg.add(alg.variable_element("x"), alg.variable_element("y"))]
+    assert len(sums) == 2 and sums[0] is not sums[1]
 
 
 def test_non_prime_finite_field_without_primitive_element_is_unknown():

@@ -37,7 +37,7 @@ from cartierlab.errors import (
 )
 from cartierlab.extensions import ExtensionPresentation, Hints
 from cartierlab.extfile import load_extension
-from cartierlab.polycore import GREVLEX, Ideal, PolyRing, QQ, parse_polynomial
+from cartierlab.polycore import GREVLEX, Ideal, PolyRing, PrimeField, QQ, parse_polynomial
 from test_routes import EXT_PATHS
 
 
@@ -144,6 +144,31 @@ def test_two_lines_stalk_table():
     generic = stalk_rank(ext, None)
     assert generic.stalk_rank == 1
     assert generic.residue_description() == "QQ(x)"
+
+
+@pytest.mark.parametrize("field, relations, components, note", [
+    (QQ, ["y^3 - x"], UNKNOWN, "limited to degree 2"),
+    (PrimeField(2), ["y^2 + y + x"], UNKNOWN, "characteristic 2"),
+    (QQ, ["y^2 - (x^2 + 1)^2"], 2, None),  # a square discriminant of degree 4
+    (QQ, ["y^2 - x^4 - 1"], 1, None),  # a discriminant of degree 4, not a square
+    (QQ, [], UNKNOWN, "generic fiber is not finite over the fraction field"),
+])
+def test_generic_stalk_of_a_cover_of_the_line(field, relations, components, note):
+    # k[x] -> k[x,y]/(F): the generic fiber is factored over k(x)
+    a_ring = PolyRing(field, ["x"], GREVLEX)
+    b_ring = PolyRing(field, ["x", "y"], GREVLEX)
+    ext = ExtensionPresentation(
+        a_ring, Ideal(a_ring, []),
+        b_ring, Ideal(b_ring, [parse_polynomial(t, b_ring) for t in relations]),
+        {"x": b_ring.variable("x")}, Hints(finite=True),
+    )
+    report = stalk_rank(ext, None)
+    assert report.fiber_components == components
+    if note is None:
+        assert (report.stalk_rank, report.notes) == (components - 1, ())
+    else:
+        assert report.stalk_rank is UNKNOWN
+        assert any(note in n for n in report.notes), report.notes
 
 
 def test_cusp_stalks_vanish():

@@ -218,6 +218,20 @@ def test_factor_recombination_cap():
     assert time.perf_counter() - start < 10
 
 
+def test_irreducibility_past_the_recombination_cap_is_refused():
+    # s * s(x + 1), of degree 64, is reducible, but its 64 modular factors
+    # take the search past its cap: the answer is refused, never assumed
+    s = swinnerton_dyer([2, 3, 5, 7, 11])
+    shifted = ()
+    for c in reversed(s):  # s(x + 1), by Horner
+        shifted = up.uadd(QQ, up.umul(QQ, shifted, (1, 1)), (c,))
+    product = up.umul(QQ, s, shifted)
+    with pytest.raises(FactorSearchLimit, match="recombination"):
+        verify_irreducible(QQ, product)
+    with pytest.raises(FactorSearchLimit, match="recombination"):
+        SimpleExtensionField(QQ, product)
+
+
 def test_factor_prime_field():
     f5 = PrimeField(5)
     poly = tuple(f5.from_int(c) for c in (-1, 0, 1))  # z^2 - 1
