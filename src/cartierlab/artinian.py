@@ -9,20 +9,26 @@ once (`reduced_algebra`), which starts with the squarefree parts as its
 own minimal polynomials, and certifies its splitting once (`_splitting`),
 which every count and decomposition reads. A primitive element z of A_red, the first
 of x_1 + c*x_2 + c^2*x_3 + ... (c = 0, 1, 2, ...) whose minimal polynomial m
-has degree dim A_red, gives A_red = k[z]/(m); the count is the number of
-irreducible factors of m, and the primitive idempotents are the CRT
-idempotents of those factors, lifted to A by h -> 3h^2 - 2h^3
-(Gianni-Trager-Zacharias 1988). Over a prime field F_p too small for the
-search to be sure of success, the count is the dimension of the Frobenius
-kernel {a : a^p = a}, spanned by the primitive idempotents (Berlekamp 1967).
-The factors of the variables' minimal polynomials cut m into pieces that
-are factored one by one: over QQ and F_p the factorizer is complete below
-its one cap, while over k(v) the cut is what brings the pieces within its
-reach. What is factored here is squarefree already (squarefree parts, pieces
-of m, relative minimal polynomials on A_red), so it goes to
-`irreducible_factors`; a residue field is presented by its splitting's z and
-m. A factor cap, or a field where neither route applies, gives Unknown with
-its reason, never a guessed count.
+has degree dim A_red, gives A_red = k[z]/(m), and the splitting keeps z and
+the squarefree m. The count is the number of irreducible factors of m; the
+primitive idempotents are the CRT idempotents of those factors, lifted to A
+by h -> 3h^2 - 2h^3 (Gianni-Trager-Zacharias 1988).
+
+Over F_p both routes are Berlekamp's (1967). On k[z]/(m) the count is
+`factor_count`, deg m - rank(Q - I) for the Frobenius matrix Q of m, and m
+is split only when the idempotents need its factors, whose number is then
+the count. Over a prime field too small for the search for z to be sure of
+success, the count is the dimension of the Frobenius kernel {a : a^p = a}
+of the algebra itself, spanned by the primitive idempotents.
+
+Elsewhere the count is the number of factors. The factors of the
+variables' minimal polynomials cut m into pieces that are factored one by
+one: over QQ the factorizer is complete below its one cap, while over k(v)
+the cut is what brings the pieces within its reach. What is factored here
+is squarefree already (squarefree parts, pieces of m, relative minimal
+polynomials on A_red), so it goes to `irreducible_factors`; a residue field
+is presented by its splitting's z and m. A factor cap, or a field where
+neither route applies, gives Unknown with its reason, never a guessed count.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .errors import (
     ZeroRingError,
 )
 from .polycore import unipoly as up
-from .polycore.factor import irreducible_factors
+from .polycore.factor import factor_count, irreducible_factors
 from .polycore.fields import PrimeField, RationalField, RationalFunctionField
 from .polycore.groebner import Ideal, colon, ideal_sum
 from .polycore.linalg import express_in_span, first_dependence, kernel_basis, rref
@@ -145,8 +151,9 @@ class FiniteAlgebra:
         while n > 0:
             if n & 1:
                 result = self.mul(result, a)
-            a = self.mul(a, a)
             n >>= 1
+            if n:
+                a = self.mul(a, a)
         return result
 
     def is_zero_elem(self, a: tuple) -> bool:
@@ -160,10 +167,6 @@ class FiniteAlgebra:
             acc = self.add(acc, self.scale(c, power))
             power = self.mul(power, a)
         return acc
-
-    def is_unit(self, a: tuple) -> bool:
-        m = minimal_polynomial(self, a)
-        return not self.field.is_zero(m[0])
 
     def inverse(self, a: tuple) -> tuple:
         m = minimal_polynomial(self, a)
@@ -237,24 +240,43 @@ class IdempotentDecomposition:
     count: int
 
 
-@dataclass(frozen=True)
 class _Splitting:
     """How the components of an algebra A are read off an algebra S.
 
     S is A itself or A_red, whose staircase lies inside that of A. Either
-    S = k[z]/(m) up to nilpotents, for a primitive element z, and `factors`
-    are the irreducible factors of m; or `kernel` is a basis of
-    ker(a -> a^p - a) on S over F_p.
+    S = k[z]/(m) up to nilpotents, for a primitive element z and the
+    squarefree m, or `kernel` is a basis of ker(a -> a^p - a) on S over F_p.
+    Over F_p, and for a linear m, the count is `factor_count`, and no factor is
+    computed for it; the factors are found when the CRT idempotents need
+    them, and then give the count. A count of 1 gives the factor m itself.
     """
 
-    algebra: FiniteAlgebra
-    element: tuple | None = None
-    factors: tuple = ()
-    kernel: tuple = ()
+    def __init__(self, algebra: FiniteAlgebra, element: tuple | None = None,
+                 minpoly: tuple = (), kernel: tuple = ()):
+        self.algebra = algebra
+        self.element = element
+        self.minpoly = minpoly
+        self.kernel = kernel
+        self._count = len(kernel) if element is None else None
+        self._factors: tuple | None = None
 
     @property
     def count(self) -> int:
-        return len(self.factors) if self.element is not None else len(self.kernel)
+        if self._count is None:
+            field = self.algebra.field
+            if isinstance(field, PrimeField) or up.udeg(self.minpoly) < 2:
+                self._count = factor_count(field, self.minpoly)
+            else:
+                self._count = len(self.factors)
+        return self._count
+
+    @property
+    def factors(self) -> tuple:
+        if self._factors is None:
+            self._factors = ((self.minpoly,) if self._count == 1 else
+                             _factors_along_variables(self.algebra, self.element, self.minpoly))
+            self._count = len(self._factors)
+        return self._factors
 
 
 def _hensel_idempotent(alg: FiniteAlgebra, h: tuple) -> tuple:
@@ -292,18 +314,19 @@ def _constant(field, c: int):
 
 
 def _primitive_element(alg: FiniteAlgebra):
-    """(z, minimal polynomial of z) with deg = dim alg, or None.
+    """(z, m) with alg = k[z]/(m) up to nilpotents and m squarefree, or None.
 
     The candidates are x_1 + c*x_2 + c^2*x_3 + ... for c = 0, 1, 2, ...;
     a variable whose minimal polynomial already has full degree is taken
-    first. Over a reduced algebra the search succeeds once it may try more
-    than _search_bound constants.
+    first, with the squarefree part of that polynomial, since alg may have
+    nilpotents. Past that, callers pass a reduced algebra, where the search
+    succeeds once it may try more than _search_bound constants.
     """
     field = alg.field
     variables = [alg.variable_element(v) for v in alg.ring.variables]
-    for x, m in zip(variables, alg.minimal_polynomials()):
+    for x, m, sq in zip(variables, alg.minimal_polynomials(), alg.squarefree_parts()):
         if up.udeg(m) == alg.dim:
-            return x, m
+            return x, sq
     last = _search_bound(alg)
     if field.characteristic and not isinstance(field, RationalFunctionField):
         last = min(last, field.characteristic - 1)  # a finite field has p constants c
@@ -322,8 +345,10 @@ def _primitive_element(alg: FiniteAlgebra):
 def _frobenius_kernel(alg: FiniteAlgebra) -> tuple:
     """A basis of {a : a^p = a} over F_p: the span of the primitive idempotents.
 
-    Frobenius is a ring map, so the image of each staircase monomial is the
-    image of a smaller one times the image of one variable (Berlekamp 1967).
+    This is Berlekamp's kernel (1967) on the algebra itself, for when no
+    primitive element is at hand; `factor_count` takes the same kernel on
+    k[z]/(m). Frobenius is a ring map, so the image of each staircase
+    monomial is the image of a smaller one times the image of one variable.
     """
     field = alg.field
     frob = [alg.pow(alg.variable_element(v), field.p) for v in alg.ring.variables]
@@ -351,8 +376,8 @@ def _factors(field, m: tuple) -> tuple:
 
 
 def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
-    """The irreducible factors of the squarefree part of m, where
-    alg = k[z]/(m) up to nilpotents.
+    """The irreducible factors of the squarefree m, where alg = k[z]/(m)
+    up to nilpotents.
 
     Every variable is a polynomial q(z), so the factors f of its minimal
     polynomial cut m into the pieces gcd(m, f(q(z))): the points where the
@@ -370,8 +395,6 @@ def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
     """
     field = alg.field
     xs = [alg.variable_element(v) for v in alg.ring.variables]
-    if z in xs:  # the one case where alg may have nilpotents
-        m = alg.squarefree_parts()[xs.index(z)]
     pieces = [(m, 1)]  # (piece, divisor of its factors' degrees)
     powers = None
     for x, mi, sq in zip(xs, alg.minimal_polynomials(), alg.squarefree_parts()):
@@ -417,7 +440,7 @@ def _splitting(alg: FiniteAlgebra) -> _Splitting:
 def _find_splitting(alg: FiniteAlgebra) -> _Splitting:
     field = alg.field
     if alg.dim == 1:  # alg = k = k[z]/(z - 1)
-        return _Splitting(alg, alg.one(), ((field.neg(field.one()), field.one()),))
+        return _Splitting(alg, alg.one(), (field.neg(field.one()), field.one()))
     red = alg
     if all(up.udeg(m) < alg.dim for m in alg.minimal_polynomials()):  # no variable is primitive
         red = reduced_algebra(alg)
@@ -426,8 +449,7 @@ def _find_splitting(alg: FiniteAlgebra) -> _Splitting:
     found = _primitive_element(red)
     if found is None:  # only over a non-prime finite field
         raise ProbeExhausted(f"no candidate is primitive over {field.describe()}")
-    z, m = found
-    return _Splitting(red, z, _factors_along_variables(red, z, m))
+    return _Splitting(red, *found)
 
 
 def _crt_idempotents(alg: FiniteAlgebra, factors: tuple, a: tuple, unit: tuple) -> list[tuple]:
@@ -476,7 +498,9 @@ def idempotent_decomposition(alg: FiniteAlgebra) -> IdempotentDecomposition:
     RadicalUnavailable when a radical needs a p-th root the field lacks.
     """
     split = _splitting(alg)
-    if split.count == 1:
+    # on k[z]/(m) the factors are needed anyway, and they give the count
+    count = len(split.factors) if split.element is not None else split.count
+    if count == 1:
         return IdempotentDecomposition(alg, (alg.one(),), 1)
     if split.element is not None:
         parts = _crt_idempotents(split.algebra, split.factors, split.element,
@@ -582,7 +606,7 @@ def primitive_element_presentation(alg: FiniteAlgebra):
         return alg.field
     name = fresh_name("g", set(alg.ring.variables) | set(alg.field.symbol_names()))
     split = _splitting(alg)
-    found = _primitive_element(alg) if split.element is None else (split.element, *split.factors)
+    found = _primitive_element(alg) if split.element is None else (split.element, split.minpoly)
     if found is None:
         return None
     try:

@@ -98,8 +98,9 @@ class LaurentElement:
         while n > 0:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -207,6 +208,15 @@ def _unipotent_inverse(x: LaurentElement) -> LaurentElement:
     raise CertificateFailure("unipotent inverse did not terminate")  # pragma: no cover
 
 
+def _base_inverse(base: FiniteAlgebra, c: tuple, failure: str) -> tuple:
+    """c^-1 in the base, from one minimal polynomial; a non-unit raises
+    CertificateFailure(failure)."""
+    try:
+        return base.inverse(c)
+    except ZeroDivisionError:
+        raise CertificateFailure(failure) from None
+
+
 def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
     """The unique four-factor splitting of a Laurent unit.
 
@@ -223,9 +233,7 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
         t_unshift = t_unshift + LaurentElement(base, {-n: e})
     y = x * t_unshift
     u0 = y.coefficient(0)
-    if not base.is_unit(u0):
-        raise CertificateFailure("constant term must be a unit after unshifting")
-    z = y.scale_elem(base.inverse(u0))
+    z = y.scale_elem(_base_inverse(base, u0, "constant term must be a unit after unshifting"))
     # peel the negative-degree nilpotent tail
     q_total = LaurentElement.one(base)
     r = z
@@ -241,10 +249,8 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
     # normalize constant terms to 1, absorbing the units into u0
     p0 = r.coefficient(0)
     q0 = q_total.coefficient(0)
-    if not (base.is_unit(p0) and base.is_unit(q0)):
-        raise CertificateFailure("tail constant terms must be units")
-    p_part = r.scale_elem(base.inverse(p0))
-    q_part = q_total.scale_elem(base.inverse(q0))
+    p_part = r.scale_elem(_base_inverse(base, p0, "tail constant terms must be units"))
+    q_part = q_total.scale_elem(_base_inverse(base, q0, "tail constant terms must be units"))
     u0_total = base.mul(u0, base.mul(p0, q0))
     result = LaurentUnitDecomposition(
         x, u0_total, decomp.idempotents, tuple(exponents), p_part, q_part

@@ -2,10 +2,14 @@
 
 Callers pass `irreducible_factors` a monic squarefree input, as every caller
 in the library holds one; `squarefree_factors` takes the squarefree part once.
+`factor_count` counts the factors of such an input. Over F_p it finds none:
+the count is deg v - rank(Q - I) for Berlekamp's Q-matrix (Bell System Tech.
+J. 46 (1967)), whose rows x^(ip) mod v are the Frobenius rows below.
 Over QQ: Zassenhaus (J. Number Theory 1 (1969); von zur Gathen and Gerhard,
 Modern Computer Algebra, ch. 15-16) on the F_p code below. The squarefree
 input is made primitive over Z and factored modulo the first prime that
-keeps it squarefree of full degree; the factors are Hensel-lifted to p^k
+keeps it squarefree of full degree. When the rank there counts one factor,
+f is irreducible over QQ; else the factors are Hensel-lifted to p^k
 above twice the leading coefficient times the Mignotte bound, and products of
 subsets of them are tried by division over Z. The answer is exact; past
 _RECOMBINATION_CAP subsets FactorSearchLimit is raised, never a wrong answer.
@@ -76,6 +80,18 @@ def irreducible_factors(field: Field, sq: tuple) -> list[tuple]:
     raise CartierlabError(f"unsupported field {field.describe()}")
 
 
+def factor_count(field: Field, sq: tuple) -> int:
+    """The number of monic irreducible factors of a monic squarefree sq.
+    Over F_p it is deg sq - rank(Q - I) for Berlekamp's Q-matrix, and no
+    factor is computed; elsewhere the factors are counted. Raises
+    FactorSearchLimit as `squarefree_factors` does."""
+    if up.udeg(sq) < 2:
+        return max(up.udeg(sq), 0)
+    if isinstance(field, PrimeField):
+        return _berlekamp_count(_frobenius_rows(sq, field.p), field.p)
+    return len(irreducible_factors(field, sq))
+
+
 def verify_irreducible(field: Field, p: tuple) -> None:
     """Raise CartierlabError if p is reducible or has a repeated factor, and
     FactorSearchLimit when the factor search cannot decide: irreducibility is
@@ -85,7 +101,7 @@ def verify_irreducible(field: Field, p: tuple) -> None:
     sq = up.usquarefree_part(field, p)
     if up.udeg(sq) != up.udeg(p):
         raise CartierlabError("polynomial has a repeated factor")
-    if len(irreducible_factors(field, sq)) != 1:
+    if factor_count(field, sq) != 1:
         raise CartierlabError("polynomial is reducible")
 
 
@@ -110,9 +126,11 @@ def _factor_qq(sq: tuple) -> list[tuple]:
         return [(0, 1)] + _factor_qq(sq[1:])
     f = _to_integer_poly(sq)
     field, fp = _good_reduction(f)
-    factors = _factor_fp(field, fp)
-    if len(factors) == 1:
+    rows = _frobenius_rows(fp, field.p)
+    # deg f is kept mod p, so a split over QQ would show there
+    if _berlekamp_count(rows, field.p) == 1:
         return [sq]
+    factors = _factor_fp(field, fp, rows)
     # a proper factor g of f has degree at most m = deg f - 1, so its
     # coefficients are at most binomial(m, m/2) ||f||_2 (Mignotte); the candidates are
     # lc(f)/lc(g) * g, so modulo q above twice their bound the symmetric
@@ -282,6 +300,26 @@ def _frobenius_rows(v: tuple, p: int) -> list[tuple]:
     return rows
 
 
+def _berlekamp_count(rows: list, p: int) -> int:
+    """dim ker(Q - I) over F_p for the Frobenius rows Q of a monic squarefree
+    v: the number of irreducible factors of v (Berlekamp 1967), as
+    deg v - rank(Q - I), by elimination on plain ints."""
+    n = len(rows)
+    pivots = []  # (column, row scaled to 1 there and 0 at earlier pivots)
+    for i in range(1, n):  # row 0 of Q is x^0 = 1, a zero row of Q - I
+        row = list(rows[i]) + [0] * (n - len(rows[i]))
+        row[i] -= 1
+        for col, top in pivots:
+            c = row[col] % p
+            if c:
+                row = [x - c * y for x, y in zip(row, top)]
+        col = next((k for k, x in enumerate(row) if x % p), None)
+        if col is not None:
+            inv = pow(row[col], -1, p)
+            pivots.append((col, [x * inv % p for x in row]))
+    return n - len(pivots)
+
+
 def _equal_degree_split(field: PrimeField, f: tuple, d: int, rows: list,
                         rng: random.Random) -> list[tuple]:
     """Split a product of distinct irreducibles all of degree d; `rows` are
@@ -309,16 +347,16 @@ def _equal_degree_split(field: PrimeField, f: tuple, d: int, rows: list,
     raise CartierlabError("equal-degree splitting failed to converge")  # pragma: no cover
 
 
-def _factor_fp(field: PrimeField, v: tuple) -> list[tuple]:
+def _factor_fp(field: PrimeField, v: tuple, rows: list | None = None) -> list[tuple]:
     """Cantor-Zassenhaus on a monic squarefree v: distinct-degree, then
     equal-degree splitting, with every p-th power read off one set of
-    Frobenius rows of the input."""
+    Frobenius rows of the input, computed here unless the caller has them."""
     rng = random.Random(_CZ_SEED)
     factors: list[tuple] = []
     if up.udeg(v) == 1:
         return [v]
     p = field.p
-    rows = _frobenius_rows(v, p)
+    rows = rows or _frobenius_rows(v, p)
     x = h = (0, 1)
     d = 0
     while up.udeg(v) > 0:

@@ -88,8 +88,9 @@ class Field:
         while n > 0:
             if n & 1:
                 result = self.mul(result, a)
-            a = self.mul(a, a)
             n >>= 1
+            if n:
+                a = self.mul(a, a)
         return result
 
     def sign_split(self, a) -> tuple[int, object]:

@@ -270,8 +270,9 @@ class Polynomial:
         while n > 0:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c) -> "Polynomial":

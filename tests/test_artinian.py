@@ -632,3 +632,68 @@ def test_mul_is_the_polynomial_product(field, variables, relations):
     for pairs in a._table.values():
         assert [k for k, _ in pairs] == sorted({k for k, _ in pairs})
         assert not any(field.is_zero(c) for _, c in pairs)
+
+
+def test_fp_component_count_splits_no_factor(monkeypatch):
+    """F_p[x]/(5 distinct linears): the count is Berlekamp's rank, and m is
+    not split."""
+    from cartierlab.polycore import factor
+
+    def no_split(*args):
+        raise AssertionError("equal-degree splitting ran for a count")
+
+    monkeypatch.setattr(factor, "_equal_degree_split", no_split)
+    a = algebra(PrimeField(10007), ["x"], ["(x - 1)*(x - 2)*(x - 3)*(x - 4)*(x - 5)"])
+    assert component_count(a) == 5
+    b = algebra(PrimeField(101), ["x", "y"], ["(x^2 - 2)*(x - 1)", "y^2 - 3"])
+    assert component_count(b) == 3 and is_field_algebra(b) is False
+
+
+# the primitive idempotents, in the CRT order of the factors of m, pinned so
+# that a change to how the count is found leaves the decomposition alone
+IDEMPOTENTS = [
+    (PrimeField(10007), ["x"], ["(x - 1)*(x - 2)*(x - 3)*(x - 4)*(x - 5)"],
+     ["417*x^4 + 5837*x^3 + 4588*x^2 + 9171*x + 1",
+      "8339*x^4 + 8341*x^3 + 1661*x^2 + 1678*x + 10002",
+      "2502*x^4 + 10004*x^3 + 2514*x^2 + 4984*x + 10",
+      "8339*x^4 + 1670*x^3 + 1658*x^2 + 8357*x + 9997",
+      "417*x^4 + 4169*x^3 + 9593*x^2 + 5831*x + 5"]),
+    (PrimeField(101), ["x", "y"], ["(x^2 - 2)*(x - 1)", "y^2 - 3"],
+     ["79*x^2*y + 51*x^2 + 79*x*y + 44*y + 50",
+      "22*x^2*y + 51*x^2 + 22*x*y + 57*y + 50",
+      "100*x^2 + 2"]),
+    (PrimeField(10009), ["e", "n"], ["(e - 8106)*(e - 1157)*(e - 6723)", "n^2"],
+     ["7982*e^2 + 8405*e + 5786", "1565*e^2 + 6446*e + 6797", "462*e^2 + 5167*e + 7436"]),
+    (PrimeField(7), ["x"], ["(x^2 + 1)*(x^3 + x + 1)*(x - 3)"],
+     ["2*x^5 + 5*x^3 + 2*x^2 + 3*x + 3", "x^5 + x^3 + x^2 + 1",
+      "4*x^5 + x^3 + 4*x^2 + 4*x + 4"]),
+    (QQ, ["x", "y"], ["x^2 - 1", "y^2 - x - 1"], ["1/2*x + 1/2", "-1/2*x + 1/2"]),
+]
+
+
+@pytest.mark.parametrize("field, variables, relations, expected", IDEMPOTENTS,
+                         ids=["f10007-linears", "f101-xy", "f10009-nil", "f7-mixed", "qq"])
+def test_idempotent_decomposition_is_unchanged(field, variables, relations, expected):
+    a = algebra(field, variables, relations)
+    dec = idempotent_decomposition(a)
+    assert [str(a.to_poly(e)) for e in dec.idempotents] == expected
+    assert dec.count == len(expected) == component_count(a)
+
+
+def test_idempotents_count_their_factors_without_a_rank(monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("factor_count ran before the factors")
+
+    monkeypatch.setattr(artinian, "factor_count", no_rank)
+    field, variables, relations, expected = IDEMPOTENTS[0]
+    a = algebra(field, variables, relations)
+    assert idempotent_decomposition(a).count == component_count(a) == 5
+
+
+def test_count_of_one_gives_m_as_its_factor(monkeypatch):
+    """Once the rank has counted one component, no factor search runs."""
+    a = algebra(PrimeField(7), ["x"], ["x^3 - 2"])  # 2 is not a cube mod 7
+    assert component_count(a) == 1
+    monkeypatch.setattr(artinian, "irreducible_factors", None)
+    assert idempotent_decomposition(a).idempotents == (a.one(),)
+    assert primitive_element_presentation(a).describe() == "FP(7)[g]/(g^3 + 5)"

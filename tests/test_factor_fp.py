@@ -3,7 +3,8 @@
 `squarefree_factors` must return the distinct monic irreducible factors that
 sympy's `Poly(..., modulus=p).factor_list()` finds, on seeded inputs of degree at
 most 10 with repeated factors, on inseparable inputs g(x^p), and over F_2,
-where equal-degree splitting takes traces instead of powers. `_factor_fp`
+where equal-degree splitting takes traces instead of powers. `factor_count`
+counts the factors from the rank of Berlekamp's Q - I without splitting. `_factor_fp`
 raises x to the p-th power once per input and reads every later p-th power
 off the Frobenius rows x^(ip) mod v, on plain coefficient ints.
 """
@@ -16,8 +17,14 @@ import pytest
 
 from cartierlab.polycore import factor
 from cartierlab.polycore import unipoly as up
-from cartierlab.polycore.factor import _base_sqrt, squarefree_factors
+from cartierlab.polycore.factor import _base_sqrt, factor_count, squarefree_factors
 from cartierlab.polycore.fields import PrimeField
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test below skips
+    st = None
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -125,3 +132,48 @@ def test_one_exponentiation_and_no_generic_products(monkeypatch):
     monkeypatch.setattr(up, "umul", generic_product)
     assert sorted(factor._factor_fp(field, poly)) == sorted(parts)
     assert exponents.count(p) == 1
+
+
+def squarefree_product(p, seed):
+    """A product of distinct monic irreducibles over F_p of degree at most 4,
+    at least one above 1, drawn until the total degree reaches 12 or there
+    are six; sympy's irreducibility test chooses them."""
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    parts = []
+    while sum(up.udeg(f) for f in parts) < 12 and len(parts) < 6:
+        f = up.umonic(field, random_poly(field, rng, rng.randint(1, 4)))
+        if up.udeg(f) > 0 and f not in parts and sympy.Poly(to_sympy(f), X, modulus=p).is_irreducible:
+            parts.append(f)
+        if len(parts) > 1 and max(map(up.udeg, parts)) < 2:
+            parts.pop(0)  # keep looking for a factor of degree above 1
+    return field, parts, product(field, parts)
+
+
+if st is None:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_factor_count_is_the_number_of_factors():
+        pass
+else:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(p=st.sampled_from([2, 3, 7, 10007]), seed=st.integers(0, 2**32))
+    def test_factor_count_is_the_number_of_factors(p, seed):
+        field, parts, poly = squarefree_product(p, seed)
+        assert max(map(up.udeg, parts)) > 1
+        count = factor_count(field, poly)
+        assert count == len(parts) == len(factor._factor_fp(field, poly))
+        assert count == len(sympy_factors(field, poly))
+
+
+def test_factor_count_splits_nothing(monkeypatch):
+    """The count over F_p is deg - rank(Q - I): no factor is computed."""
+    def no_split(*args):
+        raise AssertionError("a factor was computed for a count")
+
+    monkeypatch.setattr(factor, "_factor_fp", no_split)
+    monkeypatch.setattr(factor, "_equal_degree_split", no_split)
+    field = PrimeField(30011)
+    parts = [(30011 - 5, 1), (30011 - 2, 0, 1), (3, 1, 0, 1)]
+    assert factor_count(field, product(field, parts)) == 3
+    assert factor_count(field, (3, 1, 0, 1)) == 1
+    assert factor_count(field, (4, 1)) == 1

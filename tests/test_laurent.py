@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from cartierlab import artinian
 from cartierlab.artinian import FiniteAlgebra, component_count
-from cartierlab.errors import ParseError
+from cartierlab.errors import CertificateFailure, ParseError
 from cartierlab.laurent import (
     LaurentElement,
     NotAUnit,
+    _base_inverse,
     bass_decompose,
     is_laurent_unit,
     parse_laurent,
@@ -171,3 +173,30 @@ def test_parse_laurent():
         parse_laurent("(1 + t)^-1", BASE_QQ)
     with pytest.raises(ParseError):
         parse_laurent("q*t", BASE_QQ)
+
+
+def test_bass_decompose_inverts_each_constant_term_once(monkeypatch):
+    """Minimal polynomials of the two variables, then one for each of u0,
+    p0 and q0, which are inverted without a separate unit test."""
+    calls = []
+    original = artinian.minimal_polynomial
+
+    def counting(alg, a):
+        calls.append(a)
+        return original(alg, a)
+
+    base = algebra(["e", "n"], ["(e - 1)*(e + 2)", "n^2"])
+    x = parse_laurent("(- 2*(1/3)*(e + 2)*t^-1 - 1*(-1/3)*(e - 1)*t^2)"
+                      "*(1 - 2*n*t^1)*(1 - 1*n*t^-2)", base)
+    monkeypatch.setattr(artinian, "minimal_polynomial", counting)
+    dec = bass_decompose(x)
+    assert dec.exponents == (-1, 2) and dec.recompose() == x
+    assert len(calls) == 5
+
+
+def test_base_inverse_of_a_non_unit_names_the_failure():
+    eps = BASE_NIL.variable_element("eps")
+    two = BASE_NIL.scalar(Fraction(2))
+    assert _base_inverse(BASE_NIL, two, "unused") == BASE_NIL.scalar(Fraction(1, 2))
+    with pytest.raises(CertificateFailure, match="^tail constant terms must be units$"):
+        _base_inverse(BASE_NIL, eps, "tail constant terms must be units")

@@ -109,3 +109,22 @@ def test_lex_vs_grevlex_leading_terms():
     # x vs y^2: lex picks x, grevlex picks y^2
     assert parse_polynomial("x + y^2", lex_ring).leading_term()[0] == (1, 0)
     assert parse_polynomial("x + y^2", grev_ring).leading_term()[0] == (0, 2)
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    """(t + 1)^4 takes two squarings and one product with the unit; the top
+    bit leaves nothing more to square."""
+    from cartierlab.polycore.rings import Polynomial
+
+    base = parse_polynomial("t + 1", PolyRing(QQ, ["t"], GREVLEX))
+    calls = []
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    power = base**4
+    assert len(calls) == 3
+    assert power == parse_polynomial("t^4 + 4*t^3 + 6*t^2 + 4*t + 1", base.ring)
