@@ -23,12 +23,13 @@ of the algebra itself, spanned by the primitive idempotents.
 
 Elsewhere the count is the number of factors. The factors of the
 variables' minimal polynomials cut m into pieces that are factored one by
-one: over QQ the factorizer is complete below its one cap, while over k(v)
-the cut is what brings the pieces within its reach. What is factored here
-is squarefree already (squarefree parts, pieces of m, relative minimal
-polynomials on A_red), so it goes to `irreducible_factors`; a residue field
-is presented by its splitting's z and m. A factor cap, or a field where
-neither route applies, gives Unknown with its reason, never a guessed count.
+one: over QQ and F_p the factorizer is complete below its one cap, while
+over k(v) the cut is what brings the pieces within its reach. What is
+factored here is squarefree already (squarefree parts, pieces of m,
+relative minimal polynomials on A_red), so it goes to
+`irreducible_factors`; a residue field is presented by its splitting's z
+and m. A factor cap, or a field where neither route applies, gives Unknown
+with its reason, never a guessed count.
 """
 
 from __future__ import annotations
@@ -246,9 +247,8 @@ class _Splitting:
     S is A itself or A_red, whose staircase lies inside that of A. Either
     S = k[z]/(m) up to nilpotents, for a primitive element z and the
     squarefree m, or `kernel` is a basis of ker(a -> a^p - a) on S over F_p.
-    Over F_p, and for a linear m, the count is `factor_count`, and no factor is
-    computed for it; the factors are found when the CRT idempotents need
-    them, and then give the count. A count of 1 gives the factor m itself.
+    The factors of m are found when the CRT idempotents need them, and then
+    give the count; before that, over F_p, the count is `factor_count`.
     """
 
     def __init__(self, algebra: FiniteAlgebra, element: tuple | None = None,
@@ -257,26 +257,26 @@ class _Splitting:
         self.element = element
         self.minpoly = minpoly
         self.kernel = kernel
-        self._count = len(kernel) if element is None else None
         self._factors: tuple | None = None
+        self._count: int | None = None
+
+    @property
+    def factors(self) -> tuple:
+        if self._factors is None:
+            self._factors = _factors_along_variables(self.algebra, self.element, self.minpoly)
+        return self._factors
 
     @property
     def count(self) -> int:
         if self._count is None:
             field = self.algebra.field
-            if isinstance(field, PrimeField) or up.udeg(self.minpoly) < 2:
+            if self.element is None:
+                self._count = len(self.kernel)
+            elif self._factors is None and isinstance(field, PrimeField):
                 self._count = factor_count(field, self.minpoly)
             else:
                 self._count = len(self.factors)
         return self._count
-
-    @property
-    def factors(self) -> tuple:
-        if self._factors is None:
-            self._factors = ((self.minpoly,) if self._count == 1 else
-                             _factors_along_variables(self.algebra, self.element, self.minpoly))
-            self._count = len(self._factors)
-        return self._factors
 
 
 def _hensel_idempotent(alg: FiniteAlgebra, h: tuple) -> tuple:
@@ -393,6 +393,8 @@ def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
     quadratics, and m seldom is either. On F_2(b)[x,y]/(x^2 + x, y^2 + y),
     m has degree 4, and x and y cut it into four linear pieces.
     """
+    if up.udeg(m) < 2:  # alg = k up to nilpotents
+        return (m,)
     field = alg.field
     xs = [alg.variable_element(v) for v in alg.ring.variables]
     pieces = [(m, 1)]  # (piece, divisor of its factors' degrees)
@@ -498,13 +500,12 @@ def idempotent_decomposition(alg: FiniteAlgebra) -> IdempotentDecomposition:
     RadicalUnavailable when a radical needs a p-th root the field lacks.
     """
     split = _splitting(alg)
-    # on k[z]/(m) the factors are needed anyway, and they give the count
-    count = len(split.factors) if split.element is not None else split.count
-    if count == 1:
+    # on k[z]/(m) the factors are read first, so they give the count
+    factors = split.factors if split.element is not None else None
+    if split.count == 1:
         return IdempotentDecomposition(alg, (alg.one(),), 1)
-    if split.element is not None:
-        parts = _crt_idempotents(split.algebra, split.factors, split.element,
-                                 split.algebra.one())
+    if factors is not None:
+        parts = _crt_idempotents(split.algebra, factors, split.element, split.algebra.one())
     else:
         parts = _kernel_idempotents(split)
     if split.algebra is not alg:  # the staircase of A_red lies inside that of A

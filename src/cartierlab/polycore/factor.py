@@ -8,8 +8,7 @@ J. 46 (1967)), whose rows x^(ip) mod v are the Frobenius rows below.
 Over QQ: Zassenhaus (J. Number Theory 1 (1969); von zur Gathen and Gerhard,
 Modern Computer Algebra, ch. 15-16) on the F_p code below. The squarefree
 input is made primitive over Z and factored modulo the first prime that
-keeps it squarefree of full degree. When the rank there counts one factor,
-f is irreducible over QQ; else the factors are Hensel-lifted to p^k
+keeps it squarefree of full degree; the factors are Hensel-lifted to p^k
 above twice the leading coefficient times the Mignotte bound, and products of
 subsets of them are tried by division over Z. The answer is exact; past
 _RECOMBINATION_CAP subsets FactorSearchLimit is raised, never a wrong answer.
@@ -126,11 +125,9 @@ def _factor_qq(sq: tuple) -> list[tuple]:
         return [(0, 1)] + _factor_qq(sq[1:])
     f = _to_integer_poly(sq)
     field, fp = _good_reduction(f)
-    rows = _frobenius_rows(fp, field.p)
-    # deg f is kept mod p, so a split over QQ would show there
-    if _berlekamp_count(rows, field.p) == 1:
+    factors = _factor_fp(field, fp)
+    if len(factors) == 1:
         return [sq]
-    factors = _factor_fp(field, fp, rows)
     # a proper factor g of f has degree at most m = deg f - 1, so its
     # coefficients are at most binomial(m, m/2) ||f||_2 (Mignotte); the candidates are
     # lc(f)/lc(g) * g, so modulo q above twice their bound the symmetric
@@ -347,16 +344,16 @@ def _equal_degree_split(field: PrimeField, f: tuple, d: int, rows: list,
     raise CartierlabError("equal-degree splitting failed to converge")  # pragma: no cover
 
 
-def _factor_fp(field: PrimeField, v: tuple, rows: list | None = None) -> list[tuple]:
+def _factor_fp(field: PrimeField, v: tuple) -> list[tuple]:
     """Cantor-Zassenhaus on a monic squarefree v: distinct-degree, then
     equal-degree splitting, with every p-th power read off one set of
-    Frobenius rows of the input, computed here unless the caller has them."""
+    Frobenius rows of the input."""
     rng = random.Random(_CZ_SEED)
     factors: list[tuple] = []
     if up.udeg(v) == 1:
         return [v]
     p = field.p
-    rows = rows or _frobenius_rows(v, p)
+    rows = _frobenius_rows(v, p)
     x = h = (0, 1)
     d = 0
     while up.udeg(v) > 0:

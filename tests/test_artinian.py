@@ -688,12 +688,3 @@ def test_idempotents_count_their_factors_without_a_rank(monkeypatch):
     field, variables, relations, expected = IDEMPOTENTS[0]
     a = algebra(field, variables, relations)
     assert idempotent_decomposition(a).count == component_count(a) == 5
-
-
-def test_count_of_one_gives_m_as_its_factor(monkeypatch):
-    """Once the rank has counted one component, no factor search runs."""
-    a = algebra(PrimeField(7), ["x"], ["x^3 - 2"])  # 2 is not a cube mod 7
-    assert component_count(a) == 1
-    monkeypatch.setattr(artinian, "irreducible_factors", None)
-    assert idempotent_decomposition(a).idempotents == (a.one(),)
-    assert primitive_element_presentation(a).describe() == "FP(7)[g]/(g^3 + 5)"

@@ -75,16 +75,3 @@ def test_named_inputs_match_sympy(text):
     poly = from_sympy(sympy.Poly(sympy.sympify(text.replace("^", "**"), locals={"x": X}), X,
                                  domain="QQ"))
     assert squarefree_factors(QQ, poly) == sympy_factors(poly)
-
-
-def test_irreducible_reduction_ends_the_search(monkeypatch):
-    """x^2 - 2 is irreducible modulo its first good prime, 3, so the rank of
-    Q - I there decides it: no modular factor is split or lifted."""
-    from cartierlab.polycore import factor
-
-    def no_split(*args):
-        raise AssertionError("a modular factorization ran")
-
-    monkeypatch.setattr(factor, "_factor_fp", no_split)
-    poly = (QQ.from_int(-2), 0, 1)
-    assert squarefree_factors(QQ, poly) == [poly] == sympy_factors(poly)
