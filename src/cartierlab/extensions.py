@@ -197,13 +197,13 @@ class ExtensionPresentation:
     def _to_tags(self, a_poly: Polynomial) -> Polynomial:
         """An A-polynomial in the tag ring, each A variable replaced by its tag."""
         pad = (0,) * self.b_ring.nvars()
-        return Polynomial(self._membership_ring().ring,
-                          {pad + exp: c for exp, c in a_poly.terms().items()})
+        return Polynomial._make(self._membership_ring().ring,
+                                {pad + exp: c for exp, c in a_poly.terms().items()})
 
     def _to_source(self, g: Polynomial) -> Polynomial:
         """A tag-ring polynomial free of B's variables, as an A-polynomial."""
         nb = self.b_ring.nvars()
-        return Polynomial(self.a_ring, {exp[nb:]: c for exp, c in g.terms().items()})
+        return Polynomial._make(self.a_ring, {exp[nb:]: c for exp, c in g.terms().items()})
 
     def contraction_ideal(self) -> Ideal:
         """Kernel of k[A-variables] -> B, as an ideal of A's ring.

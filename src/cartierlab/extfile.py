@@ -5,18 +5,30 @@ Extension files carry sections [ring.A], [ring.B] (field, vars, relations),
 Rank-data files carry a single [rankdata] section; ring files a [ring]
 section. Unknown sections or keys are input errors.
 
-`read_description` reads a file once, as bytes and parsed sections; every
-loader takes the path and, optionally, those sections, so a caller that
-needs the bytes too (the CLI's input digest) never reads the file twice.
+The syntax, read line by line:
+
+- `#` starts a comment, which runs to the end of the line;
+- `[name]` opens the section `name`, and nothing but a comment may follow
+  the `]`;
+- `key = value` splits at the first `=`, and both sides are stripped;
+- a line indented deeper than the line that opened the value continues it,
+  joined with a newline; blank lines inside a value are kept, trailing ones
+  are not.
+
+Text before the first header, a line without `=`, an empty key, a section
+given twice and a key given twice in one section are input errors that name
+the path and the line.
+
+`read_description` reads a file once, as bytes and parsed sections
+({section: {key: value}}); every loader takes the path and, optionally,
+those sections, so a caller that needs the bytes too (the CLI's input
+digest) never reads the file twice.
 """
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
-import io
 import re
-from configparser import ConfigParser
 
 from .artinian import FiniteAlgebra
 from .cartier import RankData
@@ -31,32 +43,71 @@ _HINT_KEYS = {f.name for f in dataclasses.fields(Hints)}
 _RANKDATA_KEYS = {"c_A", "c_B", "lpic_A", "lpic_B", "lpic_kernel"}
 
 
-def read_description(path: str) -> tuple[bytes, ConfigParser]:
-    """The bytes of a description file and their parsed sections, read once.
+def read_description(path: str) -> tuple[bytes, dict[str, dict[str, str]]]:
+    """The bytes of a description file and its sections, read once.
 
-    A file that cannot be read or is not UTF-8 text is an input error.
+    The sections come back as {section: {key: value}} in file order. A file
+    that cannot be read, is not UTF-8 text or breaks the syntax in the module
+    docstring is an input error.
     """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    parser = ConfigParser(
-        delimiters=("=",), interpolation=None, comment_prefixes=("#",)
-    )
-    parser.optionxform = str
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 text ({exc})") from None
-    try:
-        parser.read_file(io.StringIO(text, newline=None), source=path)
-    except configparser.Error as exc:
-        raise InputError(f"malformed description file {path}: {exc}") from None
-    return data, parser
+    return data, _read_sections(text, path)
 
 
-def _sections(path: str, description: ConfigParser | None) -> ConfigParser:
+def _read_sections(text: str, path: str) -> dict[str, dict[str, str]]:
+    sections: dict[str, dict[str, list[str]]] = {}
+    name = None
+    value = None  # the lines of the value that deeper-indented lines continue
+    indent = 0  # of the last line that continued no value
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for number, raw in enumerate(lines, 1):
+        line, comment, _ = raw.partition("#")
+        stripped = line.strip()
+        if not stripped:
+            if value is not None and not comment:
+                value.append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if value is not None and depth > indent:
+            value.append(stripped)
+            continue
+        indent, value = depth, None
+        if stripped[0] == "[" and stripped[-1] == "]" and len(stripped) > 2:
+            name = stripped[1:-1]
+            if name in sections:
+                raise _malformed(path, number, f"section [{name}] appears twice")
+            sections[name] = {}
+            continue
+        if name is None:
+            raise _malformed(path, number, "text before the first [section] header")
+        key, equals, rest = stripped.partition("=")
+        key = key.rstrip()
+        if not equals:
+            raise _malformed(path, number, f"expected 'key = value', found {stripped!r}")
+        if not key:
+            raise _malformed(path, number, f"no key before '=' in {stripped!r}")
+        if key in sections[name]:
+            raise _malformed(path, number, f"key {key!r} appears twice in [{name}]")
+        value = sections[name][key] = [rest.lstrip()]
+    return {
+        section: {key: "\n".join(parts).rstrip() for key, parts in keys.items()}
+        for section, keys in sections.items()
+    }
+
+
+def _malformed(path: str, number: int, reason: str) -> InputError:
+    return InputError(f"malformed description file {path}: line {number}: {reason}")
+
+
+def _sections(path: str, description: dict | None) -> dict[str, dict[str, str]]:
     return read_description(path)[1] if description is None else description
 
 
@@ -157,22 +208,22 @@ def _parse_hints(section, a_ring: PolyRing, b_ring: PolyRing) -> Hints:
 
 
 def load_extension(
-    path: str, assume_injective: bool = False, description: ConfigParser | None = None,
+    path: str, assume_injective: bool = False, description: dict | None = None,
 ) -> ExtensionPresentation:
-    parser = _sections(path, description)
-    sections = set(parser.sections())
+    description = _sections(path, description)
+    sections = set(description)
     required = {"ring.A", "ring.B", "map"}
     if not required <= sections:
         raise InputError(f"{path} is missing sections {sorted(required - sections)}")
     unknown = sections - (required | {"hints"})
     if unknown:
         raise InputError(f"unknown sections in {path}: {sorted(unknown)}")
-    a_ring, a_ideal = _parse_ring(parser["ring.A"], "ring.A")
-    b_ring, b_ideal = _parse_ring(parser["ring.B"], "ring.B")
+    a_ring, a_ideal = _parse_ring(description["ring.A"], "ring.A")
+    b_ring, b_ideal = _parse_ring(description["ring.B"], "ring.B")
     if a_ring.field != b_ring.field:
         raise InputError(f"[ring.A] is over {a_ring.field.describe()} but [ring.B] over "
                          f"{b_ring.field.describe()}: they must share a coefficient field")
-    image_section = parser["map"]
+    image_section = description["map"]
     if set(image_section) != set(a_ring.variables):
         raise InputError(
             "[map] must give exactly one image per source variable; "
@@ -185,7 +236,8 @@ def load_extension(
         except ParseError as exc:
             raise InputError(f"image of {name!r}: {exc}") from None
     hints = (
-        _parse_hints(parser["hints"], a_ring, b_ring) if "hints" in parser else Hints()
+        _parse_hints(description["hints"], a_ring, b_ring)
+        if "hints" in description else Hints()
     )
     return ExtensionPresentation(
         a_ring, a_ideal, b_ring, b_ideal, images, hints,
@@ -193,11 +245,11 @@ def load_extension(
     )
 
 
-def load_rank_data(path: str, description: ConfigParser | None = None) -> RankData:
-    parser = _sections(path, description)
-    if parser.sections() != ["rankdata"]:
+def load_rank_data(path: str, description: dict | None = None) -> RankData:
+    description = _sections(path, description)
+    if list(description) != ["rankdata"]:
         raise InputError(f"{path} must contain exactly the [rankdata] section")
-    section = parser["rankdata"]
+    section = description["rankdata"]
     if set(section) != _RANKDATA_KEYS:
         raise InputError(
             f"[rankdata] needs exactly the keys {sorted(_RANKDATA_KEYS)}"
@@ -212,17 +264,17 @@ def load_rank_data(path: str, description: ConfigParser | None = None) -> RankDa
         raise InputError(str(exc)) from None
 
 
-def load_ring(path: str, description: ConfigParser | None = None) -> FiniteAlgebra:
-    parser = _sections(path, description)
-    if parser.sections() != ["ring"]:
+def load_ring(path: str, description: dict | None = None) -> FiniteAlgebra:
+    description = _sections(path, description)
+    if list(description) != ["ring"]:
         raise InputError(f"{path} must contain exactly the [ring] section")
-    ring, ideal = _parse_ring(parser["ring"], "ring")
+    ring, ideal = _parse_ring(description["ring"], "ring")
     return FiniteAlgebra(ring, ideal)
 
 
-def detect_kind(path: str, description: ConfigParser | None = None) -> str:
+def detect_kind(path: str, description: dict | None = None) -> str:
     """'extension', 'rankdata', or 'ring', from the section structure."""
-    sections = set(_sections(path, description).sections())
+    sections = set(_sections(path, description))
     if "rankdata" in sections:
         return "rankdata"
     if "ring" in sections:

@@ -6,17 +6,24 @@
     base    := identifier | rational | '(' expr ')'
     rational:= integer ('/' positive-integer)?
 
-Whitespace is insignificant; implicit multiplication is rejected. Division
-appears only inside rational literals. Exponents are nonnegative integers
-except where an evaluator explicitly permits negative ones (Laurent input).
+Tokens are ASCII: an integer is `[0-9]+` and an identifier
+`[A-Za-z][A-Za-z0-9_]*`, the rule `PolyRing` applies to variable names. Any
+other character outside whitespace is an error. Whitespace is insignificant;
+implicit multiplication is rejected. Division appears only inside rational
+literals. Exponents are nonnegative integers except where an evaluator
+explicitly permits negative ones (Laurent input).
+
+`PolynomialEvaluator` builds plain term maps {exponents: coefficient}, so no
+`Polynomial` exists until `parse_polynomial` adopts the final map.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from ..errors import ParseError
-from .rings import Polynomial, PolyRing
+from .rings import Polynomial, PolyRing, add_terms, mul_terms, neg_terms
 
 
 class _Token:
@@ -28,34 +35,21 @@ class _Token:
         self.pos = pos
 
 
+# Whitespace, then one token; a character that starts none is `bad`.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", text, i)
-    tokens.append(_Token("end", "", n))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        word, pos = match.group(kind), match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", text, pos)
+        tokens.append(_Token(word if kind == "op" else kind, word, pos))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -200,27 +194,48 @@ def parse_with_evaluator(text: str, evaluator: Evaluator):
 
 
 class PolynomialEvaluator(Evaluator):
+    """Values are term maps {exponents: coefficient} with no zero coefficient,
+    combined by the same `add_terms`, `neg_terms` and `mul_terms` as
+    `Polynomial`."""
+
     def __init__(self, ring: PolyRing):
         self.ring = ring
+        self.field = ring.field
+
+    def _constant(self, c) -> dict:
+        return {} if self.field.is_zero(c) else {self.ring._zero_exp: c}
 
     def from_fraction(self, q, text, pos):
         try:
-            return self.ring.constant(self.ring.field.from_fraction(q))
+            return self._constant(self.field.from_fraction(q))
         except ZeroDivisionError as exc:
             raise ParseError(str(exc), text, pos) from None
 
     def variable(self, name, text, pos):
-        if name in self.ring.variables:
-            return self.ring.variable(name)
-        elem = self.ring.field.symbol_element(name)
+        exp = self.ring._unit_exps.get(name)
+        if exp is not None:
+            return {exp: self.field.one()}
+        elem = self.field.symbol_element(name)
         if elem is not None:
-            return self.ring.constant(elem)
+            return self._constant(elem)
         raise ParseError(f"unknown variable {name!r}", text, pos)
+
+    def add(self, a, b):
+        return add_terms(self.field, a, b)
+
+    def sub(self, a, b):
+        return add_terms(self.field, a, self.neg(b))
+
+    def neg(self, a):
+        return neg_terms(self.field, a)
+
+    def mul(self, a, b):
+        return mul_terms(self.field, a, b)
 
     def pow(self, a, n, text, pos):
         if n < 0:
             raise ParseError("negative exponents are not allowed here", text, pos)
-        return a**n
+        return (Polynomial._make(self.ring, a) ** n)._terms
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
@@ -229,4 +244,4 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     Identifiers resolve to ring variables first, then to coefficient-field
     symbols (extension generators, function-field variables).
     """
-    return parse_with_evaluator(text, PolynomialEvaluator(ring))
+    return Polynomial._make(ring, parse_with_evaluator(text, PolynomialEvaluator(ring)))

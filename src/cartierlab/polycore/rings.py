@@ -5,14 +5,22 @@ are immutable after construction; two polynomials are equal exactly when
 their rings and term maps are equal.
 
 `Polynomial(ring, terms)` validates: it checks every exponent tuple and drops
-zero coefficients, so it is the constructor for the parser and for callers.
+zero coefficients, so it is the constructor for callers.
 `Polynomial._make(ring, terms)` adopts the dict as it is, unchecked. Use it
-only for a term map built inside this package from the terms of polynomials
-of the same ring by field operations, with every zero coefficient already
-removed and the dict not touched afterwards: the results of `+`, `-`, `*`,
-`scale`, `term_mul` by a nonzero coefficient and the division kernel in
-`groebner.py`. Products of nonzero coefficients are nonzero because the
-coefficients form a field.
+only for a term map built inside this package whose exponent tuples have the
+ring's length and no negative entry and whose coefficients are nonzero by
+construction, with the dict not touched afterwards:
+- the results of field operations on the terms of polynomials of the same
+  ring, with every zero coefficient removed: `+`, `-`, `*` (through
+  `add_terms`, `neg_terms` and `mul_terms`), `scale`, `term_mul` by a nonzero
+  coefficient, the division kernel in `groebner.py` and the term maps that
+  the parser builds from literals and variables;
+- a unit monomial with coefficient one (`PolyRing.variable`);
+- the terms of one polynomial with their exponents moved into another ring
+  by an injective map of positions (`map_variables`, and the tag ring moves
+  in `extensions.py`).
+Products of nonzero coefficients are nonzero because the coefficients form a
+field.
 """
 
 from __future__ import annotations
@@ -74,6 +82,40 @@ def _grevlex_key(exps: tuple) -> tuple:
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def add_terms(field: Field, a: dict, b: dict) -> dict:
+    """The term map of the sum of two term maps, neither of which changes."""
+    out = dict(a)
+    zero, plus, is_zero = field.zero(), field.add, field.is_zero
+    for exp, c in b.items():
+        s = plus(out.get(exp, zero), c)
+        if is_zero(s):
+            out.pop(exp, None)
+        else:
+            out[exp] = s
+    return out
+
+
+def neg_terms(field: Field, a: dict) -> dict:
+    """The term map of the negative of a term map, which does not change."""
+    neg = field.neg
+    return {exp: neg(c) for exp, c in a.items()}
+
+
+def mul_terms(field: Field, a: dict, b: dict) -> dict:
+    """The term map of the product of two term maps, neither of which changes."""
+    out: dict = {}
+    zero, plus, times, is_zero = field.zero(), field.add, field.mul, field.is_zero
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(map(add, e1, e2))
+            s = plus(out.get(exp, zero), times(c1, c2))
+            if is_zero(s):
+                out.pop(exp, None)
+            else:
+                out[exp] = s
+    return out
+
+
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
 
@@ -100,6 +142,10 @@ class PolyRing:
         self.variables = variables
         self.order = order
         self._zero_exp = (0,) * len(variables)
+        self._unit_exps = {
+            v: tuple(int(j == i) for j in range(len(variables)))
+            for i, v in enumerate(variables)
+        }
 
     # -- constructors -------------------------------------------------------
 
@@ -119,11 +165,10 @@ class PolyRing:
 
     def variable(self, name: str) -> "Polynomial":
         try:
-            i = self.variables.index(name)
-        except ValueError:
+            exp = self._unit_exps[name]
+        except KeyError:
             raise CartierlabError(f"unknown variable {name!r}") from None
-        exp = tuple(1 if j == i else 0 for j in range(len(self.variables)))
-        return Polynomial(self, {exp: self.field.one()})
+        return Polynomial._make(self, {exp: self.field.one()})
 
     def monomial(self, exps, coeff=None) -> "Polynomial":
         exps = tuple(exps)
@@ -231,36 +276,17 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.ring.field
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = field.add(out.get(exp, field.zero()), c)
-            if field.is_zero(s):
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return Polynomial._make(self.ring, out)
+        return Polynomial._make(self.ring, add_terms(self.ring.field, self._terms, other._terms))
 
     def __neg__(self) -> "Polynomial":
-        neg = self.ring.field.neg
-        return Polynomial._make(self.ring, {e: neg(c) for e, c in self._terms.items()})
+        return Polynomial._make(self.ring, neg_terms(self.ring.field, self._terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.ring.field
-        out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = tuple(map(add, e1, e2))
-                s = field.add(out.get(exp, field.zero()), field.mul(c1, c2))
-                if field.is_zero(s):
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return Polynomial._make(self.ring, out)
+        return Polynomial._make(self.ring, mul_terms(self.ring.field, self._terms, other._terms))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -330,7 +356,6 @@ class Polynomial:
         """Move by variable name into a ring with a superset of the variables."""
         if self.ring.field != target_ring.field:
             raise CartierlabError("target ring has a different coefficient field")
-        field = target_ring.field
         index = []
         for v in self.ring.variables:
             try:
@@ -348,13 +373,8 @@ class Polynomial:
                         f"variable {self.ring.variables[i]!r} missing in target ring"
                     )
                 new[index[i]] = e
-            key = tuple(new)
-            val = field.add(out[key], c) if key in out else c
-            if field.is_zero(val):
-                out.pop(key, None)
-            else:
-                out[key] = val
-        return Polynomial(target_ring, out)
+            out[tuple(new)] = c  # distinct names move distinct monomials apart
+        return Polynomial._make(target_ring, out)
 
     # -- comparison and printing --------------------------------------------
 

@@ -8,8 +8,9 @@ the textbook loop on plain term dicts, the first linear dependence through
 one fresh elimination per vector, the conductor through every colon ideal
 intersected in turn, seminormality over a small prime field through every
 element of the target, and reduced bases through Buchberger's algorithm as
-it interreduced before it went in ascending order. The last four replay, on
-the library's own primitives, an algorithm the library has since replaced.
+it interreduced before it went in ascending order, and parsing through one
+`Polynomial` per literal and variable. The last five replay, on the
+library's own primitives, an algorithm the library has since replaced.
 """
 
 from __future__ import annotations
@@ -324,3 +325,36 @@ def buchberger_reference(generators, ring, pair_budget=None):
     reduced = [g for g in reduced if not g.is_zero()]
     reduced.sort(key=lambda g: key(g.leading_term()[0]))
     return reduced, reductions
+
+
+def parse_by_polynomial_arithmetic(text: str, ring):
+    """`parse_polynomial` as it was before the parser built term maps: the
+    same descent, with one `Polynomial` per literal and variable, combined by
+    `Polynomial`'s own operators and powers taken as repeated products."""
+    from cartierlab.errors import ParseError
+    from cartierlab.polycore.parse import Evaluator, parse_with_evaluator
+
+    class PolynomialArithmeticEvaluator(Evaluator):
+        def from_fraction(self, q, text, pos):
+            try:
+                return ring.constant(ring.field.from_fraction(q))
+            except ZeroDivisionError as exc:
+                raise ParseError(str(exc), text, pos) from None
+
+        def variable(self, name, text, pos):
+            if name in ring.variables:
+                return ring.variable(name)
+            elem = ring.field.symbol_element(name)
+            if elem is not None:
+                return ring.constant(elem)
+            raise ParseError(f"unknown variable {name!r}", text, pos)
+
+        def pow(self, a, n, text, pos):
+            if n < 0:
+                raise ParseError("negative exponents are not allowed here", text, pos)
+            result = ring.one()
+            for _ in range(n):
+                result = result * a
+            return result
+
+    return parse_with_evaluator(text, PolynomialArithmeticEvaluator())

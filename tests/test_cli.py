@@ -556,3 +556,29 @@ def test_li_refuses_a_prime_that_is_not_maximal(capsys, method):
                              "--method", method)
     assert (code, out) == (2, "")
     assert err == "input error: the quotient by the ideal is not a field\n"
+
+
+def test_unicode_digit_in_a_relation_is_input_error(capsys, tmp_path):
+    """'²' is no digit of the grammar: the relation is refused, where int()
+    used to fail on the token '2²'."""
+    path = tmp_path / "base.ring"
+    path.write_text("[ring]\nfield = QQ\nvars = x\nrelations = x^2 - 2²\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "units", "--base", str(path), "--laurent", "t")
+    assert (code, out) == (2, "")
+    assert err == ("input error: [ring] relation 'x^2 - 2²': unexpected character "
+                   "'²' at position 7: 'x^2 - 2²'\n")
+
+
+def test_readme_description_example_checks(capsys, tmp_path):
+    """The ini block under "Description files" in README.md, trailing
+    comments included, is a valid extension file."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        section = handle.read().split("### Description files", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert "# or FP(p)" in block
+    path = tmp_path / "readme.ext"
+    path.write_text(block, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert "status: pass" in out

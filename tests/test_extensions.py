@@ -11,6 +11,7 @@ import pytest
 from cartierlab.cartier import li_auto
 from cartierlab.corpus import corpus_path
 from cartierlab.errors import (
+    CartierlabError,
     CertificateFailure,
     DegenerateExtension,
     InjectivityError,
@@ -574,3 +575,28 @@ def test_contraction_under_lex_runs_buchberger(monkeypatch):
     assert contraction.groebner() == lex_basis
     assert a_ring in rings  # the tag block is grevlex, so its basis is not adopted
     assert set(lex_basis) != set(contraction.generators)  # grevlex and lex bases differ here
+
+
+def test_moves_between_rings_adopt_their_term_maps(monkeypatch):
+    """`map_variables`, `_to_tags` and `_to_source` move clean term maps
+    injectively, so they run no validated `Polynomial` construction."""
+    ext = load_extension(corpus_path("node.ext"))
+    tag_ring = ext._membership_ring().ring
+    relation = ext.a_ideal.generators[0]
+    image = ext.images["x"]
+    constructed = []
+    original = Polynomial.__init__
+
+    def counting(self, ring, terms):
+        constructed.append(ring)
+        original(self, ring, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    moved = image.map_variables(tag_ring)
+    tagged = ext._to_tags(relation)
+    back = ext._to_source(tagged)
+    assert constructed == []
+    assert back == relation
+    assert moved.terms() == {exp + (0, 0): c for exp, c in image.terms().items()}
+    with pytest.raises(CartierlabError, match="variable 't' missing in target ring"):
+        image.map_variables(ext.a_ring)

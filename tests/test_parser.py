@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_expand_product
+from oracles import naive_expand_product, parse_by_polynomial_arithmetic
 from cartierlab.errors import ParseError
 from cartierlab.polycore import (
     GREVLEX,
@@ -12,8 +12,15 @@ from cartierlab.polycore import (
     PolyRing,
     PrimeField,
     QQ,
+    RationalFunctionField,
     parse_polynomial,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test below skips
+    st = None
 
 
 def ring_xy():
@@ -128,3 +135,69 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
     power = base**4
     assert len(calls) == 3
     assert power == parse_polynomial("t^4 + 4*t^3 + 6*t^2 + 4*t + 1", base.ring)
+
+
+@pytest.mark.parametrize("text, char, position", [
+    ("x^\u0663", "\u0663", 2),  # ARABIC-INDIC DIGIT THREE
+    ("x^2 - 2\u00b2", "\u00b2", 7),  # SUPERSCRIPT TWO
+    ("\uff11 + x", "\uff11", 0),  # FULLWIDTH DIGIT ONE
+    ("x\u00e9", "\u00e9", 1),
+    ("\u03b1 + x", "\u03b1", 0),
+])
+def test_tokens_are_ascii(text, char, position):
+    """Digits are 0-9 and identifiers [A-Za-z][A-Za-z0-9_]*: any other
+    character is refused where it stands, never read as a digit or a name."""
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, ring_xy())
+    assert err.value.position == position
+    assert str(err.value).startswith(f"unexpected character {char!r}")
+
+
+RINGS = {
+    "QQ": PolyRing(QQ, ["x", "y"], GREVLEX),
+    "F7": PolyRing(PrimeField(7), ["x", "y"], GREVLEX),
+    "F2": PolyRing(PrimeField(2), ["x", "y"], LEX),
+    "QQ(v)": PolyRing(RationalFunctionField(QQ, "v"), ["x", "y"], GREVLEX),
+}
+
+
+if st is None:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_term_maps_match_polynomial_arithmetic():
+        pass
+else:
+    def _expressions():
+        leaves = st.one_of(
+            st.sampled_from(["x", "y", "v", "0", "1", "2"]),
+            st.integers(0, 30).map(str),
+            st.tuples(st.integers(0, 12), st.integers(1, 9)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+        )
+
+        def combine(inner):
+            return st.one_of(
+                st.tuples(inner, inner).map(lambda ab: f"({ab[0]} + {ab[1]})"),
+                st.tuples(inner, inner).map(lambda ab: f"({ab[0]} - {ab[1]})"),
+                st.tuples(inner, inner).map(lambda ab: f"{ab[0]}*{ab[1]}"),
+                inner.map(lambda a: f"({a} - {a})"),
+                inner.map(lambda a: f"(-{a})"),
+                st.tuples(inner, st.integers(0, 4)).map(lambda an: f"({an[0]})^{an[1]}"),
+            )
+
+        return st.recursive(leaves, combine, max_leaves=8)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(RINGS)), text=_expressions())
+    def test_term_maps_match_polynomial_arithmetic(name, text):
+        """The parser's term maps give the polynomial that one `Polynomial`
+        per token gives, and store no zero coefficient."""
+        ring = RINGS[name]
+        try:
+            expected = parse_by_polynomial_arithmetic(text, ring)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_polynomial(text, ring)
+            assert str(err.value) == str(exc)
+            return
+        parsed = parse_polynomial(text, ring)
+        assert parsed.terms() == expected.terms()
+        assert not any(ring.field.is_zero(c) for c in parsed.terms().values())
