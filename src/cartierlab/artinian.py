@@ -7,12 +7,16 @@ polynomials present (Seidenberg). An algebra computes those minimal
 polynomials and their squarefree parts once (`FiniteAlgebra`), builds A_red
 once (`reduced_algebra`), which starts with the squarefree parts as its
 own minimal polynomials, and certifies its splitting once (`_splitting`),
-which every count and decomposition reads. A primitive element z of A_red, the first
-of x_1 + c*x_2 + c^2*x_3 + ... (c = 0, 1, 2, ...) whose minimal polynomial m
-has degree dim A_red, gives A_red = k[z]/(m), and the splitting keeps z and
-the squarefree m. The count is the number of irreducible factors of m; the
-primitive idempotents are the CRT idempotents of those factors, lifted to A
-by h -> 3h^2 - 2h^3 (Gianni-Trager-Zacharias 1988).
+which every count and decomposition reads. A minimal polynomial is the
+first linear dependence of the Krylov sequence 1, a, a^2, ...; the powers
+are made one at a time and the sequence stops at that dependence, so a
+minimal polynomial of degree d costs d products, not dim A. A primitive
+element z of A_red, the first of x_1 + c*x_2 + c^2*x_3 + ... (c = 0, 1, 2,
+...) whose minimal polynomial m has degree dim A_red, gives A_red = k[z]/(m),
+and the splitting keeps z and the squarefree m. The count is the number of
+irreducible factors of m; the primitive idempotents are the CRT idempotents
+of those factors, lifted to A by h -> 3h^2 - 2h^3 (Gianni-Trager-Zacharias
+1988).
 
 Over F_p both routes are Berlekamp's (1967). On k[z]/(m) the count is
 `factor_count`, deg m - rank(Q - I) for the Frobenius matrix Q of m, and m
@@ -222,12 +226,12 @@ def minimal_polynomial(alg: FiniteAlgebra, a: tuple) -> tuple:
 
 def _relative_minimal_polynomial(alg: FiniteAlgebra, unit: tuple, a: tuple) -> tuple:
     """minimal_polynomial of a in the block of the idempotent unit: the
-    powers of a start from a^0 := unit. dim + 1 vectors in dim dimensions
-    always have a dependence."""
-    powers = [unit]
-    for _ in range(alg.dim):
-        powers.append(alg.mul(powers[-1], a))
-    k, coeffs = first_dependence(alg.field, [list(p) for p in powers])
+    powers of a start from a^0 := unit. They are made one at a time as
+    `first_dependence` asks for them, so a minimal polynomial of degree d
+    costs d products. dim + 1 vectors in dim dimensions always have a
+    dependence."""
+    powers = itertools.accumulate(itertools.repeat(a, alg.dim), alg.mul, initial=unit)
+    k, coeffs = first_dependence(alg.field, powers)
     return tuple(alg.field.neg(c) for c in coeffs) + (alg.field.one(),)
 
 
@@ -637,10 +641,8 @@ def move_variable_to_field(ring: PolyRing, ideal: Ideal, free: str):
         for exp, c in g.terms().items():
             e_free = exp[free_idx]
             rest = tuple(e for i, e in enumerate(exp) if i != free_idx)
-            coeff = K.make(
-                up.uscale(ring.field, c, (ring.field.zero(),) * e_free + (ring.field.one(),)),
-                (ring.field.one(),),
-            )
+            coeff = K.from_polynomial(
+                up.uscale(ring.field, c, (ring.field.zero(),) * e_free + (ring.field.one(),)))
             if rest in out:
                 coeff = K.add(out[rest], coeff)
             if K.is_zero(coeff):

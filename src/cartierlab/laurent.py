@@ -91,8 +91,12 @@ class LaurentElement:
             if len(self.coeffs) != 1:
                 raise CartierlabError("negative powers only of single-term units")
             (deg, c), = self.coeffs.items()
-            inv = LaurentElement(self.base, {-deg: self.base.inverse(c)})
-            return inv ** (-n)
+            try:
+                inv_c = self.base.inverse(c)
+            except ZeroDivisionError:
+                raise CartierlabError(
+                    f"{self} is not a unit, so it has no negative powers") from None
+            return LaurentElement(self.base, {-deg: inv_c}) ** (-n)
         result = LaurentElement.one(self.base)
         base = self
         while n > 0:
@@ -146,14 +150,11 @@ def _unit_exponents(x: LaurentElement):
     base = x.base
     decomp = idempotent_decomposition(base)
     red = reduced_algebra(base)
+    coeffs = [(n, red.from_poly(base.to_poly(c))) for n, c in x.coeffs.items()]
     exponents = []
     for e in decomp.idempotents:
         e_red = red.from_poly(base.to_poly(e))
-        live = [
-            n
-            for n, c in x.coeffs.items()
-            if not red.is_zero_elem(red.mul(e_red, red.from_poly(base.to_poly(c))))
-        ]
+        live = [n for n, c in coeffs if not red.is_zero_elem(red.mul(e_red, c))]
         if len(live) != 1:
             return None
         exponents.append(live[0])

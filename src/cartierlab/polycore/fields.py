@@ -378,7 +378,20 @@ class SimpleExtensionField(Field):
 
 
 class RationalFunctionField(Field):
-    """base(v): reduced fractions of univariate polynomials, monic denominators."""
+    """base(v): fractions of univariate polynomials in one canonical form.
+
+    An element is (num, den) with gcd(num, den) = 1 and den monic; zero is
+    (0, 1). The form is unique, so equal elements are equal tuples. `make`
+    reduces arbitrary input. The arithmetic keeps the invariant by Henrici's
+    rule (Knuth, TAOCP vol. 2, 4.5.1) and takes only the gcds it names:
+    - add: g = gcd(d1, d2); when g = 1 the sum n1*d2 + n2*d1 over d1*d2 is
+      reduced already, otherwise t = n1*(d2/g) + n2*(d1/g) shares factors
+      with g alone, and one more gcd(t, g) reduces it;
+    - mul: gcd(n1, d2) and gcd(n2, d1) cancel before the products;
+    - a denominator of 1 needs none of these gcds, so polynomial operands
+      take none, and neither do `inv` and `from_polynomial`, whose input is
+      reduced already.
+    """
 
     def __init__(self, base: Field, variable: str):
         if not isinstance(base, (RationalField, PrimeField)):
@@ -388,55 +401,79 @@ class RationalFunctionField(Field):
         self.base = base
         self.variable = variable
         self.characteristic = base.characteristic
+        self._one = (base.one(),)
 
-    def _reduce(self, num: tuple, den: tuple):
+    def _monic_den(self, num: tuple, den: tuple):
+        """(num, den) scaled so that den is monic."""
+        lead = den[-1]
+        if self.base.is_one(lead):
+            return (num, den)
+        c = self.base.inv(lead)
+        return (up.uscale(self.base, c, num), up.uscale(self.base, c, den))
+
+    def make(self, num: tuple, den: tuple):
+        """The canonical form of num/den, for any num and nonzero den."""
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return ((), (self.base.one(),))
+            return ((), self._one)
         g = up.ugcd(self.base, num, den)
-        if up.udeg(g) > 0:
-            num = up.udivmod(self.base, num, g)[0]
-            den = up.udivmod(self.base, den, g)[0]
-        lead = den[-1]
-        if not self.base.is_one(lead):
-            c = self.base.inv(lead)
-            num = up.uscale(self.base, c, num)
-            den = up.uscale(self.base, c, den)
-        return (num, den)
-
-    def make(self, num: tuple, den: tuple):
-        return self._reduce(num, den)
+        return self._monic_den(self._quo(num, g), self._quo(den, g))
 
     def zero(self):
-        return ((), (self.base.one(),))
+        return ((), self._one)
 
     def one(self):
-        return ((self.base.one(),), (self.base.one(),))
+        return (self._one, self._one)
 
     def variable_element(self):
-        return ((self.base.zero(), self.base.one()), (self.base.one(),))
+        return ((self.base.zero(), self.base.one()), self._one)
 
     def from_polynomial(self, num: tuple):
-        return self._reduce(num, (self.base.one(),))
+        return (num, self._one)
+
+    def _quo(self, p: tuple, g: tuple) -> tuple:
+        """p / g for a monic g dividing p; g = 1 costs nothing."""
+        return p if len(g) == 1 else up.udivmod(self.base, p, g)[0]
 
     def add(self, a, b):
+        base = self.base
         (n1, d1), (n2, d2) = a, b
-        num = up.uadd(self.base, up.umul(self.base, n1, d2), up.umul(self.base, n2, d1))
-        return self._reduce(num, up.umul(self.base, d1, d2))
+        if len(d1) == 1 and len(d2) == 1:
+            return (up.uadd(base, n1, n2), self._one)
+        if len(d1) == 1:  # gcd(n1*d2 + n2, d2) = gcd(n2, d2) = 1
+            return (up.uadd(base, up.umul(base, n1, d2), n2), d2)
+        if len(d2) == 1:
+            return (up.uadd(base, n1, up.umul(base, n2, d1)), d1)
+        g = up.ugcd(base, d1, d2)
+        e1, e2 = self._quo(d1, g), self._quo(d2, g)
+        t = up.uadd(base, up.umul(base, n1, e2), up.umul(base, n2, e1))
+        if not t:
+            return ((), self._one)
+        h = up.ugcd(base, t, g) if len(g) > 1 else g
+        return (self._quo(t, h), up.umul(base, e1, self._quo(d2, h)))
 
     def neg(self, a):
         return (up.uneg(self.base, a[0]), a[1])
 
     def mul(self, a, b):
+        base = self.base
         (n1, d1), (n2, d2) = a, b
-        return self._reduce(up.umul(self.base, n1, n2), up.umul(self.base, d1, d2))
+        if not n1 or not n2:
+            return ((), self._one)
+        if len(d2) > 1:
+            g = up.ugcd(base, n1, d2)
+            n1, d2 = self._quo(n1, g), self._quo(d2, g)
+        if len(d1) > 1:
+            g = up.ugcd(base, n2, d1)
+            n2, d1 = self._quo(n2, g), self._quo(d1, g)
+        return (up.umul(base, n1, n2), up.umul(base, d1, d2))
 
     def inv(self, a):
         n, d = a
         if not n:
             raise ZeroDivisionError("inverse of zero")
-        return self._reduce(d, n)
+        return self._monic_den(d, n)
 
     def is_zero(self, a):
         return not a[0]
@@ -456,7 +493,7 @@ class RationalFunctionField(Field):
             raise RadicalUnavailable(
                 f"{self.format_element(a)} is not a p-th power in {self.describe()}")
         num, den = ([self.base.pth_root(c) for c in part[::p]] for part in a)
-        return self._reduce(tuple(num), tuple(den))
+        return self.make(tuple(num), tuple(den))
 
     def is_polynomial(self, a) -> bool:
         """True when the reduced denominator is 1."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 
 def rref(field, rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
@@ -71,11 +73,13 @@ def kernel_basis(field, rows: list[list]) -> list[list]:
     return basis
 
 
-def first_dependence(field, vectors: list[list]):
+def first_dependence(field, vectors: Iterable[Sequence]):
     """Coefficients of the first linear dependence among successive vectors.
 
     Returns (k, coeffs) where vectors[k] = sum(coeffs[i] * vectors[i], i < k),
-    or None if the whole list is independent.
+    or None if the whole list is independent. The vectors are read one at a
+    time and none after vectors[k], so a lazy iterable is made only up to
+    the dependence.
 
     One echelon form is kept across the vectors: each row has a pivot, is
     zero at the pivots of the rows before it, and carries the combination of

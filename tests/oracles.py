@@ -7,10 +7,11 @@ division through schoolbook long division, multivariate reduction through
 the textbook loop on plain term dicts, the first linear dependence through
 one fresh elimination per vector, the conductor through every colon ideal
 intersected in turn, seminormality over a small prime field through every
-element of the target, and reduced bases through Buchberger's algorithm as
-it interreduced before it went in ascending order, and parsing through one
-`Polynomial` per literal and variable. The last five replay, on the
-library's own primitives, an algorithm the library has since replaced.
+element of the target, reduced bases through Buchberger's algorithm as
+it interreduced before it went in ascending order, parsing through one
+`Polynomial` per literal and variable, and rational-function arithmetic
+through a full reduction after every operation. The last six replay, on
+the library's own primitives, an algorithm the library has since replaced.
 """
 
 from __future__ import annotations
@@ -358,3 +359,46 @@ def parse_by_polynomial_arithmetic(text: str, ring):
             return result
 
     return parse_with_evaluator(text, PolynomialArithmeticEvaluator())
+
+
+def rf_reduce(field, num: tuple, den: tuple):
+    """num/den in k(v) as (num, den) coprime with den monic, by one gcd of
+    the whole numerator and denominator."""
+    from cartierlab.polycore import unipoly as up
+
+    base = field.base
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return ((), (base.one(),))
+    g = up.ugcd(base, num, den)
+    if up.udeg(g) > 0:
+        num = up.udivmod(base, num, g)[0]
+        den = up.udivmod(base, den, g)[0]
+    c = base.inv(den[-1])
+    return up.uscale(base, c, num), up.uscale(base, c, den)
+
+
+def rf_add(field, a, b):
+    """a + b in k(v) as RationalFunctionField added before Henrici's rule:
+    cross-multiply, then reduce the whole fraction."""
+    from cartierlab.polycore import unipoly as up
+
+    base = field.base
+    (n1, d1), (n2, d2) = a, b
+    num = up.uadd(base, up.umul(base, n1, d2), up.umul(base, n2, d1))
+    return rf_reduce(field, num, up.umul(base, d1, d2))
+
+
+def rf_mul(field, a, b):
+    from cartierlab.polycore import unipoly as up
+
+    base = field.base
+    (n1, d1), (n2, d2) = a, b
+    return rf_reduce(field, up.umul(base, n1, n2), up.umul(base, d1, d2))
+
+
+def rf_inv(field, a):
+    if not a[0]:
+        raise ZeroDivisionError("inverse of zero")
+    return rf_reduce(field, a[1], a[0])

@@ -688,3 +688,25 @@ def test_idempotents_count_their_factors_without_a_rank(monkeypatch):
     field, variables, relations, expected = IDEMPOTENTS[0]
     a = algebra(field, variables, relations)
     assert idempotent_decomposition(a).count == component_count(a) == 5
+
+
+def test_krylov_sequence_stops_at_the_first_dependence(monkeypatch):
+    """The powers of a are made only until they become dependent: one
+    product for a scalar, d for an element whose minimal polynomial has
+    degree d, not dim A whatever the degree."""
+    alg = algebra(QQ, ["x", "y"], ["x^2 - 2", "y^3 - 3"])
+    assert alg.dim == 6
+    calls = []
+    original = FiniteAlgebra.mul
+
+    def counting(self, a, b):
+        calls.append(a)
+        return original(self, a, b)
+
+    monkeypatch.setattr(FiniteAlgebra, "mul", counting)
+    for element, expected in [(alg.scalar(Fraction(5)), (-5, 1)),
+                              (alg.variable_element("x"), (-2, 0, 1)),
+                              (alg.variable_element("y"), (-3, 0, 0, 1))]:
+        calls.clear()
+        assert minimal_polynomial(alg, element) == expected
+        assert len(calls) == len(expected) - 1

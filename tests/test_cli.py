@@ -582,3 +582,13 @@ def test_readme_description_example_checks(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(path))
     assert (code, err) == (0, "")
     assert "status: pass" in out
+
+
+def test_negative_power_of_a_non_unit_is_input_error(capsys):
+    """eps is nilpotent in QQ[eps]/(eps^2), so eps^-1 is refused as input
+    that names it, not a ZeroDivisionError traceback."""
+    code, out, err = run_cli(capsys, "units", "--base", corpus_path("nil_base.ring"),
+                             "--laurent", "eps^-1")
+    assert (code, out) == (2, "")
+    assert err == ("input error: laurent expression: eps is not a unit, so it has no "
+                   "negative powers at position 5: 'eps^-1'\n")

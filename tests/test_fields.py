@@ -20,6 +20,7 @@ from cartierlab.polycore.fields import (
     SimpleExtensionField,
 )
 
+from oracles import rf_add, rf_inv, rf_mul, rf_reduce
 from test_golden import basis_cases
 
 try:
@@ -268,6 +269,102 @@ def test_rational_function_field():
     assert not K.is_polynomial(b)
     with pytest.raises(CartierlabError):
         RationalFunctionField(K, "s")  # only one function-field level
+
+
+RF_FIELDS = (RationalFunctionField(QQ, "v"), RationalFunctionField(PrimeField(7), "v"),
+             RationalFunctionField(PrimeField(10009), "v"))
+
+
+def _check_rf_ops(K, a, b):
+    """Each operation gives the reduced form the oracle gives, in the same
+    representation (repr tells 2 from Fraction(2, 1))."""
+    neg_b = K.neg(b)
+    results = {"add": (K.add(a, b), rf_add(K, a, b)),
+               "sub": (K.sub(a, b), rf_add(K, a, neg_b)),
+               "mul": (K.mul(a, b), rf_mul(K, a, b))}
+    if not K.is_zero(a):
+        results["inv"] = (K.inv(a), rf_inv(K, a))
+    if not K.is_zero(b):
+        results["div"] = (K.div(a, b), rf_mul(K, a, rf_inv(K, b)))
+    for name, (got, expected) in results.items():
+        assert repr(got) == repr(expected), (name, K, a, b)
+
+
+def test_rational_function_ops_on_edges():
+    for K in RF_FIELDS:
+        v = K.variable_element()
+        w = K.sub(v, K.one())
+        frac = K.div(v, K.mul(w, w))  # v / (v - 1)^2
+        for a, b in [(frac, frac), (frac, K.neg(frac)), (frac, K.inv(frac)),
+                     (frac, K.div(K.one(), w)), (K.zero(), frac), (v, K.inv(v)),
+                     (K.add(v, K.one()), w), (frac, K.mul(w, K.from_int(3)))]:
+            _check_rf_ops(K, a, b)
+            _check_rf_ops(K, b, a)
+        assert K.add(frac, K.neg(frac)) == K.zero()
+        assert K.mul(frac, K.inv(frac)) == K.one()
+
+
+if st is None:
+    def test_rational_function_ops_match_full_reduction():
+        pytest.skip("hypothesis is not installed")
+else:
+    _coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    _atoms = st.lists(st.lists(_coefficients, min_size=1, max_size=3), min_size=4, max_size=4)
+    _picks = st.lists(st.integers(0, 3), max_size=3)
+    _SHAPES = ("free", "polynomial a", "polynomial b", "polynomials",
+               "same denominator", "negated", "zero a")
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(range(len(RF_FIELDS))), atoms=_atoms,
+           parts=st.tuples(_picks, _picks, _picks, _picks), scale=_coefficients.filter(bool),
+           shape=st.sampled_from(_SHAPES))
+    def test_rational_function_ops_match_full_reduction(field, atoms, parts, scale, shape):
+        """a and b are built from one pool of four small polynomials, so they
+        share factors across numerators and denominators; the shapes add
+        polynomial operands, equal denominators, sums that cancel to 0 and
+        a zero operand."""
+        K = RF_FIELDS[field]
+        base = K.base
+        pool = [up.utrim(base, [base.from_fraction(c) for c in atom]) for atom in atoms]
+        pool = [p if p else (base.one(),) for p in pool]
+
+        def product(picks):
+            out = (base.one(),)
+            for i in picks:
+                out = up.umul(base, out, pool[i])
+            return out
+
+        na, da, nb, db = (product(p) for p in parts)
+        if shape in ("polynomial a", "polynomials", "zero a"):
+            da = (base.one(),)
+        if shape in ("polynomial b", "polynomials"):
+            db = (base.one(),)
+        if shape == "same denominator":
+            db = da
+        if shape == "zero a":
+            na = ()
+        a = rf_reduce(K, na, da)
+        b = rf_reduce(K, up.uscale(base, base.from_fraction(scale), nb), db)
+        if shape == "negated":
+            b = K.neg(a)
+        _check_rf_ops(K, a, b)
+        _check_rf_ops(K, b, a)
+
+
+def test_polynomial_operands_take_no_gcd(monkeypatch):
+    """A denominator of 1 needs no gcd: sums, differences, products and
+    inverses of polynomials, and polynomial constructors, take none."""
+    calls = []
+    original = up.ugcd
+    monkeypatch.setattr(up, "ugcd", lambda field, p, q: calls.append((p, q)) or original(field, p, q))
+    for K in RF_FIELDS:
+        v = K.variable_element()
+        a = K.add(K.mul(v, v), K.one())
+        b = K.sub(K.mul(v, v), K.from_int(3))
+        results = [K.add(a, b), K.sub(a, a), K.mul(a, b), K.inv(a), K.inv(K.inv(b)),
+                   K.neg(b), K.from_fraction(Fraction(2, 5))]
+        assert results[1] == K.zero() and results[4] == b
+    assert calls == []
 
 
 def test_rational_function_quadratic_split():

@@ -6,12 +6,18 @@ from fractions import Fraction
 import pytest
 
 from cartierlab import artinian
-from cartierlab.artinian import FiniteAlgebra, component_count
+from cartierlab.artinian import (
+    FiniteAlgebra,
+    component_count,
+    idempotent_decomposition,
+    reduced_algebra,
+)
 from cartierlab.errors import CertificateFailure, ParseError
 from cartierlab.laurent import (
     LaurentElement,
     NotAUnit,
     _base_inverse,
+    _unit_exponents,
     bass_decompose,
     is_laurent_unit,
     parse_laurent,
@@ -200,3 +206,33 @@ def test_base_inverse_of_a_non_unit_names_the_failure():
     assert _base_inverse(BASE_NIL, two, "unused") == BASE_NIL.scalar(Fraction(1, 2))
     with pytest.raises(CertificateFailure, match="^tail constant terms must be units$"):
         _base_inverse(BASE_NIL, eps, "tail constant terms must be units")
+
+
+def test_negative_power_of_a_non_unit_names_it():
+    with pytest.raises(ParseError, match="^eps is not a unit, so it has no negative powers"):
+        parse_laurent("eps^-1", BASE_NIL)
+    with pytest.raises(ParseError, match="^e\\*t is not a unit"):
+        parse_laurent("(e*t)^-2", BASE_SPLIT)
+    assert parse_laurent("(2*t)^-1", BASE_NIL) == LaurentElement.t_power(
+        BASE_NIL, -1, BASE_NIL.scalar(Fraction(1, 2)))
+
+
+def test_unit_exponents_maps_each_coefficient_once(monkeypatch):
+    """Each of the n coefficients and k idempotents goes into A_red once:
+    n + k conversions, not one per coefficient and idempotent."""
+    base = algebra(["e", "n"], ["e^2 - e", "n^2"])
+    x = parse_laurent("e*t^2 + (1 - e)*t^-1 + n*t + 3*n*t^4", base)
+    decomp = idempotent_decomposition(base)
+    red = reduced_algebra(base)
+    calls = []
+    original = FiniteAlgebra.from_poly
+
+    def counting(alg, f):
+        if alg is red:
+            calls.append(f)
+        return original(alg, f)
+
+    monkeypatch.setattr(FiniteAlgebra, "from_poly", counting)
+    found = _unit_exponents(x)
+    assert found is not None and sorted(found[2]) == [-1, 2]
+    assert len(calls) == len(x.coeffs) + len(decomp.idempotents) == 6
