@@ -55,10 +55,11 @@ from .errors import (
 )
 from .polycore import unipoly as up
 from .polycore.factor import factor_count, irreducible_factors
-from .polycore.fields import PrimeField, RationalField, RationalFunctionField
+from .polycore.fields import (PrimeField, RationalField, RationalFunctionField,
+                              SimpleExtensionField, square_and_multiply)
 from .polycore.groebner import Ideal, colon, ideal_sum
 from .polycore.linalg import express_in_span, first_dependence, kernel_basis, rref
-from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_name
+from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_names
 
 
 class FiniteAlgebra:
@@ -106,11 +107,7 @@ class FiniteAlgebra:
         return tuple(coords)
 
     def to_poly(self, a: tuple) -> Polynomial:
-        total = self.ring.zero()
-        for c, exp in zip(a, self.basis):
-            if not self.field.is_zero(c):
-                total = total + self.ring.monomial(exp, c)
-        return total
+        return Polynomial(self.ring, dict(zip(self.basis, a)))  # drops the zeros
 
     def scalar(self, c) -> tuple:
         return (c,) + (self.field.zero(),) * (self.dim - 1)
@@ -152,14 +149,7 @@ class FiniteAlgebra:
         return tuple(out)
 
     def pow(self, a: tuple, n: int) -> tuple:
-        result = self.one()
-        while n > 0:
-            if n & 1:
-                result = self.mul(result, a)
-            n >>= 1
-            if n:
-                a = self.mul(a, a)
-        return result
+        return square_and_multiply(a, n, self.one(), self.mul)
 
     def is_zero_elem(self, a: tuple) -> bool:
         return all(self.field.is_zero(c) for c in a)
@@ -605,11 +595,9 @@ def primitive_element_presentation(alg: FiniteAlgebra):
     Returns a Field, or None when no candidate is primitive or m is past the
     factor search.
     """
-    from .polycore.fields import SimpleExtensionField
-
     if alg.dim == 1:
         return alg.field
-    name = fresh_name("g", set(alg.ring.variables) | set(alg.field.symbol_names()))
+    name, = fresh_names(["g"], alg.ring.taken_names())
     split = _splitting(alg)
     found = _primitive_element(alg) if split.element is None else (split.element, split.minpoly)
     if found is None:

@@ -6,6 +6,12 @@ finite birational extensions of one-dimensional domains, and the five-term
 units/Picard sequence on supplied rank data. Everything else is Unknown.
 One table, ROUTES, names and orders the routes on an extension; `li_auto`
 and the CLI's `li --method` both run them through `run_route`.
+
+Stalk reports at a maximal prime and at the generic point end in one report,
+`_fiber_report`: an empty fiber, or the fiber's component count and the stalk
+rank one less. The two differ only in the residue field and in what a fiber
+that is not zero-dimensional gives: at a maximal prime it is counted over a
+one-variable subring of B, at the generic point it is Unknown.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .extensions import (
     witness_candidates,
 )
 from .polycore.groebner import Ideal, ideal_sum
-from .polycore.rings import GREVLEX, Polynomial, PolyRing, fresh_name
+from .polycore.rings import GREVLEX, Polynomial, PolyRing, fresh_names
 
 # -- result types ----------------------------------------------------------------
 
@@ -160,47 +166,46 @@ def _stalk_over_residue(ext: ExtensionPresentation, prime: Ideal,
     """The stalk at a prime whose residue algebra A/prime is a certified field."""
     pushed = [ext.substitute(g) for g in prime.generators]
     fiber_ideal = ideal_sum(ext.b_ideal, Ideal(ext.b_ring, pushed))
-    notes: list[str] = []
+    return _fiber_report(ext, prime, lambda: primitive_element_presentation(residue_alg),
+                         ext.b_ring, fiber_ideal,
+                         lambda: _count_over_a_line(ext.b_ring, fiber_ideal))
+
+
+def _count_over_a_line(ring: PolyRing, fiber_ideal: Ideal) -> tuple:
+    """(components, note) for a fiber that is not zero-dimensional, counted
+    over the first variable whose polynomial subring certifies the count."""
+    reasons = []
+    for v in ring.variables:
+        try:
+            components = components_over_subring(ring, fiber_ideal, [v])
+        except NotFiniteOverSubring as exc:
+            reasons.append(f"{v}: {exc}")
+            continue
+        return components, f"fiber counted over the polynomial subring in {v}"
+    return UNKNOWN, ("no single-variable subring certifies the count ("
+                     + "; ".join(reasons) + ")")
+
+
+def _fiber_report(ext: ExtensionPresentation, prime: Ideal | None, residue,
+                  ring: PolyRing, fiber_ideal: Ideal, not_finite) -> StalkReport:
+    """The one stalk report (see the module docstring). `residue()` gives the
+    residue field, `not_finite()` the (components, note) of a fiber that is
+    not zero-dimensional."""
     if fiber_ideal.is_unit_ideal():
-        return StalkReport(
-            prime,
-            primitive_element_presentation(residue_alg),
-            EMPTY,
-            0,
-            _stalk_semantics(ext),
-            ("empty fiber",),
-        )
-    components: object
+        return StalkReport(prime, residue(), EMPTY, 0, _stalk_semantics(ext), ("empty fiber",))
+    notes: list[str] = []
     why: list[str] = []
     try:
-        fiber_alg = FiniteAlgebra(ext.b_ring, fiber_ideal)
-        components = component_count(fiber_alg, why)
+        components = component_count(FiniteAlgebra(ring, fiber_ideal), why)
     except NotZeroDimensional:
-        components, reasons = UNKNOWN, []
-        for v in ext.b_ring.variables:
-            try:
-                components = components_over_subring(ext.b_ring, fiber_ideal, [v])
-            except NotFiniteOverSubring as exc:
-                reasons.append(f"{v}: {exc}")
-                continue
-            notes.append(f"fiber counted over the polynomial subring in {v}")
-            break
-        else:
-            notes.append("no single-variable subring certifies the count ("
-                         + "; ".join(reasons) + ")")
+        components, note = not_finite()
+        notes.append(note)
     if components is UNKNOWN:
         stalk: object = UNKNOWN
         notes.append(": ".join(["component count not certified"] + why))
     else:
         stalk = components - 1
-    return StalkReport(
-        prime,
-        primitive_element_presentation(residue_alg),
-        components,
-        stalk,
-        _stalk_semantics(ext),
-        tuple(notes),
-    )
+    return StalkReport(prime, residue(), components, stalk, _stalk_semantics(ext), tuple(notes))
 
 
 def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
@@ -240,37 +245,15 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
     v = ext.a_ring.variables[0]
     # the fiber over k(v): b_ideal + (image_v - v), with B's variables renamed
     # away from v and v then moved into the coefficient field
-    taken = {v}
-    names = []
-    for name in ext.b_ring.variables:
-        names.append(fresh_name(name, taken))
-        taken.add(names[-1])
+    names = fresh_names(ext.b_ring.variables, {v})
     ring = PolyRing(field, names + [v], GREVLEX)
     lift = lambda g: Polynomial(ring, {exp + (0,): c for exp, c in g.terms().items()})
     gens = [lift(g) for g in ext.b_ideal.generators]
     gens.append(lift(ext.images[v]) - ring.variable(v))
     work, fiber_ideal = move_variable_to_field(ring, Ideal(ring, gens), v)
-    K = work.field
-    notes = []
-    if fiber_ideal.is_unit_ideal():
-        return StalkReport(
-            None, K, EMPTY, 0, _stalk_semantics(ext), ("empty fiber",)
-        )
-    why: list[str] = []
-    try:
-        alg = FiniteAlgebra(work, fiber_ideal)
-        components = component_count(alg, why)
-    except NotZeroDimensional:
-        components = UNKNOWN
-        notes.append("generic fiber is not finite over the fraction field")
-    if components is UNKNOWN:
-        stalk: object = UNKNOWN
-        notes.append(": ".join(["component count not certified"] + why))
-    else:
-        stalk = components - 1
-    return StalkReport(
-        None, K, components, stalk, _stalk_semantics(ext), tuple(notes)
-    )
+    return _fiber_report(
+        ext, None, lambda: work.field, work, fiber_ideal,
+        lambda: (UNKNOWN, "generic fiber is not finite over the fraction field"))
 
 
 def stalk_rank(ext: ExtensionPresentation, prime: Ideal | None) -> StalkReport:

@@ -54,18 +54,26 @@ def _row(case, check, expected, actual, note=None):
 def run_corpus(bound: int = 6) -> list[dict]:
     rows: list[dict] = []
 
+    def stalk(ext, case, gens, expected, check="stalk at {}", field="stalk_rank"):
+        """A row on the stalk report at the prime the generators span, or at
+        the generic point when there are none."""
+        report = stalk_rank(ext, _prime(ext, *gens) if gens else None)
+        where = f"({', '.join(gens)})" if gens else "generic"
+        rows.append(_row(case, check.format(where), expected, shown(getattr(report, field))))
+
+    def rank_data(case, expected):
+        """A row on the five-term rank of a rank-data file."""
+        result = li_five_term(load_rank_data(corpus_path(case)))
+        rows.append(_row(case, "li rank", expected, shown(result.rank)))
+
     node = load_extension(corpus_path("node.ext"))
     node_stability = laurent_stability(node, degree_bound=4)
     node_li = node_stability.li
     rows.append(_row("node.ext", "li rank", 1, shown(node_li.rank)))
     rows.append(_row("node.ext", "li method", "ConductorSquare", node_li.method))
-    rows.append(
-        _row("node.ext", "stalk at (x, y)", 1, shown(stalk_rank(node, _prime(node, "x", "y")).stalk_rank))
-    )
+    stalk(node, "node.ext", ("x", "y"), 1)
     rows.append(_row("node.ext", "laurent stability", "no", node_stability.answer))
-    rows.append(
-        _row("node.rankdata", "li rank", 1, shown(li_five_term(load_rank_data(corpus_path("node.rankdata"))).rank))
-    )
+    rank_data("node.rankdata", 1)
 
     cusp = load_extension(corpus_path("cusp.ext"))
     cusp_li = li_auto(cusp)
@@ -74,47 +82,22 @@ def run_corpus(bound: int = 6) -> list[dict]:
     rows.append(
         _row("cusp.ext", "seminormal witnesses at bound 3", ["t"], [str(w) for w in closure.adjoined])
     )
-    for label, gens in (("(x, y)", ("x", "y")), ("(x - 1, y - 1)", ("x - 1", "y - 1"))):
-        rows.append(
-            _row("cusp.ext", f"stalk at {label}", 0, shown(stalk_rank(cusp, _prime(cusp, *gens)).stalk_rank))
-        )
-    rows.append(_row("cusp.ext", "stalk at generic", 0, shown(stalk_rank(cusp, None).stalk_rank)))
+    for gens in (("x", "y"), ("x - 1", "y - 1"), ()):
+        stalk(cusp, "cusp.ext", gens, 0)
 
     lines = load_extension(corpus_path("two_lines.ext"))
-    rows.append(_row("two_lines.ext", "stalk at (x)", 0, shown(stalk_rank(lines, _prime(lines, "x")).stalk_rank)))
-    rows.append(
-        _row("two_lines.ext", "stalk at (x - 1)", 1, shown(stalk_rank(lines, _prime(lines, "x - 1")).stalk_rank))
-    )
-    rows.append(_row("two_lines.ext", "stalk at generic", 1, shown(stalk_rank(lines, None).stalk_rank)))
-    rows.append(
-        _row("two_lines.rankdata", "li rank", 0, shown(li_five_term(load_rank_data(corpus_path("two_lines.rankdata"))).rank))
-    )
+    for gens, expected in ((("x",), 0), (("x - 1",), 1), ((), 1)):
+        stalk(lines, "two_lines.ext", gens, expected)
+    rank_data("two_lines.rankdata", 0)
 
     square = load_extension(corpus_path("laurent_square.ext"))
-    rows.append(
-        _row("laurent_square.ext", "stalk at (s - 1)", 1, shown(stalk_rank(square, _prime(square, "s - 1")).stalk_rank))
-    )
-    rows.append(
-        _row(
-            "laurent_square.rankdata",
-            "li rank",
-            0,
-            shown(li_five_term(load_rank_data(corpus_path("laurent_square.rankdata"))).rank),
-        )
-    )
+    stalk(square, "laurent_square.ext", ("s - 1",), 1)
+    rank_data("laurent_square.rankdata", 0)
 
     family = load_extension(corpus_path("family_split.ext"))
-    rows.append(
-        _row("family_split.ext", "fiber components at (x)", 2, shown(stalk_rank(family, _prime(family, "x")).fiber_components))
-    )
-    rows.append(
-        _row(
-            "family_split.ext",
-            "fiber components at (x - 1)",
-            1,
-            shown(stalk_rank(family, _prime(family, "x - 1")).fiber_components),
-        )
-    )
+    for gens, expected in ((("x",), 2), (("x - 1",), 1)):
+        stalk(family, "family_split.ext", gens, expected, "fiber components at {}",
+              "fiber_components")
     rows.append(
         _row(
             "family_split.ext",
@@ -126,44 +109,14 @@ def run_corpus(bound: int = 6) -> list[dict]:
     )
 
     line_node = load_extension(corpus_path("line_into_node.ext"))
-    for label, gens, expected in (
-        ("(x)", ("x",), 0),
-        ("(x + 1)", ("x + 1",), 0),
-        ("(x - 3)", ("x - 3",), 1),
-    ):
-        rows.append(
-            _row(
-                "line_into_node.ext",
-                f"stalk at {label}",
-                expected,
-                shown(stalk_rank(line_node, _prime(line_node, *gens)).stalk_rank),
-            )
-        )
-    rows.append(
-        _row("line_into_node.ext", "stalk at generic", 0, shown(stalk_rank(line_node, None).stalk_rank))
-    )
-    rows.append(
-        _row(
-            "line_into_node.rankdata",
-            "li rank",
-            0,
-            shown(li_five_term(load_rank_data(corpus_path("line_into_node.rankdata"))).rank),
-        )
-    )
+    for gens, expected in ((("x",), 0), (("x + 1",), 0), (("x - 3",), 1), ((), 0)):
+        stalk(line_node, "line_into_node.ext", gens, expected)
+    rank_data("line_into_node.rankdata", 0)
 
     localized = load_extension(corpus_path("node_localized.ext"))
-    at_node = stalk_rank(localized, _prime(localized, "x", "y"))
-    rows.append(
-        _row("node_localized.ext", "fiber at the node", "empty", shown(at_node.fiber_components))
-    )
-    rows.append(
-        _row(
-            "node_localized.ext",
-            "stalk at (x - 3, y - 6)",
-            0,
-            shown(stalk_rank(localized, _prime(localized, "x - 3", "y - 6")).stalk_rank),
-        )
-    )
+    stalk(localized, "node_localized.ext", ("x", "y"), "empty", "fiber at the node",
+          "fiber_components")
+    stalk(localized, "node_localized.ext", ("x - 3", "y - 6"), 0)
     rows.append(
         _row(
             "node_localized.ext",
@@ -175,35 +128,11 @@ def run_corpus(bound: int = 6) -> list[dict]:
     )
 
     conj = load_extension(corpus_path("conjugate_pair.ext"))
-    rows.append(_row("conjugate_pair.ext", "stalk at (x)", 0, shown(stalk_rank(conj, _prime(conj, "x")).stalk_rank)))
-    rows.append(
-        _row("conjugate_pair.ext", "stalk at (x^2 + 1)", 1, shown(stalk_rank(conj, _prime(conj, "x^2 + 1")).stalk_rank))
-    )
-    rows.append(
-        _row(
-            "conjugate_pair.rankdata",
-            "li rank",
-            0,
-            shown(li_five_term(load_rank_data(corpus_path("conjugate_pair.rankdata"))).rank),
-        )
-    )
-
-    rows.append(
-        _row(
-            "arithmetic_quasifinite.rankdata",
-            "li rank",
-            1,
-            shown(li_five_term(load_rank_data(corpus_path("arithmetic_quasifinite.rankdata"))).rank),
-        )
-    )
-    rows.append(
-        _row(
-            "pushout_surface.rankdata",
-            "li rank",
-            1,
-            shown(li_five_term(load_rank_data(corpus_path("pushout_surface.rankdata"))).rank),
-        )
-    )
+    for gens, expected in ((("x",), 0), (("x^2 + 1",), 1)):
+        stalk(conj, "conjugate_pair.ext", gens, expected)
+    rank_data("conjugate_pair.rankdata", 0)
+    rank_data("arithmetic_quasifinite.rankdata", 1)
+    rank_data("pushout_surface.rankdata", 1)
 
     nil_toy = load_extension(corpus_path("nil_toy.ext"))
     rows.append(_row("nil_toy.ext", "li rank", 0, shown(li_auto(nil_toy).rank)))

@@ -34,7 +34,7 @@ from .errors import (
     ZeroRingError,
 )
 from .polycore.groebner import Ideal, colon, default_pair_budget, ideal_sum, intersect
-from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_name
+from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_names
 
 
 @dataclass(frozen=True)
@@ -170,18 +170,13 @@ class ExtensionPresentation:
         if isinstance(cached, PairBudgetExceeded) and cached.budget >= default_pair_budget():
             raise cached
         if not isinstance(cached, Ideal):
-            field = self.b_ring.field
-            taken = set(self.b_ring.variables) | set(field.symbol_names())
-            tags = []
-            for v in self.a_ring.variables:
-                tags.append(fresh_name(v, taken))
-                taken.add(tags[-1])
+            tags = fresh_names(self.a_ring.variables, self.b_ring.taken_names())
             nb = self.b_ring.nvars()
             if tags:
                 order = MonomialOrder("block", nb) if nb else GREVLEX
             else:
                 order = MonomialOrder("lex") if nb else GREVLEX
-            work = PolyRing(field, tuple(self.b_ring.variables) + tuple(tags), order)
+            work = PolyRing(self.b_ring.field, tuple(self.b_ring.variables) + tuple(tags), order)
             gens = [g.map_variables(work) for g in self.b_ideal.generators]
             for tag, v in zip(tags, self.a_ring.variables):
                 gens.append(work.variable(tag) - self.images[v].map_variables(work))
@@ -312,12 +307,8 @@ class ClosureResult:
 
 def adjoin_element(ext: ExtensionPresentation, b: Polynomial) -> ExtensionPresentation:
     """Extend A's presentation by one element of B, presented by the kernel."""
-    taken = (
-        set(ext.a_ring.variables)
-        | set(ext.b_ring.variables)
-        | set(ext.a_ring.field.symbol_names())
-    )
-    w = fresh_name(f"w{len(ext.a_ring.variables) + 1}", taken)
+    taken = ext.a_ring.taken_names() | set(ext.b_ring.variables)
+    w, = fresh_names([f"w{len(ext.a_ring.variables) + 1}"], taken)
     new_a_ring = PolyRing(ext.a_ring.field, tuple(ext.a_ring.variables) + (w,), GREVLEX)
     images = dict(ext.images)
     images[w] = ext.b_ideal.normal_form(b)

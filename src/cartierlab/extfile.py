@@ -32,7 +32,8 @@ import re
 
 from .artinian import FiniteAlgebra
 from .cartier import RankData
-from .errors import CartierlabError, InputError, InvariantViolation, ParseError
+from .errors import (CartierlabError, InputError, InvariantViolation, NotZeroDimensional,
+                     ParseError, ZeroRingError)
 from .extensions import ExtensionPresentation, Hints
 from .polycore import GREVLEX, Ideal, PolyRing, PrimeField, QQ, parse_polynomial
 
@@ -269,7 +270,11 @@ def load_ring(path: str, description: dict | None = None) -> FiniteAlgebra:
     if list(description) != ["ring"]:
         raise InputError(f"{path} must contain exactly the [ring] section")
     ring, ideal = _parse_ring(description["ring"], "ring")
-    return FiniteAlgebra(ring, ideal)
+    try:
+        return FiniteAlgebra(ring, ideal)
+    except (NotZeroDimensional, ZeroRingError) as exc:
+        raise InputError(f"[ring] of {path} is not a nonzero finite-dimensional "
+                         f"algebra: {exc}") from None
 
 
 def detect_kind(path: str, description: dict | None = None) -> str:

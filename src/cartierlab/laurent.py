@@ -19,10 +19,12 @@ from .artinian import (
 from .errors import (
     CartierlabError,
     CertificateFailure,
+    InputError,
     ParseError,
     ProbeExhausted,
     UNKNOWN,
 )
+from .polycore.fields import square_and_multiply
 from .polycore.parse import Evaluator, parse_with_evaluator
 
 
@@ -97,15 +99,8 @@ class LaurentElement:
                 raise CartierlabError(
                     f"{self} is not a unit, so it has no negative powers") from None
             return LaurentElement(self.base, {-deg: inv_c}) ** (-n)
-        result = LaurentElement.one(self.base)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return square_and_multiply(self, n, LaurentElement.one(self.base),
+                                   LaurentElement.__mul__)
 
     def __eq__(self, other):
         return (
@@ -279,7 +274,8 @@ class _LaurentEvaluator(Evaluator):
 
     def __init__(self, base: FiniteAlgebra):
         if "t" in base.ring.variables or "t" in base.field.symbol_names():
-            raise CartierlabError("the Laurent variable 't' collides with a base symbol")
+            raise InputError(f"the Laurent variable 't' collides with a variable or field "
+                             f"symbol of the base {base.ring.describe()}")
         self.base = base
 
     def from_fraction(self, q: Fraction, text, pos):

@@ -43,6 +43,7 @@ from .fields import (
     RationalFunctionField,
     SimpleExtensionField,
     _is_prime,
+    square_and_multiply,
 )
 
 _RECOMBINATION_CAP = 1 << 16  # subsets of modular factors tried over QQ
@@ -264,15 +265,8 @@ def _rem(c: list, m: tuple, p: int) -> tuple:
 
 
 def _powmod(a: tuple, e: int, m: tuple, p: int) -> tuple:
-    """a^e mod m over F_p by square-and-multiply, for monic m of degree >= 1."""
-    result = (1,)
-    while e:
-        if e & 1:
-            result = _mulmod(result, a, m, p)
-        e >>= 1
-        if e:
-            a = _mulmod(a, a, m, p)
-    return result
+    """a^e mod m over F_p, for monic m of degree >= 1."""
+    return square_and_multiply(a, e, (1,), lambda x, y: _mulmod(x, y, m, p))
 
 
 def _frobenius(h: tuple, rows: list, m: tuple, p: int) -> tuple:

@@ -5,6 +5,12 @@ Every field exposes the same operation interface over opaque element values
 coefficient tuples for extensions, reduced numerator/denominator pairs for
 rational functions). All element values are immutable and hashable, so
 polynomials over any field compare by value.
+
+`square_and_multiply(a, n, one, mul)` is the package's one binary power for
+n >= 0: field elements, polynomials, algebra elements, Laurent polynomials
+and the F_p powers mod m all pass it their unit and product. Each caller
+keeps its own rule for a negative exponent (`Field.pow` inverts,
+`Polynomial.__pow__` refuses, `LaurentElement.__pow__` inverts single terms).
 """
 
 from __future__ import annotations
@@ -38,6 +44,20 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def square_and_multiply(a, n: int, one, mul):
+    """a^n for n >= 0 by right-to-left binary powering (Knuth, TAOCP vol. 2,
+    4.6.3): one product per set bit of n, and a squaring only while bits of n
+    remain. `one` is the unit and `mul(x, y)` the product."""
+    result = one
+    while n > 0:
+        if n & 1:
+            result = mul(result, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return result
 
 
 class Field:
@@ -83,15 +103,8 @@ class Field:
 
     def pow(self, a, n: int):
         if n < 0:
-            return self.pow(self.inv(a), -n)
-        result = self.one()
-        while n > 0:
-            if n & 1:
-                result = self.mul(result, a)
-            n >>= 1
-            if n:
-                a = self.mul(a, a)
-        return result
+            a, n = self.inv(a), -n
+        return square_and_multiply(a, n, self.one(), self.mul)
 
     def sign_split(self, a) -> tuple[int, object]:
         """Return (sign, magnitude) used only for printing; default no split."""

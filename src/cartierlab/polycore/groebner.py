@@ -31,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 
 from ..errors import CartierlabError, CertificateFailure, PairBudgetExceeded
-from .rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_name
+from .rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_names
 
 DEFAULT_PAIR_BUDGET = 100_000
 _budget = DEFAULT_PAIR_BUDGET
@@ -304,7 +304,7 @@ def intersect(i1: Ideal, i2: Ideal) -> Ideal:
     ring = i1.ring
     if i2.ring != ring:
         raise CartierlabError("ideals live in different rings")
-    u = fresh_name("u", set(ring.variables) | set(ring.field.symbol_names()))
+    u, = fresh_names(["u"], ring.taken_names())
     work = PolyRing(ring.field, (u,) + ring.variables, GREVLEX)
     uvar = work.variable(u)
     one = work.one()

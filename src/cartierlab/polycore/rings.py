@@ -21,6 +21,10 @@ construction, with the dict not touched afterwards:
   in `extensions.py`).
 Products of nonzero coefficients are nonzero because the coefficients form a
 field.
+
+Every new variable name (membership tags, intersection's `u`, B's variables
+renamed for the generic fiber, adjoined `w`s, primitive elements' `g`) comes
+from `fresh_names(bases, taken)`, usually with `taken = ring.taken_names()`.
 """
 
 from __future__ import annotations
@@ -30,17 +34,22 @@ from dataclasses import dataclass
 from operator import add
 
 from ..errors import CartierlabError
-from .fields import Field
+from .fields import Field, square_and_multiply
 
 _IDENT = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
-def fresh_name(base: str, taken) -> str:
-    """base with underscores appended until it is not in taken."""
-    name = base
-    while name in taken:
-        name += "_"
-    return name
+def fresh_names(bases, taken) -> list:
+    """Each base with underscores appended until it is neither in taken nor
+    an earlier name of the list; taken itself is not changed."""
+    taken = set(taken)
+    names = []
+    for name in bases:
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        names.append(name)
+    return names
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,10 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.variables)
 
+    def taken_names(self) -> set:
+        """The variables and the field's symbols: the names a new variable must avoid."""
+        return set(self.variables) | set(self.field.symbol_names())
+
     def describe(self) -> str:
         return f"{self.field.describe()}[{', '.join(self.variables)}]"
 
@@ -291,15 +304,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise CartierlabError("negative polynomial power")
-        result = self.ring.one()
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return square_and_multiply(self, n, self.ring.one(), Polynomial.__mul__)
 
     def scale(self, c) -> "Polynomial":
         field = self.ring.field

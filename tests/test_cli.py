@@ -592,3 +592,33 @@ def test_negative_power_of_a_non_unit_is_input_error(capsys):
     assert (code, out) == (2, "")
     assert err == ("input error: laurent expression: eps is not a unit, so it has no "
                    "negative powers at position 5: 'eps^-1'\n")
+
+
+@pytest.mark.parametrize("ring_text, message", [
+    ("vars = x\n", "[ring] of {path} is not a nonzero finite-dimensional algebra: ideal "
+     "is not zero-dimensional: no pure power of 'x' among the leading terms"),
+    ("vars = x\nrelations = x, x - 1\n", "[ring] of {path} is not a nonzero "
+     "finite-dimensional algebra: quotient by the unit ideal"),
+    ("vars = t, e\nrelations = t^2, e^2 - e\n", "the Laurent variable 't' collides with "
+     "a variable or field symbol of the base QQ[t, e]"),
+], ids=["not-zero-dimensional", "unit-ideal", "t-collision"])
+def test_bad_units_base_is_input_error(capsys, tmp_path, ring_text, message):
+    """A base ring that is no nonzero finite algebra, or that already names t,
+    is bad input: the message names the file and its [ring] section, or t."""
+    path = tmp_path / "base.ring"
+    path.write_text("[ring]\nfield = QQ\n" + ring_text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "units", "--base", str(path), "--laurent", "t + 1")
+    assert (code, out) == (2, "")
+    assert err == "input error: " + message.format(path=path) + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["li", corpus_path("nil_base.ring")], "li needs an extension or rank-data file"),
+    (["li", corpus_path("node.rankdata"), "--method", "hensel"],
+     "rank-data files support only --method auto or fiveterm"),
+    (["terms", "--n", "-1"], "--n must be nonnegative"),
+], ids=["li-on-a-ring", "li-hensel-on-rankdata", "terms-negative-n"])
+def test_command_refusals_are_input_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"

@@ -120,21 +120,64 @@ def test_lex_vs_grevlex_leading_terms():
 
 def test_power_squares_only_while_bits_remain(monkeypatch):
     """(t + 1)^4 takes two squarings and one product with the unit; the top
-    bit leaves nothing more to square."""
+    bit leaves nothing more to square. The same holds for every power in the
+    package: algebra elements, Laurent polynomials, field elements (a negative
+    exponent inverts first, over QQ and over F_7) and the F_p powers mod m."""
+    from cartierlab.artinian import FiniteAlgebra
+    from cartierlab.laurent import LaurentElement, parse_laurent
+    from cartierlab.polycore import Ideal, factor
     from cartierlab.polycore.rings import Polynomial
 
+    def counted(owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def repeated(mul, one, a, n):
+        for _ in range(n):
+            one = mul(one, a)
+        return one
+
     base = parse_polynomial("t + 1", PolyRing(QQ, ["t"], GREVLEX))
-    calls = []
-    original = Polynomial.__mul__
-
-    def counting(self, other):
-        calls.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    calls = counted(Polynomial, "__mul__")
     power = base**4
     assert len(calls) == 3
     assert power == parse_polynomial("t^4 + 4*t^3 + 6*t^2 + 4*t + 1", base.ring)
+
+    ring = PolyRing(QQ, ["e"], GREVLEX)
+    alg = FiniteAlgebra(ring, Ideal(ring, [ring.parse("e^5")]))
+    a = alg.from_poly(ring.parse("1 + 2*e"))
+    expected = repeated(alg.mul, alg.one(), a, 4)
+    calls = counted(FiniteAlgebra, "mul")
+    assert alg.pow(a, 4) == expected
+    assert len(calls) == 3
+
+    unit = parse_laurent("2*t^-1 + 3*e", alg)
+    expected = repeated(LaurentElement.__mul__, LaurentElement.one(alg), unit, 4)
+    calls = counted(LaurentElement, "__mul__")
+    assert unit**4 == expected
+    assert len(calls) == 3
+
+    f7 = PrimeField(7)
+    for field, x, inverse in ((QQ, Fraction(2, 3), Fraction(3, 2)), (f7, 3, 5)):
+        expected = repeated(field.mul, field.one(), inverse, 4)
+        calls = counted(type(field), "mul")
+        assert field.pow(x, -4) == expected
+        assert len(calls) == 3
+        monkeypatch.undo()
+    assert (QQ.pow(Fraction(2, 3), -4), f7.pow(3, -4)) == (Fraction(81, 16), 2)
+
+    m, p = (1, 0, 0, 1), 7  # x^3 + 1 over F_7
+    expected = repeated(lambda u, v: factor._mulmod(u, v, m, p), (1,), (2, 1), 4)
+    calls = counted(factor, "_mulmod")
+    assert factor._powmod((2, 1), 4, m, p) == expected
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("text, char, position", [
