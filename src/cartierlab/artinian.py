@@ -31,9 +31,11 @@ one: over QQ and F_p the factorizer is complete below its one cap, while
 over k(v) the cut is what brings the pieces within its reach. What is
 factored here is squarefree already (squarefree parts, pieces of m,
 relative minimal polynomials on A_red), so it goes to
-`irreducible_factors`; a residue field is presented by its splitting's z
-and m. A factor cap, or a field where neither route applies, gives Unknown
-with its reason, never a guessed count.
+`irreducible_factors`. A factor cap, or a field where neither route
+applies, gives Unknown with its reason, never a guessed count.
+
+A residue field k[g]/(m) is the record `ResidueField`, with g naming z and
+m its minimal polynomial; it is printed, and no code computes in it.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .errors import (
 )
 from .polycore import unipoly as up
 from .polycore.factor import factor_count, irreducible_factors
-from .polycore.fields import (PrimeField, RationalField, RationalFunctionField,
-                              SimpleExtensionField, square_and_multiply)
+from .polycore.fields import (Field, PrimeField, RationalField, RationalFunctionField,
+                              square_and_multiply)
 from .polycore.groebner import Ideal, colon, ideal_sum
 from .polycore.linalg import express_in_span, first_dependence, kernel_basis, rref
 from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_names
@@ -442,10 +444,7 @@ def _find_splitting(alg: FiniteAlgebra) -> _Splitting:
         red = reduced_algebra(alg)
         if isinstance(field, PrimeField) and field.p <= _search_bound(red):
             return _Splitting(red, kernel=_frobenius_kernel(red))
-    found = _primitive_element(red)
-    if found is None:  # only over a non-prime finite field
-        raise ProbeExhausted(f"no candidate is primitive over {field.describe()}")
-    return _Splitting(red, *found)
+    return _Splitting(red, *_primitive_element(red))
 
 
 def _crt_idempotents(alg: FiniteAlgebra, factors: tuple, a: tuple, unit: tuple) -> list[tuple]:
@@ -587,25 +586,35 @@ def nilradical_span(alg: FiniteAlgebra) -> list[tuple]:
     return [tuple(row) for row in reduced]
 
 
+@dataclass(frozen=True)
+class ResidueField:
+    """base[generator]/(min_poly), a field that is printed, never computed in."""
+
+    base: Field
+    min_poly: tuple
+    generator: str
+
+    def describe(self) -> str:
+        m = up.uformat(self.base, self.min_poly, self.generator)
+        return f"{self.base.describe()}[{self.generator}]/({m})"
+
+
 def primitive_element_presentation(alg: FiniteAlgebra):
-    """Present a field algebra as the base field or a simple extension.
+    """Present a field algebra as its base field or as base[g]/(m).
 
     The splitting holds z and its minimal polynomial m, the single factor;
     only a Frobenius kernel (small F_p) has no z, and there the search runs.
-    Returns a Field, or None when no candidate is primitive or m is past the
-    factor search.
+    m is irreducible because it is the minimal polynomial of a primitive
+    element of an algebra that `verify_maximal` or `is_field_algebra` has
+    already certified to be a field, so the record checks nothing again.
+    Returns a Field, a ResidueField, or None when no candidate is primitive.
     """
     if alg.dim == 1:
         return alg.field
     name, = fresh_names(["g"], alg.ring.taken_names())
     split = _splitting(alg)
     found = _primitive_element(alg) if split.element is None else (split.element, split.minpoly)
-    if found is None:
-        return None
-    try:
-        return SimpleExtensionField(alg.field, found[1], generator=name)
-    except FactorSearchLimit:
-        return None
+    return None if found is None else ResidueField(alg.field, found[1], name)
 
 
 # -- fibers that are finite over a polynomial subring ---------------------------

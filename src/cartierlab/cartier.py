@@ -61,7 +61,7 @@ from .polycore.rings import GREVLEX, Polynomial, PolyRing, fresh_names
 @dataclass(frozen=True)
 class StalkReport:
     prime: Ideal | None  # None for the zero ideal
-    residue_field: object | None  # a Field, or None when not presentable
+    residue_field: object | None  # a Field, an artinian.ResidueField, or None when not presented
     fiber_components: object  # int, EMPTY, or UNKNOWN
     stalk_rank: object  # int or UNKNOWN
     semantics: str  # "henselized-stalk" or "fiber-components-only"

@@ -6,7 +6,6 @@ from .fields import (
     QQ,
     RationalField,
     RationalFunctionField,
-    SimpleExtensionField,
 )
 from .groebner import (
     DEFAULT_PAIR_BUDGET,
@@ -37,7 +36,6 @@ __all__ = [
     "QQ",
     "RationalField",
     "RationalFunctionField",
-    "SimpleExtensionField",
     "buchberger",
     "colon",
     "default_pair_budget",

@@ -41,7 +41,6 @@ from .fields import (
     QQ,
     RationalField,
     RationalFunctionField,
-    SimpleExtensionField,
     _is_prime,
     square_and_multiply,
 )
@@ -71,12 +70,6 @@ def irreducible_factors(field: Field, sq: tuple) -> list[tuple]:
         return sorted(_factor_fp(field, sq))
     if isinstance(field, RationalFunctionField):
         return _factor_rational_functions(field, sq)
-    if isinstance(field, SimpleExtensionField):
-        if up.udeg(sq) == 1:
-            return [sq]
-        raise FactorSearchLimit(
-            f"no factor search implemented over {field.describe()} beyond degree 1"
-        )
     raise CartierlabError(f"unsupported field {field.describe()}")
 
 

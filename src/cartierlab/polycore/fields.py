@@ -1,10 +1,11 @@
-"""Coefficient fields: QQ, F_p, simple extensions, and rational functions.
+"""Coefficient fields: QQ, F_p and one-variable rational functions over them.
 
 Every field exposes the same operation interface over opaque element values
-(for QQ an int when integral and otherwise a Fraction, int for F_p,
-coefficient tuples for extensions, reduced numerator/denominator pairs for
-rational functions). All element values are immutable and hashable, so
-polynomials over any field compare by value.
+(for QQ an int when integral and otherwise a Fraction, int for F_p, reduced
+numerator/denominator pairs for rational functions). All element values are
+immutable and hashable, so polynomials over any field compare by value.
+None is a finite extension of QQ or F_p: a residue field k[g]/(m) is only
+printed, as `artinian.ResidueField`, never computed in.
 
 `square_and_multiply(a, n, one, mul)` is the package's one binary power for
 n >= 0: field elements, polynomials, algebra elements, Laurent polynomials
@@ -269,125 +270,6 @@ class PrimeField(Field):
 
     def __hash__(self):
         return hash(("FP", self.p))
-
-
-class SimpleExtensionField(Field):
-    """base[g]/(m(g)) for a monic irreducible m; elements are coefficient tuples.
-
-    Irreducibility of m is decided by the factorizer, or refused with
-    FactorSearchLimit past the limits of its searches; never assumed.
-    """
-
-    def __init__(self, base: Field, min_poly: tuple, generator: str = "g"):
-        if up.udeg(min_poly) < 1:
-            raise CartierlabError("minimal polynomial must have degree >= 1")
-        if not base.is_one(min_poly[-1]):
-            raise CartierlabError("minimal polynomial must be monic")
-        if generator in base.symbol_names():
-            raise CartierlabError(f"generator name {generator!r} already in use")
-        self.base = base
-        self.min_poly = tuple(min_poly)
-        self.generator = generator
-        self.degree = up.udeg(min_poly)
-        self.characteristic = base.characteristic
-        from .factor import verify_irreducible
-
-        verify_irreducible(base, self.min_poly)
-
-    def _wrap(self, coeffs: tuple) -> tuple:
-        out = list(coeffs) + [self.base.zero()] * (self.degree - len(coeffs))
-        return tuple(out[: self.degree])
-
-    def zero(self):
-        return self._wrap(())
-
-    def one(self):
-        return self._wrap((self.base.one(),))
-
-    def embed(self, a):
-        """Embed a base-field element."""
-        return self._wrap((a,))
-
-    def generator_element(self):
-        return self._wrap((self.base.zero(), self.base.one()))
-
-    def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
-
-    def mul(self, a, b):
-        prod = up.umul(self.base, up.utrim(self.base, a), up.utrim(self.base, b))
-        return self._wrap(up.umod(self.base, prod, self.min_poly))
-
-    def inv(self, a):
-        pa = up.utrim(self.base, a)
-        if not pa:
-            raise ZeroDivisionError("inverse of zero")
-        g, u, _ = up.uxgcd(self.base, pa, self.min_poly)
-        if up.udeg(g) != 0:
-            raise CartierlabError("minimal polynomial is not irreducible")
-        return self._wrap(up.uscale(self.base, self.base.inv(g[0]), u))
-
-    def is_zero(self, a):
-        return all(self.base.is_zero(x) for x in a)
-
-    def from_int(self, n):
-        return self.embed(self.base.from_int(n))
-
-    def from_fraction(self, q):
-        return self.embed(self.base.from_fraction(q))
-
-    def pth_root(self, a):
-        # the field has p^m elements; x -> x^(p^(m-1)) inverts Frobenius
-        p = self.characteristic
-        if p == 0:
-            raise CartierlabError("p-th root only defined in positive characteristic")
-        m = self.absolute_degree()
-        return self.pow(a, p ** (m - 1))
-
-    def absolute_degree(self) -> int:
-        if isinstance(self.base, SimpleExtensionField):
-            return self.degree * self.base.absolute_degree()
-        return self.degree
-
-    def sign_split(self, a):
-        pa = up.utrim(self.base, a)
-        if not pa:
-            return (1, a)
-        s, _ = self.base.sign_split(pa[-1])
-        return (-1, self.neg(a)) if s < 0 else (1, a)
-
-    def symbol_element(self, name: str):
-        if name == self.generator:
-            return self.generator_element()
-        inner = self.base.symbol_element(name)
-        return None if inner is None else self.embed(inner)
-
-    def symbol_names(self):
-        return (self.generator,) + self.base.symbol_names()
-
-    def format_element(self, a, as_factor: bool = False):
-        s = up.uformat(self.base, up.utrim(self.base, a), self.generator)
-        if as_factor and (" + " in s or " - " in s or s.startswith("-")):
-            return f"({s})"
-        return s
-
-    def describe(self):
-        m = up.uformat(self.base, self.min_poly, self.generator)
-        return f"{self.base.describe()}[{self.generator}]/({m})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimpleExtensionField)
-            and other.base == self.base
-            and other.min_poly == self.min_poly
-            and other.generator == self.generator
-        )
-
-    def __hash__(self):
-        return hash(("EXT", self.base, self.min_poly, self.generator))
 
 
 class RationalFunctionField(Field):

@@ -290,3 +290,12 @@ def test_traced_entry_point_resolves(group, mod_name, attr):
         assert meth in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+def test_exported_names_resolve():
+    """Every name in `__all__` exists, so a deleted definition cannot leave an
+    export that only `from ... import *` would trip over."""
+    modules = [importlib.import_module(name) for name in ("cartierlab", "cartierlab.polycore")]
+    missing = [f"{module.__name__}.{name}"
+               for module in modules for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

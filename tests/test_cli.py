@@ -622,3 +622,35 @@ def test_command_refusals_are_input_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"input error: {message}\n"
+
+
+def _cusp_with(pattern, replacement):
+    with open(corpus_path("cusp.ext"), encoding="utf-8") as handle:
+        return re.sub(pattern, replacement, handle.read(), flags=re.M)
+
+
+FREE_PLANE = ("[ring.A]\nfield = QQ\nvars = x, y\n\n[ring.B]\nfield = QQ\nvars = s, t\n\n"
+              "[map]\nx = s\ny = t\n")
+
+
+@pytest.mark.parametrize("text, argv, code, expected", [
+    (_cusp_with(r"^module_generators = .*\n", ""), ["li", "--method", "conductor"], 0,
+     "conductor needs module generators for B over A"),
+    (_cusp_with(r"^fractions = .*$", "fractions ="), ["li", "--method", "conductor"], 0,
+     "module generator t has no fraction hint"),
+    (FREE_PLANE, ["stalks", "--primes", "x"], 2,
+     "input error: only maximal ideals (and the zero ideal) can be verified prime\n"),
+], ids=["conductor-without-module-generators", "conductor-without-fractions",
+        "stalk-at-a-prime-that-is-not-maximal"])
+def test_command_reachable_refusals(capsys, tmp_path, text, argv, code, expected):
+    """A missing hint gives rank Unknown with its reason; a prime that is not
+    zero-dimensional is refused as bad input."""
+    path = tmp_path / "input.ext"
+    path.write_text(text, encoding="utf-8")
+    got, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert got == code
+    if code == 0:
+        assert err == ""
+        assert f"rank: unknown\nmethod: ConductorSquare\ncertificate:\n  reason: {expected}\n" in out
+    else:
+        assert (out, err) == ("", expected)

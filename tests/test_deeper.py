@@ -17,7 +17,6 @@ from cartierlab.polycore import (
     PolyRing,
     PrimeField,
     QQ,
-    SimpleExtensionField,
     eliminate,
     parse_polynomial,
 )
@@ -116,27 +115,6 @@ def test_quotient_by_unit_ideal_is_zero_ring():
     ring = PolyRing(QQ, ["x"], GREVLEX)
     with pytest.raises(ZeroRingError):
         FiniteAlgebra(ring, Ideal(ring, [parse_polynomial("1", ring)]))
-
-
-def test_groebner_over_extension_field_coefficients():
-    gauss = SimpleExtensionField(
-        QQ, (Fraction(1), Fraction(0), Fraction(1)), generator="i"
-    )
-    ring = PolyRing(gauss, ["x"], GREVLEX)
-    # x^2 + 1 factors over QQ(i): the quotient splits into two components
-    ideal = Ideal(ring, [parse_polynomial("x^2 + 1", ring)])
-    alg = FiniteAlgebra(ring, ideal)
-    assert alg.dim == 2
-    # x is primitive with minimal polynomial z^2 + 1 = (z - i)(z + i), but
-    # there is no factor search over simple extensions beyond degree 1, so
-    # the count comes out Unknown
-    from cartierlab.errors import UNKNOWN
-
-    count = component_count(alg)
-    assert count in (2, UNKNOWN)  # never a wrong answer
-    if count is UNKNOWN:
-        # honest refusal is acceptable; a certified 2 would also be correct
-        pass
 
 
 def test_polynomial_constructor_rejects_bad_exponents():

@@ -13,12 +13,7 @@ from cartierlab.extfile import load_extension
 from cartierlab.polycore import unipoly as up
 from cartierlab.polycore.factor import _base_sqrt, squarefree_factors, verify_irreducible
 from cartierlab.polycore.groebner import buchberger
-from cartierlab.polycore.fields import (
-    PrimeField,
-    QQ,
-    RationalFunctionField,
-    SimpleExtensionField,
-)
+from cartierlab.polycore.fields import PrimeField, QQ, RationalFunctionField
 
 from oracles import rf_add, rf_inv, rf_mul, rf_reduce
 from test_golden import basis_cases
@@ -229,8 +224,6 @@ def test_irreducibility_past_the_recombination_cap_is_refused():
     product = up.umul(QQ, s, shifted)
     with pytest.raises(FactorSearchLimit, match="recombination"):
         verify_irreducible(QQ, product)
-    with pytest.raises(FactorSearchLimit, match="recombination"):
-        SimpleExtensionField(QQ, product)
 
 
 def test_factor_prime_field():
@@ -244,19 +237,6 @@ def test_factor_prime_field():
     # z^4 - 1 has the factors z-1, z+1, z^2+1 over F_5... but 2^2=4=-1 so it splits fully
     poly = tuple(f5.from_int(c) for c in (-1, 0, 0, 0, 1))
     assert len(squarefree_factors(f5, poly)) == 4
-
-
-def test_simple_extension_field():
-    gauss = SimpleExtensionField(QQ, qpoly(1, 0, 1), generator="i")
-    i = gauss.generator_element()
-    assert gauss.mul(i, i) == gauss.neg(gauss.one())
-    inv = gauss.inv(gauss.add(gauss.one(), i))  # 1/(1+i) = (1-i)/2
-    expected = gauss.add(
-        gauss.embed(Fraction(1, 2)), gauss.mul(gauss.embed(Fraction(-1, 2)), i)
-    )
-    assert inv == expected
-    with pytest.raises(CartierlabError):
-        SimpleExtensionField(QQ, qpoly(-1, 0, 1))  # z^2 - 1 is reducible
 
 
 def test_rational_function_field():
