@@ -312,30 +312,60 @@ def _constant(field, c: int):
 def _primitive_element(alg: FiniteAlgebra):
     """(z, m) with alg = k[z]/(m) up to nilpotents and m squarefree, or None.
 
-    The candidates are x_1 + c*x_2 + c^2*x_3 + ... for c = 0, 1, 2, ...;
-    a variable whose minimal polynomial already has full degree is taken
+    A variable whose minimal polynomial already has full degree is taken
     first, with the squarefree part of that polynomial, since alg may have
-    nilpotents. Past that, callers pass a reduced algebra, where the search
-    succeeds once it may try more than _search_bound constants.
+    nilpotents. Past that the candidates are the combinations of
+    `_candidate_weights`. Callers pass a reduced algebra there, where the
+    search succeeds once it may try more than _search_bound constants.
     """
     field = alg.field
     variables = [alg.variable_element(v) for v in alg.ring.variables]
     for x, m, sq in zip(variables, alg.minimal_polynomials(), alg.squarefree_parts()):
         if up.udeg(m) == alg.dim:
             return x, sq
-    last = _search_bound(alg)
-    if field.characteristic and not isinstance(field, RationalFunctionField):
-        last = min(last, field.characteristic - 1)  # a finite field has p constants c
-    for c in range(1, last + 1):
-        const = _constant(field, c)
-        z, weight = alg.zero(), field.one()
-        for x in variables:
-            z = alg.add(z, alg.scale(weight, x))
-            weight = field.mul(weight, const)
+    for weights in _candidate_weights(alg):
+        z = alg.zero()
+        for w, x in zip(weights, variables):
+            if not field.is_zero(w):
+                z = alg.add(z, alg.scale(w, x))
         m = minimal_polynomial(alg, z)
         if up.udeg(m) == alg.dim:
             return z, m
     return None
+
+
+def _candidate_weights(alg: FiniteAlgebra):
+    """The weights (w_1, ..., w_n) of the candidates w_1*x_1 + ... + w_n*x_n.
+
+    First (1, c, c^2, ...) for c = 1, 2, ..., at most _search_bound of them.
+    A finite field F_p with p - 1 below that bound has only p - 1 such c;
+    then every other combination with w_1 = 1 at its first nonzero weight
+    and two or more nonzero weights follows, by the number of nonzero
+    weights: a nonzero multiple of a candidate has its minimal polynomial's
+    degree, and a single variable was tried first.
+    """
+    field = alg.field
+    n = alg.ring.nvars()
+    last = _search_bound(alg)
+    p = field.characteristic
+    small = p and not isinstance(field, RationalFunctionField) and p - 1 < last
+    tried = set()
+    for c in range(1, p if small else last + 1):
+        const, weights = _constant(field, c), [field.one()]
+        while len(weights) < n:
+            weights.append(field.mul(weights[-1], const))
+        tried.add(tuple(weights))
+        yield tuple(weights)
+    if not small:
+        return
+    for k in range(2, n + 1):
+        for support in itertools.combinations(range(n), k):
+            for rest in itertools.product(range(1, p), repeat=k - 1):
+                weights = [field.zero()] * n
+                for i, c in zip(support, (1,) + rest):
+                    weights[i] = field.from_int(c)
+                if tuple(weights) not in tried:
+                    yield tuple(weights)
 
 
 def _frobenius_kernel(alg: FiniteAlgebra) -> tuple:

@@ -13,6 +13,13 @@ relations are substituted into the images only when that basis is over the
 pair budget. The leading monomials of that basis also decide whether B is
 finite over A and give B-monomials spanning B over A, so the certificate
 covers all of B whatever the module_generators hint says.
+
+A witness test asks up to three memberships, b, then b^2 (b^2 - b for
+anodal), then b^3 (b^3 - b^2), and stops at the first that decides the
+answer: b in A, or the second element outside A. `WitnessCheck.details`
+holds the memberships that were tested, in that order. `closure_search`
+remembers the candidates it found inside a subring, which lie in every
+enlarged subring too, and tests them no more.
 """
 
 from __future__ import annotations
@@ -249,21 +256,31 @@ class ExtensionPresentation:
 # -- witnesses -----------------------------------------------------------------
 
 
+def _witness_check(ext: ExtensionPresentation, b: Polynomial, second) -> WitnessCheck:
+    """b is a witness when s = second() and s*b lie in A but b does not.
+
+    The memberships are tested in that order, and the test stops at the
+    first one that decides the answer: b in A, or s outside A. `details`
+    holds the memberships tested, so one, two or three of them; s*b is
+    formed from the normal form of s, which is congruent to s modulo B's
+    relations.
+    """
+    details = [ext.contains(b)]
+    if not details[0].member:
+        details.append(ext.contains(second()))
+        if details[1].member:
+            details.append(ext.contains(details[1].element * b))
+    return WitnessCheck(b, len(details) == 3 and details[2].member, tuple(details))
+
+
 def is_seminormal_witness(ext: ExtensionPresentation, b: Polynomial) -> WitnessCheck:
     """b is a witness when b^2 and b^3 lie in A but b does not."""
-    m1 = ext.contains(b)
-    m2 = ext.contains(b * b)
-    m3 = ext.contains(b * b * b)
-    return WitnessCheck(b, m2.member and m3.member and not m1.member, (m1, m2, m3))
+    return _witness_check(ext, b, lambda: b * b)
 
 
 def is_anodal_witness(ext: ExtensionPresentation, b: Polynomial) -> WitnessCheck:
     """b is a witness when b^2 - b and b^3 - b^2 lie in A but b does not."""
-    b2, b3 = b * b, b * b * b
-    m1 = ext.contains(b)
-    m2 = ext.contains(b2 - b)
-    m3 = ext.contains(b3 - b2)
-    return WitnessCheck(b, m2.member and m3.member and not m1.member, (m1, m2, m3))
+    return _witness_check(ext, b, lambda: b * b - b)
 
 
 _WITNESS_TESTS = {
@@ -335,13 +352,14 @@ def closure_search(ext: ExtensionPresentation, kind: str,
         raise CartierlabError("degree bound must be at least 1")
     test = _WITNESS_TESTS[kind]
     candidates = list(witness_candidates(ext, degree_bound))
+    inside: set = set()  # candidates found in a smaller subring lie in every larger one
     current = ext
     adjoined: list[Polynomial] = []
     changed = True
     while changed:
         changed = False
         for cand in candidates:
-            if current.contains(cand).member:
+            if cand in inside:
                 continue
             check = test(current, cand)
             if check.is_witness:
@@ -349,6 +367,8 @@ def closure_search(ext: ExtensionPresentation, kind: str,
                 adjoined.append(cand)
                 changed = True
                 break
+            if check.details[0].member:
+                inside.add(cand)
     exhausted = not current.is_identity_onto()
     return ClosureResult(current, tuple(adjoined), exhausted)
 

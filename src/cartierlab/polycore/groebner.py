@@ -2,28 +2,36 @@
 
 Division: `reduce_poly` and `divide_with_quotients` share one kernel. It
 keeps the dividend as a mutable dict of terms and takes the next leading
-term from a heap keyed by `MonomialOrder.heap_key`; an entry whose term has
-cancelled, or that duplicates a term already taken, is stale and skipped. A
-leading term is divided by the first basis element whose leading term
-divides it, and only that element's tail is subtracted, since the leading
-terms cancel exactly. Remainders and quotients are therefore those of the
-textbook division loop, term for term (tests/oracles.py keeps that loop).
-An `Ideal` keeps the divisor list of its reduced basis (leading term,
-coefficient and tail of each element) with the basis: it is built on the
-first normal form and `reduced()` hands it on.
+term from a heap keyed by the order's compiled `heap_key`; an entry whose
+term has cancelled, or that duplicates a term already taken, is stale and
+skipped. A leading term c*m is divided by the first basis element whose
+leading term divides it, and only that element's tail is subtracted, since
+the leading terms cancel exactly. Each divisor is kept as a triple: its
+leading exponents, 1/lc, and its tail scaled by -1/lc, so subtracting
+(c/lc) times the shifted element adds c times each scaled tail term, one
+field multiplication per term; the quotient term c*(1/lc) is formed only
+when quotients are asked for. Remainders and quotients are therefore those
+of the textbook division loop, term for term (tests/oracles.py keeps that
+loop). An `Ideal` keeps the divisor list of its reduced basis with the
+basis: it is built on the first normal form and `reduced()` hands it on.
 
 Pairs: the S-pairs wait in a heap of (lcm total degree, i, j, lcm), the lcm
 computed once when the pair is pushed, so the next pair is the one with the
 smallest lcm total degree, ties broken by pair indices. The chain
 criterion, the S-pair count that the pair budget bounds, and every
 intermediate basis depend on this selection order and on the divisor choice
-above, so neither may change without changing outputs. Interreduction
-reduces each minimal element, in ascending leading-term order, against the
-reduced elements before it. That is exact: every term met lies below the
-element's leading term, which no larger leading term divides, so the result
-is monic with no tail term divisible by any leading term, the unique
-reduced basis element with that leading term. Identical inputs therefore
-give bit-identical outputs, sorted by leading term."""
+above, so neither may change without changing outputs. The basis is
+monic, so the scaled tails are the negated tails and the shifted scaled
+tails of a pair give -S, whose remainder is -1 times that of S, equally
+zero and equally monic. Interreduction reduces each minimal element, in
+ascending leading-term order, against the reduced elements before it. That
+is exact: every term met lies below the element's leading term, which no
+larger leading term divides, so the result is monic with no tail term
+divisible by any leading term, the unique reduced basis element with that
+leading term. An element none of whose terms a kept leading term divides
+is adopted as it is, with its divisor triple, since the division would
+return it unchanged. Identical inputs therefore give bit-identical
+outputs, sorted by leading term."""
 
 from __future__ import annotations
 
@@ -67,9 +75,15 @@ def _sub(a: tuple, b: tuple) -> tuple:
 
 
 def _divisor(g: Polynomial) -> tuple:
-    """(leading exponents, leading coefficient, tail terms) of a divisor."""
+    """(leading exponents, 1/leading coefficient, tail terms scaled by -1/lc)
+    of a divisor: subtracting c/lc times a shifted divisor adds c times its
+    scaled tail, one field multiplication per term."""
     lead, coeff = g.leading_term()
-    return lead, coeff, [(e, c) for e, c in g._terms.items() if e != lead]
+    field = g.ring.field
+    inv = field.inv(coeff)
+    scale = field.neg(inv)
+    mul = field.mul
+    return lead, inv, [(e, mul(c, scale)) for e, c in g._terms.items() if e != lead]
 
 
 def _divide(ring: PolyRing, terms: dict, divisors: list,
@@ -77,7 +91,7 @@ def _divide(ring: PolyRing, terms: dict, divisors: list,
     """The division kernel: the remainder of the term dict, which it consumes,
     with quotient terms into `quotients`."""
     field = ring.field
-    fadd, fmul, fneg, fdiv, is_zero = field.add, field.mul, field.neg, field.div, field.is_zero
+    fadd, fmul, is_zero = field.add, field.mul, field.is_zero
     heap_key = ring.order.heap_key
     heap = [(heap_key(e), e) for e in terms]
     heapify(heap)
@@ -87,13 +101,12 @@ def _divide(ring: PolyRing, terms: dict, divisors: list,
         coeff = terms.pop(exp, None)
         if coeff is None:
             continue  # stale entry
-        for i, (gexp, gcoeff, tail) in enumerate(divisors):
+        for i, (gexp, inv, tail) in enumerate(divisors):
             if all(map(le, gexp, exp)):
-                factor = fdiv(coeff, gcoeff)
                 shift = tuple(map(sub, exp, gexp))
                 for e, c in tail:
                     m = tuple(map(add, e, shift))
-                    t = fneg(fmul(c, factor))
+                    t = fmul(c, coeff)
                     old = terms.get(m)
                     if old is None:
                         terms[m] = t
@@ -105,7 +118,7 @@ def _divide(ring: PolyRing, terms: dict, divisors: list,
                         else:
                             terms[m] = s
                 if quotients is not None:
-                    quotients[i][shift] = factor
+                    quotients[i][shift] = fmul(coeff, inv)
                 break
         else:
             remainder[exp] = coeff
@@ -174,7 +187,8 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
         reductions += 1
         if reductions > budget:
             raise PairBudgetExceeded(budget)
-        # the monic leading terms cancel: S is the difference of the shifted tails
+        # the monic leading terms cancel: -S is the difference of the shifted
+        # scaled tails, and its remainder is monic the same
         si, sj = _sub(lij, lt[i]), _sub(lij, lt[j])
         s = {tuple(map(add, e, si)): c for e, c in divisors[i][2]}
         for e, c in divisors[j][2]:
@@ -194,15 +208,21 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
         for k in range(new):
             push(k, new)
 
-    # minimalize, and interreduce against the smaller reduced elements only
+    # minimalize, and interreduce against the smaller reduced elements only;
+    # an element none of whose terms a kept leading term divides is adopted
     reduced: list[Polynomial] = []
     kept: list = []  # the divisors of the reduced elements so far
+    leads: list = []  # and their leading exponents
     for k in sorted(range(len(basis)), key=lambda k: key(lt[k])):
-        if any(_divides(d[0], lt[k]) for d in kept):
+        if any(_divides(d, lt[k]) for d in leads):
             continue  # another leading term divides this one
-        g = _divide(ring, dict(basis[k]._terms), kept) if kept else basis[k]
+        g = basis[k]
+        if any(all(map(le, d, e)) for e in g._terms for d in leads):
+            g = _divide(ring, dict(g._terms), kept)
+            divisors[k] = _divisor(g)
         reduced.append(g)
-        kept.append(_divisor(g))
+        kept.append(divisors[k])
+        leads.append(lt[k])
     return reduced
 
 

@@ -4,6 +4,11 @@ A polynomial is a map from exponent tuples to nonzero field elements. Values
 are immutable after construction; two polynomials are equal exactly when
 their rings and term maps are equal.
 
+Each `MonomialOrder` compiles its flat `heap_key` once, when it is made: a
+function of the exponent tuple alone, with the order's kind and block
+length fixed in it. The division kernel's heap and `leading_term` (the term
+of least heap key) both use it; `key` stays for sorting and printing.
+
 `Polynomial(ring, terms)` validates: it checks every exponent tuple and drops
 zero coefficients, so it is the constructor for callers.
 `Polynomial._make(ring, terms)` adopts the dict as it is, unchecked. Use it
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add
+from operator import add, neg
 
 from ..errors import CartierlabError
 from .fields import Field, square_and_multiply
@@ -54,7 +59,12 @@ def fresh_names(bases, taken) -> list:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """lex, grevlex, or a block order (lex on a prefix, grevlex on the rest)."""
+    """lex, grevlex, or a block order (lex on a prefix, grevlex on the rest).
+
+    `heap_key` is a flat key whose ascending order is this order's
+    descending order: every entry of `key` negated, nesting flattened, so
+    popping a heap of these keys yields the largest monomial first.
+    """
 
     kind: str = "grevlex"
     block: int = 0
@@ -64,6 +74,7 @@ class MonomialOrder:
             raise CartierlabError(f"unknown monomial order {self.kind!r}")
         if self.kind == "block" and self.block < 1:
             raise CartierlabError("block order needs a positive prefix length")
+        object.__setattr__(self, "heap_key", _compile_heap_key(self.kind, self.block))
 
     def key(self, exps: tuple) -> tuple:
         if self.kind == "lex":
@@ -73,18 +84,16 @@ class MonomialOrder:
         head, tail = exps[: self.block], exps[self.block:]
         return (head, _grevlex_key(tail))
 
-    def heap_key(self, exps: tuple) -> tuple:
-        """A flat key whose ascending order is this order's descending order.
 
-        Every entry of `key` negated, nesting flattened: popping a heap of
-        these keys yields the largest monomial first.
-        """
-        if self.kind == "lex":
-            return tuple(-e for e in exps)
-        if self.kind == "grevlex":
-            return (-sum(exps),) + exps[::-1]
-        head, tail = exps[: self.block], exps[self.block:]
-        return tuple(-e for e in head) + (-sum(tail),) + tail[::-1]
+def _compile_heap_key(kind: str, block: int):
+    if kind == "lex":
+        return lambda exps: tuple(map(neg, exps))
+    if kind == "grevlex":
+        return lambda exps: (-sum(exps), *exps[::-1])
+    if block == 1:  # the common elimination of one variable, without a head slice
+        return lambda exps: (-exps[0], -sum(exps[1:]), *exps[:0:-1])
+    last = block - 1
+    return lambda exps: (*map(neg, exps[:block]), -sum(exps[block:]), *exps[:last:-1])
 
 
 def _grevlex_key(exps: tuple) -> tuple:
@@ -263,7 +272,7 @@ class Polynomial:
         if self._lead is None:
             if not self._terms:
                 raise CartierlabError("the zero polynomial has no leading term")
-            exp = max(self._terms, key=self.ring.order.key)
+            exp = min(self._terms, key=self.ring.order.heap_key)
             self._lead = (exp, self._terms[exp])
         return self._lead
 

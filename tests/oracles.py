@@ -4,7 +4,8 @@ Nothing here calls the code paths under test: membership goes through dense
 linear algebra on monomial coordinates, expansion (of a product, or of a
 relation at a map's images) through naive dict convolution, univariate
 division through schoolbook long division, multivariate reduction through
-the textbook loop on plain term dicts, the first linear dependence through
+the textbook loop on plain term dicts, monomial orders through their
+textbook comparisons, the first linear dependence through
 one fresh elimination per vector, the conductor through every colon ideal
 intersected in turn, seminormality over a small prime field through every
 element of the target, reduced bases through Buchberger's algorithm as
@@ -259,6 +260,30 @@ def seminormal_by_exhaustive_scan(ext):
         ):
             return alg.to_poly(coords)
     return True
+
+
+def compare_monomials(kind: str, block: int, a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as a is below, equal to or above b in the textbook order.
+
+    lex: the first differing exponent decides, the larger one above.
+    grevlex: the larger total degree is above; on a tie the last differing
+    exponent decides, the smaller one above. block: lex on the first
+    `block` exponents, then grevlex on the rest.
+    """
+    if kind == "block":
+        return (compare_monomials("lex", 0, a[:block], b[:block])
+                or compare_monomials("grevlex", 0, a[block:], b[block:]))
+    if kind == "grevlex":
+        if sum(a) != sum(b):
+            return 1 if sum(a) > sum(b) else -1
+        for x, y in zip(reversed(a), reversed(b)):
+            if x != y:
+                return 1 if x < y else -1
+        return 0
+    for x, y in zip(a, b):
+        if x != y:
+            return 1 if x > y else -1
+    return 0
 
 
 def buchberger_reference(generators, ring, pair_budget=None):

@@ -209,14 +209,14 @@ def test_field_detection_and_primitive_element():
     c = algebra(QQ, [], [])
     assert is_field_algebra(c) is True
     assert primitive_element_presentation(c) == QQ
-    # F_64: over F_2 the one candidate, x + y + z = y + 1, lies in F_8
-    d = algebra(PrimeField(2), ["x", "y", "z"], ["x^2 + x + 1", "y^3 + y + 1", "z + x + 1"])
-    assert is_field_algebra(d) is True and primitive_element_presentation(d) is None
     # the record's m is irreducible because its algebra is a certified field,
     # and nothing checks it again: the factorizer and sympy agree here
     residues = [
         algebra(QQ, ["x", "y"], ["x^2 - 2", "y^2 - 3"]),  # no variable is primitive
         algebra(PrimeField(5), ["x", "y"], ["x^2 - 2", "y^3 + y + 1"]),  # Frobenius kernel
+        # F_64: over F_2 the one candidate x + y + z = y + 1 lies in F_8, and
+        # the search goes on to the other combinations, where x + y is primitive
+        algebra(PrimeField(2), ["x", "y", "z"], ["x^2 + x + 1", "y^3 + y + 1", "z + x + 1"]),
     ] + [alg for seed in range(4) for alg in _seeded_residue_algebras(seed)]
     g = sympy.Symbol("g")
     for alg in residues:

@@ -631,6 +631,8 @@ def _cusp_with(pattern, replacement):
 
 FREE_PLANE = ("[ring.A]\nfield = QQ\nvars = x, y\n\n[ring.B]\nfield = QQ\nvars = s, t\n\n"
               "[map]\nx = s\ny = t\n")
+DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfield = QQ\n"
+                "vars = u\nrelations = u^2\n\n[map]\nx = u\n")
 
 
 @pytest.mark.parametrize("text, argv, code, expected", [
@@ -640,11 +642,21 @@ FREE_PLANE = ("[ring.A]\nfield = QQ\nvars = x, y\n\n[ring.B]\nfield = QQ\nvars =
      "module generator t has no fraction hint"),
     (FREE_PLANE, ["stalks", "--primes", "x"], 2,
      "input error: only maximal ideals (and the zero ideal) can be verified prime\n"),
+    (FREE_PLANE, ["stalks", "--generic"], 2,
+     "input error: generic stalks over free polynomial sources support one variable\n"),
+    (DOUBLE_POINT, ["stalks", "--generic"], 2,
+     "input error: the zero ideal is prime only when the source is a domain\n"),
+    (_cusp_with(r"^\[hints\][\s\S]*", ""), ["stalks", "--generic"], 2,
+     "input error: generic stalks need a free one-variable source, a field source, "
+     "or finite+birational hints\n"),
 ], ids=["conductor-without-module-generators", "conductor-without-fractions",
-        "stalk-at-a-prime-that-is-not-maximal"])
+        "stalk-at-a-prime-that-is-not-maximal", "generic-stalk-over-a-free-plane",
+        "generic-stalk-over-a-source-that-is-no-domain",
+        "generic-stalk-of-the-cusp-without-hints"])
 def test_command_reachable_refusals(capsys, tmp_path, text, argv, code, expected):
     """A missing hint gives rank Unknown with its reason; a prime that is not
-    zero-dimensional is refused as bad input."""
+    zero-dimensional, and a generic stalk that no rule certifies, are refused
+    as bad input."""
     path = tmp_path / "input.ext"
     path.write_text(text, encoding="utf-8")
     got, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])

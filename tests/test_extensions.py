@@ -29,6 +29,7 @@ from cartierlab.extensions import (
     is_seminormal_witness,
     nil_comparison,
     reduce_mod_conductor,
+    witness_candidates,
 )
 from cartierlab.extfile import load_extension
 from cartierlab.polycore import (
@@ -169,6 +170,51 @@ def test_anodal_witness_idempotent_case():
     assert is_anodal_witness(ext, u).is_witness
     node = node_extension()
     assert not is_anodal_witness(node, parse_polynomial("t", node.b_ring)).is_witness
+
+
+def _counted_memberships(monkeypatch, ext) -> list:
+    calls = []
+    contains = ext.contains
+    monkeypatch.setattr(ext, "contains", lambda b: calls.append(b) or contains(b))
+    return calls
+
+
+@pytest.mark.parametrize("test", [is_seminormal_witness, is_anodal_witness],
+                         ids=["seminormal", "anodal"])
+def test_a_witness_test_stops_at_the_deciding_membership(monkeypatch, test):
+    # k[t^3] in k[t]: t^2 and t^2 - t lie outside, t^3 inside
+    ext = build(["x"], [], ["t"], [], {"x": "t^3"})
+    calls = _counted_memberships(monkeypatch, ext)
+    check = test(ext, parse_polynomial("t", ext.b_ring))
+    assert not check.is_witness
+    assert len(calls) == 2 and [m.member for m in check.details] == [False, False]
+    calls.clear()
+    check = test(ext, parse_polynomial("t^3", ext.b_ring))
+    assert not check.is_witness
+    assert len(calls) == 1 and [m.member for m in check.details] == [True]
+
+
+def _monomial_curve(field, semigroup):
+    """k[t^s : s in semigroup] inside k[t], presented by the kernel."""
+    names = [f"x{i}" for i in range(len(semigroup))]
+    a_ring = PolyRing(field, names, GREVLEX)
+    b_ring = PolyRing(field, ["t"], GREVLEX)
+    images = {name: b_ring.monomial((s,)) for name, s in zip(names, semigroup)}
+    return ExtensionPresentation(a_ring, None, b_ring, Ideal(b_ring, []), images)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_early_stopping_verdicts_equal_the_three_membership_predicate(seed):
+    rng = random.Random(seed)
+    field = rng.choice([QQ, PrimeField(7), PrimeField(32003)])
+    ext = _monomial_curve(field, sorted(rng.sample(range(2, 10), rng.randint(2, 3))))
+    for b in witness_candidates(ext, 8):
+        for test, second in ((is_seminormal_witness, b * b), (is_anodal_witness, b * b - b)):
+            members = [ext.contains(c).member for c in (b, second, second * b)]
+            check = test(ext, b)
+            assert check.is_witness == (not members[0] and members[1] and members[2])
+            stop = 1 if members[0] else 2 if not members[1] else 3
+            assert [m.member for m in check.details] == members[:stop]
 
 
 def test_closure_search_cusp_reaches_target():

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
-from oracles import buchberger_reference, membership_by_linear_algebra, naive_reduce
+from oracles import (
+    buchberger_reference,
+    compare_monomials,
+    membership_by_linear_algebra,
+    naive_reduce,
+)
 from cartierlab.errors import CartierlabError, PairBudgetExceeded
 from cartierlab.polycore import (
     GREVLEX,
@@ -19,6 +25,7 @@ from cartierlab.polycore import (
     parse_polynomial,
     reduce_poly,
 )
+from cartierlab.polycore import groebner
 from cartierlab.polycore.groebner import (
     _divides,
     _lcm,
@@ -74,6 +81,26 @@ def test_already_reduced():
     ideal = make_ideal(ring, ["x", "y"])
     gb = ideal.groebner()
     assert sorted(str(g) for g in gb) == ["x", "y"]
+
+
+@pytest.mark.parametrize("texts", [
+    ["x^2*y - 3*x + 1"],
+    ["x^2 + y", "y^2 + 1"],
+    ["x^3 - x*z + 2", "y^2 - 5*z", "z^4 + x + y"],
+], ids=["principal", "coprime-pair", "coprime-triple"])
+def test_a_reduced_input_is_adopted_without_division(monkeypatch, texts):
+    """Generators with pairwise coprime leading terms whose terms no other
+    leading term divides are their own reduced basis: no S-pair is reduced
+    and interreduction adopts every element, so the kernel never runs."""
+    ring = PolyRing(QQ, ["x", "y", "z"], GREVLEX)
+    gens = [parse_polynomial(t, ring) for t in texts]
+    calls = []
+    divide = groebner._divide
+    monkeypatch.setattr(groebner, "_divide", lambda *args: calls.append(args) or divide(*args))
+    basis = buchberger(gens, ring)
+    assert calls == []
+    assert sorted(basis, key=lambda g: ring.order.key(g.leading_term()[0])) == basis
+    assert set(basis) == {g.monic() for g in gens}
 
 
 def test_empty_ideal():
@@ -307,10 +334,18 @@ def test_divide_with_quotients_reassembles_the_dividend(data):
 
 @property_test
 def test_heap_key_sorts_in_reverse_monomial_order(data):
-    order = data.draw(st.sampled_from(ORDERS))
+    """The compiled heap key sorts descending in the textbook order, and the
+    leading term is that order's largest term."""
     nvars = data.draw(st.integers(2, 4))
+    order = data.draw(st.sampled_from(ORDERS + (MonomialOrder("block", nvars - 1),)))
     exps = data.draw(st.sets(st.tuples(*[st.integers(0, 5)] * nvars), max_size=12))
+    textbook = cmp_to_key(lambda a, b: compare_monomials(order.kind, order.block, a, b))
+    assert sorted(exps, key=order.heap_key) == sorted(exps, key=textbook, reverse=True)
     assert sorted(exps, key=order.heap_key) == sorted(exps, key=order.key, reverse=True)
+    if exps:
+        ring = PolyRing(QQ, ("a", "b", "c", "d")[:nvars], order)
+        poly = Polynomial(ring, {e: QQ.one() for e in exps})
+        assert poly.leading_term()[0] == max(exps, key=textbook)
 
 
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
