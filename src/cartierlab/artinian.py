@@ -339,22 +339,22 @@ def _candidate_weights(alg: FiniteAlgebra):
 
     First (1, c, c^2, ...) for c = 1, 2, ..., at most _search_bound of them.
     A finite field F_p with p - 1 below that bound has only p - 1 such c;
-    then every other combination with w_1 = 1 at its first nonzero weight
-    and two or more nonzero weights follows, by the number of nonzero
-    weights: a nonzero multiple of a candidate has its minimal polynomial's
-    degree, and a single variable was tried first.
+    then every combination with w_1 = 1 at its first nonzero weight and two
+    or more nonzero weights follows, by the number of nonzero weights: a
+    nonzero multiple of a candidate has its minimal polynomial's degree, and
+    a single variable was tried first. The first p - 1 candidates weight
+    every variable, so they come again: at most p - 1 extra minimal
+    polynomials.
     """
     field = alg.field
     n = alg.ring.nvars()
     last = _search_bound(alg)
     p = field.characteristic
     small = p and not isinstance(field, RationalFunctionField) and p - 1 < last
-    tried = set()
     for c in range(1, p if small else last + 1):
         const, weights = _constant(field, c), [field.one()]
         while len(weights) < n:
             weights.append(field.mul(weights[-1], const))
-        tried.add(tuple(weights))
         yield tuple(weights)
     if not small:
         return
@@ -364,8 +364,7 @@ def _candidate_weights(alg: FiniteAlgebra):
                 weights = [field.zero()] * n
                 for i, c in zip(support, (1,) + rest):
                     weights[i] = field.from_int(c)
-                if tuple(weights) not in tried:
-                    yield tuple(weights)
+                yield tuple(weights)
 
 
 def _frobenius_kernel(alg: FiniteAlgebra) -> tuple:

@@ -212,17 +212,15 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
     # an element none of whose terms a kept leading term divides is adopted
     reduced: list[Polynomial] = []
     kept: list = []  # the divisors of the reduced elements so far
-    leads: list = []  # and their leading exponents
     for k in sorted(range(len(basis)), key=lambda k: key(lt[k])):
-        if any(_divides(d, lt[k]) for d in leads):
+        if any(_divides(d[0], lt[k]) for d in kept):
             continue  # another leading term divides this one
         g = basis[k]
-        if any(all(map(le, d, e)) for e in g._terms for d in leads):
+        if any(all(map(le, d[0], e)) for e in g._terms for d in kept):
             g = _divide(ring, dict(g._terms), kept)
             divisors[k] = _divisor(g)
         reduced.append(g)
         kept.append(divisors[k])
-        leads.append(lt[k])
     return reduced
 
 

@@ -90,8 +90,6 @@ def _compile_heap_key(kind: str, block: int):
         return lambda exps: tuple(map(neg, exps))
     if kind == "grevlex":
         return lambda exps: (-sum(exps), *exps[::-1])
-    if block == 1:  # the common elimination of one variable, without a head slice
-        return lambda exps: (-exps[0], -sum(exps[1:]), *exps[:0:-1])
     last = block - 1
     return lambda exps: (*map(neg, exps[:block]), -sum(exps[block:]), *exps[:last:-1])
 
