@@ -1,22 +1,22 @@
 """Zero-dimensional quotient rings as finite-dimensional algebras.
 
-A FiniteAlgebra carries the monomial staircase basis and the multiplication
-table of A = ring/ideal. Connected components are counted on the reduced
-algebra A_red, which the squarefree parts of the variables' minimal
-polynomials present (Seidenberg). An algebra computes those minimal
-polynomials and their squarefree parts once (`FiniteAlgebra`), builds A_red
-once (`reduced_algebra`), which starts with the squarefree parts as its
-own minimal polynomials, and certifies its splitting once (`_splitting`),
-which every count and decomposition reads. A minimal polynomial is the
-first linear dependence of the Krylov sequence 1, a, a^2, ...; the powers
-are made one at a time and the sequence stops at that dependence, so a
-minimal polynomial of degree d costs d products, not dim A. A primitive
-element z of A_red, the first of x_1 + c*x_2 + c^2*x_3 + ... (c = 0, 1, 2,
-...) whose minimal polynomial m has degree dim A_red, gives A_red = k[z]/(m),
-and the splitting keeps z and the squarefree m. The count is the number of
-irreducible factors of m; the primitive idempotents are the CRT idempotents
-of those factors, lifted to A by h -> 3h^2 - 2h^3 (Gianni-Trager-Zacharias
-1988).
+A FiniteAlgebra carries the monomial staircase basis (`staircase`, ascending
+in the ring's order) and the multiplication table of A = ring/ideal.
+Connected components are counted on the reduced algebra A_red, which the
+squarefree parts of the variables' minimal polynomials present (Seidenberg).
+An algebra computes those minimal polynomials and their squarefree parts
+once (`FiniteAlgebra`), builds A_red once (`reduced_algebra`), which starts
+with the squarefree parts as its own minimal polynomials, and certifies its
+splitting once (`_splitting`), which every count and decomposition reads. A
+minimal polynomial is the first linear dependence of the Krylov sequence 1,
+a, a^2, ...; the powers are made one at a time and the sequence stops at
+that dependence, so a minimal polynomial of degree d costs d products, not
+dim A. A primitive element z of A_red, the first of x_1 + c*x_2 + c^2*x_3 +
+... (c = 0, 1, 2, ...) whose minimal polynomial m has degree dim A_red,
+gives A_red = k[z]/(m), and the splitting keeps z and the squarefree m. The
+count is the number of irreducible factors of m; the primitive idempotents
+are the CRT idempotents of those factors, lifted to A by h -> 3h^2 - 2h^3
+(Gianni-Trager-Zacharias 1988).
 
 Over F_p both routes are Berlekamp's (1967). On k[z]/(m) the count is
 `factor_count`, deg m - rank(Q - I) for the Frobenius matrix Q of m, and m
@@ -73,7 +73,7 @@ class FiniteAlgebra:
         gb = ideal.groebner()
         if len(gb) == 1 and gb[0].is_constant():
             raise ZeroRingError("quotient by the unit ideal")
-        basis = staircase([g.leading_term()[0] for g in gb], ring.variables, ring.order.key)
+        basis = staircase([g.leading_term()[0] for g in gb], ring.variables, ring.order)
         self.ring = ring
         self.ideal = ideal
         self.field = ring.field
@@ -197,8 +197,8 @@ class FiniteAlgebra:
         return f"{self.ring.describe()}/({gens})"
 
 
-def staircase(leading, variables, order_key) -> list[tuple]:
-    """The exponents no leading exponent divides, sorted by `order_key`. A
+def staircase(leading, variables, order: MonomialOrder) -> list[tuple]:
+    """The exponents no leading exponent divides, ascending in the order. A
     variable with no pure power among them raises NotZeroDimensional."""
     bounds = []
     for i, name in enumerate(variables):
@@ -208,7 +208,7 @@ def staircase(leading, variables, order_key) -> list[tuple]:
         bounds.append(range(min(powers)))
     exps = (e for e in itertools.product(*bounds)
             if not any(all(map(le, lead, e)) for lead in leading))
-    return sorted(exps, key=order_key)
+    return sorted(exps, key=order.heap_key, reverse=True)
 
 
 def minimal_polynomial(alg: FiniteAlgebra, a: tuple) -> tuple:
@@ -234,7 +234,10 @@ def _relative_minimal_polynomial(alg: FiniteAlgebra, unit: tuple, a: tuple) -> t
 class IdempotentDecomposition:
     algebra: FiniteAlgebra
     idempotents: tuple
-    count: int
+
+    @property
+    def count(self) -> int:
+        return len(self.idempotents)
 
 
 class _Splitting:
@@ -525,7 +528,7 @@ def idempotent_decomposition(alg: FiniteAlgebra) -> IdempotentDecomposition:
     # on k[z]/(m) the factors are read first, so they give the count
     factors = split.factors if split.element is not None else None
     if split.count == 1:
-        return IdempotentDecomposition(alg, (alg.one(),), 1)
+        return IdempotentDecomposition(alg, (alg.one(),))
     if factors is not None:
         parts = _crt_idempotents(split.algebra, factors, split.element, split.algebra.one())
     else:
@@ -533,7 +536,7 @@ def idempotent_decomposition(alg: FiniteAlgebra) -> IdempotentDecomposition:
     if split.algebra is not alg:  # the staircase of A_red lies inside that of A
         parts = [alg.from_poly(split.algebra.to_poly(e)) for e in parts]
     parts = [_hensel_idempotent(alg, e) for e in parts]
-    return IdempotentDecomposition(alg, tuple(parts), len(parts))
+    return IdempotentDecomposition(alg, tuple(parts))
 
 
 def component_count(alg: FiniteAlgebra, reasons: list | None = None):
@@ -738,16 +741,17 @@ def components_over_subring(ring: PolyRing, ideal: Ideal, free_variables):
 def _torsion_free(ring: PolyRing, ideal: Ideal, free: str) -> bool:
     """True when ring/ideal has no torsion over k[free], that is I : h = I.
 
-    Under a block order comparing the other variables first, a reduced basis
-    of I is also one of I k(free)[others], and the contraction of that ideal
-    is I : h^infinity, where h is the product of the basis elements' leading
+    Under the order eliminating the other variables, a reduced basis of I is
+    also one of I k(free)[others], and the contraction of that ideal is
+    I : h^infinity, where h is the product of the basis elements' leading
     coefficients in k[free] (Gianni, Trager and Zacharias, JSC 6 (1988),
     Prop. 3.7 and 3.8). It equals I exactly when I : h does.
     """
     if ideal.is_zero_ideal():
         return True
     keep = [v for v in ring.variables if v != free]
-    work = PolyRing(ring.field, keep + [free], MonomialOrder("block", len(keep)))
+    work = PolyRing(ring.field, keep + [free],
+                    MonomialOrder.eliminating(len(keep), len(ring.variables)))
     work_ideal = Ideal(work, [g.map_variables(work) for g in ideal.generators])
     coefficients = set()
     for g in work_ideal.groebner():

@@ -3,16 +3,16 @@
 A presentation carries both quotient rings, the images of A's variables in
 B, and optional hints (finiteness, birationality, module generators with
 fraction representations, and externally supplied Picard deviation ranks).
-Construction from stated relations checks well-definedness and, unless
-the injectivity check runs out of budget under assume_injective, that the
-kernel is zero; a source presented by the kernel itself (`a_ideal=None`, as
-`adjoin_element` builds it) satisfies both by construction and skips them.
-Both checks, and the conductor's certificate c * B inside A, are normal
-forms against one reduced basis of the tag ideal and expand no image; the
-relations are substituted into the images only when that basis is over the
-pair budget. The leading monomials of that basis also decide whether B is
-finite over A and give B-monomials spanning B over A, so the certificate
-covers all of B whatever the module_generators hint says.
+Construction from stated relations checks well-definedness and, unless the
+injectivity check runs out of budget under assume_injective, that the kernel
+is zero; a source presented by the kernel itself (`a_ideal=None`, as
+`adjoin_element` and `reduce_mod_conductor` build it) satisfies both by
+construction and skips them. Both checks, and the conductor's certificate
+c * B inside A, are normal forms against one reduced basis of the tag ideal
+and expand no image; the relations are substituted into the images only when
+that basis is over the pair budget. The leading monomials of that basis also
+decide whether B is finite over A and give B-monomials spanning B over A, so
+the certificate covers all of B whatever the module_generators hint says.
 
 A witness test asks up to three memberships, b, then b^2 (b^2 - b for
 anodal), then b^3 (b^3 - b^2), and stops at the first that decides the
@@ -166,8 +166,8 @@ class ExtensionPresentation:
 
     def _membership_ring(self) -> Ideal:
         """The tag ideal in the ring of B's variables followed by one tag per
-        A variable, with its reduced basis under an order eliminating B's
-        variables (block, or lex when A has no variables).
+        A variable, with its reduced basis under the order eliminating B's
+        variables (`MonomialOrder.eliminating`).
 
         The ideal is cached only once its basis exists. A basis over the pair
         budget is cached as its error, which later calls re-raise without
@@ -178,11 +178,7 @@ class ExtensionPresentation:
             raise cached
         if not isinstance(cached, Ideal):
             tags = fresh_names(self.a_ring.variables, self.b_ring.taken_names())
-            nb = self.b_ring.nvars()
-            if tags:
-                order = MonomialOrder("block", nb) if nb else GREVLEX
-            else:
-                order = MonomialOrder("lex") if nb else GREVLEX
+            order = MonomialOrder.eliminating(self.b_ring.nvars(), self.b_ring.nvars() + len(tags))
             work = PolyRing(self.b_ring.field, tuple(self.b_ring.variables) + tuple(tags), order)
             gens = [g.map_variables(work) for g in self.b_ideal.generators]
             for tag, v in zip(tags, self.a_ring.variables):
@@ -473,7 +469,7 @@ def _spanning_monomials(ext: ExtensionPresentation) -> list[Polynomial]:
     leading = [g.leading_term()[0] for g in ext._membership_ring().groebner()]
     try:
         exps = staircase([e[:nb] for e in leading if not any(e[nb:])],
-                         ext.b_ring.variables, ext.b_ring.order.key)
+                         ext.b_ring.variables, ext.b_ring.order)
     except NotZeroDimensional as exc:
         raise CertificateFailure(
             f"finite hint does not hold: no element of the tag basis has a "
@@ -483,13 +479,15 @@ def _spanning_monomials(ext: ExtensionPresentation) -> list[Polynomial]:
 
 
 def reduce_mod_conductor(ext: ExtensionPresentation) -> ExtensionPresentation:
-    """The pair A/c -> B/cB for the conductor c, as a checked presentation."""
+    """The pair A/c -> B/cB for the conductor c, with A/c presented by the
+    kernel of k[A] -> B/cB (`a_ideal=None`). That kernel is c: `conductor`
+    certifies c * B inside A, so cB = c, and c contains A's relations."""
     cond = conductor(ext)
     if cond.is_unit_ideal():
         raise DegenerateExtension("unit conductor: the extension is an equality")
     hints = Hints(finite=ext.hints.finite, module_generators=ext.hints.module_generators)
     return ExtensionPresentation(
-        ext.a_ring, cond, ext.b_ring, ext.extend(cond), ext.images, hints=hints
+        ext.a_ring, None, ext.b_ring, ext.extend(cond), ext.images, hints=hints
     )
 
 

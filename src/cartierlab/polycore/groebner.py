@@ -24,13 +24,14 @@ above, so neither may change without changing outputs. The basis is
 monic, so the scaled tails are the negated tails and the shifted scaled
 tails of a pair give -S, whose remainder is -1 times that of S, equally
 zero and equally monic. Interreduction reduces each minimal element, in
-ascending leading-term order, against the reduced elements before it. That
-is exact: every term met lies below the element's leading term, which no
-larger leading term divides, so the result is monic with no tail term
-divisible by any leading term, the unique reduced basis element with that
-leading term. An element none of whose terms a kept leading term divides
-is adopted as it is, with its divisor triple, since the division would
-return it unchanged. Identical inputs therefore give bit-identical
+ascending leading-term order (a stable sort by heap keys reversed, so equal
+leading terms keep their basis order), against the reduced elements before
+it. That is exact: every term met lies below the element's leading term,
+which no larger leading term divides, so the result is monic with no tail
+term divisible by any leading term, the unique reduced basis element with
+that leading term. An element none of whose terms a kept leading term
+divides is adopted as it is, with its divisor triple, since the division
+would return it unchanged. Identical inputs therefore give bit-identical
 outputs, sorted by leading term."""
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
     """The unique reduced monic basis of the ideal in the ring's own order."""
     budget = _budget if pair_budget is None else pair_budget
     basis = [g.monic() for g in generators if not g.is_zero()]
-    key = ring.order.key
+    heap_key = ring.order.heap_key
     neg, fsub, is_zero = ring.field.neg, ring.field.sub, ring.field.is_zero
     divisors = [_divisor(g) for g in basis]
     lt = [d[0] for d in divisors]
@@ -212,7 +213,7 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
     # an element none of whose terms a kept leading term divides is adopted
     reduced: list[Polynomial] = []
     kept: list = []  # the divisors of the reduced elements so far
-    for k in sorted(range(len(basis)), key=lambda k: key(lt[k])):
+    for k in sorted(range(len(basis)), key=lambda k: heap_key(lt[k]), reverse=True):
         if any(_divides(d[0], lt[k]) for d in kept):
             continue  # another leading term divides this one
         g = basis[k]
@@ -292,8 +293,9 @@ def ideal_sum(i1: Ideal, i2: Ideal) -> Ideal:
 def eliminate(ideal: Ideal, names, target_ring: PolyRing | None = None) -> Ideal:
     """Intersect with the subring omitting the named variables.
 
-    Computed with a block order placing the eliminated variables first;
-    the result lives in target_ring (default: a grevlex ring on the rest).
+    Computed under the order eliminating the named variables, placed first
+    (`MonomialOrder.eliminating`); the result lives in target_ring (default:
+    a grevlex ring on the rest).
     """
     ring = ideal.ring
     names = list(names)
@@ -305,11 +307,8 @@ def eliminate(ideal: Ideal, names, target_ring: PolyRing | None = None) -> Ideal
         target_ring = PolyRing(ring.field, keep, GREVLEX)
     if not names:
         return Ideal(target_ring, [g.map_variables(target_ring) for g in ideal.generators])
-    if keep:
-        order = MonomialOrder("block", len(names))
-    else:
-        order = MonomialOrder("lex")
-    work = PolyRing(ring.field, names + keep, order)
+    work = PolyRing(ring.field, names + keep,
+                    MonomialOrder.eliminating(len(names), len(ring.variables)))
     moved = Ideal(work, [g.map_variables(work) for g in ideal.generators])
     gb = moved.groebner()
     drop = list(range(len(names)))

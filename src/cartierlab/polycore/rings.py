@@ -6,8 +6,9 @@ their rings and term maps are equal.
 
 Each `MonomialOrder` compiles its flat `heap_key` once, when it is made: a
 function of the exponent tuple alone, with the order's kind and block
-length fixed in it. The division kernel's heap and `leading_term` (the term
-of least heap key) both use it; `key` stays for sorting and printing.
+length fixed in it. It is the order's one encoding: the division kernel's
+heap, `leading_term` (the least heap key) and every sort by the order use it.
+`MonomialOrder.eliminating(k, n)` is the one elimination-order rule.
 
 `Polynomial(ring, terms)` validates: it checks every exponent tuple and drops
 zero coefficients, so it is the constructor for callers.
@@ -62,8 +63,8 @@ class MonomialOrder:
     """lex, grevlex, or a block order (lex on a prefix, grevlex on the rest).
 
     `heap_key` is a flat key whose ascending order is this order's
-    descending order: every entry of `key` negated, nesting flattened, so
-    popping a heap of these keys yields the largest monomial first.
+    descending order, so popping a heap of these keys yields the largest
+    monomial first.
     """
 
     kind: str = "grevlex"
@@ -76,13 +77,14 @@ class MonomialOrder:
             raise CartierlabError("block order needs a positive prefix length")
         object.__setattr__(self, "heap_key", _compile_heap_key(self.kind, self.block))
 
-    def key(self, exps: tuple) -> tuple:
-        if self.kind == "lex":
-            return exps
-        if self.kind == "grevlex":
-            return _grevlex_key(exps)
-        head, tail = exps[: self.block], exps[self.block:]
-        return (head, _grevlex_key(tail))
+    @classmethod
+    def eliminating(cls, k: int, n: int) -> "MonomialOrder":
+        """An order on n variables under which a monomial involving one of
+        the first k is above every monomial free of them: grevlex when
+        k = 0, lex when k = n, block(k) otherwise."""
+        if k == 0:
+            return cls("grevlex")
+        return cls("lex") if k == n else cls("block", k)
 
 
 def _compile_heap_key(kind: str, block: int):
@@ -92,10 +94,6 @@ def _compile_heap_key(kind: str, block: int):
         return lambda exps: (-sum(exps), *exps[::-1])
     last = block - 1
     return lambda exps: (*map(neg, exps[:block]), -sum(exps[block:]), *exps[:last:-1])
-
-
-def _grevlex_key(exps: tuple) -> tuple:
-    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def add_terms(field: Field, a: dict, b: dict) -> dict:
@@ -409,8 +407,8 @@ class Polynomial:
         field = self.ring.field
         names = self.ring.variables
         parts: list[str] = []
-        key = self.ring.order.key
-        for exps, c in sorted(self._terms.items(), key=lambda kv: key(kv[0]), reverse=True):
+        key = self.ring.order.heap_key
+        for exps, c in sorted(self._terms.items(), key=lambda kv: key(kv[0])):
             sign, mag = field.sign_split(c)
             factors = []
             for name, e in zip(names, exps):

@@ -17,6 +17,7 @@ the library's own primitives, an algorithm the library has since replaced.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -286,6 +287,12 @@ def compare_monomials(kind: str, block: int, a: tuple, b: tuple) -> int:
     return 0
 
 
+def textbook_key(order):
+    """A sort key ascending in `order`, read from `compare_monomials` alone."""
+    return functools.cmp_to_key(
+        lambda a, b: compare_monomials(order.kind, order.block, a, b))
+
+
 def buchberger_reference(generators, ring, pair_budget=None):
     """(reduced basis, S-pairs reduced) by Buchberger's algorithm as it was
     before the ascending interreduction.
@@ -306,7 +313,7 @@ def buchberger_reference(generators, ring, pair_budget=None):
 
     budget = default_pair_budget() if pair_budget is None else pair_budget
     basis = [g.monic() for g in generators if not g.is_zero()]
-    key = ring.order.key
+    key = textbook_key(ring.order)
     one = ring.field.one()
     lt = [g.leading_term()[0] for g in basis]
     queue = []

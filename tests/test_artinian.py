@@ -560,14 +560,14 @@ def test_incremental_first_dependence_matches_per_vector_elimination():
 def test_staircase_is_shared_by_algebras_and_spanning_monomials():
     ring = PolyRing(QQ, ["x", "y"], GREVLEX)
     leading = [(2, 0), (1, 1), (0, 3)]
-    assert artinian.staircase(leading, ring.variables, ring.order.key) == [
+    assert artinian.staircase(leading, ring.variables, ring.order) == [
         (0, 0), (0, 1), (1, 0), (0, 2),
     ]
     alg = FiniteAlgebra(ring, Ideal(ring, [parse_polynomial(t, ring)
                                            for t in ("x^2", "x*y", "y^3")]))
     assert alg.basis == ((0, 0), (0, 1), (1, 0), (0, 2))
     with pytest.raises(NotZeroDimensional) as info:
-        artinian.staircase([(2, 0), (1, 1)], ring.variables, ring.order.key)
+        artinian.staircase([(2, 0), (1, 1)], ring.variables, ring.order)
     assert str(info.value) == (
         "ideal is not zero-dimensional: no pure power of 'y' among the leading terms"
     )

@@ -325,12 +325,32 @@ def test_conductor_certificate_failure_on_zero_divisor_fraction(capsys, tmp_path
     assert "conductor generator 1 times t escapes the subring" in err
 
 
-def test_cli_digest_script_prints_one_line():
-    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_digest.py")
-    done = subprocess.run([sys.executable, script], capture_output=True, text=True,
+# the line each digest script prints, as `script: line`; a change to an
+# output records the script's new line here and says so
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "digests.txt")
+
+
+def digest_lines(script: str) -> tuple[str, str]:
+    """(the line the script prints, the line recorded for it)."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), script)
+    done = subprocess.run([sys.executable, path], capture_output=True, text=True,
                           timeout=300, check=True)
     assert done.stderr == ""
-    assert re.fullmatch(r"\d+ calls sha256:[0-9a-f]{64}\n", done.stdout)
+    with open(DIGESTS, encoding="utf-8") as handle:
+        recorded = dict(line.split(": ", 1) for line in handle.read().splitlines())
+    return done.stdout, recorded[script] + "\n"
+
+
+def test_cli_digest_script_prints_one_line():
+    printed, recorded = digest_lines("cli_digest.py")
+    assert re.fullmatch(r"\d+ calls sha256:[0-9a-f]{64}\n", printed)
+    assert printed == recorded
+
+
+def test_basis_digest_script_prints_the_recorded_line():
+    printed, recorded = digest_lines("basis_digest.py")
+    assert re.fullmatch(r"\d+ runs sha256:[0-9a-f]{64}\n", printed)
+    assert printed == recorded
 
 
 # one mixed sequence whose calls differ in the defaults they rely on
@@ -624,9 +644,13 @@ def test_command_refusals_are_input_errors(capsys, argv, message):
     assert err == f"input error: {message}\n"
 
 
-def _cusp_with(pattern, replacement):
-    with open(corpus_path("cusp.ext"), encoding="utf-8") as handle:
+def _corpus_with(name, pattern, replacement):
+    with open(corpus_path(name), encoding="utf-8") as handle:
         return re.sub(pattern, replacement, handle.read(), flags=re.M)
+
+
+def _cusp_with(pattern, replacement):
+    return _corpus_with("cusp.ext", pattern, replacement)
 
 
 FREE_PLANE = ("[ring.A]\nfield = QQ\nvars = x, y\n\n[ring.B]\nfield = QQ\nvars = s, t\n\n"
@@ -636,33 +660,59 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
 
 
 @pytest.mark.parametrize("text, argv, code, expected", [
-    (_cusp_with(r"^module_generators = .*\n", ""), ["li", "--method", "conductor"], 0,
+    (_cusp_with(r"^module_generators = .*\n", ""), ["li", "<path>", "--method", "conductor"], 0,
      "conductor needs module generators for B over A"),
-    (_cusp_with(r"^fractions = .*$", "fractions ="), ["li", "--method", "conductor"], 0,
+    (_cusp_with(r"^fractions = .*$", "fractions ="), ["li", "<path>", "--method", "conductor"], 0,
      "module generator t has no fraction hint"),
-    (FREE_PLANE, ["stalks", "--primes", "x"], 2,
+    (FREE_PLANE, ["stalks", "<path>", "--primes", "x"], 2,
      "input error: only maximal ideals (and the zero ideal) can be verified prime\n"),
-    (FREE_PLANE, ["stalks", "--generic"], 2,
+    (FREE_PLANE, ["stalks", "<path>", "--generic"], 2,
      "input error: generic stalks over free polynomial sources support one variable\n"),
-    (DOUBLE_POINT, ["stalks", "--generic"], 2,
+    (DOUBLE_POINT, ["stalks", "<path>", "--generic"], 2,
      "input error: the zero ideal is prime only when the source is a domain\n"),
-    (_cusp_with(r"^\[hints\][\s\S]*", ""), ["stalks", "--generic"], 2,
+    (_cusp_with(r"^\[hints\][\s\S]*", ""), ["stalks", "<path>", "--generic"], 2,
      "input error: generic stalks need a free one-variable source, a field source, "
      "or finite+birational hints\n"),
+    (_cusp_with(r"^vars = x, y\n", ""), ["check", "<path>"], 2,
+     "input error: [ring.A] needs the keys field and vars\n"),
+    (_cusp_with(r"^finite = true$", "finite = true\nsmooth = true"), ["check", "<path>"], 2,
+     "input error: unknown keys in [hints]: ['smooth']\n"),
+    (_cusp_with(r"^module_generators = .*$", "module_generators = 1, t +"), ["check", "<path>"], 2,
+     "input error: module generator 't +': unexpected 'end of input' at position 3: 't +'\n"),
+    (_cusp_with(r"^fractions = .*$", "fractions = t : y + | x"), ["check", "<path>"], 2,
+     "input error: fraction entry 't : y + | x': unexpected 'end of input' at position 3: "
+     "'y +'\n"),
+    (_cusp_with(r"^lpic_A_rank = 0$", "lpic_A_rank = two"), ["check", "<path>"], 2,
+     "input error: lpic_A_rank must be an integer\n"),
+    (_cusp_with(r"^y = t\^3$", "y = t^3 +"), ["check", "<path>"], 2,
+     "input error: image of 'y': unexpected 'end of input' at position 5: 't^3 +'\n"),
+    (_corpus_with("node.rankdata", r"^c_A = 1$", "c_A = one"), ["li", "<path>"], 2,
+     "input error: [rankdata] entries must be integers\n"),
+    (FREE_PLANE, ["check", "<path>", "--pair-budget", "0"], 2,
+     "error: pair budget must be positive\n"),
+    (_corpus_with("node.rankdata", r"\Z", "\n[hints]\nfinite = true\n"), ["li", "<path>"], 2,
+     "input error: <path> must contain exactly the [rankdata] section\n"),
+    (_corpus_with("nil_base.ring", r"\Z", "\n[hints]\nfinite = true\n"),
+     ["units", "--base", "<path>", "--laurent", "t"], 2,
+     "input error: <path> must contain exactly the [ring] section\n"),
 ], ids=["conductor-without-module-generators", "conductor-without-fractions",
         "stalk-at-a-prime-that-is-not-maximal", "generic-stalk-over-a-free-plane",
         "generic-stalk-over-a-source-that-is-no-domain",
-        "generic-stalk-of-the-cusp-without-hints"])
+        "generic-stalk-of-the-cusp-without-hints", "ring-section-without-vars",
+        "unknown-hint-key", "module-generator-parse-error", "fraction-entry-parse-error",
+        "lpic-rank-not-an-integer", "map-image-parse-error", "rankdata-entry-not-an-integer",
+        "pair-budget-zero", "rankdata-with-an-extra-section", "ring-with-an-extra-section"])
 def test_command_reachable_refusals(capsys, tmp_path, text, argv, code, expected):
     """A missing hint gives rank Unknown with its reason; a prime that is not
-    zero-dimensional, and a generic stalk that no rule certifies, are refused
-    as bad input."""
+    zero-dimensional, a generic stalk that no rule certifies, a malformed
+    entry or an extra section in a description file, and a pair budget
+    below one are refused as bad input. `<path>` stands for the file."""
     path = tmp_path / "input.ext"
     path.write_text(text, encoding="utf-8")
-    got, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    got, out, err = run_cli(capsys, *(str(path) if a == "<path>" else a for a in argv))
     assert got == code
     if code == 0:
         assert err == ""
         assert f"rank: unknown\nmethod: ConductorSquare\ncertificate:\n  reason: {expected}\n" in out
     else:
-        assert (out, err) == ("", expected)
+        assert (out, err) == ("", expected.replace("<path>", str(path)))
