@@ -1,7 +1,8 @@
 """Zero-dimensional quotient rings as finite-dimensional algebras.
 
-A FiniteAlgebra carries the monomial staircase basis (`staircase`, ascending
-in the ring's order) and the multiplication table of A = ring/ideal.
+`FiniteAlgebra(ideal)` carries the monomial staircase basis (`staircase`,
+ascending in the ring's order) and the multiplication table of
+A = ideal.ring/ideal.
 Connected components are counted on the reduced algebra A_red, which the
 squarefree parts of the variables' minimal polynomials present (Seidenberg).
 An algebra computes those minimal polynomials and their squarefree parts
@@ -65,15 +66,14 @@ from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_
 
 
 class FiniteAlgebra:
-    """ring/ideal with a staircase basis and structure constants."""
+    """ideal.ring/ideal with a staircase basis and structure constants."""
 
-    def __init__(self, ring: PolyRing, ideal: Ideal):
-        if ideal.ring != ring:
-            raise CartierlabError("ideal belongs to a different ring")
+    def __init__(self, ideal: Ideal):
+        ring = ideal.ring
         gb = ideal.groebner()
         if len(gb) == 1 and gb[0].is_constant():
             raise ZeroRingError("quotient by the unit ideal")
-        basis = staircase([g.leading_term()[0] for g in gb], ring.variables, ring.order)
+        basis = staircase([g.leading_term()[0] for g in gb], ring)
         self.ring = ring
         self.ideal = ideal
         self.field = ring.field
@@ -197,18 +197,18 @@ class FiniteAlgebra:
         return f"{self.ring.describe()}/({gens})"
 
 
-def staircase(leading, variables, order: MonomialOrder) -> list[tuple]:
-    """The exponents no leading exponent divides, ascending in the order. A
-    variable with no pure power among them raises NotZeroDimensional."""
+def staircase(leading, ring: PolyRing) -> list[tuple]:
+    """The exponents no leading exponent divides, ascending in the ring's
+    order. A variable with no pure power among them raises NotZeroDimensional."""
     bounds = []
-    for i, name in enumerate(variables):
+    for i, name in enumerate(ring.variables):
         powers = [e[i] for e in leading if e[i] == sum(e)]
         if not powers:
             raise NotZeroDimensional(name)
         bounds.append(range(min(powers)))
     exps = (e for e in itertools.product(*bounds)
             if not any(all(map(le, lead, e)) for lead in leading))
-    return sorted(exps, key=order.heap_key, reverse=True)
+    return sorted(exps, key=ring.order.heap_key, reverse=True)
 
 
 def minimal_polynomial(alg: FiniteAlgebra, a: tuple) -> tuple:
@@ -585,7 +585,7 @@ def reduced_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:
         if not gens:
             alg._reduced = alg
         else:
-            red = FiniteAlgebra(alg.ring, ideal_sum(alg.ideal, Ideal(alg.ring, gens)))
+            red = FiniteAlgebra(ideal_sum(alg.ideal, Ideal(alg.ring, gens)))
             red._minimal_polynomials = red._squarefree_parts = alg.squarefree_parts()
             alg._reduced = red
     return alg._reduced
@@ -652,8 +652,10 @@ def primitive_element_presentation(alg: FiniteAlgebra):
 # -- fibers that are finite over a polynomial subring ---------------------------
 
 
-def move_variable_to_field(ring: PolyRing, ideal: Ideal, free: str):
-    """Rebuild ring/ideal over the rational function field in `free`."""
+def move_variable_to_field(ideal: Ideal, free: str) -> Ideal:
+    """The ideal rebuilt over the rational function field in `free`, in a
+    ring of the other variables."""
+    ring = ideal.ring
     if free not in ring.variables:
         raise CartierlabError(f"unknown variable {free!r}")
     if not isinstance(ring.field, (RationalField, PrimeField)):
@@ -679,42 +681,37 @@ def move_variable_to_field(ring: PolyRing, ideal: Ideal, free: str):
             else:
                 out[rest] = coeff
         new_gens.append(Polynomial(new_ring, out))
-    return new_ring, Ideal(new_ring, new_gens)
+    return Ideal(new_ring, new_gens)
 
 
-def components_over_subring(ring: PolyRing, ideal: Ideal, free_variables):
-    """Components of ring/ideal when it is finite over k[free variable].
+def components_over_subring(ideal: Ideal, free: str):
+    """Components of ideal.ring/ideal when it is finite over k[free].
 
-    The quotient must be torsion-free over k[free variable], so that it
-    embeds in its generic fiber; else NotFiniteOverSubring is raised. The
-    count is certified only when every primitive idempotent of the
-    generic-fiber algebra has polynomial coordinates and lifts to an exact
-    idempotent of the quotient; otherwise the result is Unknown.
+    The quotient must be torsion-free over k[free], so that it embeds in its
+    generic fiber; else NotFiniteOverSubring is raised. The count is
+    certified only when every primitive idempotent of the generic-fiber
+    algebra has polynomial coordinates and lifts to an exact idempotent of
+    the quotient; otherwise the result is Unknown.
     """
-    free = list(free_variables)
-    if len(free) != 1:
-        raise NotFiniteOverSubring(
-            "exactly one free variable is supported (single function-field level)"
-        )
-    new_ring, new_ideal = move_variable_to_field(ring, ideal, free[0])
+    ring = ideal.ring
     try:
-        alg = FiniteAlgebra(new_ring, new_ideal)
+        alg = FiniteAlgebra(move_variable_to_field(ideal, free))
     except NotZeroDimensional as exc:
         raise NotFiniteOverSubring(str(exc)) from None
     except ZeroRingError:
         raise NotFiniteOverSubring(
             "the quotient is torsion over the chosen subring"
         ) from None
-    if not _torsion_free(ring, ideal, free[0]):
+    if not _torsion_free(ideal, free):
         raise NotFiniteOverSubring(
-            f"the quotient has {free[0]}-torsion, which its generic fiber does not see"
+            f"the quotient has {free}-torsion, which its generic fiber does not see"
         )
     try:
         decomp = idempotent_decomposition(alg)
     except (ProbeExhausted, RadicalUnavailable):
         return UNKNOWN
     K = alg.field
-    free_idx = ring.variables.index(free[0])
+    free_idx = ring.variables.index(free)
     keep_idx = [i for i in range(len(ring.variables)) if i != free_idx]
     for e in decomp.idempotents:
         if not all(K.is_polynomial(c) for c in e):
@@ -738,8 +735,8 @@ def components_over_subring(ring: PolyRing, ideal: Ideal, free_variables):
     return decomp.count
 
 
-def _torsion_free(ring: PolyRing, ideal: Ideal, free: str) -> bool:
-    """True when ring/ideal has no torsion over k[free], that is I : h = I.
+def _torsion_free(ideal: Ideal, free: str) -> bool:
+    """True when ideal.ring/ideal has no torsion over k[free], that is I : h = I.
 
     Under the order eliminating the other variables, a reduced basis of I is
     also one of I k(free)[others], and the contraction of that ideal is
@@ -749,6 +746,7 @@ def _torsion_free(ring: PolyRing, ideal: Ideal, free: str) -> bool:
     """
     if ideal.is_zero_ideal():
         return True
+    ring = ideal.ring
     keep = [v for v in ring.variables if v != free]
     work = PolyRing(ring.field, keep + [free],
                     MonomialOrder.eliminating(len(keep), len(ring.variables)))

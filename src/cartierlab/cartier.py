@@ -44,6 +44,7 @@ from .errors import (
     RadicalUnavailable,
     UNKNOWN,
     ZeroRingError,
+    shown,
 )
 from .extensions import (
     ExtensionPresentation,
@@ -138,7 +139,7 @@ def verify_maximal(ext: ExtensionPresentation, prime: Ideal) -> FiniteAlgebra:
         raise NotPrime("prime must live in the source ring")
     total = ideal_sum(ext.a_ideal, prime)
     try:
-        alg = FiniteAlgebra(ext.a_ring, total)
+        alg = FiniteAlgebra(total)
     except ZeroRingError:
         raise NotPrime("the ideal is the unit ideal") from None
     except NotZeroDimensional:
@@ -167,17 +168,16 @@ def _stalk_over_residue(ext: ExtensionPresentation, prime: Ideal,
     pushed = [ext.substitute(g) for g in prime.generators]
     fiber_ideal = ideal_sum(ext.b_ideal, Ideal(ext.b_ring, pushed))
     return _fiber_report(ext, prime, lambda: primitive_element_presentation(residue_alg),
-                         ext.b_ring, fiber_ideal,
-                         lambda: _count_over_a_line(ext.b_ring, fiber_ideal))
+                         fiber_ideal, lambda: _count_over_a_line(fiber_ideal))
 
 
-def _count_over_a_line(ring: PolyRing, fiber_ideal: Ideal) -> tuple:
+def _count_over_a_line(fiber_ideal: Ideal) -> tuple:
     """(components, note) for a fiber that is not zero-dimensional, counted
     over the first variable whose polynomial subring certifies the count."""
     reasons = []
-    for v in ring.variables:
+    for v in fiber_ideal.ring.variables:
         try:
-            components = components_over_subring(ring, fiber_ideal, [v])
+            components = components_over_subring(fiber_ideal, v)
         except NotFiniteOverSubring as exc:
             reasons.append(f"{v}: {exc}")
             continue
@@ -187,7 +187,7 @@ def _count_over_a_line(ring: PolyRing, fiber_ideal: Ideal) -> tuple:
 
 
 def _fiber_report(ext: ExtensionPresentation, prime: Ideal | None, residue,
-                  ring: PolyRing, fiber_ideal: Ideal, not_finite) -> StalkReport:
+                  fiber_ideal: Ideal, not_finite) -> StalkReport:
     """The one stalk report (see the module docstring). `residue()` gives the
     residue field, `not_finite()` the (components, note) of a fiber that is
     not zero-dimensional."""
@@ -196,7 +196,7 @@ def _fiber_report(ext: ExtensionPresentation, prime: Ideal | None, residue,
     notes: list[str] = []
     why: list[str] = []
     try:
-        components = component_count(FiniteAlgebra(ring, fiber_ideal), why)
+        components = component_count(FiniteAlgebra(fiber_ideal), why)
     except NotZeroDimensional:
         components, note = not_finite()
         notes.append(note)
@@ -215,7 +215,7 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
     # only for a field
     if not ext.a_ideal.is_zero_ideal() or not ext.a_ring.variables:
         try:
-            alg = FiniteAlgebra(ext.a_ring, ext.a_ideal)
+            alg = FiniteAlgebra(ext.a_ideal)
         except (NotZeroDimensional, ZeroRingError):
             alg = None
         if alg is not None:
@@ -250,9 +250,9 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
     lift = lambda g: Polynomial(ring, {exp + (0,): c for exp, c in g.terms().items()})
     gens = [lift(g) for g in ext.b_ideal.generators]
     gens.append(lift(ext.images[v]) - ring.variable(v))
-    work, fiber_ideal = move_variable_to_field(ring, Ideal(ring, gens), v)
+    fiber_ideal = move_variable_to_field(Ideal(ring, gens), v)
     return _fiber_report(
-        ext, None, lambda: work.field, work, fiber_ideal,
+        ext, None, lambda: fiber_ideal.ring.field, fiber_ideal,
         lambda: (UNKNOWN, "generic fiber is not finite over the fraction field"))
 
 
@@ -269,7 +269,7 @@ def stalk_rank(ext: ExtensionPresentation, prime: Ideal | None) -> StalkReport:
 def li_hensel_local(ext: ExtensionPresentation) -> LIResult:
     """Sections-over-a-point formula: rank = components(B) - 1 for local Artinian A."""
     try:
-        a_alg = FiniteAlgebra(ext.a_ring, ext.a_ideal)
+        a_alg = FiniteAlgebra(ext.a_ideal)
     except (NotZeroDimensional, ZeroRingError) as exc:
         raise NotArtinianLocal(f"source is not Artinian: {exc}") from None
     c_a = component_count(a_alg)
@@ -277,7 +277,7 @@ def li_hensel_local(ext: ExtensionPresentation) -> LIResult:
         raise NotArtinianLocal("could not certify the source is connected")
     if c_a != 1:
         raise NotArtinianLocal(f"source has {c_a} components, so it is not local")
-    b_alg = FiniteAlgebra(ext.b_ring, ext.b_ideal)
+    b_alg = FiniteAlgebra(ext.b_ideal)
     c_b = component_count(b_alg)
     if c_b is UNKNOWN:
         return LIResult(UNKNOWN, "HenselLocalFormula", {"reason": "target component count unknown"})
@@ -306,14 +306,14 @@ def li_conductor_square(ext: ExtensionPresentation) -> LIResult:
             {"conductor": ("1",), "degenerate": "unit conductor (equality)"},
             hints_used=tuple(ext.hints.consumed()),
         )
-    a_alg = FiniteAlgebra(ext.a_ring, cond)
-    b_alg = FiniteAlgebra(ext.b_ring, ext.extend(cond))
+    a_alg = FiniteAlgebra(cond)
+    b_alg = FiniteAlgebra(ext.extend(cond))
     c_a = component_count(a_alg)
     c_b = component_count(b_alg)
     certificate = {
         "conductor": tuple(str(g) for g in cond.generators),
-        "components_A_mod_conductor": c_a if c_a is not UNKNOWN else "unknown",
-        "components_B_mod_conductor": c_b if c_b is not UNKNOWN else "unknown",
+        "components_A_mod_conductor": shown(c_a),
+        "components_B_mod_conductor": shown(c_b),
     }
     if c_a is UNKNOWN or c_b is UNKNOWN:
         return LIResult(UNKNOWN, "ConductorSquare", certificate)
@@ -347,7 +347,7 @@ def li_five_term(data: RankData) -> LIResult:
 
 
 def _artinian_maximal_ideals(ext: ExtensionPresentation) -> list[Ideal]:
-    alg = FiniteAlgebra(ext.a_ring, ext.a_ideal)
+    alg = FiniteAlgebra(ext.a_ideal)
     decomp = idempotent_decomposition(alg)
     rad = radical_generators(alg)
     primes = []
@@ -394,7 +394,7 @@ def li_finite_connected(
         "stalks": tuple(
             {
                 "prime": r.prime_strings() or "generic",
-                "stalk": r.stalk_rank if r.stalk_rank is not UNKNOWN else "unknown",
+                "stalk": shown(r.stalk_rank),
             }
             for r in table
         )
@@ -420,8 +420,8 @@ def li_finite_connected(
 def li_five_term_from_extension(ext: ExtensionPresentation) -> LIResult:
     """Assemble rank data when both sides are Artinian (Picard ranks vanish)."""
     try:
-        a_alg = FiniteAlgebra(ext.a_ring, ext.a_ideal)
-        b_alg = FiniteAlgebra(ext.b_ring, ext.b_ideal)
+        a_alg = FiniteAlgebra(ext.a_ideal)
+        b_alg = FiniteAlgebra(ext.b_ideal)
     except (NotZeroDimensional, ZeroRingError) as exc:
         raise MissingHints(f"five-term data needs Artinian sides: {exc}") from None
     c_a = component_count(a_alg)
@@ -484,12 +484,12 @@ def li_auto(
 def li_reduce_red(ext: ExtensionPresentation) -> ExtensionPresentation:
     """Pass to reduced quotients; the rank is unchanged by this reduction."""
     reduced = []
-    for ring, ideal in ((ext.a_ring, ext.a_ideal), (ext.b_ring, ext.b_ideal)):
+    for ideal in (ext.a_ideal, ext.b_ideal):
         if ideal.is_zero_ideal():  # free polynomial ring: already reduced
             reduced.append(ideal)
             continue
         try:
-            alg = FiniteAlgebra(ring, ideal)
+            alg = FiniteAlgebra(ideal)
         except (NotZeroDimensional, ZeroRingError):
             raise RadicalUnavailable(
                 "radicals are computed only for zero-dimensional presentations"
@@ -498,9 +498,7 @@ def li_reduce_red(ext: ExtensionPresentation) -> ExtensionPresentation:
     a_reduced, b_reduced = reduced
     if a_reduced is ext.a_ideal and b_reduced is ext.b_ideal:
         return ext
-    return ExtensionPresentation(
-        ext.a_ring, a_reduced, ext.b_ring, b_reduced, ext.images, hints=ext.hints
-    )
+    return ExtensionPresentation(ext.a_ring, a_reduced, b_reduced, ext.images, hints=ext.hints)
 
 
 # -- seminormality obstruction --------------------------------------------------------
@@ -535,18 +533,13 @@ def ni_verdict(ext: ExtensionPresentation, degree_bound: int) -> NIVerdict:
     return NIVerdict("UnknownUpToBound", bound=degree_bound)
 
 
-def laurent_stability(
-    ext: ExtensionPresentation,
-    primes: list[Ideal] | None = None,
-    degree_bound: int = 6,
-    include_generic: bool = False,
-) -> StabilityVerdict:
+def laurent_stability(ext: ExtensionPresentation, degree_bound: int = 6) -> StabilityVerdict:
     """Stability of the divisor group under Laurent extension.
 
     Yes needs both a certified rank-zero Laurent deviation and a certified
     vanishing polynomial deviation; a certified failure on either side is No.
     """
-    li = li_auto(ext, primes, include_generic)
+    li = li_auto(ext)
     ni = ni_verdict(ext, degree_bound)
     if li.rank is not UNKNOWN and li.rank > 0:
         return StabilityVerdict("no", "laurent-deviation", li, ni)

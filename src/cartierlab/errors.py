@@ -32,8 +32,9 @@ class PairBudgetExceeded(ResourceLimitError):
 
 class FactorSearchLimit(ResourceLimitError):
     """A factor search stopped at its cap, so no factorization is claimed:
-    the subset recombination over QQ, or a degree beyond the searches over
-    k(v) and over simple extensions."""
+    the subset cap of `factor._recombine` over QQ, or one of the two k(v)
+    limits in `factor._factor_rational_functions` (a quadratic in
+    characteristic 2, a degree above 2)."""
 
 
 class NotZeroDimensional(CartierlabError):
@@ -82,13 +83,8 @@ class InvariantViolation(CartierlabError):
 
 
 class ProbeExhausted(CartierlabError):
-    """A component count could not be certified.
-
-    Raised when a factor search hits its cap, or when no candidate
-    combination of the variables is a primitive element of the reduced
-    algebra over a non-prime finite field, which has too few constants for
-    the search and no Frobenius-kernel count.
-    """
+    """A component count could not be certified: `artinian._factors` raises
+    it when a factor search it needs stops at its cap (FactorSearchLimit)."""
 
 
 class WellDefinednessError(CartierlabError):

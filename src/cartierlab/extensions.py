@@ -74,7 +74,9 @@ class WitnessCheck:
 
 
 class ExtensionPresentation:
-    """A map of presented rings A = a_ring/a_ideal -> B = b_ring/b_ideal.
+    """A map of presented rings A = a_ring/a_ideal -> B = b_ring/b_ideal,
+    where b_ring is the ring of b_ideal. a_ring is given because it presents
+    A when a_ideal is None; a given a_ideal must lie in it.
 
     Membership in the image and the kernel of the map are both read off one
     reduced basis of the tag ideal (b_ideal, tag_v - image_v) under an order
@@ -95,12 +97,14 @@ class ExtensionPresentation:
         self,
         a_ring: PolyRing,
         a_ideal: Ideal | None,
-        b_ring: PolyRing,
         b_ideal: Ideal,
         images: dict,
         hints: Hints | None = None,
         assume_injective: bool = False,
     ):
+        b_ring = b_ideal.ring
+        if a_ideal is not None and a_ideal.ring != a_ring:
+            raise CartierlabError("a_ideal is not an ideal of a_ring")
         if a_ring.field != b_ring.field:
             raise CartierlabError("source and target must share a coefficient field")
         if set(images) != set(a_ring.variables):
@@ -325,9 +329,7 @@ def adjoin_element(ext: ExtensionPresentation, b: Polynomial) -> ExtensionPresen
     new_a_ring = PolyRing(ext.a_ring.field, tuple(ext.a_ring.variables) + (w,), GREVLEX)
     images = dict(ext.images)
     images[w] = ext.b_ideal.normal_form(b)
-    return ExtensionPresentation(
-        new_a_ring, None, ext.b_ring, ext.b_ideal, images, hints=ext.hints
-    )
+    return ExtensionPresentation(new_a_ring, None, ext.b_ideal, images, hints=ext.hints)
 
 
 def closure_search(ext: ExtensionPresentation, kind: str,
@@ -468,8 +470,7 @@ def _spanning_monomials(ext: ExtensionPresentation) -> list[Polynomial]:
     nb = ext.b_ring.nvars()
     leading = [g.leading_term()[0] for g in ext._membership_ring().groebner()]
     try:
-        exps = staircase([e[:nb] for e in leading if not any(e[nb:])],
-                         ext.b_ring.variables, ext.b_ring.order)
+        exps = staircase([e[:nb] for e in leading if not any(e[nb:])], ext.b_ring)
     except NotZeroDimensional as exc:
         raise CertificateFailure(
             f"finite hint does not hold: no element of the tag basis has a "
@@ -486,9 +487,7 @@ def reduce_mod_conductor(ext: ExtensionPresentation) -> ExtensionPresentation:
     if cond.is_unit_ideal():
         raise DegenerateExtension("unit conductor: the extension is an equality")
     hints = Hints(finite=ext.hints.finite, module_generators=ext.hints.module_generators)
-    return ExtensionPresentation(
-        ext.a_ring, None, ext.b_ring, ext.extend(cond), ext.images, hints=hints
-    )
+    return ExtensionPresentation(ext.a_ring, None, ext.extend(cond), ext.images, hints=hints)
 
 
 # -- nilpotent comparison --------------------------------------------------------
@@ -510,7 +509,7 @@ def nil_comparison(ext: ExtensionPresentation) -> NilComparison:
     if ext.b_ideal.is_zero_ideal():
         return NilComparison("equal", "target is a free polynomial ring (reduced)")
     try:
-        alg = FiniteAlgebra(ext.b_ring, ext.b_ideal)
+        alg = FiniteAlgebra(ext.b_ideal)
     except (NotZeroDimensional, ZeroRingError):
         return NilComparison(
             "unknown", "target is not presented as a finite-dimensional algebra"

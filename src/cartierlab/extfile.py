@@ -241,8 +241,7 @@ def load_extension(
         if "hints" in description else Hints()
     )
     return ExtensionPresentation(
-        a_ring, a_ideal, b_ring, b_ideal, images, hints,
-        assume_injective=assume_injective,
+        a_ring, a_ideal, b_ideal, images, hints, assume_injective=assume_injective,
     )
 
 
@@ -269,9 +268,9 @@ def load_ring(path: str, description: dict | None = None) -> FiniteAlgebra:
     description = _sections(path, description)
     if list(description) != ["ring"]:
         raise InputError(f"{path} must contain exactly the [ring] section")
-    ring, ideal = _parse_ring(description["ring"], "ring")
+    _, ideal = _parse_ring(description["ring"], "ring")
     try:
-        return FiniteAlgebra(ring, ideal)
+        return FiniteAlgebra(ideal)
     except (NotZeroDimensional, ZeroRingError) as exc:
         raise InputError(f"[ring] of {path} is not a nonzero finite-dimensional "
                          f"algebra: {exc}") from None

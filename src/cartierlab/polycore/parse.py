@@ -11,7 +11,10 @@ Tokens are ASCII: an integer is `[0-9]+` and an identifier
 other character outside whitespace is an error. Whitespace is insignificant;
 implicit multiplication is rejected. Division appears only inside rational
 literals. Exponents are nonnegative integers except where an evaluator
-explicitly permits negative ones (Laurent input).
+explicitly permits negative ones (Laurent input). Parentheses nest at most
+MAX_NESTING deep: each level costs the descent four stack frames, so the
+limit keeps a deeper input a ParseError, at its first '(' past the limit,
+instead of a RecursionError.
 
 `PolynomialEvaluator` builds plain term maps {exponents: coefficient}, so no
 `Polynomial` exists until `parse_polynomial` adopts the final map.
@@ -24,6 +27,9 @@ from fractions import Fraction
 
 from ..errors import ParseError
 from .rings import Polynomial, PolyRing, add_terms, mul_terms, neg_terms
+
+
+MAX_NESTING = 100
 
 
 class _Token:
@@ -87,6 +93,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.ev = evaluator
+        self.depth = 0  # of the parentheses open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -164,9 +171,14 @@ class _Parser:
     def base(self):
         tok = self.peek()
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 self.text, tok.pos)
+            self.depth += 1
             self.advance()
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value, False
         if tok.kind == "int":
             self.advance()

@@ -238,7 +238,7 @@ def seminormal_by_exhaustive_scan(ext):
     from cartierlab.artinian import FiniteAlgebra
     from cartierlab.polycore.linalg import in_span, rref
 
-    alg = FiniteAlgebra(ext.b_ring, ext.b_ideal)
+    alg = FiniteAlgebra(ext.b_ideal)
     field = alg.field
     gens = [alg.from_poly(ext.substitute(ext.a_ring.variable(v)))
             for v in ext.a_ring.variables]

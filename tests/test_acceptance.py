@@ -189,7 +189,7 @@ def test_criterion_8b_idempotent_oracle():
                 poly = poly + ring.monomial((i,), f5.from_int(c))
         if poly.total_degree() < 1:
             continue
-        alg = FiniteAlgebra(ring, Ideal(ring, [poly]))
+        alg = FiniteAlgebra(Ideal(ring, [poly]))
         if alg.dim > 4:
             continue
         count = component_count(alg)

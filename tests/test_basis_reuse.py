@@ -152,7 +152,7 @@ def test_kernel_presentation_checks_nothing_by_normal_form(monkeypatch):
         return original(self, f)
 
     monkeypatch.setattr(GROEBNER.Ideal, "normal_form", counting)
-    ext = ExtensionPresentation(ring, None, b_ring, Ideal(b_ring, []), images)
+    ext = ExtensionPresentation(ring, None, Ideal(b_ring, []), images)
     assert forms == []
     assert {str(g) for g in ext.a_ideal.generators} == {"y^2 - x*z", "x^3 - y*z", "x^2*y - z^2"}
 
@@ -263,9 +263,9 @@ def test_generic_stalk_over_an_artinian_source_builds_it_once(monkeypatch):
     built = []
     original_init = FiniteAlgebra.__init__
 
-    def init(self, ring, ideal):
-        built.append(ring.describe())
-        original_init(self, ring, ideal)
+    def init(self, ideal):
+        built.append(ideal.ring.describe())
+        original_init(self, ideal)
 
     ext = load_extension(os.path.join(CORPUS, "nil_toy.ext"))
     monkeypatch.setattr(FiniteAlgebra, "__init__", init)

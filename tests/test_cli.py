@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,13 @@ import pytest
 
 from cartierlab.cli import build_parser, main
 from cartierlab.corpus import corpus_path
+from cartierlab.polycore.parse import MAX_NESTING
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property tests below skip
+    st = None
 
 
 def run_cli(capsys, *argv):
@@ -653,6 +662,8 @@ def _cusp_with(pattern, replacement):
     return _corpus_with("cusp.ext", pattern, replacement)
 
 
+NESTED_X = "(" * 300 + "x" + ")" * 300
+NESTED_T = "(" * 300 + "t" + ")" * 300
 FREE_PLANE = ("[ring.A]\nfield = QQ\nvars = x, y\n\n[ring.B]\nfield = QQ\nvars = s, t\n\n"
               "[map]\nx = s\ny = t\n")
 DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfield = QQ\n"
@@ -695,18 +706,28 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
     (_corpus_with("nil_base.ring", r"\Z", "\n[hints]\nfinite = true\n"),
      ["units", "--base", "<path>", "--laurent", "t"], 2,
      "input error: <path> must contain exactly the [ring] section\n"),
+    (_corpus_with("node.ext", r"^relations = y\^2 - x\^3 - x\^2$", f"relations = {NESTED_X}"),
+     ["check", "<path>"], 2,
+     f"input error: [ring.A] relation {NESTED_X!r}: parentheses nested deeper than 100 "
+     f"at position 100: {NESTED_X!r}\n"),
+    ("[ring]\nfield = QQ\nvars = eps\nrelations = eps^2\n",
+     ["units", "--base", "<path>", "--laurent", NESTED_T],
+     2, f"input error: laurent expression: parentheses nested deeper than 100 at position 100: "
+     f"{NESTED_T!r}\n"),
 ], ids=["conductor-without-module-generators", "conductor-without-fractions",
         "stalk-at-a-prime-that-is-not-maximal", "generic-stalk-over-a-free-plane",
         "generic-stalk-over-a-source-that-is-no-domain",
         "generic-stalk-of-the-cusp-without-hints", "ring-section-without-vars",
         "unknown-hint-key", "module-generator-parse-error", "fraction-entry-parse-error",
         "lpic-rank-not-an-integer", "map-image-parse-error", "rankdata-entry-not-an-integer",
-        "pair-budget-zero", "rankdata-with-an-extra-section", "ring-with-an-extra-section"])
+        "pair-budget-zero", "rankdata-with-an-extra-section", "ring-with-an-extra-section",
+        "relation-nested-past-the-limit", "laurent-nested-past-the-limit"])
 def test_command_reachable_refusals(capsys, tmp_path, text, argv, code, expected):
     """A missing hint gives rank Unknown with its reason; a prime that is not
     zero-dimensional, a generic stalk that no rule certifies, a malformed
-    entry or an extra section in a description file, and a pair budget
-    below one are refused as bad input. `<path>` stands for the file."""
+    entry or an extra section in a description file, parentheses nested past
+    the parser's limit, and a pair budget below one are refused as bad
+    input. `<path>` stands for the file."""
     path = tmp_path / "input.ext"
     path.write_text(text, encoding="utf-8")
     got, out, err = run_cli(capsys, *(str(path) if a == "<path>" else a for a in argv))
@@ -716,3 +737,68 @@ def test_command_reachable_refusals(capsys, tmp_path, text, argv, code, expected
         assert f"rank: unknown\nmethod: ConductorSquare\ncertificate:\n  reason: {expected}\n" in out
     else:
         assert (out, err) == ("", expected.replace("<path>", str(path)))
+
+
+# Where a generated expression goes in node.ext, with the variables it may use.
+_NODE_SLOTS = [
+    (r"^relations = y\^2 - x\^3 - x\^2$", "relations = ", ("x", "y")),
+    (r"^relations =$", "relations = ", ("t",)),
+    (r"^x = t\^2 - 1$", "x = ", ("t",)),
+]
+_STRAY = ["@", "(", ")", "^", "/0", ",", "=", "#", "\u00b2", "\n", "t^-1"]
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+if st is None:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_generated_inputs_end_in_an_exit_code():
+        pass
+else:
+    def _expressions(names, exponents):
+        """Small sums and products of powers, some empty, inside 0 to
+        10 * MAX_NESTING parentheses, with a stray character before or after.
+        Hypothesis runs a test with 2000 stack frames to spare, four per
+        parenthesis, so only past about 500 levels would a parser without the
+        limit fail here."""
+        leaves = st.one_of(
+            st.sampled_from([*names, "0", "1", "2", "1/2", ""]),
+            st.tuples(st.sampled_from(names), exponents).map(lambda t: f"{t[0]}^{t[1]}"),
+        )
+        small = st.recursive(leaves, lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(" ".join),
+            inner.map(lambda a: f"-({a})"),
+        ), max_leaves=4)
+        nested = st.tuples(small, st.integers(0, 10 * MAX_NESTING)).map(
+            lambda t: "(" * t[1] + t[0] + ")" * t[1])
+        stray = st.one_of(st.just(""), st.sampled_from(_STRAY))
+        return st.tuples(nested, stray, st.booleans()).map(
+            lambda t: t[0] + t[1] if t[2] else t[1] + t[0])
+
+    @st.composite
+    def _node_files(draw):
+        pattern, key, names = draw(st.sampled_from(_NODE_SLOTS))
+        expression = draw(_expressions(names, st.integers(0, 3)))
+        return _corpus_with("node.ext", pattern, lambda _: key + expression)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=st.one_of(
+        _node_files().map(lambda text: ("check", text)),
+        _expressions(("eps", "t"), st.integers(-3, 3)).map(lambda text: ("units", text)),
+    ))
+    def test_generated_inputs_end_in_an_exit_code(tmp_path_factory, case):
+        """`check` on node.ext with one relation or image replaced, and `units`
+        on the dual numbers, answer, refuse as bad input or stop at a budget:
+        no generated input, parentheses nested past the limit included, ends
+        in a traceback or in the corpus-regression code 1."""
+        command, text = case
+        if command == "check":
+            path = tmp_path_factory.getbasetemp() / "generated.ext"
+            path.write_text(text, encoding="utf-8")
+            argv = ["check", str(path)]
+        else:
+            argv = ["units", "--base", corpus_path("nil_base.ring"), f"--laurent={text}"]
+        assert _quiet_main(argv) in (0, 2, 3)

@@ -59,7 +59,7 @@ def build(a_vars, a_rels, b_vars, b_rels, images, hints=None, field=QQ):
     a_ideal = Ideal(a_ring, [parse_polynomial(t, a_ring) for t in a_rels])
     b_ideal = Ideal(b_ring, [parse_polynomial(t, b_ring) for t in b_rels])
     image_polys = {v: parse_polynomial(s, b_ring) for v, s in images.items()}
-    return ExtensionPresentation(a_ring, a_ideal, b_ring, b_ideal, image_polys, hints)
+    return ExtensionPresentation(a_ring, a_ideal, b_ideal, image_polys, hints)
 
 
 def node_hints():
@@ -117,6 +117,15 @@ def test_construction_checks():
     # a visible kernel: x -> 0 into the constants
     with pytest.raises(InjectivityError):
         build(["x"], [], [], [], {"x": "0"})
+
+
+def test_a_source_ideal_of_another_ring_is_refused():
+    """a_ideal names A together with a_ring, so an ideal of QQ[y] under
+    a_ring = QQ[x] is refused when the presentation is built."""
+    x_ring, y_ring, t_ring = (PolyRing(QQ, [v], GREVLEX) for v in "xyt")
+    with pytest.raises(CartierlabError, match="^a_ideal is not an ideal of a_ring$"):
+        ExtensionPresentation(x_ring, Ideal(y_ring, []), Ideal(t_ring, []),
+                              {"x": t_ring.variable("t")})
 
 
 def test_contains_node_examples():
@@ -200,7 +209,7 @@ def _monomial_curve(field, semigroup):
     a_ring = PolyRing(field, names, GREVLEX)
     b_ring = PolyRing(field, ["t"], GREVLEX)
     images = {name: b_ring.monomial((s,)) for name, s in zip(names, semigroup)}
-    return ExtensionPresentation(a_ring, None, b_ring, Ideal(b_ring, []), images)
+    return ExtensionPresentation(a_ring, None, Ideal(b_ring, []), images)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -311,7 +320,7 @@ def test_conductor_is_certified_on_monomials_spanning_the_target():
     u2 = ext.b_ring.parse("(t + 1)^2")
     hints = Hints(finite=True, birational=True, module_generators=(ext.b_ring.one(), u2),
                   fractions=((u2, ext.a_ring.parse("y"), ext.a_ring.parse("x")),))
-    wrong = ExtensionPresentation(ext.a_ring, ext.a_ideal, ext.b_ring, ext.b_ideal,
+    wrong = ExtensionPresentation(ext.a_ring, ext.a_ideal, ext.b_ideal,
                                   ext.images, hints)
     for call in (conductor, reduce_mod_conductor):
         with pytest.raises(CertificateFailure, match="^conductor generator x times t escapes"):
@@ -334,13 +343,13 @@ def test_reduce_mod_conductor_node_and_cusp():
     from cartierlab.artinian import FiniteAlgebra
 
     node = reduce_mod_conductor(node_extension())
-    a_alg = FiniteAlgebra(node.a_ring, node.a_ideal)
-    b_alg = FiniteAlgebra(node.b_ring, node.b_ideal)
+    a_alg = FiniteAlgebra(node.a_ideal)
+    b_alg = FiniteAlgebra(node.b_ideal)
     assert a_alg.dim == 1 and b_alg.dim == 2
 
     cusp = reduce_mod_conductor(cusp_extension())
-    assert FiniteAlgebra(cusp.a_ring, cusp.a_ideal).dim == 1
-    b_alg = FiniteAlgebra(cusp.b_ring, cusp.b_ideal)
+    assert FiniteAlgebra(cusp.a_ideal).dim == 1
+    b_alg = FiniteAlgebra(cusp.b_ideal)
     assert b_alg.dim == 2
     assert not __import__("cartierlab.artinian", fromlist=["is_reduced"]).is_reduced(b_alg)
 
@@ -545,7 +554,7 @@ def test_well_definedness_matches_substitute_and_reduce(data):
                                  field, textbook_key(b_ring.order))
     ]
     try:
-        ExtensionPresentation(a_ring, a_ideal, b_ring, b_ideal, images)
+        ExtensionPresentation(a_ring, a_ideal, b_ideal, images)
     except WellDefinednessError as exc:
         assert rejected and str(exc) == (
             f"relation {rejected[0]} does not map to zero in the target"
@@ -618,7 +627,7 @@ def test_contraction_under_lex_runs_buchberger(monkeypatch):
     a_ring = PolyRing(QQ, ["x", "y", "z"], LEX)
     b_ring = PolyRing(QQ, ["t"], GREVLEX)
     images = {v: parse_polynomial(f"t^{e}", b_ring) for v, e in zip("xyz", (3, 4, 5))}
-    ext = ExtensionPresentation(a_ring, None, b_ring, Ideal(b_ring, []), images)
+    ext = ExtensionPresentation(a_ring, None, Ideal(b_ring, []), images)
     contraction = ext.contraction_ideal()
     lex_basis = tuple(original(list(contraction.generators), a_ring))
     assert contraction.groebner() == lex_basis

@@ -27,7 +27,7 @@ from cartierlab.polycore import GREVLEX, Ideal, PolyRing, QQ, parse_polynomial
 
 def algebra(variables, texts):
     ring = PolyRing(QQ, variables, GREVLEX)
-    return FiniteAlgebra(ring, Ideal(ring, [parse_polynomial(t, ring) for t in texts]))
+    return FiniteAlgebra(Ideal(ring, [parse_polynomial(t, ring) for t in texts]))
 
 
 BASE_QQ = algebra([], [])

@@ -15,6 +15,7 @@ from cartierlab.polycore import (
     RationalFunctionField,
     parse_polynomial,
 )
+from cartierlab.polycore.parse import MAX_NESTING
 
 try:
     from hypothesis import given, settings
@@ -99,6 +100,20 @@ def test_syntax_errors_carry_positions():
     assert "unknown variable" in str(err.value)
 
 
+def test_parentheses_nest_up_to_the_limit():
+    """MAX_NESTING levels parse, and the depth falls again after each ')';
+    one level more is a ParseError at the first '(' past the limit, not a
+    RecursionError."""
+    ring = ring_xy()
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deep, ring) == ring.variable("x")
+    assert parse_polynomial(f"{deep} - {deep}", ring).is_zero()
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(f"({deep})", ring)
+    assert err.value.position == MAX_NESTING
+    assert str(err.value).startswith(f"parentheses nested deeper than {MAX_NESTING} at")
+
+
 def test_field_symbols_resolve_as_coefficients():
     from cartierlab.polycore import RationalFunctionField
 
@@ -151,7 +166,7 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
     assert power == parse_polynomial("t^4 + 4*t^3 + 6*t^2 + 4*t + 1", base.ring)
 
     ring = PolyRing(QQ, ["e"], GREVLEX)
-    alg = FiniteAlgebra(ring, Ideal(ring, [ring.parse("e^5")]))
+    alg = FiniteAlgebra(Ideal(ring, [ring.parse("e^5")]))
     a = alg.from_poly(ring.parse("1 + 2*e"))
     expected = repeated(alg.mul, alg.one(), a, 4)
     calls = counted(FiniteAlgebra, "mul")
