@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import le
 
 from .errors import (
     CartierlabError,
@@ -60,7 +59,7 @@ from .polycore import unipoly as up
 from .polycore.factor import factor_count, irreducible_factors
 from .polycore.fields import (Field, PrimeField, RationalField, RationalFunctionField,
                               square_and_multiply)
-from .polycore.groebner import Ideal, colon, ideal_sum
+from .polycore.groebner import Ideal, colon, ideal_sum, staircase
 from .polycore.linalg import express_in_span, first_dependence, kernel_basis, rref
 from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_names
 
@@ -195,20 +194,6 @@ class FiniteAlgebra:
     def describe(self) -> str:
         gens = ", ".join(str(g) for g in self.ideal.generators) or "0"
         return f"{self.ring.describe()}/({gens})"
-
-
-def staircase(leading, ring: PolyRing) -> list[tuple]:
-    """The exponents no leading exponent divides, ascending in the ring's
-    order. A variable with no pure power among them raises NotZeroDimensional."""
-    bounds = []
-    for i, name in enumerate(ring.variables):
-        powers = [e[i] for e in leading if e[i] == sum(e)]
-        if not powers:
-            raise NotZeroDimensional(name)
-        bounds.append(range(min(powers)))
-    exps = (e for e in itertools.product(*bounds)
-            if not any(all(map(le, lead, e)) for lead in leading))
-    return sorted(exps, key=ring.order.heap_key, reverse=True)
 
 
 def minimal_polynomial(alg: FiniteAlgebra, a: tuple) -> tuple:

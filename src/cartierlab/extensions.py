@@ -28,7 +28,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 
-from .artinian import FiniteAlgebra, nilradical_span, staircase
+from .artinian import FiniteAlgebra, nilradical_span
 from .errors import (
     CartierlabError,
     CertificateFailure,
@@ -40,7 +40,7 @@ from .errors import (
     WellDefinednessError,
     ZeroRingError,
 )
-from .polycore.groebner import Ideal, colon, default_pair_budget, ideal_sum, intersect
+from .polycore.groebner import Ideal, colon, default_pair_budget, intersect, staircase
 from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_names
 
 
@@ -380,8 +380,9 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
 
     Requires module generators with fraction representations p/q over A.
     Each fraction is checked (generator * q = p in B). The conductor lies in
-    each colon ideal (q) : p, and their intersection c is certified to be
-    the conductor by c * B inside A: for each generator g of c and each
+    (a + (q)) : (p_1, ..., p_k) for each distinct denominator q and its
+    numerators, and their intersection c is certified to be the conductor
+    by c * B inside A: for each generator g of c and each
     monomial m of a set spanning B over A, g(tags) * m reduces against the
     tag basis to a polynomial free of B's variables. The hinted module
     generators are tried first, then the monomials read off the tag basis
@@ -402,15 +403,18 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
                 f"the image of {den} is not the image of {num}"
             )
         fractions[gen] = (num, den)
-    result: Ideal | None = None
+    numerators: dict = {}  # denominator -> its numerators
     for gen in hints.module_generators:
         if gen not in fractions:
             if ext.contains(gen).member:
                 continue  # generator already inside A constrains nothing
             raise MissingHints(f"module generator {gen} has no fraction hint")
         num, den = fractions[gen]
-        base = ideal_sum(ext.a_ideal, Ideal(ext.a_ring, [den]))
-        quot = colon(base, Ideal(ext.a_ring, [num]))
+        numerators.setdefault(den, []).append(num)
+    a_basis = list(ext.a_ideal.groebner())
+    result: Ideal | None = None
+    for den, nums in numerators.items():
+        quot = colon(Ideal(ext.a_ring, a_basis + [den]), Ideal(ext.a_ring, nums))
         result = quot if result is None else _meet(result, quot)
     if result is None:
         result = Ideal(ext.a_ring, [ext.a_ring.one()])
@@ -441,7 +445,8 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
 
 
 def _meet(running: Ideal, quot: Ideal) -> Ideal:
-    """running ∩ quot, intersecting only when neither contains the other.
+    """running ∩ quot, intersecting only when neither contains the other;
+    `conductor` folds it over the distinct denominators.
 
     Containment is decided by normal forms against each side's basis, which
     stays cached on it.

@@ -129,7 +129,7 @@ def _parse_field(text: str, label: str):
     raise InputError(f'field must be "QQ" or "FP(p)", found {text!r}')
 
 
-def _parse_ring(section, label: str) -> tuple[PolyRing, Ideal]:
+def _parse_ring(section, label: str) -> Ideal:
     unknown = set(section) - _RING_KEYS
     if unknown:
         raise InputError(f"unknown keys in [{label}]: {sorted(unknown)}")
@@ -146,7 +146,7 @@ def _parse_ring(section, label: str) -> tuple[PolyRing, Ideal]:
             relations.append(parse_polynomial(text, ring))
         except ParseError as exc:
             raise InputError(f"[{label}] relation {text!r}: {exc}") from None
-    return ring, Ideal(ring, relations)
+    return Ideal(ring, relations)
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -219,8 +219,9 @@ def load_extension(
     unknown = sections - (required | {"hints"})
     if unknown:
         raise InputError(f"unknown sections in {path}: {sorted(unknown)}")
-    a_ring, a_ideal = _parse_ring(description["ring.A"], "ring.A")
-    b_ring, b_ideal = _parse_ring(description["ring.B"], "ring.B")
+    a_ideal = _parse_ring(description["ring.A"], "ring.A")
+    b_ideal = _parse_ring(description["ring.B"], "ring.B")
+    a_ring, b_ring = a_ideal.ring, b_ideal.ring
     if a_ring.field != b_ring.field:
         raise InputError(f"[ring.A] is over {a_ring.field.describe()} but [ring.B] over "
                          f"{b_ring.field.describe()}: they must share a coefficient field")
@@ -268,7 +269,7 @@ def load_ring(path: str, description: dict | None = None) -> FiniteAlgebra:
     description = _sections(path, description)
     if list(description) != ["ring"]:
         raise InputError(f"{path} must contain exactly the [ring] section")
-    _, ideal = _parse_ring(description["ring"], "ring")
+    ideal = _parse_ring(description["ring"], "ring")
     try:
         return FiniteAlgebra(ideal)
     except (NotZeroDimensional, ZeroRingError) as exc:

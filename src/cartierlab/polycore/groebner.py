@@ -32,14 +32,23 @@ term divisible by any leading term, the unique reduced basis element with
 that leading term. An element none of whose terms a kept leading term
 divides is adopted as it is, with its divisor triple, since the division
 would return it unchanged. Identical inputs therefore give bit-identical
-outputs, sorted by leading term."""
+outputs, sorted by leading term.
+
+Quotients: `colon(I, J)` of a zero-dimensional I (finite `staircase`) is
+linear algebra on k[x]/I, the kernel of multiplication by J's generators,
+whose echelon form is the reduced basis: no Buchberger run beyond I's own.
+A positive-dimensional I, as in `artinian._torsion_free`, takes (I ∩ (g))/g
+by `intersect` and exact division, for each generator g."""
 
 from __future__ import annotations
 
+from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import product
 from operator import add, le, sub
 
-from ..errors import CartierlabError, CertificateFailure, PairBudgetExceeded
+from ..errors import CartierlabError, CertificateFailure, NotZeroDimensional, PairBudgetExceeded
+from .linalg import kernel_basis
 from .rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_names
 
 DEFAULT_PAIR_BUDGET = 100_000
@@ -330,16 +339,55 @@ def intersect(i1: Ideal, i2: Ideal) -> Ideal:
     return eliminate(Ideal(work, gens), [u], target_ring=ring)
 
 
+def staircase(leading, ring: PolyRing) -> list[tuple]:
+    """The exponents no leading exponent divides, ascending in the ring's
+    order. A variable with no pure power among them raises NotZeroDimensional."""
+    bounds = []
+    for i, name in enumerate(ring.variables):
+        powers = [e[i] for e in leading if e[i] == sum(e)]
+        if not powers:
+            raise NotZeroDimensional(name)
+        bounds.append(range(min(powers)))
+    exps = (e for e in product(*bounds)
+            if not any(all(map(le, lead, e)) for lead in leading))
+    return sorted(exps, key=ring.order.heap_key, reverse=True)
+
+
 def colon(ideal: Ideal, divisor: Ideal) -> Ideal:
-    """Ideal quotient I : J = {f : f*J inside I}."""
+    """Ideal quotient I : J = {f : f*J inside I}.
+
+    Zero-dimensional I: the staircase combinations f with g*f in I for every
+    generator g of J are the kernel of the stacked multiplication matrices.
+    Its echelon vectors are reduced, each led by its free column. The reduced
+    basis is the minimal ones and I's elements whose leading terms none of
+    them divides, cleared at the free columns. An empty kernel adopts I's
+    basis (a unit I has no staircase). Positive-dimensional I: (I ∩ (g))/g,
+    intersected over the generators g.
+    """
     ring = ideal.ring
     if divisor.ring != ring:
         raise CartierlabError("ideals live in different rings")
     if not divisor.generators:
         return Ideal(ring, [ring.one()])
-    result: Ideal | None = None
+    gb = ideal.groebner()
+    try:
+        stairs = staircase([g.leading_term()[0] for g in gb], ring)
+    except NotZeroDimensional:
+        return reduce(intersect, (
+            Ideal(ring, [exact_divide(h, g) for h in intersect(ideal, Ideal(ring, [g])).generators])
+            for g in divisor.generators))
+    one, zero = ring.field.one(), ring.field.zero()
+    rows = []
     for g in divisor.generators:
-        meet = intersect(ideal, Ideal(ring, [g]))
-        single = Ideal(ring, [exact_divide(h, g) for h in meet.generators])
-        result = single if result is None else intersect(result, single)
-    return result
+        g = ideal.normal_form(g)
+        images = [ideal.normal_form(g.term_mul(b, one))._terms for b in stairs]
+        rows += ([image.get(e, zero) for image in images] for e in stairs)
+    kernel = [Polynomial(ring, dict(zip(stairs, v))) for v in kernel_basis(ring.field, rows)]
+    if not kernel:
+        return Ideal(ring, gb, reduced=True)
+    new = {p.leading_term()[0]: p for p in kernel}
+    basis = [p for e, p in new.items() if not any(l != e and _divides(l, e) for l in new)]
+    basis += [g - sum((new[e].scale(c) for e, c in g.terms().items() if e in new), ring.zero())
+              for g in gb if not any(_divides(l, g.leading_term()[0]) for l in new)]
+    basis.sort(key=lambda g: ring.order.heap_key(g.leading_term()[0]), reverse=True)
+    return Ideal(ring, basis, reduced=True)

@@ -6,12 +6,13 @@ relation at a map's images) through naive dict convolution, univariate
 division through schoolbook long division, multivariate reduction through
 the textbook loop on plain term dicts, monomial orders through their
 textbook comparisons, the first linear dependence through
-one fresh elimination per vector, the conductor through every colon ideal
+one fresh elimination per vector, ideal quotients through intersections with
+principal ideals and exact division, the conductor through every colon ideal
 intersected in turn, seminormality over a small prime field through every
 element of the target, reduced bases through Buchberger's algorithm as
 it interreduced before it went in ascending order, parsing through one
 `Polynomial` per literal and variable, and rational-function arithmetic
-through a full reduction after every operation. The last six replay, on
+through a full reduction after every operation. The last seven replay, on
 the library's own primitives, an algorithm the library has since replaced.
 """
 
@@ -200,16 +201,37 @@ def per_vector_first_dependence(field, vectors: list[list]):
     return None
 
 
+def colon_by_intersection(ideal, divisor):
+    """The ideal quotient I : J by elimination alone: I : (g) = (I ∩ (g))/g
+    for each generator g of J, intersected in turn, and the unit ideal for
+    J = 0.
+
+    This is the route `colon` took for every ideal before it solved the
+    zero-dimensional case by linear algebra on the staircase; it calls the
+    library's `intersect` and `exact_divide`, never `colon`.
+    """
+    from cartierlab.polycore.groebner import Ideal, exact_divide, intersect
+
+    ring = ideal.ring
+    result = Ideal(ring, [ring.one()])
+    for g in divisor.generators:
+        meet = intersect(ideal, Ideal(ring, [g]))
+        result = intersect(result, Ideal(ring, [exact_divide(h, g) for h in meet.generators]))
+    return result
+
+
 def conductor_by_every_intersection(ext):
     """The reduced basis of the conductor fold that intersects every colon
-    ideal (den) : num in turn, with no containment test.
+    ideal (a + (den)) : num in turn, one per module generator, with no
+    containment test.
 
-    This is the fold `conductor` used before it skipped redundant
-    intersections; it calls the library's `colon` and `intersect`, so what it
-    checks is the skipping, not those operations. Module generators without
+    This is the fold `conductor` used before it grouped the numerators by
+    denominator and skipped redundant intersections. Each colon is
+    `colon_by_intersection`, so neither the library's `colon` nor the
+    skipping is what the reference is built from. Module generators without
     a fraction must lie in A and are passed over, as in `conductor`.
     """
-    from cartierlab.polycore.groebner import Ideal, colon, ideal_sum, intersect
+    from cartierlab.polycore.groebner import Ideal, ideal_sum, intersect
 
     fractions = {gen: (num, den) for gen, num, den in ext.hints.fractions or ()}
     result = None
@@ -219,7 +241,7 @@ def conductor_by_every_intersection(ext):
             continue
         num, den = fractions[gen]
         base = ideal_sum(ext.a_ideal, Ideal(ext.a_ring, [den]))
-        quot = colon(base, Ideal(ext.a_ring, [num]))
+        quot = colon_by_intersection(base, Ideal(ext.a_ring, [num]))
         result = quot if result is None else intersect(result, quot)
     if result is None:
         return (ext.a_ring.one(),)

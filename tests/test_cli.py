@@ -545,6 +545,21 @@ def test_stalk_over_a_subring_with_torsion_is_not_counted(capsys):
     assert "x: the quotient has x-torsion, which its generic fiber does not see" in entry["notes"][0]
 
 
+def test_planes_glued_at_a_point_have_rank_one(capsys):
+    # two planes meeting in a point: H^0(i_*Z/Z) = Z, read off the conductor
+    # square; a + (x + z) is one-dimensional, so the colon is by intersection
+    path = os.path.join(FIXTURES, "glued-planes.ext")
+    code, out, err = run_cli(capsys, "li", path, "--json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["results"][0]
+    assert (result["rank"], result["method"]) == (1, "ConductorSquare")
+    assert result["certificate"] == {
+        "conductor": ["w", "z", "y", "x"],
+        "components_A_mod_conductor": 1,
+        "components_B_mod_conductor": 2,
+    }
+
+
 def test_generic_stalk_over_an_imperfect_field_is_unknown(capsys):
     path = os.path.join(FIXTURES, "frobenius-fp3.ext")
     code, out, err = run_cli(capsys, "stalks", path, "--generic", "--json")

@@ -174,6 +174,38 @@ def test_pair_budget_is_enforced():
         set_default_pair_budget(previous)
 
 
+_RX = PolyRing(QQ, ["x"], GREVLEX)
+_RY = PolyRing(QQ, ["y"], GREVLEX)
+
+
+def _x_ideal():
+    return Ideal(_RX, [_RX.variable("x")])
+
+
+def _y_ideal():
+    return Ideal(_RY, [_RY.variable("y")])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: set_default_pair_budget(0), "pair budget must be positive"),
+    (lambda: Ideal(_RX, [_RY.variable("y")]), "generator from a different ring"),
+    (lambda: _x_ideal().normal_form(_RY.variable("y")), "polynomial from a different ring"),
+    (lambda: groebner.ideal_equals(_x_ideal(), _y_ideal()), "ideals live in different rings"),
+    (lambda: groebner.intersect(_x_ideal(), _y_ideal()), "ideals live in different rings"),
+    (lambda: groebner.colon(_x_ideal(), _y_ideal()), "ideals live in different rings"),
+    (lambda: groebner.eliminate(_x_ideal(), ["z"]), "cannot eliminate unknown variable 'z'"),
+], ids=["pair_budget", "ideal", "normal_form", "ideal_equals", "intersect", "colon",
+        "eliminate"])
+def test_api_guards_refuse(call, message):
+    previous = default_pair_budget()
+    try:
+        with pytest.raises(CartierlabError) as err:
+            call()
+    finally:
+        set_default_pair_budget(previous)
+    assert str(err.value) == message
+
+
 def test_random_ideal_corpus_s_pair_property():
     """20 random ideals: generators reduce to 0 and all S-pairs reduce to 0."""
     rng = random.Random(20260811)
