@@ -192,8 +192,7 @@ class FiniteAlgebra:
         return self._squarefree_parts
 
     def describe(self) -> str:
-        gens = ", ".join(str(g) for g in self.ideal.generators) or "0"
-        return f"{self.ring.describe()}/({gens})"
+        return self.ideal.describe()
 
 
 def minimal_polynomial(alg: FiniteAlgebra, a: tuple) -> tuple:
@@ -612,8 +611,9 @@ class ResidueField:
     generator: str
 
     def describe(self) -> str:
-        m = up.uformat(self.base, self.min_poly, self.generator)
-        return f"{self.base.describe()}[{self.generator}]/({m})"
+        ring = PolyRing(self.base, [self.generator])
+        m = Polynomial(ring, {(i,): c for i, c in enumerate(self.min_poly)})
+        return Ideal(ring, [m]).describe()
 
 
 def primitive_element_presentation(alg: FiniteAlgebra):

@@ -165,8 +165,7 @@ def stalk_at_maximal(ext: ExtensionPresentation, prime: Ideal) -> StalkReport:
 def _stalk_over_residue(ext: ExtensionPresentation, prime: Ideal,
                         residue_alg: FiniteAlgebra) -> StalkReport:
     """The stalk at a prime whose residue algebra A/prime is a certified field."""
-    pushed = [ext.substitute(g) for g in prime.generators]
-    fiber_ideal = ideal_sum(ext.b_ideal, Ideal(ext.b_ring, pushed))
+    fiber_ideal = ext.extend(prime)
     return _fiber_report(ext, prime, lambda: primitive_element_presentation(residue_alg),
                          fiber_ideal, lambda: _count_over_a_line(fiber_ideal))
 

@@ -246,11 +246,7 @@ class ExtensionPresentation:
         )
 
     def describe(self) -> str:
-        a = ", ".join(str(g) for g in self.a_ideal.generators) or "0"
-        b = ", ".join(str(g) for g in self.b_ideal.generators) or "0"
-        return (
-            f"{self.a_ring.describe()}/({a}) -> {self.b_ring.describe()}/({b})"
-        )
+        return f"{self.a_ideal.describe()} -> {self.b_ideal.describe()}"
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -290,10 +286,9 @@ _WITNESS_TESTS = {
 
 
 def _graded_monomials(ring: PolyRing, bound: int):
+    """The monomials of degree at most bound, in graded order; a ring with
+    no variables has one, 1, whose exponent tuple () has degree 0."""
     n = ring.nvars()
-    if n == 0:
-        yield ring.one()
-        return
     for total in range(bound + 1):
         for exps in sorted(
             e for e in itertools.product(range(total + 1), repeat=n) if sum(e) == total

@@ -62,45 +62,21 @@ def square_and_multiply(a, n: int, one, mul):
 
 
 class Field:
-    """Abstract coefficient field."""
+    """Coefficient field base. Every field defines `zero`, `one`, `add`,
+    `mul`, `neg`, `inv`, `is_zero`, `from_int`, `from_fraction`,
+    `format_element` and `describe`; one of prime characteristic also
+    defines `pth_root`. The base derives the other operations from these."""
 
     characteristic: int = 0
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
-
     def is_one(self, a) -> bool:
         return a == self.one()
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def from_fraction(self, q: Fraction):
-        raise NotImplementedError
 
     def pow(self, a, n: int):
         if n < 0:
@@ -117,15 +93,6 @@ class Field:
 
     def symbol_names(self) -> tuple[str, ...]:
         return ()
-
-    def pth_root(self, a):
-        raise CartierlabError(f"no p-th root operation on {self.describe()}")
-
-    def format_element(self, a, as_factor: bool = False) -> str:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return self.describe()

@@ -282,9 +282,13 @@ class Ideal:
         gb = self.groebner()
         return len(gb) == 1 and gb[0].is_constant()
 
-    def __repr__(self):
+    def describe(self) -> str:
+        """The quotient ring, written R/(generators)."""
         gens = ", ".join(str(g) for g in self.generators) or "0"
-        return f"Ideal({gens})"
+        return f"{self.ring.describe()}/({gens})"
+
+    def __repr__(self):
+        return f"Ideal({self.describe()})"
 
 
 def ideal_equals(i1: Ideal, i2: Ideal) -> bool:

@@ -60,16 +60,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class Evaluator:
-    """What the parser needs to build values during the descent; by default
-    values combine with their own +, - and * operators."""
+    """What the parser needs to build values during the descent. Every
+    evaluator defines `from_fraction(q, text, pos)`, `variable(name, text,
+    pos)` and `pow(a, n, text, pos)`; by default values combine with their
+    own +, - and * operators."""
 
     allow_negative_exponents = False
-
-    def from_fraction(self, q: Fraction, text: str, pos: int):
-        raise NotImplementedError
-
-    def variable(self, name: str, text: str, pos: int):
-        raise NotImplementedError
 
     def add(self, a, b):
         return a + b
@@ -82,9 +78,6 @@ class Evaluator:
 
     def mul(self, a, b):
         return a * b
-
-    def pow(self, a, n: int, text: str, pos: int):
-        raise NotImplementedError
 
 
 class _Parser:
@@ -113,12 +106,6 @@ class _Parser:
         value = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            if tok.kind == "/":
-                raise ParseError(
-                    "division is allowed only between integer literals",
-                    self.text,
-                    tok.pos,
-                )
             raise ParseError(f"unexpected {tok.text!r}", self.text, tok.pos)
         return value
 
@@ -157,7 +144,7 @@ class _Parser:
                 return value
 
     def factor(self):
-        value, _ = self.base()
+        value = self.base()
         if self.peek().kind == "^":
             self.advance()
             sign = 1
@@ -179,7 +166,7 @@ class _Parser:
             value = self.expr()
             self.expect(")")
             self.depth -= 1
-            return value, False
+            return value
         if tok.kind == "int":
             self.advance()
             numerator = int(tok.text)
@@ -188,16 +175,13 @@ class _Parser:
                 den = self.expect("int")
                 if int(den.text) == 0:
                     raise ParseError("zero denominator", self.text, den.pos)
-                return (
-                    self.ev.from_fraction(
-                        Fraction(numerator, int(den.text)), self.text, tok.pos
-                    ),
-                    True,
+                return self.ev.from_fraction(
+                    Fraction(numerator, int(den.text)), self.text, tok.pos
                 )
-            return self.ev.from_fraction(Fraction(numerator), self.text, tok.pos), True
+            return self.ev.from_fraction(Fraction(numerator), self.text, tok.pos)
         if tok.kind == "ident":
             self.advance()
-            return self.ev.variable(tok.text, self.text, tok.pos), False
+            return self.ev.variable(tok.text, self.text, tok.pos)
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", self.text, tok.pos)
 
 
@@ -245,8 +229,7 @@ class PolynomialEvaluator(Evaluator):
         return mul_terms(self.field, a, b)
 
     def pow(self, a, n, text, pos):
-        if n < 0:
-            raise ParseError("negative exponents are not allowed here", text, pos)
+        # n >= 0: without allow_negative_exponents, `^-` fails at expect("int")
         return (Polynomial._make(self.ring, a) ** n)._terms
 
 

@@ -41,6 +41,7 @@ from operator import add, neg
 
 from ..errors import CartierlabError
 from .fields import Field, square_and_multiply
+from .unipoly import format_terms
 
 _IDENT = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -402,31 +403,11 @@ class Polynomial:
         return self._hash
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        field = self.ring.field
         names = self.ring.variables
-        parts: list[str] = []
         key = self.ring.order.heap_key
-        for exps, c in sorted(self._terms.items(), key=lambda kv: key(kv[0])):
-            sign, mag = field.sign_split(c)
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = field.format_element(mag, as_factor=False)
-            elif field.is_one(mag):
-                body = "*".join(factors)
-            else:
-                body = "*".join([field.format_element(mag, as_factor=True)] + factors)
-            if not parts:
-                parts.append(body if sign >= 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if sign >= 0 else f" - {body}")
-        return "".join(parts)
+        return format_terms(self.ring.field, (
+            (c, "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e))
+            for exps, c in sorted(self._terms.items(), key=lambda kv: key(kv[0]))))
 
     def __repr__(self):
         return f"Polynomial({self})"

@@ -151,26 +151,30 @@ def usquarefree_part(field, p: tuple) -> tuple:
     return umonic(field, w)
 
 
+def format_terms(field, terms) -> str:
+    """The one term printer: (coefficient, monomial) pairs, nonzero and
+    leading term first, joined in the shared expression grammar. A sign
+    folds into ` + ` or ` - `, a unit coefficient is left out, and a
+    constant term has the monomial ""."""
+    parts: list[str] = []
+    for c, mono in terms:
+        sign, mag = field.sign_split(c)
+        if not mono:
+            body = field.format_element(mag)
+        elif field.is_one(mag):
+            body = mono
+        else:
+            body = f"{field.format_element(mag, as_factor=True)}*{mono}"
+        if parts:
+            parts.append(" - " if sign < 0 else " + ")
+        elif sign < 0:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) or "0"
+
+
 def uformat(field, p: tuple, variable: str) -> str:
     """Render in the shared expression grammar (descending powers)."""
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if field.is_zero(c):
-            continue
-        sign, mag = field.sign_split(c)
-        if i == 0:
-            body = field.format_element(mag, as_factor=False)
-        else:
-            mono = variable if i == 1 else f"{variable}^{i}"
-            if field.is_one(mag):
-                body = mono
-            else:
-                body = f"{field.format_element(mag, as_factor=True)}*{mono}"
-        if not parts:
-            parts.append(body if sign >= 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if sign >= 0 else f" - {body}")
-    return "".join(parts) if parts else "0"
+    return format_terms(field, (
+        (p[i], "" if i == 0 else variable if i == 1 else f"{variable}^{i}")
+        for i in range(len(p) - 1, -1, -1) if not field.is_zero(p[i])))

@@ -249,6 +249,17 @@ def test_seminormal_and_anodal_reports(capsys):
     assert entry["exhausted"] is True
 
 
+def test_witness_search_into_a_target_without_variables(capsys, tmp_path):
+    """QQ[x]/(x) -> QQ: B has no variables, so the one candidate is 1, which
+    lies in A, and A is all of B already: no witness, and not exhausted."""
+    path = tmp_path / "point.ext"
+    path.write_text("[ring.A]\nfield = QQ\nvars = x\nrelations = x\n\n"
+                    "[ring.B]\nfield = QQ\nvars =\n\n[map]\nx = 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "seminormal", str(path), "--bound", "2")
+    assert (code, err) == (0, "")
+    assert "witnesses: []\nexhausted: False\n" in out
+
+
 def test_li_connected_method_with_primes(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -729,6 +740,12 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
      ["units", "--base", "<path>", "--laurent", NESTED_T],
      2, f"input error: laurent expression: parentheses nested deeper than 100 at position 100: "
      f"{NESTED_T!r}\n"),
+    (_corpus_with("node.ext", r"^relations = y\^2 - x\^3 - x\^2$", "relations = x)"),
+     ["check", "<path>"], 2,
+     "input error: [ring.A] relation 'x)': unexpected ')' at position 1: 'x)'\n"),
+    (_corpus_with("node.ext", r"^relations = y\^2 - x\^3 - x\^2$", "relations = 1/0*x"),
+     ["check", "<path>"], 2,
+     "input error: [ring.A] relation '1/0*x': zero denominator at position 2: '1/0*x'\n"),
 ], ids=["conductor-without-module-generators", "conductor-without-fractions",
         "stalk-at-a-prime-that-is-not-maximal", "generic-stalk-over-a-free-plane",
         "generic-stalk-over-a-source-that-is-no-domain",
@@ -736,13 +753,15 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
         "unknown-hint-key", "module-generator-parse-error", "fraction-entry-parse-error",
         "lpic-rank-not-an-integer", "map-image-parse-error", "rankdata-entry-not-an-integer",
         "pair-budget-zero", "rankdata-with-an-extra-section", "ring-with-an-extra-section",
-        "relation-nested-past-the-limit", "laurent-nested-past-the-limit"])
+        "relation-nested-past-the-limit", "laurent-nested-past-the-limit",
+        "relation-with-an-unopened-parenthesis", "relation-with-a-zero-denominator"])
 def test_command_reachable_refusals(capsys, tmp_path, text, argv, code, expected):
     """A missing hint gives rank Unknown with its reason; a prime that is not
     zero-dimensional, a generic stalk that no rule certifies, a malformed
-    entry or an extra section in a description file, parentheses nested past
-    the parser's limit, and a pair budget below one are refused as bad
-    input. `<path>` stands for the file."""
+    entry or an extra section in a description file, a stray ')', a zero
+    denominator, parentheses nested past the parser's limit, and a pair
+    budget below one are refused as bad input. `<path>` stands for the
+    file."""
     path = tmp_path / "input.ext"
     path.write_text(text, encoding="utf-8")
     got, out, err = run_cli(capsys, *(str(path) if a == "<path>" else a for a in argv))

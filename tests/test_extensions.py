@@ -110,6 +110,11 @@ def cusp_extension():
     )
 
 
+def test_describe_names_both_quotient_rings():
+    ext = load_extension(corpus_path("node.ext"))
+    assert ext.describe() == "QQ[x, y]/(-x^3 - x^2 + y^2) -> QQ[t]/(0)"
+
+
 def test_construction_checks():
     # a relation that does not map to zero
     with pytest.raises(WellDefinednessError):

@@ -8,6 +8,7 @@ import pytest
 from cartierlab.cli import main
 from cartierlab.corpus import corpus_path
 from cartierlab.errors import InputError
+from cartierlab.extensions import Hints
 from cartierlab.extfile import (
     detect_kind, load_extension, load_rank_data, load_ring, read_description,
 )
@@ -81,6 +82,18 @@ def test_bad_boolean(tmp_path):
     text = MINIMAL + "\n[hints]\nfinite = maybe\n"
     with pytest.raises(InputError):
         load_extension(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("spelling", ["false", "no", "0"])
+def test_false_spellings_of_a_hint(tmp_path, capsys, spelling):
+    """Each false spelling loads as False, and the conductor route then
+    names the hints it lacks."""
+    ext = load_extension(write(tmp_path, MINIMAL + f"\n[hints]\nfinite = {spelling}\n"))
+    assert ext.hints == Hints(finite=False)
+    with open(corpus_path("node.ext"), encoding="utf-8") as handle:
+        node = handle.read().replace("finite = true", f"finite = {spelling}")
+    assert main(["li", write(tmp_path, node, "node.ext"), "--method", "conductor"]) == 0
+    assert "  reason: conductor-square needs finite and birational hints\n" in capsys.readouterr().out
 
 
 def test_negative_rank_hint(tmp_path):

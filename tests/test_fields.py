@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import os
+import random
+import re
 import time
 from fractions import Fraction
 
@@ -13,7 +15,8 @@ from cartierlab.extfile import load_extension
 from cartierlab.polycore import unipoly as up
 from cartierlab.polycore.factor import _base_sqrt, squarefree_factors, verify_irreducible
 from cartierlab.polycore.groebner import buchberger
-from cartierlab.polycore.fields import PrimeField, QQ, RationalFunctionField
+from cartierlab.polycore.fields import Field, PrimeField, QQ, RationalFunctionField
+from cartierlab.polycore.rings import Polynomial, PolyRing
 
 from oracles import rf_add, rf_inv, rf_mul, rf_reduce
 from test_golden import basis_cases
@@ -394,3 +397,44 @@ def test_prime_field_square_roots(p):
             assert field.mul(r, r) == field.from_int(a)
         else:
             assert r is None
+
+
+@pytest.mark.parametrize("K", [QQ, PrimeField(7), *RF_FIELDS[:2]], ids=lambda K: K.describe())
+def test_every_field_defines_the_listed_operations(K):
+    """The Field base holds no stubs: each field defines the operations its
+    docstring lists, and `pth_root` as well in prime characteristic."""
+    listed, in_char_p = (re.findall(r"`(\w+)`", part) for part in Field.__doc__.split(";"))
+    assert len(listed) == 11 and in_char_p == ["pth_root"]
+    required = listed + (in_char_p if K.characteristic else [])
+    assert set(required).isdisjoint(vars(Field))
+    assert [name for name in required if not callable(getattr(K, name, None))] == []
+
+
+def _random_coefficient(rng, K):
+    """Often zero; over QQ a fraction of either sign; over QQ(v) a quotient
+    whose numerator may have several terms."""
+    if isinstance(K, PrimeField):
+        return rng.randrange(K.p)
+    if K is QQ:
+        return QQ.from_fraction(Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3])))
+    num = up.utrim(QQ, [_random_coefficient(rng, QQ) for _ in range(rng.randint(0, 3))])
+    return K.make(num, rng.choice([(1,), (_random_coefficient(rng, QQ), 1)]))
+
+
+@pytest.mark.parametrize("K", [QQ, PrimeField(7), RF_FIELDS[0]], ids=lambda K: K.describe())
+def test_uformat_prints_like_a_univariate_polynomial(K):
+    """`uformat` of a coefficient tuple is `str` of the same polynomial in
+    K[x]: both go through the one term printer."""
+    rng = random.Random(5)
+    ring = PolyRing(K, ["x"])
+    texts = []
+    for _ in range(300):
+        p = up.utrim(K, [_random_coefficient(rng, K) for _ in range(rng.randint(0, 5))])
+        text = up.uformat(K, p, "x")
+        assert text == str(Polynomial(ring, {(i,): c for i, c in enumerate(p)}))
+        texts.append(text)
+    assert "0" in texts
+    if K is QQ:
+        assert any(t.startswith("-") and "/" in t for t in texts)
+    if K is RF_FIELDS[0]:
+        assert any(re.search(r"\(\S+ [+-] \S+\)\*x", t) for t in texts)
