@@ -11,8 +11,8 @@ with the squarefree parts as its own minimal polynomials, and certifies its
 splitting once (`_splitting`), which every count and decomposition reads. A
 minimal polynomial is the first linear dependence of the Krylov sequence 1,
 a, a^2, ...; the powers are made one at a time and the sequence stops at
-that dependence, so a minimal polynomial of degree d costs d products, not
-dim A. A primitive element z of A_red, the first of x_1 + c*x_2 + c^2*x_3 +
+that dependence, so a minimal polynomial of degree d costs d - 1 products,
+not dim A. A primitive element z of A_red, the first of x_1 + c*x_2 + c^2*x_3 +
 ... (c = 0, 1, 2, ...) whose minimal polynomial m has degree dim A_red,
 gives A_red = k[z]/(m), and the splitting keeps z and the squarefree m. The
 count is the number of irreducible factors of m; the primitive idempotents
@@ -156,13 +156,14 @@ class FiniteAlgebra:
         return all(self.field.is_zero(c) for c in a)
 
     def eval_upoly(self, coeffs: tuple, a: tuple) -> tuple:
-        """Evaluate a univariate coefficient tuple at a."""
-        acc = self.zero()
-        power = self.one()
-        for c in coeffs:
-            acc = self.add(acc, self.scale(c, power))
-            power = self.mul(power, a)
-        return acc
+        """Evaluate a univariate coefficient tuple at a by Horner's rule: a
+        polynomial of degree d costs d - 1 products, the top step a scaling."""
+        if len(coeffs) < 2:
+            return self.scalar(coeffs[0]) if coeffs else self.zero()
+        acc = self.scale(coeffs[-1], a)
+        for c in reversed(coeffs[1:-1]):
+            acc = self.mul(self.add(acc, self.scalar(c)), a)
+        return self.add(acc, self.scalar(coeffs[0]))
 
     def inverse(self, a: tuple) -> tuple:
         m = minimal_polynomial(self, a)
@@ -202,11 +203,12 @@ def minimal_polynomial(alg: FiniteAlgebra, a: tuple) -> tuple:
 
 def _relative_minimal_polynomial(alg: FiniteAlgebra, unit: tuple, a: tuple) -> tuple:
     """minimal_polynomial of a in the block of the idempotent unit: the
-    powers of a start from a^0 := unit. They are made one at a time as
-    `first_dependence` asks for them, so a minimal polynomial of degree d
-    costs d products. dim + 1 vectors in dim dimensions always have a
-    dependence."""
-    powers = itertools.accumulate(itertools.repeat(a, alg.dim), alg.mul, initial=unit)
+    powers of a start from a^0 := unit and a^1 := a. They are made one at a
+    time as `first_dependence` asks for them, so a minimal polynomial of
+    degree d costs d - 1 products. dim + 1 vectors in dim dimensions always
+    have a dependence."""
+    powers = itertools.chain(
+        (unit,), itertools.accumulate(itertools.repeat(a, alg.dim - 1), alg.mul, initial=a))
     k, coeffs = first_dependence(alg.field, powers)
     return tuple(alg.field.neg(c) for c in coeffs) + (alg.field.one(),)
 
@@ -422,8 +424,8 @@ def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
             pieces = [(piece, math.lcm(low, up.udeg(factors[0]))) for piece, low in pieces]
             continue
         if powers is None:
-            powers = [alg.one()]
-            for _ in range(alg.dim - 1):
+            powers = [alg.one(), z]
+            for _ in range(alg.dim - 2):
                 powers.append(alg.mul(powers[-1], z))
         q = up.utrim(field, express_in_span(field, [list(w) for w in powers], list(x)))
         cut = []
@@ -470,8 +472,8 @@ def _crt_idempotents(alg: FiniteAlgebra, factors: tuple, a: tuple, unit: tuple) 
     total = (field.one(),)
     for f in factors:
         total = up.umul(field, total, f)
-    powers = [unit]
-    for _ in range(up.udeg(total) - 1):
+    powers = [unit, a]  # a lies in the block of unit; total has degree >= 2
+    for _ in range(up.udeg(total) - 2):
         powers.append(alg.mul(powers[-1], a))
     out = []
     for f in factors:
@@ -489,13 +491,14 @@ def _kernel_idempotents(split: _Splitting) -> list[tuple]:
     in F_p on the primitive idempotents, so its relative minimal polynomial
     on a block is a product of distinct linear factors."""
     alg = split.algebra
-    blocks = [alg.one()]
+    one = alg.one()
+    blocks = [one]
     for b in split.kernel:
         if len(blocks) == split.count:
             break
         refined = []
         for unit in blocks:
-            a = alg.mul(b, unit)
+            a = b if unit is one else alg.mul(b, unit)
             factors = _factors(alg.field, _relative_minimal_polynomial(alg, unit, a))
             refined += _crt_idempotents(alg, factors, a, unit) if len(factors) > 1 else [unit]
         blocks = refined
@@ -596,7 +599,8 @@ def nilradical_span(alg: FiniteAlgebra) -> list[tuple]:
     rows = []
     for g in gens:
         coords = alg.from_poly(g)
-        for i in range(alg.dim):
+        rows.append(list(coords))  # times basis[0], the unit
+        for i in range(1, alg.dim):
             rows.append(list(alg.mul(coords, alg.basis_element(i))))
     reduced, _ = rref(alg.field, rows)
     return [tuple(row) for row in reduced]

@@ -9,7 +9,6 @@ boundary map on the unit group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .artinian import (
     FiniteAlgebra,
@@ -25,7 +24,13 @@ from .errors import (
     UNKNOWN,
 )
 from .polycore.fields import square_and_multiply
-from .polycore.parse import Evaluator, parse_with_evaluator
+from .polycore.parse import PolynomialEvaluator, parse_with_evaluator
+from .polycore.rings import PolyRing, add_terms, mul_terms
+
+
+def _times(base: FiniteAlgebra, one: tuple, a: tuple, b: tuple) -> tuple:
+    """a*b in the base, with no product formed when a factor is the unit one."""
+    return b if a == one else a if b == one else base.mul(a, b)
 
 
 class LaurentElement:
@@ -73,20 +78,20 @@ class LaurentElement:
         return self + (-other)
 
     def __mul__(self, other: "LaurentElement") -> "LaurentElement":
+        base, one = self.base, self.base.one()
         out: dict = {}
         for n1, c1 in self.coeffs.items():
             for n2, c2 in other.coeffs.items():
                 n = n1 + n2
-                prod = self.base.mul(c1, c2)
+                prod = _times(base, one, c1, c2)
                 if n in out:
-                    prod = self.base.add(out[n], prod)
+                    prod = base.add(out[n], prod)
                 out[n] = prod
-        return LaurentElement(self.base, out)
+        return LaurentElement(base, out)
 
     def scale_elem(self, elem) -> "LaurentElement":
-        return LaurentElement(
-            self.base, {n: self.base.mul(elem, c) for n, c in self.coeffs.items()}
-        )
+        base, one = self.base, self.base.one()
+        return LaurentElement(base, {n: _times(base, one, elem, c) for n, c in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "LaurentElement":
         if n < 0:
@@ -146,10 +151,10 @@ def _unit_exponents(x: LaurentElement):
     decomp = idempotent_decomposition(base)
     red = reduced_algebra(base)
     coeffs = [(n, red.from_poly(base.to_poly(c))) for n, c in x.coeffs.items()]
-    exponents = []
+    exponents, one = [], red.one()
     for e in decomp.idempotents:
         e_red = red.from_poly(base.to_poly(e))
-        live = [n for n, c in coeffs if not red.is_zero_elem(red.mul(e_red, c))]
+        live = [n for n, c in coeffs if not red.is_zero_elem(_times(red, one, e_red, c))]
         if len(live) != 1:
             return None
         exponents.append(live[0])
@@ -247,7 +252,8 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
     q0 = q_total.coefficient(0)
     p_part = r.scale_elem(_base_inverse(base, p0, "tail constant terms must be units"))
     q_part = q_total.scale_elem(_base_inverse(base, q0, "tail constant terms must be units"))
-    u0_total = base.mul(u0, base.mul(p0, q0))
+    one = base.one()
+    u0_total = _times(base, one, u0, _times(base, one, p0, q0))
     result = LaurentUnitDecomposition(
         x, u0_total, decomp.idempotents, tuple(exponents), p_part, q_part
     )
@@ -269,40 +275,81 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
 # -- parsing -----------------------------------------------------------------------
 
 
-class _LaurentEvaluator(Evaluator):
+class _LaurentEvaluator(PolynomialEvaluator):
+    """Term maps over the base's variables and t, the last exponent. Every
+    product, the folded monomials aside, leaves only monomials of the base's
+    staircase, which bounds the maps; before a negative power and when the
+    parse ends (`element`), the coefficients are reduced so as well."""
+
     allow_negative_exponents = True
 
     def __init__(self, base: FiniteAlgebra):
         if "t" in base.ring.variables or "t" in base.field.symbol_names():
             raise InputError(f"the Laurent variable 't' collides with a variable or field "
                              f"symbol of the base {base.ring.describe()}")
+        super().__init__(PolyRing(base.field, base.ring.variables + ("t",)))
         self.base = base
 
-    def from_fraction(self, q: Fraction, text, pos):
-        try:
-            return LaurentElement.constant(
-                self.base, self.base.scalar(self.base.field.from_fraction(q))
-            )
-        except ZeroDivisionError as exc:
-            raise ParseError(str(exc), text, pos) from None
+    def _reduce(self, terms: dict) -> dict:
+        """terms with every monomial of the base outside its staircase
+        replaced by its normal form: one normal form per distinct monomial,
+        in however many t-coefficients it stands."""
+        index = self.base._index
+        if all(exp[:-1] in index for exp in terms):
+            return terms
+        out: dict = {}
+        uses: dict = {}  # monomial of the base -> its t-coefficients, as a map in t
+        no_base = self.ring._zero_exp[:-1]
+        for exp, c in terms.items():
+            if exp[:-1] not in index:
+                uses.setdefault(exp[:-1], {})[no_base + exp[-1:]] = c
+            else:
+                out[exp] = c
+        ring, ideal, field = self.base.ring, self.base.ideal, self.field
+        for exp, in_t in uses.items():
+            nf = ideal.normal_form(ring.monomial(exp, field.one()))
+            out = add_terms(field, out, mul_terms(field, in_t, {
+                e + (0,): c for e, c in nf._terms.items()}))
+        return out
 
-    def variable(self, name, text, pos):
-        if name == "t":
-            return LaurentElement.t_power(self.base, 1)
-        if name in self.base.ring.variables:
-            return LaurentElement.constant(self.base, self.base.variable_element(name))
-        elem = self.base.field.symbol_element(name)
-        if elem is not None:
-            return LaurentElement.constant(self.base, self.base.scalar(elem))
-        raise ParseError(f"unknown variable {name!r}", text, pos)
+    def mul(self, a, b):
+        return self._reduce(mul_terms(self.field, a, b))
 
     def pow(self, a, n, text, pos):
+        if n < 0:
+            a, n = self._inverse(a, text, pos), -n
+        if len(a) == 1:  # one term: its power by field arithmetic
+            (exp, c), = a.items()
+            return self._reduce({tuple(e * n for e in exp): self.field.pow(c, n)})
+        return square_and_multiply(a, n, {self.ring._zero_exp: self.field.one()}, self.mul)
+
+    def _inverse(self, a: dict, text, pos) -> dict:
+        """The inverse of a single-term unit, judged on reduced coefficients;
+        a constant coefficient is inverted in the field."""
+        x = self.element(a)
+        if len(x.coeffs) != 1:
+            raise ParseError("negative powers only of single-term units", text, pos)
+        (n, c), = x.coeffs.items()
+        base, field = self.base, self.field
+        if all(map(field.is_zero, c[1:])):
+            return {self.ring._zero_exp[:-1] + (-n,): field.inv(c[0])}
         try:
-            return a**n
-        except CartierlabError as exc:
-            raise ParseError(str(exc), text, pos) from None
+            inverse = base.inverse(c)
+        except ZeroDivisionError:
+            raise ParseError(f"{x} is not a unit, so it has no negative powers",
+                             text, pos) from None
+        return {exp + (-n,): c for exp, c in zip(base.basis, inverse) if not field.is_zero(c)}
+
+    def element(self, terms: dict) -> LaurentElement:
+        base = self.base
+        zero = base.field.zero()
+        coeffs: dict = {}
+        for exp, c in self._reduce(terms).items():
+            coeffs.setdefault(exp[-1], [zero] * base.dim)[base._index[exp[:-1]]] = c
+        return LaurentElement(base, {n: tuple(c) for n, c in coeffs.items()})
 
 
 def parse_laurent(text: str, base: FiniteAlgebra) -> LaurentElement:
     """Parse the shared grammar extended with negative powers of t."""
-    return parse_with_evaluator(text, _LaurentEvaluator(base))
+    evaluator = _LaurentEvaluator(base)
+    return evaluator.element(parse_with_evaluator(text, evaluator))

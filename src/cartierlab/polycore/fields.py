@@ -49,15 +49,19 @@ def _is_prime(n: int) -> bool:
 
 def square_and_multiply(a, n: int, one, mul):
     """a^n for n >= 0 by right-to-left binary powering (Knuth, TAOCP vol. 2,
-    4.6.3): one product per set bit of n, and a squaring only while bits of n
-    remain. `one` is the unit and `mul(x, y)` the product."""
-    result = one
-    while n > 0:
+    4.6.3): the result starts at the power of a for the lowest set bit of n
+    and takes one product per further set bit, with a squaring only while
+    bits remain, so no product is by the unit `one`, which n = 0 returns.
+    `mul(x, y)` is the product."""
+    if n == 0:
+        return one
+    while not n & 1:
+        a, n = mul(a, a), n >> 1
+    result = a
+    while n > 1:
+        a, n = mul(a, a), n >> 1
         if n & 1:
             result = mul(result, a)
-        n >>= 1
-        if n:
-            a = mul(a, a)
     return result
 
 

@@ -16,14 +16,18 @@ MAX_NESTING deep: each level costs the descent four stack frames, so the
 limit keeps a deeper input a ParseError, at its first '(' past the limit,
 instead of a RecursionError.
 
-`PolynomialEvaluator` builds plain term maps {exponents: coefficient}, so no
-`Polynomial` exists until `parse_polynomial` adopts the final map.
+In a term, a run of atoms (literals and identifiers, each perhaps raised to
+a nonnegative power) joined by '*' folds into one monomial, a coefficient
+and an exponent vector; only parenthesised factors and negative powers are
+multiplied as term maps {exponents: coefficient}. No `Polynomial` exists
+until `parse_polynomial` adopts the final map.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from ..errors import ParseError
 from .rings import Polynomial, PolyRing, add_terms, mul_terms, neg_terms
@@ -59,29 +63,8 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class Evaluator:
-    """What the parser needs to build values during the descent. Every
-    evaluator defines `from_fraction(q, text, pos)`, `variable(name, text,
-    pos)` and `pow(a, n, text, pos)`; by default values combine with their
-    own +, - and * operators."""
-
-    allow_negative_exponents = False
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-
 class _Parser:
-    def __init__(self, text: str, evaluator: Evaluator):
+    def __init__(self, text: str, evaluator: PolynomialEvaluator):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
@@ -124,26 +107,33 @@ class _Parser:
         return value
 
     def term(self):
-        value = self.factor()
+        ev = self.ev
+        monomial = value = None  # the folded atoms; the product of the other factors
         while True:
+            grouped, factor = self.factor()
+            if not grouped:
+                monomial = factor if monomial is None else ev.monomial_mul(monomial, factor)
+            else:
+                value = factor if value is None else ev.mul(value, factor)
             tok = self.peek()
             if tok.kind == "*":
                 self.advance()
-                value = self.ev.mul(value, self.factor())
             elif tok.kind == "/":
-                raise ParseError(
-                    "division is allowed only between integer literals",
-                    self.text,
-                    tok.pos,
-                )
+                raise ParseError("division is allowed only between integer literals",
+                                 self.text, tok.pos)
             elif tok.kind in ("ident", "int", "("):
-                raise ParseError(
-                    "implicit multiplication is not allowed", self.text, tok.pos
-                )
+                raise ParseError("implicit multiplication is not allowed", self.text, tok.pos)
             else:
-                return value
+                break
+        if monomial is None:
+            return value
+        monomial = ev.from_monomial(monomial)
+        return monomial if value is None else ev.mul(monomial, value)
 
     def factor(self):
+        """(grouped, value): an atom, raised to a nonnegative power, stays a
+        monomial (grouped False); anything else is a value."""
+        grouped = self.peek().kind == "("
         value = self.base()
         if self.peek().kind == "^":
             self.advance()
@@ -152,8 +142,12 @@ class _Parser:
                 self.advance()
                 sign = -1
             tok = self.expect("int")
-            value = self.ev.pow(value, sign * int(tok.text), self.text, tok.pos)
-        return value
+            n = sign * int(tok.text)
+            if n < 0 and not grouped:  # a negative power is a value of its own
+                value, grouped = self.ev.from_monomial(value), True
+            power = self.ev.pow if grouped else self.ev.monomial_pow
+            value = power(value, n, self.text, tok.pos)
+        return grouped, value
 
     def base(self):
         tok = self.peek()
@@ -185,36 +179,47 @@ class _Parser:
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", self.text, tok.pos)
 
 
-def parse_with_evaluator(text: str, evaluator: Evaluator):
+def parse_with_evaluator(text: str, evaluator: PolynomialEvaluator):
     return _Parser(text, evaluator).parse()
 
 
-class PolynomialEvaluator(Evaluator):
-    """Values are term maps {exponents: coefficient} with no zero coefficient,
-    combined by the same `add_terms`, `neg_terms` and `mul_terms` as
-    `Polynomial`."""
+class PolynomialEvaluator:
+    """What the parser calls during the descent: atoms' monomials from
+    `from_fraction` and `variable`, `monomial_mul`, `monomial_pow` (n >= 0)
+    and `from_monomial`, then `add`, `sub`, `neg`, `mul` and `pow` on values.
+    Here a monomial is a pair (coefficient, exponents), perhaps with a zero
+    coefficient, and values are term maps with no zero coefficient, combined
+    by the same `add_terms`, `neg_terms` and `mul_terms` as `Polynomial`."""
+
+    allow_negative_exponents = False
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
         self.field = ring.field
 
-    def _constant(self, c) -> dict:
-        return {} if self.field.is_zero(c) else {self.ring._zero_exp: c}
-
     def from_fraction(self, q, text, pos):
         try:
-            return self._constant(self.field.from_fraction(q))
+            return self.field.from_fraction(q), self.ring._zero_exp
         except ZeroDivisionError as exc:
             raise ParseError(str(exc), text, pos) from None
 
     def variable(self, name, text, pos):
         exp = self.ring._unit_exps.get(name)
         if exp is not None:
-            return {exp: self.field.one()}
+            return self.field.one(), exp
         elem = self.field.symbol_element(name)
         if elem is not None:
-            return self._constant(elem)
+            return elem, self.ring._zero_exp
         raise ParseError(f"unknown variable {name!r}", text, pos)
+
+    def monomial_mul(self, a, b):
+        return self.field.mul(a[0], b[0]), tuple(map(add, a[1], b[1]))
+
+    def monomial_pow(self, a, n, text, pos):
+        return self.field.pow(a[0], n), tuple(e * n for e in a[1])
+
+    def from_monomial(self, m):
+        return {} if self.field.is_zero(m[0]) else {m[1]: m[0]}
 
     def add(self, a, b):
         return add_terms(self.field, a, b)

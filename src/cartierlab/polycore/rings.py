@@ -99,7 +99,11 @@ def _compile_heap_key(kind: str, block: int):
 
 def add_terms(field: Field, a: dict, b: dict) -> dict:
     """The term map of the sum of two term maps, neither of which changes."""
-    out = dict(a)
+    return _add_into(field, dict(a), b)
+
+
+def _add_into(field: Field, out: dict, b: dict) -> dict:
+    """Add the term map b into the term map out, which changes; returns out."""
     zero, plus, is_zero = field.zero(), field.add, field.is_zero
     for exp, c in b.items():
         s = plus(out.get(exp, zero), c)
@@ -117,13 +121,17 @@ def neg_terms(field: Field, a: dict) -> dict:
 
 
 def mul_terms(field: Field, a: dict, b: dict) -> dict:
-    """The term map of the product of two term maps, neither of which changes."""
+    """The term map of the product of two term maps, neither of which changes.
+    A square (b is a) forms each product of two distinct terms once, doubled:
+    n terms cost n(n + 1)/2 products, not n^2."""
     out: dict = {}
     zero, plus, times, is_zero = field.zero(), field.add, field.mul, field.is_zero
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
+    square, items = b is a, list(b.items())
+    for i, (e1, c1) in enumerate(a.items()):
+        twice = times(field.from_int(2), c1) if square else c1
+        for e2, c2 in items[i:] if square else items:
             exp = tuple(map(add, e1, e2))
-            s = plus(out.get(exp, zero), times(c1, c2))
+            s = plus(out.get(exp, zero), times(c1 if e2 is e1 else twice, c2))
             if is_zero(s):
                 out.pop(exp, None)
             else:
@@ -354,14 +362,15 @@ class Polynomial:
                 cache[e] = square * img if e % 2 else square
             return cache[e]
 
-        total = target_ring.zero()
+        field = target_ring.field
+        total: dict = {}  # one sum, not a new one per term
         for exps, c in self._terms.items():
-            piece = target_ring.constant(c)
+            piece = {target_ring._zero_exp: c}
             for i, e in enumerate(exps):
                 if e:
-                    piece = piece * var_power(i, e)
-            total = total + piece
-        return total
+                    piece = mul_terms(field, piece, var_power(i, e)._terms)
+            _add_into(field, total, piece)
+        return Polynomial._make(target_ring, total)
 
     def map_variables(self, target_ring: PolyRing) -> "Polynomial":
         """Move by variable name into a ring with a superset of the variables."""

@@ -11,7 +11,8 @@ principal ideals and exact division, the conductor through every colon ideal
 intersected in turn, seminormality over a small prime field through every
 element of the target, reduced bases through Buchberger's algorithm as
 it interreduced before it went in ascending order, parsing through one
-`Polynomial` per literal and variable, and rational-function arithmetic
+`Polynomial` (for Laurent input, one `LaurentElement`) per literal and
+variable, and rational-function arithmetic
 through a full reduction after every operation. The last seven replay, on
 the library's own primitives, an algorithm the library has since replaced.
 """
@@ -382,14 +383,43 @@ def buchberger_reference(generators, ring, pair_budget=None):
     return reduced, reductions
 
 
+class OperatorEvaluator:
+    """The parser's evaluator protocol (`polycore.parse.PolynomialEvaluator`)
+    for values that combine with their own +, - and * operators, where a
+    monomial is a value like any other; a subclass defines `from_fraction`,
+    `variable` and `pow`."""
+
+    allow_negative_exponents = False
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    monomial_mul = mul
+
+    def monomial_pow(self, a, n, text, pos):
+        return self.pow(a, n, text, pos)
+
+    def from_monomial(self, m):
+        return m
+
+
 def parse_by_polynomial_arithmetic(text: str, ring):
     """`parse_polynomial` as it was before the parser built term maps: the
     same descent, with one `Polynomial` per literal and variable, combined by
     `Polynomial`'s own operators and powers taken as repeated products."""
     from cartierlab.errors import ParseError
-    from cartierlab.polycore.parse import Evaluator, parse_with_evaluator
+    from cartierlab.polycore.parse import parse_with_evaluator
 
-    class PolynomialArithmeticEvaluator(Evaluator):
+    class PolynomialArithmeticEvaluator(OperatorEvaluator):
         def from_fraction(self, q, text, pos):
             try:
                 return ring.constant(ring.field.from_fraction(q))
@@ -413,6 +443,43 @@ def parse_by_polynomial_arithmetic(text: str, ring):
             return result
 
     return parse_with_evaluator(text, PolynomialArithmeticEvaluator())
+
+
+def parse_laurent_by_element_arithmetic(text: str, base):
+    """`parse_laurent` as it was before it evaluated on term maps: the same
+    descent, with one `LaurentElement` per literal and variable, combined by
+    `LaurentElement`'s own operators, which multiply every pair of
+    coefficients in the base algebra, and raised by its own powers."""
+    from cartierlab.errors import CartierlabError, ParseError
+    from cartierlab.laurent import LaurentElement
+    from cartierlab.polycore.parse import parse_with_evaluator
+
+    class LaurentElementEvaluator(OperatorEvaluator):
+        allow_negative_exponents = True
+
+        def from_fraction(self, q, text, pos):
+            try:
+                return LaurentElement.constant(base, base.scalar(base.field.from_fraction(q)))
+            except ZeroDivisionError as exc:
+                raise ParseError(str(exc), text, pos) from None
+
+        def variable(self, name, text, pos):
+            if name == "t":
+                return LaurentElement.t_power(base, 1)
+            if name in base.ring.variables:
+                return LaurentElement.constant(base, base.variable_element(name))
+            elem = base.field.symbol_element(name)
+            if elem is not None:
+                return LaurentElement.constant(base, base.scalar(elem))
+            raise ParseError(f"unknown variable {name!r}", text, pos)
+
+        def pow(self, a, n, text, pos):
+            try:
+                return a**n
+            except CartierlabError as exc:
+                raise ParseError(str(exc), text, pos) from None
+
+    return parse_with_evaluator(text, LaurentElementEvaluator())
 
 
 def rf_reduce(field, num: tuple, den: tuple):

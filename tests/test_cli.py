@@ -746,6 +746,9 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
     (_corpus_with("node.ext", r"^relations = y\^2 - x\^3 - x\^2$", "relations = 1/0*x"),
      ["check", "<path>"], 2,
      "input error: [ring.A] relation '1/0*x': zero denominator at position 2: '1/0*x'\n"),
+    ("[ring]\nfield = FP(7)\nvars = e\nrelations = e^2 - e\n",
+     ["units", "--base", "<path>", "--laurent", "(1/7)*t"], 2,
+     "input error: laurent expression: denominator divisible by 7 at position 1: '(1/7)*t'\n"),
 ], ids=["conductor-without-module-generators", "conductor-without-fractions",
         "stalk-at-a-prime-that-is-not-maximal", "generic-stalk-over-a-free-plane",
         "generic-stalk-over-a-source-that-is-no-domain",
@@ -754,12 +757,14 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
         "lpic-rank-not-an-integer", "map-image-parse-error", "rankdata-entry-not-an-integer",
         "pair-budget-zero", "rankdata-with-an-extra-section", "ring-with-an-extra-section",
         "relation-nested-past-the-limit", "laurent-nested-past-the-limit",
-        "relation-with-an-unopened-parenthesis", "relation-with-a-zero-denominator"])
+        "relation-with-an-unopened-parenthesis", "relation-with-a-zero-denominator",
+        "laurent-with-a-denominator-zero-in-the-field"])
 def test_command_reachable_refusals(capsys, tmp_path, text, argv, code, expected):
     """A missing hint gives rank Unknown with its reason; a prime that is not
     zero-dimensional, a generic stalk that no rule certifies, a malformed
     entry or an extra section in a description file, a stray ')', a zero
-    denominator, parentheses nested past the parser's limit, and a pair
+    denominator (in the integers, or in F_p for a Laurent expression),
+    parentheses nested past the parser's limit, and a pair
     budget below one are refused as bad input. `<path>` stands for the
     file."""
     path = tmp_path / "input.ext"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartierlab import artinian
+from cartierlab import artinian, laurent
 from cartierlab.artinian import (
     FiniteAlgebra,
     component_count,
@@ -22,11 +22,13 @@ from cartierlab.laurent import (
     is_laurent_unit,
     parse_laurent,
 )
-from cartierlab.polycore import GREVLEX, Ideal, PolyRing, QQ, parse_polynomial
+from cartierlab.polycore import GREVLEX, Ideal, PolyRing, PrimeField, QQ, parse_polynomial
+from cartierlab.polycore.groebner import Ideal as IdealClass
+from oracles import parse_laurent_by_element_arithmetic
 
 
-def algebra(variables, texts):
-    ring = PolyRing(QQ, variables, GREVLEX)
+def algebra(variables, texts, field=QQ):
+    ring = PolyRing(field, variables, GREVLEX)
     return FiniteAlgebra(Ideal(ring, [parse_polynomial(t, ring) for t in texts]))
 
 
@@ -236,3 +238,127 @@ def test_unit_exponents_maps_each_coefficient_once(monkeypatch):
     found = _unit_exponents(x)
     assert found is not None and sorted(found[2]) == [-1, 2]
     assert len(calls) == len(x.coeffs) + len(decomp.idempotents) == 6
+
+
+THREE_FACTOR_UNIT = ("(- 2*(1/3)*(e + 2)*t^-1 - 1*(-1/3)*(e - 1)*t^2)"
+                     "*(1 - 2*n*t^1)*(1 - 1*n*t^-2)")
+
+# Bases over QQ and F_p in the same variables: e splits the base, n is nilpotent.
+LAURENT_BASES = [
+    algebra(["e", "n"], ["(e - 1)*(e + 2)", "n^2"]),
+    algebra(["e", "n"], ["e^2 - e", "n^2"], PrimeField(7)),
+    algebra(["e", "n"], ["e^3 - e", "n^2"], PrimeField(5)),
+]
+
+# Single terms to raise to negative powers: units (a constant, a power of t,
+# e away from its roots, 1 + nilpotent) and non-units (n, e and e - 1 on a
+# split base, 0), and sums whose t-coefficients reduce to zero, everywhere
+# (n^2) or on the first base ((e - 1)*(e + 2)), the last two unreduced
+# until the negative power.
+_SINGLE = ["2*t", "t^2", "3", "(1/2)*t^-1", "e + 3", "(e + 3)*t", "1 + n", "(1 - n)*t^3",
+           "n*t", "e*t", "e - 1", "0", "(e^2 + e - 2)*t + 1", "(e^2 + e - 2)*t^2 + 2*t",
+           "n^2*t^2 + 2*t", "e^2*t + e*t - 2*t + 1"]
+_LEAVES = ["e", "n", "t", "2", "1/3", "1/7", "0", "t^-1", "t^2", "e^2", "3*n*t^-2", "-1",
+           "(e^2 + e - 2)", "e*n*t", "2*e^3*t^-1"]
+
+
+def _laurent_text(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_LEAVES)
+    kind = rng.randrange(7)
+    a = _laurent_text(rng, depth - 1)
+    if kind == 0:
+        return f"({a})^{rng.randint(0, 3)}"
+    if kind == 1:
+        return f"({rng.choice(_SINGLE)})^-{rng.randint(1, 2)}"
+    if kind == 2:
+        return f"-({a})"
+    if kind == 3:
+        return f"(({a}))"
+    op = " + " if kind == 4 else " - " if kind == 5 else "*"
+    return f"{a}{op}{_laurent_text(rng, depth - 1)}"
+
+
+def test_term_map_parse_matches_element_arithmetic():
+    """On generated expressions over QQ and F_p bases, `parse_laurent` gives
+    the element, or the ParseError text, that one `LaurentElement` per
+    literal and variable gives: nested parentheses, negative powers of unit
+    and non-unit single terms, and a coefficient that reduces to zero before
+    a negative power included."""
+    rng = random.Random(27)
+    texts = [f"({s})^-1" for s in _SINGLE] + [_laurent_text(rng, 4) for _ in range(250)]
+    outcomes = {"parsed": 0, "refused": 0}
+    for base in LAURENT_BASES:
+        for text in texts:
+            try:
+                expected = parse_laurent_by_element_arithmetic(text, base)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as err:
+                    parse_laurent(text, base)
+                assert str(err.value) == str(exc)
+                outcomes["refused"] += 1
+                continue
+            assert parse_laurent(text, base) == expected, text
+            outcomes["parsed"] += 1
+    assert min(outcomes.values()) > 100
+
+
+def test_negative_power_judges_reduced_coefficients():
+    """(e^2 + e - 2)*t + 1 is the single term 1 over (e - 1)*(e + 2)."""
+    base = LAURENT_BASES[0]
+    assert parse_laurent("((e^2 + e - 2)*t + 1)^-1", base) == LaurentElement.one(base)
+    with pytest.raises(ParseError, match="^negative powers only of single-term units"):
+        parse_laurent("((e^2 + e - 2)*t + 1)^-1", LAURENT_BASES[1])
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_parse_laurent_forms_no_algebra_product(monkeypatch):
+    """The three-factor unit is parsed on term maps: no product in the base
+    algebra and no minimal polynomial, and a normal form only for each
+    distinct monomial that a product takes out of the staircase."""
+    base = LAURENT_BASES[0]
+    products = _counting(monkeypatch, FiniteAlgebra, "mul")
+    minimal = _counting(monkeypatch, artinian, "minimal_polynomial")
+    relative = _counting(monkeypatch, artinian, "_relative_minimal_polynomial")
+    normal_forms = _counting(monkeypatch, IdealClass, "normal_form")
+    x = parse_laurent(THREE_FACTOR_UNIT, base)
+    assert (len(products), len(minimal), len(relative)) == (0, 0, 0)
+    assert len(normal_forms) == 2  # e*n^2 and n^2
+    monkeypatch.undo()
+    assert x == parse_laurent_by_element_arithmetic(THREE_FACTOR_UNIT, base)
+
+
+def test_term_maps_stay_in_the_staircase(monkeypatch):
+    """Every product leaves only monomials of the base's staircase, so a
+    map of Laurent degree d holds at most dim * (d + 1) terms: 256 for
+    (1 + e + n + t)^64, after six squarings, and 48 for twelve factors."""
+    base = LAURENT_BASES[0]
+    sizes = []
+    original = laurent._LaurentEvaluator.mul
+
+    def recording(self, a, b):
+        out = original(self, a, b)
+        assert all(exp[:-1] in base._index for exp in out)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(laurent._LaurentEvaluator, "mul", recording)
+    power = parse_laurent("(1 + e + n + t)^64", base)
+    assert sizes == [8, 16, 32, 64, 128, 256]
+    sizes.clear()
+    product = parse_laurent("*".join(["(1 + e + n + t)"] * 12), base)
+    assert len(sizes) == 11 and max(sizes) == 48
+    monkeypatch.undo()
+    assert power == parse_laurent_by_element_arithmetic("(1 + e + n + t)^64", base)
+    assert product == parse_laurent_by_element_arithmetic("(1 + e + n + t)^12", base)

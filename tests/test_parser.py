@@ -134,8 +134,9 @@ def test_lex_vs_grevlex_leading_terms():
 
 
 def test_power_squares_only_while_bits_remain(monkeypatch):
-    """(t + 1)^4 takes two squarings and one product with the unit; the top
-    bit leaves nothing more to square. The same holds for every power in the
+    """(t + 1)^4 takes two squarings and no product with the unit: the result
+    starts at the lowest set bit, and the top bit leaves nothing more to
+    square. The same holds for every power in the
     package: algebra elements, Laurent polynomials, field elements (a negative
     exponent inverts first, over QQ and over F_7) and the F_p powers mod m."""
     from cartierlab.artinian import FiniteAlgebra
@@ -162,7 +163,7 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
     base = parse_polynomial("t + 1", PolyRing(QQ, ["t"], GREVLEX))
     calls = counted(Polynomial, "__mul__")
     power = base**4
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert power == parse_polynomial("t^4 + 4*t^3 + 6*t^2 + 4*t + 1", base.ring)
 
     ring = PolyRing(QQ, ["e"], GREVLEX)
@@ -171,20 +172,20 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
     expected = repeated(alg.mul, alg.one(), a, 4)
     calls = counted(FiniteAlgebra, "mul")
     assert alg.pow(a, 4) == expected
-    assert len(calls) == 3
+    assert len(calls) == 2
 
     unit = parse_laurent("2*t^-1 + 3*e", alg)
     expected = repeated(LaurentElement.__mul__, LaurentElement.one(alg), unit, 4)
     calls = counted(LaurentElement, "__mul__")
     assert unit**4 == expected
-    assert len(calls) == 3
+    assert len(calls) == 2
 
     f7 = PrimeField(7)
     for field, x, inverse in ((QQ, Fraction(2, 3), Fraction(3, 2)), (f7, 3, 5)):
         expected = repeated(field.mul, field.one(), inverse, 4)
         calls = counted(type(field), "mul")
         assert field.pow(x, -4) == expected
-        assert len(calls) == 3
+        assert len(calls) == 2
         monkeypatch.undo()
     assert (QQ.pow(Fraction(2, 3), -4), f7.pow(3, -4)) == (Fraction(81, 16), 2)
 
@@ -192,7 +193,7 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
     expected = repeated(lambda u, v: factor._mulmod(u, v, m, p), (1,), (2, 1), 4)
     calls = counted(factor, "_mulmod")
     assert factor._powmod((2, 1), 4, m, p) == expected
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("text, char, position", [
