@@ -9,6 +9,7 @@ boundary map on the unit group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .artinian import (
     FiniteAlgebra,
@@ -98,12 +99,14 @@ class LaurentElement:
             if len(self.coeffs) != 1:
                 raise CartierlabError("negative powers only of single-term units")
             (deg, c), = self.coeffs.items()
-            try:
-                inv_c = self.base.inverse(c)
+            base, field = self.base, self.base.field
+            try:  # a constant is inverted in the field, anything else from its minimal polynomial
+                inv_c = (base.scalar(field.inv(c[0])) if all(map(field.is_zero, c[1:]))
+                         else base.inverse(c))
             except ZeroDivisionError:
                 raise CartierlabError(
                     f"{self} is not a unit, so it has no negative powers") from None
-            return LaurentElement(self.base, {-deg: inv_c}) ** (-n)
+            return LaurentElement(base, {-deg: inv_c}) ** (-n)
         return square_and_multiply(self, n, LaurentElement.one(self.base),
                                    LaurentElement.__mul__)
 
@@ -289,6 +292,8 @@ class _LaurentEvaluator(PolynomialEvaluator):
                              f"symbol of the base {base.ring.describe()}")
         super().__init__(PolyRing(base.field, base.ring.variables + ("t",)))
         self.base = base
+        # a product of two staircase monomials has at most twice the top degree
+        self._product_degree = 2 * max(map(sum, base.basis))
 
     def _reduce(self, terms: dict) -> dict:
         """terms with every monomial of the base outside its staircase
@@ -305,12 +310,22 @@ class _LaurentEvaluator(PolynomialEvaluator):
                 uses.setdefault(exp[:-1], {})[no_base + exp[-1:]] = c
             else:
                 out[exp] = c
-        ring, ideal, field = self.base.ring, self.base.ideal, self.field
         for exp, in_t in uses.items():
-            nf = ideal.normal_form(ring.monomial(exp, field.one()))
-            out = add_terms(field, out, mul_terms(field, in_t, {
-                e + (0,): c for e, c in nf._terms.items()}))
+            out = add_terms(self.field, out, mul_terms(self.field, in_t, self._normal_form(exp)))
         return out
+
+    def _normal_form(self, exp: tuple) -> dict:
+        """The normal form of the base's monomial exp, as a term map in t^0.
+        Past the degree of a product, which only a power of an atom such as
+        e^1000 reaches, it is the product of the variables' binary powers in
+        the base: work in the exponents' bits, not a division step a degree."""
+        base = self.base
+        if sum(exp) <= self._product_degree:
+            nf = base.ideal.normal_form(base.ring.monomial(exp, self.field.one()))
+            return {e + (0,): c for e, c in nf._terms.items()}
+        value = reduce(base.mul, [base.pow(base.variable_element(v), e)
+                                  for v, e in zip(base.ring.variables, exp) if e])
+        return {e + (0,): c for e, c in zip(base.basis, value) if not self.field.is_zero(c)}
 
     def mul(self, a, b):
         return self._reduce(mul_terms(self.field, a, b))
@@ -318,27 +333,19 @@ class _LaurentEvaluator(PolynomialEvaluator):
     def pow(self, a, n, text, pos):
         if n < 0:
             a, n = self._inverse(a, text, pos), -n
-        if len(a) == 1:  # one term: its power by field arithmetic
+        if len(a) == 1:
             (exp, c), = a.items()
-            return self._reduce({tuple(e * n for e in exp): self.field.pow(c, n)})
+            if not any(exp[:-1]):  # c*t^k: its power by field arithmetic
+                return {exp[:-1] + (exp[-1] * n,): self.field.pow(c, n)}
         return square_and_multiply(a, n, {self.ring._zero_exp: self.field.one()}, self.mul)
 
     def _inverse(self, a: dict, text, pos) -> dict:
-        """The inverse of a single-term unit, judged on reduced coefficients;
-        a constant coefficient is inverted in the field."""
-        x = self.element(a)
-        if len(x.coeffs) != 1:
-            raise ParseError("negative powers only of single-term units", text, pos)
-        (n, c), = x.coeffs.items()
-        base, field = self.base, self.field
-        if all(map(field.is_zero, c[1:])):
-            return {self.ring._zero_exp[:-1] + (-n,): field.inv(c[0])}
+        """The inverse of a single-term unit, judged on reduced coefficients."""
         try:
-            inverse = base.inverse(c)
-        except ZeroDivisionError:
-            raise ParseError(f"{x} is not a unit, so it has no negative powers",
-                             text, pos) from None
-        return {exp + (-n,): c for exp, c in zip(base.basis, inverse) if not field.is_zero(c)}
+            (n, inverse), = (self.element(a) ** -1).coeffs.items()
+        except CartierlabError as exc:
+            raise ParseError(str(exc), text, pos) from None
+        return {e + (n,): c for e, c in zip(self.base.basis, inverse) if not self.field.is_zero(c)}
 
     def element(self, terms: dict) -> LaurentElement:
         base = self.base

@@ -121,17 +121,13 @@ def neg_terms(field: Field, a: dict) -> dict:
 
 
 def mul_terms(field: Field, a: dict, b: dict) -> dict:
-    """The term map of the product of two term maps, neither of which changes.
-    A square (b is a) forms each product of two distinct terms once, doubled:
-    n terms cost n(n + 1)/2 products, not n^2."""
+    """The term map of the product of two term maps, neither of which changes."""
     out: dict = {}
     zero, plus, times, is_zero = field.zero(), field.add, field.mul, field.is_zero
-    square, items = b is a, list(b.items())
-    for i, (e1, c1) in enumerate(a.items()):
-        twice = times(field.from_int(2), c1) if square else c1
-        for e2, c2 in items[i:] if square else items:
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
             exp = tuple(map(add, e1, e2))
-            s = plus(out.get(exp, zero), times(c1 if e2 is e1 else twice, c2))
+            s = plus(out.get(exp, zero), times(c1, c2))
             if is_zero(s):
                 out.pop(exp, None)
             else:

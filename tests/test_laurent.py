@@ -362,3 +362,34 @@ def test_term_maps_stay_in_the_staircase(monkeypatch):
     monkeypatch.undo()
     assert power == parse_laurent_by_element_arithmetic("(1 + e + n + t)^64", base)
     assert product == parse_laurent_by_element_arithmetic("(1 + e + n + t)^12", base)
+
+
+def test_large_base_exponents_take_logarithmic_work(monkeypatch):
+    """e^100000 is reached by binary powers: the algebra products and normal
+    forms grow with the number of bits of the exponent, and no normal form
+    is taken of a monomial past the degree of a product of two staircase
+    monomials, so none divides one degree at a time (checked before the
+    division runs)."""
+    n = 100000
+    base = LAURENT_BASES[0]
+    top = max(map(sum, base.basis))
+    products = _counting(monkeypatch, FiniteAlgebra, "mul")
+    normal_forms = []
+    original = IdealClass.normal_form
+
+    def bounded(self, f):
+        assert max(map(sum, f.terms()), default=0) <= 2 * top, f
+        normal_forms.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(IdealClass, "normal_form", bounded)
+    texts = [f"e^{n}*t", f"(e*t)^{n}", f"(2*e)^{n}*t^-1", f"e^{n}*n*(1 + e*t)"]
+    parsed = []
+    for text in texts:
+        products.clear()
+        normal_forms.clear()
+        parsed.append(parse_laurent(text, base))
+        assert len(products) + len(normal_forms) <= 4 * n.bit_length(), text
+    monkeypatch.undo()
+    for text, x in zip(texts, parsed):
+        assert x == parse_laurent_by_element_arithmetic(text, base), text
