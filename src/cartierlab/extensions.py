@@ -14,6 +14,14 @@ that basis is over the pair budget. The leading monomials of that basis also
 decide whether B is finite over A and give B-monomials spanning B over A, so
 the certificate covers all of B whatever the module_generators hint says.
 
+The tag basis is built when something first needs it: at construction from
+stated relations, for the checks, but for a kernel presentation only at the
+first membership, kernel (`a_ideal`, `contraction_ideal`) or spanning-monomial
+request that needs it. So a kernel presentation whose tag basis is over the
+pair budget is built without error and raises at that first use. A member
+that is the image of one of A's variables, once reduced, needs no basis: the
+variable is its preimage.
+
 A witness test asks up to three memberships, b, then b^2 (b^2 - b for
 anodal), then b^3 (b^3 - b^2), and stops at the first that decides the
 answer: b in A, or the second element outside A. `WitnessCheck.details`
@@ -89,8 +97,16 @@ class ExtensionPresentation:
     recorded as a warning. With `a_ideal=None` A is presented by the kernel
     (`contraction_ideal`), which brings its reduced basis, and neither check
     runs: the kernel's generators come from the tag basis, so they map to
-    zero, and the kernel lies in itself. A tag basis over the pair budget
-    raises from `contraction_ideal` then, whatever assume_injective says.
+    zero, and the kernel lies in itself. Such a presentation builds no tag
+    basis when it is constructed: `a_ideal` is the kernel, computed on first
+    access, and the basis is built by the first request that needs it. A tag
+    basis over the pair budget raises at that request, whatever
+    assume_injective says.
+
+    `contains` of an element whose normal form in B is the image of A's
+    variable v answers v without the tag basis; `substitute(v)` is that
+    image, so the answer is exact. Every other element is reduced against
+    the tag basis.
     """
 
     def __init__(
@@ -119,11 +135,16 @@ class ExtensionPresentation:
         self.hints = hints or Hints()
         self.warnings: tuple[str, ...] = ()
         self._membership_cache: Ideal | PairBudgetExceeded | None = None
-        self._contains_memo: dict = {}
+        # a generator's image, once reduced, certifies itself: substitute(v)
+        # is that image, so its membership needs no tag basis; lookups are by
+        # normal form, so an image that is not reduced is never hit
+        self._contains_memo: dict = {
+            images[v]: SubalgebraMembership(images[v], True, a_ring.variable(v))
+            for v in reversed(a_ring.variables)
+        }
+        self._a_ideal = a_ideal
         if a_ideal is None:
-            self.a_ideal = self.contraction_ideal()
             return
-        self.a_ideal = a_ideal
         try:
             tag_ideal, over_budget = self._membership_ring(), None
         except PairBudgetExceeded as exc:
@@ -154,6 +175,14 @@ class ExtensionPresentation:
             if not assume_injective:
                 raise
             self.warnings = ("injectivity assumed: elimination exceeded the pair budget",)
+
+    @property
+    def a_ideal(self) -> Ideal:
+        """A's relations: the stated ideal, or for a kernel presentation the
+        contraction, computed from the tag basis on first access and kept."""
+        if self._a_ideal is None:
+            self._a_ideal = self.contraction_ideal()
+        return self._a_ideal
 
     # -- plumbing -------------------------------------------------------------
 
@@ -318,7 +347,11 @@ class ClosureResult:
 
 
 def adjoin_element(ext: ExtensionPresentation, b: Polynomial) -> ExtensionPresentation:
-    """Extend A's presentation by one element of B, presented by the kernel."""
+    """Extend A's presentation by one element of B, presented by the kernel.
+
+    The new presentation builds no tag basis until a membership, its
+    `a_ideal` or a spanning-monomial request needs one, so a basis over the
+    pair budget raises there, not here."""
     taken = ext.a_ring.taken_names() | set(ext.b_ring.variables)
     w, = fresh_names([f"w{len(ext.a_ring.variables) + 1}"], taken)
     new_a_ring = PolyRing(ext.a_ring.field, tuple(ext.a_ring.variables) + (w,), GREVLEX)
@@ -338,6 +371,13 @@ def closure_search(ext: ExtensionPresentation, kind: str,
     witness is adjoined next. At the fixpoint no candidate is a witness; a
     witness outside the list can remain. `exhausted` is True when the
     enlarged ring is still not all of B, so it is no proof of closedness.
+
+    Each adjoined presentation builds its tag basis at the first membership
+    of the rescan that is not an image of its variables. Once the last
+    witness makes B's variables images, the final `is_identity_onto` needs
+    no basis, and neither does a rescan whose candidates are images or were
+    found inside a smaller subring; the closure's `a_ideal` is computed only
+    if it is read. A basis over the pair budget raises at its first use.
     """
     if kind not in _WITNESS_TESTS:
         raise CartierlabError(f"unknown closure kind {kind!r}")

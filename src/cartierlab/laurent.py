@@ -142,6 +142,12 @@ class LaurentElement:
         return f"LaurentElement({self})"
 
 
+def _in_reduced(base: FiniteAlgebra, red: FiniteAlgebra, c: tuple) -> tuple:
+    """The image in red = A_red of an element of the base; a reduced base is
+    its own A_red, and then c is already that image."""
+    return c if red is base else red.from_poly(base.to_poly(c))
+
+
 def _unit_exponents(x: LaurentElement):
     """(decomposition of the base, its reduced algebra, the exponent of x on
     each primitive idempotent), or None when x is not a unit.
@@ -153,10 +159,10 @@ def _unit_exponents(x: LaurentElement):
     base = x.base
     decomp = idempotent_decomposition(base)
     red = reduced_algebra(base)
-    coeffs = [(n, red.from_poly(base.to_poly(c))) for n, c in x.coeffs.items()]
+    coeffs = [(n, _in_reduced(base, red, c)) for n, c in x.coeffs.items()]
     exponents, one = [], red.one()
     for e in decomp.idempotents:
-        e_red = red.from_poly(base.to_poly(e))
+        e_red = _in_reduced(base, red, e)
         live = [n for n, c in coeffs if not red.is_zero_elem(_times(red, one, e_red, c))]
         if len(live) != 1:
             return None
@@ -270,7 +276,7 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
                     raise CertificateFailure("tail constant term is not one")
             elif n * side < 0:
                 raise CertificateFailure("tail supported on the wrong side")
-            elif not red.is_zero_elem(red.from_poly(base.to_poly(c))):
+            elif not red.is_zero_elem(_in_reduced(base, red, c)):
                 raise CertificateFailure("tail coefficient is not nilpotent")
     return result
 

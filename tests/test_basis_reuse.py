@@ -20,8 +20,13 @@ against it, and against the ideal `reduced()` hands back, build the divisor
 list of each basis element once. A witness search runs no Buchberger in an
 A ring: each adjoined witness's presentation takes the reduced basis of its
 relations from the B-free part of its tag basis. A presentation by that
-kernel runs no normal form when it is built: its relations map to zero and
-contain the kernel by construction.
+kernel runs no normal form and no Buchberger when it is built: its relations
+map to zero and contain the kernel by construction, and its tag basis is
+built by the first membership, kernel or spanning-monomial request that
+needs it. An image of one of A's variables is a member without that basis,
+so a closure search whose last witness makes B's variables images finishes
+without the last adjoin's basis. A tag basis over the pair budget raises at
+that first use.
 
 `perfbench/tracing.py` patches the library's entry points by name; a
 refactor that deletes or renames one of them must fail here rather than in
@@ -45,7 +50,7 @@ from cartierlab.cli import main
 from cartierlab import corpus, extensions
 from cartierlab.corpus import corpus_path
 from cartierlab.errors import PairBudgetExceeded
-from cartierlab.extensions import ExtensionPresentation, closure_search
+from cartierlab.extensions import ExtensionPresentation, adjoin_element, closure_search
 from cartierlab.extfile import load_extension
 from cartierlab.polycore import GREVLEX, QQ, Ideal, PolyRing, parse_polynomial, reduce_poly
 
@@ -157,6 +162,77 @@ def test_kernel_presentation_checks_nothing_by_normal_form(monkeypatch):
     assert {str(g) for g in ext.a_ideal.generators} == {"y^2 - x*z", "x^3 - y*z", "x^2*y - z^2"}
 
 
+def test_kernel_presentation_builds_its_tag_basis_on_demand(basis_inputs):
+    cusp = load_extension(os.path.join(CORPUS, "cusp.ext"))
+    basis_inputs.clear()
+    bigger = adjoin_element(cusp, cusp.b_ring.variable("t"))
+    assert bigger._membership_cache is None
+    assert [ring for ring, _ in basis_inputs] == [cusp.b_ring]  # B's basis, to reduce t
+    assert [str(g) for g in bigger.a_ideal.generators] == ["w3^2 - x", "x*w3 - y", "x^2 - y*w3"]
+    assert len(basis_inputs) == 2
+    assert bigger.a_ideal is bigger.a_ideal
+
+
+def test_generator_images_are_members_without_a_basis(basis_inputs):
+    ring = PolyRing(QQ, ["x", "y", "z"], GREVLEX)
+    b_ring = PolyRing(QQ, ["t"], GREVLEX)
+    images = {v: parse_polynomial(f"t^{e}", b_ring) for v, e in zip("xyz", (3, 4, 5))}
+    ext = ExtensionPresentation(ring, None, Ideal(b_ring, []), images)
+    for v in ring.variables:
+        found = ext.contains(images[v])
+        assert found.member and found.preimage == ring.variable(v)
+        assert ext.substitute(found.preimage) == found.element
+    assert ext._membership_cache is None
+    assert [ring for ring, _ in basis_inputs] == [b_ring]  # B's basis, to reduce each element
+    # any other element goes through the tag basis
+    found = ext.contains(parse_polynomial("t^6", b_ring))
+    assert found.member and str(found.preimage) == "x^2"
+    assert len(basis_inputs) == 2
+
+
+def _unshifted(tmp_path, name: str) -> str:
+    """The fixture's curve moved to the origin, where the seminormal search
+    finds its witnesses t^2 and t among the monomial candidates."""
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as handle:
+        text = handle.read().replace("(t - 1)", "t")
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# the relations of the closures, as the presentations built their kernels
+# when they were constructed
+FIXTURE_RELATIONS = ["x^3 + 20010*y*z", "x^2*y + 20010*z^2", "x*y^3 + 20010*z^3",
+                     "20010*y^2 + x*z", "y^5 + 20010*z^4"]
+CLOSURE_RELATIONS = ["w5^2 + 20010*w4", "w4*w5 + 20010*x", "y*w5 + 20010*z",
+                     "x*w5 + 20010*y", "w4^2 + 20010*y", "y*w4 + 20010*z*w5",
+                     "x*w4 + 20010*z", "y^2 + 20010*x*z", "x*y + 20010*z*w4",
+                     "x^2 + 20010*z*w5"]
+
+
+@pytest.mark.parametrize("moved, adjoined, runs", [
+    (False, [], 1),  # the shifted curve: no candidate monomial is a witness
+    (True, ["t^2", "t"], 2),  # and the first adjoin's tag basis
+], ids=["shifted", "at-the-origin"])
+def test_closure_search_runs_no_basis_after_the_last_adjoin(
+        basis_inputs, tmp_path, moved, adjoined, runs):
+    """B's basis (the zero ideal's, for the candidates' normal forms) and the
+    tag basis of every adjoin but the last: the last makes t an image, so the
+    rescan and `is_identity_onto` answer from the images. Its basis is built
+    when the closure's relations are read, and they are the eager kernel's."""
+    name = "monomial-3-4-5-fp.ext"
+    path = _unshifted(tmp_path, name) if moved else os.path.join(FIXTURES, name)
+    ext = load_extension(path)
+    basis_inputs.clear()  # loading checks the file's relations on their own basis
+    result = closure_search(ext, "seminormal", 3)
+    assert [str(w) for w in result.adjoined] == adjoined
+    assert result.exhausted is not moved
+    assert len(basis_inputs) == runs
+    relations = [str(g) for g in result.extension.a_ideal.generators]
+    assert len(basis_inputs) == runs + bool(adjoined)
+    assert relations == (CLOSURE_RELATIONS if moved else FIXTURE_RELATIONS)
+
+
 def test_normal_forms_build_the_divisor_list_once(monkeypatch):
     ring = PolyRing(QQ, ["x", "y", "z"], GREVLEX)
     ideal = Ideal(ring, [parse_polynomial(t, ring) for t in ("x^2 - y*z", "y^2 - x*z", "z^3 - x")])
@@ -239,6 +315,40 @@ def test_over_budget_tag_basis_is_retried_under_a_larger_budget(failed_inputs):
     assert len(failed_inputs) == 1
     assert not ext.contains(ext.b_ring.variable("t")).member
     assert ext.contains(ext.b_ring.parse("t^2 - 1")).member
+
+
+def test_over_budget_kernel_basis_raises_at_its_first_use(failed_inputs):
+    """Adjoining u^2 to the constants in QQ[u]/(u^3) builds no tag basis, and u^2,
+    the new variable's image, is a member without one; asking about u needs
+    the basis, which is over a budget of one pair, and so does the kernel."""
+    ext = load_extension(os.path.join(CORPUS, "nil_cube.ext"))
+    u = ext.b_ring.variable("u")
+    previous = GROEBNER.default_pair_budget()
+    GROEBNER.set_default_pair_budget(1)
+    try:
+        bigger = adjoin_element(ext, u * u)
+        assert bigger._membership_cache is None and failed_inputs == []
+        assert str(bigger.contains(u * u).preimage) == "w1"
+        with pytest.raises(PairBudgetExceeded):
+            bigger.contains(u)
+        with pytest.raises(PairBudgetExceeded):
+            bigger.a_ideal
+    finally:
+        GROEBNER.set_default_pair_budget(previous)
+    assert len(failed_inputs) == 1
+    assert not bigger.contains(u).member
+
+
+def test_closure_over_budget_exits_with_the_resource_limit():
+    """On nil_cube.ext the loaded presentation's basis fits a budget of one
+    pair and the first adjoin's does not, so the command fails at the rescan."""
+    argv = ["seminormal", os.path.join(CORPUS, "nil_cube.ext"), "--bound", "3",
+            "--pair-budget", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 3
+    assert out.getvalue() == ""
+    assert err.getvalue() == "resource limit: S-pair budget of 1 exceeded\n"
 
 
 def test_run_corpus_ranks_each_presentation_once(monkeypatch):

@@ -133,6 +133,32 @@ def test_a_source_ideal_of_another_ring_is_refused():
                               {"x": t_ring.variable("t")})
 
 
+_QX, _QT = PolyRing(QQ, ["x"], GREVLEX), PolyRing(QQ, ["t"], GREVLEX)
+
+
+def _plain(a_ring=_QX, images=None) -> ExtensionPresentation:
+    """x -> t, from a_ring into QQ[t]."""
+    images = {"x": _QT.variable("t")} if images is None else images
+    return ExtensionPresentation(a_ring, None, Ideal(_QT, []), images)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _plain(a_ring=PolyRing(PrimeField(7), ["x"], GREVLEX)),
+     "source and target must share a coefficient field"),
+    (lambda: _plain(images={}), "images must cover exactly the source variables"),
+    (lambda: _plain(images={"x": _QX.variable("x")}), "image of 'x' is not in the target ring"),
+    (lambda: _plain().substitute(_QT.variable("t")), "polynomial is not in the source ring"),
+    (lambda: _plain().contains(_QX.variable("x")), "element is not in the target ring"),
+    (lambda: closure_search(_plain(), "normal", 2), "unknown closure kind 'normal'"),
+    (lambda: closure_search(_plain(), "seminormal", 0), "degree bound must be at least 1"),
+], ids=["field", "images", "image_ring", "substitute", "contains", "closure_kind",
+        "closure_bound"])
+def test_api_guards_refuse(call, message):
+    with pytest.raises(CartierlabError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_contains_node_examples():
     ext = node_extension()
     t = parse_polynomial("t", ext.b_ring)

@@ -12,7 +12,9 @@ from cartierlab.artinian import (
     idempotent_decomposition,
     reduced_algebra,
 )
+from cartierlab.corpus import corpus_path
 from cartierlab.errors import CertificateFailure, ParseError
+from cartierlab.extfile import load_ring
 from cartierlab.laurent import (
     LaurentElement,
     NotAUnit,
@@ -238,6 +240,29 @@ def test_unit_exponents_maps_each_coefficient_once(monkeypatch):
     found = _unit_exponents(x)
     assert found is not None and sorted(found[2]) == [-1, 2]
     assert len(calls) == len(x.coeffs) + len(decomp.idempotents) == 6
+
+
+def test_reduced_base_converts_no_coordinates(monkeypatch):
+    """A reduced base is its own A_red: `_unit_exponents` and `bass_decompose`'s
+    nilpotency certificate read the coordinates as they are, with no trip
+    through a polynomial and back."""
+    base = load_ring(corpus_path("split_base.ring"))
+    x = parse_laurent("e*t + 1 - e", base)
+    idempotent_decomposition(base)
+    assert reduced_algebra(base) is base
+    calls = []
+    for name in ("to_poly", "from_poly"):
+        original = getattr(FiniteAlgebra, name)
+
+        def counting(alg, arg, original=original, name=name):
+            calls.append(name)
+            return original(alg, arg)
+
+        monkeypatch.setattr(FiniteAlgebra, name, counting)
+    found = _unit_exponents(x)
+    assert found is not None and sorted(found[2]) == [0, 1]
+    assert bass_decompose(x).recompose() == x
+    assert calls == []
 
 
 THREE_FACTOR_UNIT = ("(- 2*(1/3)*(e + 2)*t^-1 - 1*(-1/3)*(e - 1)*t^2)"
