@@ -200,8 +200,8 @@ def _unshifted(tmp_path, name: str) -> str:
     return str(path)
 
 
-# the relations of the closures, as the presentations built their kernels
-# when they were constructed
+# the closures' relations: the file's own on the shifted curve; at the origin
+# the kernel of k[x, y, z, w4, w5] -> k[t], read off the last adjoin's tag basis
 FIXTURE_RELATIONS = ["x^3 + 20010*y*z", "x^2*y + 20010*z^2", "x*y^3 + 20010*z^3",
                      "20010*y^2 + x*z", "y^5 + 20010*z^4"]
 CLOSURE_RELATIONS = ["w5^2 + 20010*w4", "w4*w5 + 20010*x", "y*w5 + 20010*z",
@@ -219,7 +219,7 @@ def test_closure_search_runs_no_basis_after_the_last_adjoin(
     """B's basis (the zero ideal's, for the candidates' normal forms) and the
     tag basis of every adjoin but the last: the last makes t an image, so the
     rescan and `is_identity_onto` answer from the images. Its basis is built
-    when the closure's relations are read, and they are the eager kernel's."""
+    when the closure's relations are read."""
     name = "monomial-3-4-5-fp.ext"
     path = _unshifted(tmp_path, name) if moved else os.path.join(FIXTURES, name)
     ext = load_extension(path)
