@@ -544,18 +544,11 @@ def radical_generators(alg: FiniteAlgebra) -> list[Polynomial]:
     """Extra generators presenting the reduced quotient: the squarefree part
     of each variable's minimal polynomial that is a proper divisor of it.
     Raises RadicalUnavailable as `FiniteAlgebra.squarefree_parts` does."""
-    gens = []
-    for name, m, sq in zip(alg.ring.variables, alg.minimal_polynomials(),
-                           alg.squarefree_parts()):
-        if up.udeg(sq) < up.udeg(m):
-            total = alg.ring.zero()
-            var = alg.ring.variable(name)
-            power = alg.ring.one()
-            for c in sq:
-                total = total + power.scale(c)
-                power = power * var
-            gens.append(total)
-    return gens
+    ring = alg.ring
+    return [Polynomial(ring, {ring._zero_exp[:i] + (j,) + ring._zero_exp[i + 1:]: c
+                              for j, c in enumerate(sq)})
+            for i, (m, sq) in enumerate(zip(alg.minimal_polynomials(), alg.squarefree_parts()))
+            if up.udeg(sq) < up.udeg(m)]
 
 
 def reduced_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:
@@ -654,22 +647,15 @@ def move_variable_to_field(ideal: Ideal, free: str) -> Ideal:
     K = RationalFunctionField(ring.field, free)
     keep = [v for v in ring.variables if v != free]
     new_ring = PolyRing(K, keep, GREVLEX)
-    free_idx = ring.variables.index(free)
+    i, zero = ring.variables.index(free), ring.field.zero()
     new_gens = []
     for g in ideal.generators:
-        out: dict = {}
-        for exp, c in g.terms().items():
-            e_free = exp[free_idx]
-            rest = tuple(e for i, e in enumerate(exp) if i != free_idx)
-            coeff = K.from_polynomial(
-                up.uscale(ring.field, c, (ring.field.zero(),) * e_free + (ring.field.one(),)))
-            if rest in out:
-                coeff = K.add(out[rest], coeff)
-            if K.is_zero(coeff):
-                out.pop(rest, None)
-            else:
-                out[rest] = coeff
-        new_gens.append(Polynomial(new_ring, out))
+        parts: dict = {}  # monomial of the other variables -> {power of free: coefficient}
+        for exp, c in g._terms.items():
+            parts.setdefault(exp[:i] + exp[i + 1:], {})[exp[i]] = c
+        new_gens.append(Polynomial(new_ring, {
+            rest: K.from_polynomial(tuple(part.get(e, zero) for e in range(max(part) + 1)))
+            for rest, part in parts.items()}))
     return Ideal(new_ring, new_gens)
 
 
@@ -700,25 +686,14 @@ def components_over_subring(ideal: Ideal, free: str):
     except (ProbeExhausted, RadicalUnavailable):
         return UNKNOWN
     K = alg.field
-    free_idx = ring.variables.index(free)
-    keep_idx = [i for i in range(len(ring.variables)) if i != free_idx]
+    i = ring.variables.index(free)
     for e in decomp.idempotents:
         if not all(K.is_polynomial(c) for c in e):
             return UNKNOWN
         # lift back and certify idempotency in the original quotient
-        lift = ring.zero()
-        for c, exp in zip(e, alg.basis):
-            if K.is_zero(c):
-                continue
-            num = K.numerator(c)
-            for power, base_c in enumerate(num):
-                if ring.field.is_zero(base_c):
-                    continue
-                full = [0] * len(ring.variables)
-                full[free_idx] = power
-                for pos, i in enumerate(keep_idx):
-                    full[i] = exp[pos]
-                lift = lift + ring.monomial(tuple(full), base_c)
+        lift = Polynomial(ring, {exp[:i] + (power,) + exp[i:]: base_c
+                                 for c, exp in zip(e, alg.basis)
+                                 for power, base_c in enumerate(K.numerator(c))})
         if not ideal.contains_poly(lift * lift - lift):
             return UNKNOWN
     return decomp.count

@@ -382,10 +382,7 @@ def li_finite_connected(
             "FiniteConnected",
             {"reason": "no primes supplied and the source is not Artinian"},
         )
-    table = []
-    for prime in prime_list:
-        report = stalk_at_maximal(ext, prime)
-        table.append(report)
+    table = [stalk_at_maximal(ext, prime) for prime in prime_list]
     if include_generic:
         table.append(stalk_at_generic(ext))
     stalk_values = [r.stalk_rank for r in table]

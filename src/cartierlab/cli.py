@@ -180,7 +180,9 @@ def _degree_bound(args) -> int:
     return args.bound
 
 
-def _closure_command(args, kind: str) -> tuple[dict, int]:
+def cmd_closure(args) -> tuple[dict, int]:
+    """`seminormal` or `anodal`: the witness kind is the command's name."""
+    kind = args.command
     bound = _degree_bound(args)
     digest, description = _read_input(args.file)
     ext = load_extension(args.file, args.assume_injective, description)
@@ -198,14 +200,6 @@ def _closure_command(args, kind: str) -> tuple[dict, int]:
         },
     }
     return _report(kind, [entry], warnings=ext.warnings, input_digest=digest), 0
-
-
-def cmd_seminormal(args):
-    return _closure_command(args, "seminormal")
-
-
-def cmd_anodal(args):
-    return _closure_command(args, "anodal")
 
 
 def cmd_terms(args) -> tuple[dict, int]:
@@ -273,18 +267,16 @@ def _print_human(report: dict) -> None:
             if row.get("note"):
                 line += f"  [{row['note']}]"
             print(line)
-        for warning in report["warnings"]:
-            print(f"warning: {warning}")
-        return
-    for entry in report["results"]:
-        print("-" * len(header))
-        for key, value in entry.items():
-            if isinstance(value, dict):
-                print(f"{key}:")
-                for k, v in value.items():
-                    print(f"  {k}: {v}")
-            else:
-                print(f"{key}: {value}")
+    else:
+        for entry in report["results"]:
+            print("-" * len(header))
+            for key, value in entry.items():
+                if isinstance(value, dict):
+                    print(f"{key}:")
+                    for k, v in value.items():
+                        print(f"  {k}: {v}")
+                else:
+                    print(f"{key}: {value}")
     for warning in report["warnings"]:
         print(f"warning: {warning}")
 
@@ -345,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", *ROUTES],
     )
-    add_file_command("seminormal", cmd_seminormal, with_bound=True)
-    add_file_command("anodal", cmd_anodal, with_bound=True)
+    add_file_command("seminormal", cmd_closure, with_bound=True)
+    add_file_command("anodal", cmd_closure, with_bound=True)
 
     terms_p = sub.add_parser("terms", parents=[shared])
     terms_p.add_argument("--n", type=int, required=True)

@@ -129,6 +129,15 @@ def _parse_field(text: str, label: str):
     raise InputError(f'field must be "QQ" or "FP(p)", found {text!r}')
 
 
+def _parse(text: str, ring: PolyRing, what: str):
+    """The polynomial that text denotes in ring; a ParseError becomes the
+    InputError that names what was read."""
+    try:
+        return parse_polynomial(text, ring)
+    except ParseError as exc:
+        raise InputError(f"{what}: {exc}") from None
+
+
 def _parse_ring(section, label: str) -> Ideal:
     unknown = set(section) - _RING_KEYS
     if unknown:
@@ -140,13 +149,8 @@ def _parse_ring(section, label: str) -> Ideal:
         ring = PolyRing(field, _split_list(section["vars"]), GREVLEX)
     except CartierlabError as exc:
         raise InputError(f"[{label}] vars: {exc}") from None
-    relations = []
-    for text in _split_list(section.get("relations", "")):
-        try:
-            relations.append(parse_polynomial(text, ring))
-        except ParseError as exc:
-            raise InputError(f"[{label}] relation {text!r}: {exc}") from None
-    return Ideal(ring, relations)
+    return Ideal(ring, [_parse(text, ring, f"[{label}] relation {text!r}")
+                        for text in _split_list(section.get("relations", ""))])
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -163,18 +167,13 @@ def _parse_hints(section, a_ring: PolyRing, b_ring: PolyRing) -> Hints:
     if unknown:
         raise InputError(f"unknown keys in [hints]: {sorted(unknown)}")
     kwargs: dict = {}
-    if "finite" in section:
-        kwargs["finite"] = _parse_bool(section["finite"], "finite")
-    if "birational" in section:
-        kwargs["birational"] = _parse_bool(section["birational"], "birational")
+    for key in ("finite", "birational"):
+        if key in section:
+            kwargs[key] = _parse_bool(section[key], key)
     if "module_generators" in section:
-        gens = []
-        for text in _split_list(section["module_generators"]):
-            try:
-                gens.append(b_ring.parse(text))
-            except ParseError as exc:
-                raise InputError(f"module generator {text!r}: {exc}") from None
-        kwargs["module_generators"] = tuple(gens)
+        kwargs["module_generators"] = tuple(
+            _parse(text, b_ring, f"module generator {text!r}")
+            for text in _split_list(section["module_generators"]))
     if "fractions" in section:
         triples = []
         for entry in section["fractions"].split(";"):
@@ -188,13 +187,10 @@ def _parse_hints(section, a_ring: PolyRing, b_ring: PolyRing) -> Hints:
                 )
             gen_text, frac_text = entry.split(":", 1)
             num_text, den_text = frac_text.split("|", 1)
-            try:
-                gen = b_ring.parse(gen_text.strip())
-                num = a_ring.parse(num_text.strip())
-                den = a_ring.parse(den_text.strip())
-            except ParseError as exc:
-                raise InputError(f"fraction entry {entry!r}: {exc}") from None
-            triples.append((gen, num, den))
+            what = f"fraction entry {entry!r}"
+            triples.append((_parse(gen_text.strip(), b_ring, what),
+                            _parse(num_text.strip(), a_ring, what),
+                            _parse(den_text.strip(), a_ring, what)))
         kwargs["fractions"] = tuple(triples)
     for key in ("lpic_A_rank", "lpic_B_rank", "lpic_kernel_rank"):
         if key in section:
@@ -231,12 +227,8 @@ def load_extension(
             "[map] must give exactly one image per source variable; "
             f"expected {sorted(a_ring.variables)}, found {sorted(image_section)}"
         )
-    images = {}
-    for name in a_ring.variables:
-        try:
-            images[name] = b_ring.parse(image_section[name])
-        except ParseError as exc:
-            raise InputError(f"image of {name!r}: {exc}") from None
+    images = {name: _parse(image_section[name], b_ring, f"image of {name!r}")
+              for name in a_ring.variables}
     hints = (
         _parse_hints(description["hints"], a_ring, b_ring)
         if "hints" in description else Hints()

@@ -189,12 +189,16 @@ class LaurentUnitDecomposition:
 
     def recompose(self) -> LaurentElement:
         base = self.element.base
-        t_block = LaurentElement(base, {})
-        for e, n in zip(self.idempotents, self.exponents):
-            t_block = t_block + LaurentElement(base, {n: e})
-        return (
-            LaurentElement.constant(base, self.u0) * t_block * self.p_part * self.q_part
-        )
+        t_block = _t_block(base, self.idempotents, self.exponents)
+        return LaurentElement.constant(base, self.u0) * t_block * self.p_part * self.q_part
+
+
+def _t_block(base: FiniteAlgebra, idempotents, exponents) -> LaurentElement:
+    """The sum of e * t^n over the idempotents e and their exponents n."""
+    coeffs: dict = {}
+    for e, n in zip(idempotents, exponents):
+        coeffs[n] = base.add(coeffs[n], e) if n in coeffs else e
+    return LaurentElement(base, coeffs)
 
 
 class NotAUnit(CartierlabError):
@@ -238,10 +242,7 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
         raise NotAUnit(f"{x} is not a unit of the Laurent extension")
     decomp, red, exponents = found
     base = x.base
-    t_unshift = LaurentElement(base, {})
-    for e, n in zip(decomp.idempotents, exponents):
-        t_unshift = t_unshift + LaurentElement(base, {-n: e})
-    y = x * t_unshift
+    y = x * _t_block(base, decomp.idempotents, [-n for n in exponents])
     u0 = y.coefficient(0)
     z = y.scale_elem(_base_inverse(base, u0, "constant term must be a unit after unshifting"))
     # peel the negative-degree nilpotent tail

@@ -8,7 +8,12 @@
 
 Tokens are ASCII: an integer is `[0-9]+` and an identifier
 `[A-Za-z][A-Za-z0-9_]*`, the rule `PolyRing` applies to variable names. Any
-other character outside whitespace is an error. Whitespace is insignificant;
+other character outside whitespace is an error. `_tokenize` returns one
+tuple (kind, word, position) per token, kind being "int", "ident" or the
+operator character itself, and ends the list with ("end", "", len(text)).
+The descent reads the list by index and moves past a token it requires
+through `take(kind)`, whose refusal names the kind it expected and the word
+it found. Whitespace is insignificant;
 implicit multiplication is rejected. Division appears only inside rational
 literals. Exponents are nonnegative integers except where an evaluator
 explicitly permits negative ones (Laurent input). Parentheses nest at most
@@ -36,30 +41,21 @@ from .rings import Polynomial, PolyRing, add_terms, mul_terms, neg_terms
 MAX_NESTING = 100
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
 # Whitespace, then one token; a character that starts none is `bad`.
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
         word, pos = match.group(kind), match.start(kind)
         if kind == "bad":
             raise ParseError(f"unexpected character {word!r}", text, pos)
-        tokens.append(_Token(word if kind == "op" else kind, word, pos))
-    tokens.append(_Token("end", "", len(text)))
+        tokens.append((word if kind == "op" else kind, word, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -71,43 +67,36 @@ class _Parser:
         self.ev = evaluator
         self.depth = 0  # of the parentheses open at the current token
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+    def take(self, kind: str) -> tuple[str, str, int]:
+        """The current token, which must be of this kind, and move past it."""
+        token = self.tokens[self.i]
+        if token[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {token[1]!r}", self.text, token[2])
         self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", self.text, tok.pos)
-        return self.advance()
+        return token
 
     def parse(self):
         value = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", self.text, tok.pos)
+        kind, word, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected {word!r}", self.text, pos)
         return value
 
     def expr(self):
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
+        ev, tokens = self.ev, self.tokens
+        negate = tokens[self.i][0] == "-"
+        self.i += negate
         value = self.term()
         if negate:
-            value = self.ev.neg(value)
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
+            value = ev.neg(value)
+        while (op := tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
             rhs = self.term()
-            value = self.ev.add(value, rhs) if op.kind == "+" else self.ev.sub(value, rhs)
+            value = ev.add(value, rhs) if op == "+" else ev.sub(value, rhs)
         return value
 
     def term(self):
-        ev = self.ev
+        ev, tokens = self.ev, self.tokens
         monomial = value = None  # the folded atoms; the product of the other factors
         while True:
             grouped, factor = self.factor()
@@ -115,14 +104,14 @@ class _Parser:
                 monomial = factor if monomial is None else ev.monomial_mul(monomial, factor)
             else:
                 value = factor if value is None else ev.mul(value, factor)
-            tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
-            elif tok.kind == "/":
+            kind, _, pos = tokens[self.i]
+            if kind == "*":
+                self.i += 1
+            elif kind == "/":
                 raise ParseError("division is allowed only between integer literals",
-                                 self.text, tok.pos)
-            elif tok.kind in ("ident", "int", "("):
-                raise ParseError("implicit multiplication is not allowed", self.text, tok.pos)
+                                 self.text, pos)
+            elif kind in ("ident", "int", "("):
+                raise ParseError("implicit multiplication is not allowed", self.text, pos)
             else:
                 break
         if monomial is None:
@@ -133,50 +122,44 @@ class _Parser:
     def factor(self):
         """(grouped, value): an atom, raised to a nonnegative power, stays a
         monomial (grouped False); anything else is a value."""
-        grouped = self.peek().kind == "("
+        ev, tokens = self.ev, self.tokens
+        grouped = tokens[self.i][0] == "("
         value = self.base()
-        if self.peek().kind == "^":
-            self.advance()
-            sign = 1
-            if self.peek().kind == "-" and self.ev.allow_negative_exponents:
-                self.advance()
-                sign = -1
-            tok = self.expect("int")
-            n = sign * int(tok.text)
+        if tokens[self.i][0] == "^":
+            self.i += 1
+            negative = tokens[self.i][0] == "-" and ev.allow_negative_exponents
+            self.i += negative
+            _, word, pos = self.take("int")
+            n = -int(word) if negative else int(word)
             if n < 0 and not grouped:  # a negative power is a value of its own
-                value, grouped = self.ev.from_monomial(value), True
-            power = self.ev.pow if grouped else self.ev.monomial_pow
-            value = power(value, n, self.text, tok.pos)
+                value, grouped = ev.from_monomial(value), True
+            power = ev.pow if grouped else ev.monomial_pow
+            value = power(value, n, self.text, pos)
         return grouped, value
 
     def base(self):
-        tok = self.peek()
-        if tok.kind == "(":
+        kind, word, pos = self.tokens[self.i]
+        self.i += 1
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 self.text, tok.pos)
+                                 self.text, pos)
             self.depth += 1
-            self.advance()
             value = self.expr()
-            self.expect(")")
+            self.take(")")
             self.depth -= 1
             return value
-        if tok.kind == "int":
-            self.advance()
-            numerator = int(tok.text)
-            if self.peek().kind == "/":
-                self.advance()
-                den = self.expect("int")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", self.text, den.pos)
-                return self.ev.from_fraction(
-                    Fraction(numerator, int(den.text)), self.text, tok.pos
-                )
-            return self.ev.from_fraction(Fraction(numerator), self.text, tok.pos)
-        if tok.kind == "ident":
-            self.advance()
-            return self.ev.variable(tok.text, self.text, tok.pos)
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", self.text, tok.pos)
+        if kind == "int":
+            if self.tokens[self.i][0] != "/":
+                return self.ev.from_fraction(Fraction(int(word)), self.text, pos)
+            self.i += 1
+            _, den, den_pos = self.take("int")
+            if int(den) == 0:
+                raise ParseError("zero denominator", self.text, den_pos)
+            return self.ev.from_fraction(Fraction(int(word), int(den)), self.text, pos)
+        if kind == "ident":
+            return self.ev.variable(word, self.text, pos)
+        raise ParseError(f"unexpected {word or 'end of input'!r}", self.text, pos)
 
 
 def parse_with_evaluator(text: str, evaluator: PolynomialEvaluator):
@@ -234,7 +217,7 @@ class PolynomialEvaluator:
         return mul_terms(self.field, a, b)
 
     def pow(self, a, n, text, pos):
-        # n >= 0: without allow_negative_exponents, `^-` fails at expect("int")
+        # n >= 0: without allow_negative_exponents, `^-` fails at take("int")
         return (Polynomial._make(self.ring, a) ** n)._terms
 
 

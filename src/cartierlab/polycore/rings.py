@@ -198,11 +198,6 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {exps: c})
 
-    def parse(self, text: str) -> "Polynomial":
-        from .parse import parse_polynomial
-
-        return parse_polynomial(text, self)
-
     # -- structure ----------------------------------------------------------
 
     def nvars(self) -> int:

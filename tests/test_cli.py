@@ -679,6 +679,15 @@ def test_command_refusals_are_input_errors(capsys, argv, message):
     assert err == f"input error: {message}\n"
 
 
+def test_human_report_ends_with_its_warnings(capsys):
+    """Without --json the warnings follow the entries, one line each."""
+    code, out, err = run_cli(capsys, "check", "--assume-injective", "--pair-budget", "1",
+                             corpus_path("node.ext"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "warning: injectivity assumed: elimination exceeded the pair budget")
+
+
 def _corpus_with(name, pattern, replacement):
     with open(corpus_path(name), encoding="utf-8") as handle:
         return re.sub(pattern, replacement, handle.read(), flags=re.M)
@@ -725,6 +734,8 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
      "input error: image of 'y': unexpected 'end of input' at position 5: 't^3 +'\n"),
     (_corpus_with("node.rankdata", r"^c_A = 1$", "c_A = one"), ["li", "<path>"], 2,
      "input error: [rankdata] entries must be integers\n"),
+    (_corpus_with("node.rankdata", r"^c_A = 1$", "c_A = -1"), ["li", "<path>"], 2,
+     "input error: rank data entries must be nonnegative\n"),
     (FREE_PLANE, ["check", "<path>", "--pair-budget", "0"], 2,
      "error: pair budget must be positive\n"),
     (_corpus_with("node.rankdata", r"\Z", "\n[hints]\nfinite = true\n"), ["li", "<path>"], 2,
@@ -755,6 +766,7 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
         "generic-stalk-of-the-cusp-without-hints", "ring-section-without-vars",
         "unknown-hint-key", "module-generator-parse-error", "fraction-entry-parse-error",
         "lpic-rank-not-an-integer", "map-image-parse-error", "rankdata-entry-not-an-integer",
+        "rankdata-entry-negative",
         "pair-budget-zero", "rankdata-with-an-extra-section", "ring-with-an-extra-section",
         "relation-nested-past-the-limit", "laurent-nested-past-the-limit",
         "relation-with-an-unopened-parenthesis", "relation-with-a-zero-denominator",
@@ -762,7 +774,8 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
 def test_command_reachable_refusals(capsys, tmp_path, text, argv, code, expected):
     """A missing hint gives rank Unknown with its reason; a prime that is not
     zero-dimensional, a generic stalk that no rule certifies, a malformed
-    entry or an extra section in a description file, a stray ')', a zero
+    entry or an extra section in a description file, a negative rank-data
+    entry, a stray ')', a zero
     denominator (in the integers, or in F_p for a Laurent expression),
     parentheses nested past the parser's limit, and a pair
     budget below one are refused as bad input. `<path>` stands for the

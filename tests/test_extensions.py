@@ -348,9 +348,10 @@ def test_conductor_is_certified_on_monomials_spanning_the_target():
     assert [str(m) for m in _spanning_monomials(ext)] == ["1", "t", "t^2"]
     # (t + 1)^2 alone: the colon (x) : y is the maximal ideal, and every
     # generator of it times 1 and (t + 1)^2 lies in A, but x * t does not
-    u2 = ext.b_ring.parse("(t + 1)^2")
+    u2 = parse_polynomial("(t + 1)^2", ext.b_ring)
     hints = Hints(finite=True, birational=True, module_generators=(ext.b_ring.one(), u2),
-                  fractions=((u2, ext.a_ring.parse("y"), ext.a_ring.parse("x")),))
+                  fractions=((u2, parse_polynomial("y", ext.a_ring),
+                              parse_polynomial("x", ext.a_ring)),))
     wrong = ExtensionPresentation(ext.a_ring, ext.a_ideal, ext.b_ideal,
                                   ext.images, hints)
     for call in (conductor, reduce_mod_conductor):

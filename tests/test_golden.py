@@ -35,7 +35,8 @@ import pytest
 from cartierlab.cli import main
 from cartierlab.corpus import corpus_path
 from cartierlab.errors import PairBudgetExceeded
-from cartierlab.polycore import GREVLEX, LEX, MonomialOrder, Polynomial, PolyRing, PrimeField, QQ
+from cartierlab.polycore import (GREVLEX, LEX, MonomialOrder, Polynomial, PolyRing, PrimeField,
+                                 QQ, parse_polynomial)
 from cartierlab.polycore.groebner import buchberger
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -104,7 +105,7 @@ def basis_cases():
         for order in orders:
             ring = PolyRing(field, ("x", "y", "z"), order)
             for texts in CLASSIC_IDEALS:
-                cases.append((ring, [ring.parse(t) for t in texts]))
+                cases.append((ring, [parse_polynomial(t, ring) for t in texts]))
     return cases
 
 

@@ -167,8 +167,8 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
     assert power == parse_polynomial("t^4 + 4*t^3 + 6*t^2 + 4*t + 1", base.ring)
 
     ring = PolyRing(QQ, ["e"], GREVLEX)
-    alg = FiniteAlgebra(Ideal(ring, [ring.parse("e^5")]))
-    a = alg.from_poly(ring.parse("1 + 2*e"))
+    alg = FiniteAlgebra(Ideal(ring, [parse_polynomial("e^5", ring)]))
+    a = alg.from_poly(parse_polynomial("1 + 2*e", ring))
     expected = repeated(alg.mul, alg.one(), a, 4)
     calls = counted(FiniteAlgebra, "mul")
     assert alg.pow(a, 4) == expected
@@ -260,3 +260,58 @@ else:
         parsed = parse_polynomial(text, ring)
         assert parsed.terms() == expected.terms()
         assert not any(ring.field.is_zero(c) for c in parsed.terms().values())
+
+
+
+_DEEP = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+
+
+def _laurent_over_dual_numbers(text):
+    from cartierlab.artinian import FiniteAlgebra
+    from cartierlab.laurent import parse_laurent
+    from cartierlab.polycore import Ideal
+
+    ring = PolyRing(QQ, ["eps"], GREVLEX)
+    return parse_laurent(text, FiniteAlgebra(Ideal(ring, [parse_polynomial("eps^2", ring)])))
+
+
+_READERS = {
+    "QQ": lambda text: parse_polynomial(text, ring_xy()),
+    "F7": lambda text: parse_polynomial(text, RINGS["F7"]),
+    "laurent": _laurent_over_dual_numbers,
+}
+
+
+@pytest.mark.parametrize("reader, text, message, position", [
+    ("QQ", "x @ y", "unexpected character '@'", 2),
+    ("QQ", "(x + y", "expected ')', found ''", 6),
+    ("QQ", "x^y", "expected 'int', found 'y'", 2),
+    ("QQ", "1/x", "expected 'int', found 'x'", 2),
+    ("QQ", "x)", "unexpected ')'", 1),
+    ("QQ", "x/2", "division is allowed only between integer literals", 1),
+    ("QQ", "2x", "implicit multiplication is not allowed", 1),
+    ("QQ", "x(y)", "implicit multiplication is not allowed", 1),
+    ("QQ", _DEEP, f"parentheses nested deeper than {MAX_NESTING}", MAX_NESTING),
+    ("QQ", "x + 1/0", "zero denominator", 6),
+    ("F7", "1/7*x", "denominator divisible by 7", 0),
+    ("QQ", "x +", "unexpected 'end of input'", 3),
+    ("QQ", "", "unexpected 'end of input'", 0),
+    ("QQ", "x + z", "unknown variable 'z'", 4),
+    ("QQ", "x^-1", "expected 'int', found '-'", 2),
+    ("laurent", "eps^-1", "eps is not a unit, so it has no negative powers", 5),
+    ("laurent", "(1 + t)^-1", "negative powers only of single-term units", 9),
+    ("laurent", "t^-1^-1", "unexpected '^'", 4),
+], ids=["bad-character", "expected-close", "expected-exponent", "expected-denominator",
+        "trailing-token", "slash-outside-a-literal", "implicit-literal-times-name",
+        "implicit-name-times-group", "nested-past-the-limit", "zero-denominator",
+        "denominator-zero-in-the-field", "end-of-input", "empty-input", "unknown-variable",
+        "negative-exponent-outside-laurent", "laurent-non-unit-power",
+        "laurent-power-of-a-sum", "laurent-trailing-caret"])
+def test_parse_refusals(reader, text, message, position):
+    """Each refusal of the descent and of its evaluators, with its message
+    and position: polynomials in QQ[x, y] or F_7[x, y], and Laurent input
+    over QQ[eps]/(eps^2)."""
+    with pytest.raises(ParseError) as err:
+        _READERS[reader](text)
+    assert str(err.value) == f"{message} at position {position}: {text!r}"
+    assert err.value.position == position
