@@ -3,6 +3,9 @@
 `FiniteAlgebra(ideal)` carries the monomial staircase basis (`staircase`,
 ascending in the ring's order) and the multiplication table of
 A = ideal.ring/ideal.
+`FiniteAlgebra.monomial` alone reduces a monomial into the staircase, once
+per exponent while the algebra lives; the multiplication table, `from_poly`
+and the Laurent evaluator of `laurent` read it.
 Connected components are counted on the reduced algebra A_red, which the
 squarefree parts of the variables' minimal polynomials present (Seidenberg).
 An algebra computes those minimal polynomials and their squarefree parts
@@ -44,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     CartierlabError,
@@ -79,9 +83,12 @@ class FiniteAlgebra:
         self.basis = tuple(basis)
         self.dim = len(basis)
         self._index = {exp: i for i, exp in enumerate(basis)}
+        self._product_degree = max(1, 2 * max(map(sum, basis)))  # of two staircase monomials
+        # write-once: the reduced monomials, the basis products by index, the
+        # variables' minimal polynomials and their squarefree parts, A_red,
+        # and the certified splitting
+        self._monomials: dict[tuple, tuple] = {}
         self._table: dict[tuple[int, int], tuple] = {}
-        # write-once: the variables' minimal polynomials and their squarefree
-        # parts, A_red, and the certified splitting
         self._minimal_polynomials: list[tuple] | None = None
         self._squarefree_parts: list[tuple] | None = None
         self._reduced: FiniteAlgebra | None = None
@@ -100,11 +107,31 @@ class FiniteAlgebra:
             self.field.one() if j == i else self.field.zero() for j in range(self.dim)
         )
 
+    def monomial(self, exp: tuple) -> tuple:
+        """x^exp as its nonzero (index, coefficient) pairs, computed once per
+        exponent. Up to the degree of a product of two staircase monomials
+        it is one normal form. Past it, which only a power of an atom such
+        as e^1000 reaches, it is the product of the variables' binary powers:
+        work in the exponents' bits, not a division step a degree."""
+        pairs = self._monomials.get(exp)
+        if pairs is None:
+            if sum(exp) <= self._product_degree:
+                nf = self.ideal.normal_form(Polynomial._make(self.ring, {exp: self.field.one()}))
+                pairs = tuple(sorted((self._index[e], c) for e, c in nf._terms.items()))
+            else:
+                value = reduce(self.mul, [self.pow(self.variable_element(v), e)
+                                          for v, e in zip(self.ring.variables, exp) if e])
+                pairs = tuple((i, c) for i, c in enumerate(value) if not self.field.is_zero(c))
+            self._monomials[exp] = pairs
+        return pairs
+
     def from_poly(self, f: Polynomial) -> tuple:
-        nf = self.ideal.normal_form(f)
-        coords = [self.field.zero()] * self.dim
-        for exp, c in nf.terms().items():
-            coords[self._index[exp]] = c
+        """f's coordinates: its monomials' coordinates summed (normal forms are linear)."""
+        field = self.field
+        coords = [field.zero()] * self.dim
+        for exp, c in f._terms.items():
+            for i, s in self.monomial(exp):
+                coords[i] = field.add(coords[i], field.mul(c, s))
         return tuple(coords)
 
     def to_poly(self, a: tuple) -> Polynomial:
@@ -128,10 +155,8 @@ class FiniteAlgebra:
             i, j = j, i
         cached = self._table.get((i, j))
         if cached is None:
-            exp = tuple(a + b for a, b in zip(self.basis[i], self.basis[j]))
-            nf = self.ideal.normal_form(self.ring.monomial(exp, self.field.one()))
-            cached = tuple(sorted((self._index[e], c) for e, c in nf.terms().items()))
-            self._table[(i, j)] = cached
+            cached = self._table[(i, j)] = self.monomial(
+                tuple(a + b for a, b in zip(self.basis[i], self.basis[j])))
         return cached
 
     def mul(self, a: tuple, b: tuple) -> tuple:
@@ -156,22 +181,24 @@ class FiniteAlgebra:
         return all(self.field.is_zero(c) for c in a)
 
     def eval_upoly(self, coeffs: tuple, a: tuple) -> tuple:
-        """Evaluate a univariate coefficient tuple at a by Horner's rule: a
-        polynomial of degree d costs d - 1 products, the top step a scaling."""
-        if len(coeffs) < 2:
-            return self.scalar(coeffs[0]) if coeffs else self.zero()
+        """Evaluate a univariate coefficient tuple of degree d >= 1 at a by
+        Horner's rule: d - 1 products, the top step a scaling."""
         acc = self.scale(coeffs[-1], a)
         for c in reversed(coeffs[1:-1]):
             acc = self.mul(self.add(acc, self.scalar(c)), a)
         return self.add(acc, self.scalar(coeffs[0]))
 
     def inverse(self, a: tuple) -> tuple:
+        """a^-1: a scalar in the field, anything else from its minimal
+        polynomial m, of degree >= 2. A non-unit raises ZeroDivisionError."""
+        field = self.field
+        if all(map(field.is_zero, a[1:])):
+            return self.scalar(field.inv(a[0]))
         m = minimal_polynomial(self, a)
-        if self.field.is_zero(m[0]):
+        if field.is_zero(m[0]):
             raise ZeroDivisionError("element is not a unit")
-        tail = tuple(m[1:])  # m(a) = 0  =>  a * tail(a) = -m[0]
-        scale = self.field.neg(self.field.inv(m[0]))
-        return self.scale(scale, self.eval_upoly(tail, a))
+        # m(a) = 0  =>  a * m[1:](a) = -m[0]
+        return self.scale(field.neg(field.inv(m[0])), self.eval_upoly(m[1:], a))
 
     def variable_element(self, name: str) -> tuple:
         return self.from_poly(self.ring.variable(name))
@@ -265,16 +292,12 @@ class _Splitting:
 
 
 def _hensel_idempotent(alg: FiniteAlgebra, h: tuple) -> tuple:
-    for _ in range(alg.dim + 2):
+    three, two = alg.field.from_int(3), alg.field.from_int(2)
+    for _ in range(alg.dim + 3):
         square = alg.mul(h, h)
         if square == h:
             return h
-        # h <- 3h^2 - 2h^3
-        three = alg.field.from_int(3)
-        two = alg.field.from_int(2)
-        h = alg.sub(alg.scale(three, square), alg.scale(two, alg.mul(square, h)))
-    if alg.mul(h, h) == h:
-        return h
+        h = alg.sub(alg.scale(three, square), alg.scale(two, alg.mul(square, h)))  # 3h^2 - 2h^3
     raise CartierlabError("idempotent lifting failed to converge")  # pragma: no cover
 
 

@@ -16,7 +16,6 @@ one-variable subring of B, at the generic point it is Unknown.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .artinian import (
@@ -556,8 +555,10 @@ def decomposition_terms(n: int) -> dict[str, int]:
     terms = {"I": 1}
     if n:
         terms["L"] = n
-    for i in range(1, n + 1):
-        terms[f"N^{i}"] = (2**i) * math.comb(n, i)
+    term = 1
+    for i in range(1, n + 1):  # 2^i C(n, i) = 2^(i-1) C(n, i-1) * 2(n - i + 1)/i
+        term = term * 2 * (n - i + 1) // i
+        terms[f"N^{i}"] = term
     return terms
 
 

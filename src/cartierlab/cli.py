@@ -143,11 +143,10 @@ def cmd_check(args) -> tuple[dict, int]:
 def cmd_stalks(args) -> tuple[dict, int]:
     digest, description = _read_input(args.file)
     ext = load_extension(args.file, args.assume_injective, description)
-    if not args.primes and not args.generic:
+    primes = _parse_primes(ext, args.primes)
+    if not primes and not args.generic:
         raise InputError("stalks needs --primes and/or --generic")
-    entries = []
-    for prime in _parse_primes(ext, args.primes or ""):
-        entries.append(_stalk_entry(stalk_rank(ext, prime)))
+    entries = [_stalk_entry(stalk_rank(ext, prime)) for prime in primes]
     if args.generic:
         entries.append(_stalk_entry(stalk_rank(ext, None)))
     return _report("stalks", entries, input_digest=digest), 0
@@ -253,11 +252,11 @@ def cmd_corpus(args) -> tuple[dict, int]:
 # -- output -----------------------------------------------------------------------
 
 
-def _print_human(report: dict) -> None:
+def _human(report: dict) -> str:
     header = f"{report['tool']} {report['version']} :: {report['command']}"
-    print(header)
+    lines = [header]
     if report.get("input_digest"):
-        print(f"input: {report['input_digest']}")
+        lines.append(f"input: {report['input_digest']}")
     if report["command"] == "corpus":
         for row in report["results"]:
             line = (
@@ -266,26 +265,24 @@ def _print_human(report: dict) -> None:
             )
             if row.get("note"):
                 line += f"  [{row['note']}]"
-            print(line)
+            lines.append(line)
     else:
         for entry in report["results"]:
-            print("-" * len(header))
+            lines.append("-" * len(header))
             for key, value in entry.items():
                 if isinstance(value, dict):
-                    print(f"{key}:")
-                    for k, v in value.items():
-                        print(f"  {k}: {v}")
+                    lines.append(f"{key}:")
+                    lines.extend(f"  {k}: {v}" for k, v in value.items())
                 else:
-                    print(f"{key}: {value}")
-    for warning in report["warnings"]:
-        print(f"warning: {warning}")
+                    lines.append(f"{key}: {value}")
+    lines.extend(f"warning: {warning}" for warning in report["warnings"])
+    return "\n".join(lines) + "\n"
 
 
 def emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        _print_human(report)
+    """Write the report in one piece: one that cannot be written writes nothing."""
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n" if as_json
+                     else _human(report))
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -388,8 +385,15 @@ def main(argv=None) -> int:
     set_default_pair_budget(budget)
     try:
         report, code = args.func(args)
+        emit(report, args.json)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # only an integer past Python's digit limit for text
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"resource limit: an integer has more than {sys.get_int_max_str_digits()} digits, "
+              "Python's int/text conversion limit (sys.get_int_max_str_digits())", file=sys.stderr)
         return 3
     except (InputError, ParseError, WellDefinednessError, InjectivityError, NotPrime) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -399,7 +403,6 @@ def main(argv=None) -> int:
         return 2
     finally:
         set_default_pair_budget(previous_budget)
-    emit(report, args.json)
     return code
 
 

@@ -67,7 +67,9 @@ class MissingHints(CartierlabError):
 
 
 class CertificateFailure(CartierlabError):
-    """Internal cross-check failed; indicates a bug, never bad input."""
+    """A check behind a certified answer failed: a wrong hint (`fractions`,
+    `finite`, `module_generators`, named in the message) or, where the check
+    tests the engine's own arithmetic, a bug."""
 
 
 class DegenerateExtension(CartierlabError):

@@ -9,7 +9,6 @@ boundary map on the unit group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .artinian import (
     FiniteAlgebra,
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .polycore.fields import square_and_multiply
 from .polycore.parse import PolynomialEvaluator, parse_with_evaluator
-from .polycore.rings import PolyRing, add_terms, mul_terms
+from .polycore.rings import PolyRing, mul_terms
 
 
 def _times(base: FiniteAlgebra, one: tuple, a: tuple, b: tuple) -> tuple:
@@ -99,14 +98,12 @@ class LaurentElement:
             if len(self.coeffs) != 1:
                 raise CartierlabError("negative powers only of single-term units")
             (deg, c), = self.coeffs.items()
-            base, field = self.base, self.base.field
-            try:  # a constant is inverted in the field, anything else from its minimal polynomial
-                inv_c = (base.scalar(field.inv(c[0])) if all(map(field.is_zero, c[1:]))
-                         else base.inverse(c))
+            try:
+                inv_c = self.base.inverse(c)
             except ZeroDivisionError:
                 raise CartierlabError(
                     f"{self} is not a unit, so it has no negative powers") from None
-            return LaurentElement(base, {-deg: inv_c}) ** (-n)
+            return LaurentElement(self.base, {-deg: inv_c}) ** (-n)
         return square_and_multiply(self, n, LaurentElement.one(self.base),
                                    LaurentElement.__mul__)
 
@@ -223,7 +220,7 @@ def _unipotent_inverse(x: LaurentElement) -> LaurentElement:
 
 
 def _base_inverse(base: FiniteAlgebra, c: tuple, failure: str) -> tuple:
-    """c^-1 in the base, from one minimal polynomial; a non-unit raises
+    """c^-1 in the base, by `FiniteAlgebra.inverse`; a non-unit raises
     CertificateFailure(failure)."""
     try:
         return base.inverse(c)
@@ -244,28 +241,23 @@ def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
     base = x.base
     y = x * _t_block(base, decomp.idempotents, [-n for n in exponents])
     u0 = y.coefficient(0)
-    z = y.scale_elem(_base_inverse(base, u0, "constant term must be a unit after unshifting"))
+    r = y.scale_elem(_base_inverse(base, u0, "constant term must be a unit after unshifting"))
     # peel the negative-degree nilpotent tail
-    q_total = LaurentElement.one(base)
-    r = z
+    q_part = LaurentElement.one(base)
     for _ in range(base.dim + 2):
         negative = LaurentElement(base, {n: c for n, c in r.coeffs.items() if n < 0})
         if negative.is_zero():
             break
         factor = LaurentElement.one(base) + negative
-        q_total = q_total * factor
+        q_part = q_part * factor
         r = r * _unipotent_inverse(factor)
     else:
         raise CertificateFailure("tail splitting did not terminate")  # pragma: no cover
-    # normalize constant terms to 1, absorbing the units into u0
+    # q_part, a product of 1 + (negative degrees), has constant term one; p0 goes into u0
     p0 = r.coefficient(0)
-    q0 = q_total.coefficient(0)
     p_part = r.scale_elem(_base_inverse(base, p0, "tail constant terms must be units"))
-    q_part = q_total.scale_elem(_base_inverse(base, q0, "tail constant terms must be units"))
-    one = base.one()
-    u0_total = _times(base, one, u0, _times(base, one, p0, q0))
     result = LaurentUnitDecomposition(
-        x, u0_total, decomp.idempotents, tuple(exponents), p_part, q_part
+        x, _times(base, base.one(), u0, p0), decomp.idempotents, tuple(exponents), p_part, q_part
     )
     # exact certificates
     if result.recompose() != x:
@@ -289,7 +281,8 @@ class _LaurentEvaluator(PolynomialEvaluator):
     """Term maps over the base's variables and t, the last exponent. Every
     product, the folded monomials aside, leaves only monomials of the base's
     staircase, which bounds the maps; before a negative power and when the
-    parse ends (`element`), the coefficients are reduced so as well."""
+    parse ends (`element`), the coefficients are reduced so as well. The
+    base reduces each monomial once, in `FiniteAlgebra.monomial`."""
 
     allow_negative_exponents = True
 
@@ -299,40 +292,17 @@ class _LaurentEvaluator(PolynomialEvaluator):
                              f"symbol of the base {base.ring.describe()}")
         super().__init__(PolyRing(base.field, base.ring.variables + ("t",)))
         self.base = base
-        # a product of two staircase monomials has at most twice the top degree
-        self._product_degree = 2 * max(map(sum, base.basis))
 
     def _reduce(self, terms: dict) -> dict:
-        """terms with every monomial of the base outside its staircase
-        replaced by its normal form: one normal form per distinct monomial,
-        in however many t-coefficients it stands."""
-        index = self.base._index
-        if all(exp[:-1] in index for exp in terms):
-            return terms
+        """terms with each base monomial outside the staircase replaced by its coordinates."""
+        base, field = self.base, self.field
         out: dict = {}
-        uses: dict = {}  # monomial of the base -> its t-coefficients, as a map in t
-        no_base = self.ring._zero_exp[:-1]
         for exp, c in terms.items():
-            if exp[:-1] not in index:
-                uses.setdefault(exp[:-1], {})[no_base + exp[-1:]] = c
-            else:
-                out[exp] = c
-        for exp, in_t in uses.items():
-            out = add_terms(self.field, out, mul_terms(self.field, in_t, self._normal_form(exp)))
-        return out
-
-    def _normal_form(self, exp: tuple) -> dict:
-        """The normal form of the base's monomial exp, as a term map in t^0.
-        Past the degree of a product, which only a power of an atom such as
-        e^1000 reaches, it is the product of the variables' binary powers in
-        the base: work in the exponents' bits, not a division step a degree."""
-        base = self.base
-        if sum(exp) <= self._product_degree:
-            nf = base.ideal.normal_form(base.ring.monomial(exp, self.field.one()))
-            return {e + (0,): c for e, c in nf._terms.items()}
-        value = reduce(base.mul, [base.pow(base.variable_element(v), e)
-                                  for v, e in zip(base.ring.variables, exp) if e])
-        return {e + (0,): c for e, c in zip(base.basis, value) if not self.field.is_zero(c)}
+            pairs = ((exp, c),) if exp[:-1] in base._index else (
+                (base.basis[i] + exp[-1:], field.mul(c, s)) for i, s in base.monomial(exp[:-1]))
+            for e, s in pairs:
+                out[e] = field.add(out.get(e, field.zero()), s)
+        return {exp: c for exp, c in out.items() if not field.is_zero(c)}
 
     def mul(self, a, b):
         return self._reduce(mul_terms(self.field, a, b))

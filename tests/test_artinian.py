@@ -34,11 +34,13 @@ from cartierlab.polycore import (
     Ideal,
     PolyRing,
     PrimeField,
+    Polynomial,
     QQ,
     parse_polynomial,
 )
 from cartierlab.polycore import unipoly as up
 from cartierlab.polycore.factor import verify_irreducible
+from cartierlab.polycore.fields import RationalFunctionField
 from cartierlab.polycore.linalg import first_dependence
 
 
@@ -720,3 +722,81 @@ def test_krylov_sequence_stops_at_the_first_dependence(monkeypatch):
         calls.clear()
         assert minimal_polynomial(alg, element) == expected
         assert len(calls) == len(expected) - 2
+
+
+def _normal_form_coordinates(alg, f):
+    """The coordinates of f from one normal form of the whole polynomial."""
+    coords = [alg.field.zero()] * alg.dim
+    for exp, c in alg.ideal.normal_form(f).terms().items():
+        coords[alg._index[exp]] = c
+    return tuple(coords)
+
+
+def _coefficient(rng, field):
+    if field is QQ:
+        return field.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    c = field.from_int(rng.randint(-5, 5))
+    if isinstance(field, RationalFunctionField):
+        c = field.add(c, field.mul(field.from_int(rng.randint(-3, 3)), field.variable_element()))
+    return c
+
+
+MONOMIAL_ALGEBRAS = [
+    (QQ, ["x", "y"], ["x^3 - 2", "y^2 - x*y - 1"]),
+    (PrimeField(7), ["x", "y"], ["x^3 - x - 1", "y^2 - x*y - 2"]),
+    (RationalFunctionField(QQ, "v"), ["x", "y"], ["x^2 - v", "y^3 - x"]),
+]
+
+
+@pytest.mark.parametrize("field, variables, relations", MONOMIAL_ALGEBRAS,
+                         ids=["qq", "f7", "qq-v"])
+def test_monomial_is_the_normal_form(field, variables, relations):
+    """`monomial(exp)` gives the normal form's coordinates of x^exp, below,
+    at and past the degree of a product of two staircase monomials, where
+    binary powers of the variables take over (each exponent there nonzero,
+    so a power left out shows); `from_poly` gives those of a whole
+    polynomial."""
+    alg = algebra(field, variables, relations)
+    rng = random.Random(len(alg.basis) * 31 + field.characteristic)
+    top = alg._product_degree
+    exps = [(i, d - i) for d in range(top + 3) for i in range(d + 1)]
+    exps += [(rng.randint(1, 200), rng.randint(1, 200)) for _ in range(4)]
+    exps.append((1000, rng.randint(1, 20)))
+    assert any(sum(e) == top for e in exps) and max(map(max, exps)) >= 1000
+    for exp in exps:
+        expected = _normal_form_coordinates(alg, alg.ring.monomial(exp))
+        assert alg.monomial(exp) == tuple(
+            (i, c) for i, c in enumerate(expected) if not field.is_zero(c)), exp
+    for _ in range(20):
+        f = Polynomial(alg.ring, {
+            (rng.randint(0, top + 2), rng.randint(0, top + 2)): _coefficient(rng, field)
+            for _ in range(rng.randint(0, 6))})
+        assert alg.from_poly(f) == _normal_form_coordinates(alg, f)
+
+
+def test_monomial_runs_one_normal_form_per_exponent(monkeypatch):
+    alg = algebra(QQ, ["x", "y"], ["x^3 - 2", "y^2 - x*y - 1"])
+    calls = []
+    original = Ideal.normal_form
+
+    def counting(self, f):
+        calls.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(Ideal, "normal_form", counting)
+    first = alg.monomial((2, 2))
+    assert alg.monomial((2, 2)) == first and len(calls) == 1
+    assert alg.from_poly(alg.ring.monomial((2, 2))) == alg.from_poly(alg.ring.monomial((2, 2)))
+    assert len(calls) == 1
+
+
+def test_components_over_subring_unknown_at_the_kv_factor_cap():
+    """QQ[x,y,z]/(y^3 - x, z^2 - 2) over x: over QQ(x) the factor search
+    hits its cap on y's minimal polynomial y^3 - x, which then cuts
+    nothing, and again on the degree-6 minimal polynomial of the primitive
+    element, so the count is Unknown. The ring is the domain QQ(√2)[y], so
+    complete factorization over k(v) (ROADMAP open item 2) will turn this
+    Unknown into the count 1."""
+    ring = PolyRing(QQ, ["x", "y", "z"], GREVLEX)
+    ideal = Ideal(ring, [parse_polynomial(t, ring) for t in ("y^3 - x", "z^2 - 2")])
+    assert components_over_subring(ideal, "x") is UNKNOWN

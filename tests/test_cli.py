@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from cartierlab import cli
 from cartierlab.cli import build_parser, main
 from cartierlab.corpus import corpus_path
 from cartierlab.polycore.parse import MAX_NESTING
@@ -679,6 +680,16 @@ def test_command_refusals_are_input_errors(capsys, argv, message):
     assert err == f"input error: {message}\n"
 
 
+def test_only_the_digit_limit_value_error_is_a_resource_limit(monkeypatch):
+    """Any other ValueError is a bug, so it leaves `main` as it came."""
+    def broken(n):
+        raise ValueError("not the digit limit")
+
+    monkeypatch.setattr(cli, "decomposition_terms", broken)
+    with pytest.raises(ValueError, match="^not the digit limit$"):
+        main(["terms", "--n", "1"])
+
+
 def test_human_report_ends_with_its_warnings(capsys):
     """Without --json the warnings follow the entries, one line each."""
     code, out, err = run_cli(capsys, "check", "--assume-injective", "--pair-budget", "1",
@@ -697,6 +708,8 @@ def _cusp_with(pattern, replacement):
     return _corpus_with("cusp.ext", pattern, replacement)
 
 
+DIGIT_LIMIT = (f"resource limit: an integer has more than {sys.get_int_max_str_digits()} digits, "
+               "Python's int/text conversion limit (sys.get_int_max_str_digits())\n")
 NESTED_X = "(" * 300 + "x" + ")" * 300
 NESTED_T = "(" * 300 + "t" + ")" * 300
 FREE_PLANE = ("[ring.A]\nfield = QQ\nvars = x, y\n\n[ring.B]\nfield = QQ\nvars = s, t\n\n"
@@ -760,6 +773,11 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
     ("[ring]\nfield = FP(7)\nvars = e\nrelations = e^2 - e\n",
      ["units", "--base", "<path>", "--laurent", "(1/7)*t"], 2,
      "input error: laurent expression: denominator divisible by 7 at position 1: '(1/7)*t'\n"),
+    (_corpus_with("node.ext", r"\Z", ""), ["stalks", "<path>", "--primes", ";"], 2,
+     "input error: stalks needs --primes and/or --generic\n"),
+    ("", ["terms", "--n", "9100"], 3, DIGIT_LIMIT),
+    (_corpus_with("nil_base.ring", r"\Z", ""),
+     ["units", "--base", "<path>", "--laurent", "2^20000*t"], 3, DIGIT_LIMIT),
 ], ids=["conductor-without-module-generators", "conductor-without-fractions",
         "stalk-at-a-prime-that-is-not-maximal", "generic-stalk-over-a-free-plane",
         "generic-stalk-over-a-source-that-is-no-domain",
@@ -770,16 +788,19 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
         "pair-budget-zero", "rankdata-with-an-extra-section", "ring-with-an-extra-section",
         "relation-nested-past-the-limit", "laurent-nested-past-the-limit",
         "relation-with-an-unopened-parenthesis", "relation-with-a-zero-denominator",
-        "laurent-with-a-denominator-zero-in-the-field"])
+        "laurent-with-a-denominator-zero-in-the-field", "stalks-with-only-empty-primes",
+        "terms-past-the-digit-limit", "laurent-coefficient-past-the-digit-limit"])
 def test_command_reachable_refusals(capsys, tmp_path, text, argv, code, expected):
     """A missing hint gives rank Unknown with its reason; a prime that is not
     zero-dimensional, a generic stalk that no rule certifies, a malformed
     entry or an extra section in a description file, a negative rank-data
     entry, a stray ')', a zero
     denominator (in the integers, or in F_p for a Laurent expression),
-    parentheses nested past the parser's limit, and a pair
-    budget below one are refused as bad input. `<path>` stands for the
-    file."""
+    parentheses nested past the parser's limit, a pair
+    budget below one and a `--primes` list with no prime are refused as bad
+    input. A report with an integer longer than Python converts to text
+    (the largest summand count of `terms --n 9100` has 4340 digits, and
+    2^20000 has 6021) exits 3 and prints nothing. `<path>` stands for the file."""
     path = tmp_path / "input.ext"
     path.write_text(text, encoding="utf-8")
     got, out, err = run_cli(capsys, *(str(path) if a == "<path>" else a for a in argv))
