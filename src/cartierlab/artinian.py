@@ -54,9 +54,8 @@ from .errors import (
     FactorSearchLimit,
     NotFiniteOverSubring,
     NotZeroDimensional,
-    ProbeExhausted,
-    RadicalUnavailable,
     UNKNOWN,
+    Uncertified,
     ZeroRingError,
 )
 from .polycore import unipoly as up
@@ -405,13 +404,6 @@ def _frobenius_kernel(alg: FiniteAlgebra) -> tuple:
     return tuple(tuple(v) for v in kernel_basis(field, rows))
 
 
-def _factors(field, m: tuple) -> tuple:
-    try:
-        return tuple(irreducible_factors(field, m))
-    except FactorSearchLimit as exc:
-        raise ProbeExhausted(f"a factor search hit its cap: {exc}") from None
-
-
 def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
     """The irreducible factors of the squarefree m, where alg = k[z]/(m)
     up to nilpotents.
@@ -462,14 +454,15 @@ def _factors_along_variables(alg: FiniteAlgebra, z: tuple, m: tuple) -> tuple:
                     cut.append((g, math.lcm(low, up.udeg(f))))
         pieces = cut
     return tuple(f for piece, low in pieces
-                 for f in ((piece,) if up.udeg(piece) < 2 * low else _factors(field, piece)))
+                 for f in ((piece,) if up.udeg(piece) < 2 * low
+                           else irreducible_factors(field, piece)))
 
 
 def _splitting(alg: FiniteAlgebra) -> _Splitting:
     """Certify the components of alg, from its variables' minimal
     polynomials, once per algebra.
 
-    Raises ProbeExhausted, naming the reason, when the count is not certified.
+    Raises Uncertified, naming the reason, when the count is not certified.
     """
     if alg._split is None:
         alg._split = _find_splitting(alg)
@@ -522,7 +515,7 @@ def _kernel_idempotents(split: _Splitting) -> list[tuple]:
         refined = []
         for unit in blocks:
             a = b if unit is one else alg.mul(b, unit)
-            factors = _factors(alg.field, _relative_minimal_polynomial(alg, unit, a))
+            factors = irreducible_factors(alg.field, _relative_minimal_polynomial(alg, unit, a))
             refined += _crt_idempotents(alg, factors, a, unit) if len(factors) > 1 else [unit]
         blocks = refined
     return blocks
@@ -531,8 +524,9 @@ def _kernel_idempotents(split: _Splitting) -> list[tuple]:
 def idempotent_decomposition(alg: FiniteAlgebra) -> IdempotentDecomposition:
     """Primitive idempotents summing to 1; count = connected components.
 
-    Raises ProbeExhausted when the count cannot be certified, and
-    RadicalUnavailable when a radical needs a p-th root the field lacks.
+    Raises Uncertified when the count cannot be certified: FactorSearchLimit
+    at a factor cap, RadicalUnavailable when a radical needs a p-th root the
+    field lacks.
     """
     split = _splitting(alg)
     # on k[z]/(m) the factors are read first, so they give the count
@@ -554,7 +548,7 @@ def component_count(alg: FiniteAlgebra, reasons: list | None = None):
     Unknown is appended to `reasons` when that list is given."""
     try:
         return _splitting(alg).count
-    except (ProbeExhausted, RadicalUnavailable) as exc:
+    except Uncertified as exc:
         if reasons is not None:
             reasons.append(str(exc))
         return UNKNOWN
@@ -603,7 +597,7 @@ def is_field_algebra(alg: FiniteAlgebra):
     not certified."""
     try:
         return not radical_generators(alg) and _splitting(alg).count == 1
-    except (ProbeExhausted, RadicalUnavailable):
+    except Uncertified:
         return UNKNOWN
 
 
@@ -631,9 +625,8 @@ class ResidueField:
     generator: str
 
     def describe(self) -> str:
-        ring = PolyRing(self.base, [self.generator])
-        m = Polynomial(ring, {(i,): c for i, c in enumerate(self.min_poly)})
-        return Ideal(ring, [m]).describe()
+        g = self.generator
+        return f"{self.base.describe()}[{g}]/({up.uformat(self.base, self.min_poly, g)})"
 
 
 def primitive_element_presentation(alg: FiniteAlgebra):
@@ -706,7 +699,7 @@ def components_over_subring(ideal: Ideal, free: str):
         )
     try:
         decomp = idempotent_decomposition(alg)
-    except (ProbeExhausted, RadicalUnavailable):
+    except Uncertified:
         return UNKNOWN
     K = alg.field
     i = ring.variables.index(free)
@@ -749,3 +742,19 @@ def _torsion_free(ideal: Ideal, free: str) -> bool:
         return True
     return all(work_ideal.contains_poly(g)
                for g in colon(work_ideal, Ideal(work, [h])).generators)
+
+
+def is_certified_domain(ideal: Ideal) -> bool:
+    """True when ideal.ring/ideal is certified a domain: a polynomial ring,
+    or torsion-free over k[v] for a variable v whose generic fiber over k(v)
+    is a field, into which it then embeds. A subring of it is a domain too."""
+    if ideal.is_zero_ideal():
+        return True
+    for v in ideal.ring.variables:
+        try:
+            fiber = FiniteAlgebra(move_variable_to_field(ideal, v))
+        except (NotFiniteOverSubring, NotZeroDimensional, ZeroRingError):
+            continue
+        if is_field_algebra(fiber) is True and _torsion_free(ideal, v):
+            return True
+    return False

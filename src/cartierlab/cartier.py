@@ -23,6 +23,7 @@ from .artinian import (
     component_count,
     components_over_subring,
     idempotent_decomposition,
+    is_certified_domain,
     is_field_algebra,
     move_variable_to_field,
     primitive_element_presentation,
@@ -39,9 +40,8 @@ from .errors import (
     NotPrime,
     NotArtinianLocal,
     NotZeroDimensional,
-    ProbeExhausted,
-    RadicalUnavailable,
     UNKNOWN,
+    Uncertified,
     ZeroRingError,
     shown,
 )
@@ -221,17 +221,13 @@ def stalk_at_generic(ext: ExtensionPresentation) -> StalkReport:
                 raise NotPrime("the zero ideal is prime only when the source is a domain")
             return _stalk_over_residue(ext, Ideal(ext.a_ring, []), alg)
         if ext.hints.finite and ext.hints.birational:
-            return StalkReport(
-                None,
-                None,
-                1,
-                0,
-                _stalk_semantics(ext),
-                (
-                    "finite birational extension of domains: the generic fiber "
-                    "is the shared fraction field",
-                ),
-            )
+            if not is_certified_domain(ext.b_ideal):
+                raise NotPrime("the source is not certified a domain: for no variable v of the "
+                               "target is the target torsion-free over k[v] with a field as "
+                               "its fiber over k(v)")
+            return StalkReport(None, None, 1, 0, _stalk_semantics(ext), (
+                "finite birational extension of domains: the generic fiber "
+                "is the shared fraction field",))
         raise NotPrime(
             "generic stalks need a free one-variable source, a field source, "
             "or finite+birational hints"
@@ -314,7 +310,8 @@ def li_conductor_square(ext: ExtensionPresentation) -> LIResult:
         "components_B_mod_conductor": shown(c_b),
     }
     if c_a is UNKNOWN or c_b is UNKNOWN:
-        return LIResult(UNKNOWN, "ConductorSquare", certificate)
+        return LIResult(UNKNOWN, "ConductorSquare",
+                        dict(certificate, reason="component counts unknown"))
     if c_b < c_a:
         # impossible for an injection: idempotents of A/c stay nonzero in B/cB
         raise CertificateFailure(
@@ -373,7 +370,7 @@ def li_finite_connected(
         exhaustive = True  # an Artinian source has only these primes
     except (NotZeroDimensional, ZeroRingError):
         pass
-    except ProbeExhausted:
+    except Uncertified:
         return LIResult(UNKNOWN, "FiniteConnected", {"reason": "source components unknown"})
     if not prime_list and not include_generic:
         return LIResult(
@@ -398,7 +395,7 @@ def li_finite_connected(
         certificate["reason"] = "a stalk could not be certified"
         return LIResult(UNKNOWN, "FiniteConnected", certificate)
     if any(s > 0 for s in stalk_values):
-        certificate["inconclusive"] = "a disconnected fiber was found"
+        certificate["reason"] = "a disconnected fiber was found"
         return LIResult(UNKNOWN, "FiniteConnected", certificate)
     warnings: tuple[str, ...] = ()
     if not exhaustive:
@@ -466,10 +463,7 @@ def li_auto(
         result = run_route(name, ext, primes, include_generic)
         if result.rank is not UNKNOWN:
             return result
-        cert = result.certificate
-        # only the conductor square's Unknown carries the counts, not a reason
-        reason = cert.get("reason") or cert.get("inconclusive") or "component counts unknown"
-        attempts.append(f"{result.method}: {reason}")
+        attempts.append(f"{result.method}: {result.certificate['reason']}")
     return LIResult(UNKNOWN, "none", {"attempts": tuple(attempts)})
 
 
@@ -477,19 +471,14 @@ def li_auto(
 
 
 def li_reduce_red(ext: ExtensionPresentation) -> ExtensionPresentation:
-    """Pass to reduced quotients; the rank is unchanged by this reduction."""
+    """Pass to reduced quotients; the rank is unchanged by this reduction. A
+    presentation that is not zero-dimensional raises NotZeroDimensional."""
     reduced = []
     for ideal in (ext.a_ideal, ext.b_ideal):
         if ideal.is_zero_ideal():  # free polynomial ring: already reduced
             reduced.append(ideal)
             continue
-        try:
-            alg = FiniteAlgebra(ideal)
-        except (NotZeroDimensional, ZeroRingError):
-            raise RadicalUnavailable(
-                "radicals are computed only for zero-dimensional presentations"
-            ) from None
-        reduced.append(reduced_algebra(alg).ideal)
+        reduced.append(reduced_algebra(FiniteAlgebra(ideal)).ideal)
     a_reduced, b_reduced = reduced
     if a_reduced is ext.a_ideal and b_reduced is ext.b_ideal:
         return ext

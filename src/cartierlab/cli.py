@@ -2,8 +2,10 @@
 units, and the corpus regression runner.
 
 Reports are deterministic: the same inputs produce byte-identical output.
-Exit codes: 0 success (Unknown results included), 1 corpus regression
-failure, 2 input error, 3 resource limit.
+Exit codes, decided by the exception's class in `main`: 0 success (Unknown
+results included, a capped factor search among them), 1 corpus regression
+failure, 2 bad input (InputError, `input error:`) or another refusal
+(`error:`), 3 a budget (ResourceLimitError) or the int/text digit limit.
 
 The argument parser is built once per process, at the first `main` call,
 and reused by every later call. `main` resolves the S-pair budget on every
@@ -35,13 +37,12 @@ from .cartier import (
 from .corpus import run_corpus
 from .errors import (
     CartierlabError,
-    InputError,
     InjectivityError,
-    NotPrime,
+    InputError,
     ParseError,
-    ProbeExhausted,
     ResourceLimitError,
     UNKNOWN,
+    Uncertified,
     WellDefinednessError,
     shown,
 )
@@ -220,7 +221,7 @@ def cmd_units(args) -> tuple[dict, int]:
         verdict = True
     except NotAUnit:
         verdict = False
-    except ProbeExhausted:
+    except Uncertified:
         verdict = UNKNOWN
     entry = {
         "laurent": str(element),
@@ -356,11 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _pair_budget(flag: int | None) -> int:
     """`--pair-budget`, else `CARTIERLAB_BUDGET`, else the library default.
 
-    A value that is not a positive integer raises ValueError naming its source.
+    A value that is not a positive integer raises InputError naming its source.
     """
     if flag is not None:
         if flag < 1:
-            raise ValueError("pair budget must be positive")
+            raise InputError("pair budget must be positive")
         return flag
     text = os.environ.get("CARTIERLAB_BUDGET")
     if text is None:
@@ -370,20 +371,15 @@ def _pair_budget(flag: int | None) -> int:
     except ValueError:
         budget = 0
     if budget < 1:
-        raise ValueError(f"CARTIERLAB_BUDGET must be a positive integer, found {text!r}")
+        raise InputError(f"CARTIERLAB_BUDGET must be a positive integer, found {text!r}")
     return budget
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        budget = _pair_budget(args.pair_budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     previous_budget = default_pair_budget()
-    set_default_pair_budget(budget)
     try:
+        set_default_pair_budget(_pair_budget(args.pair_budget))
         report, code = args.func(args)
         emit(report, args.json)
     except ResourceLimitError as exc:
@@ -395,7 +391,7 @@ def main(argv=None) -> int:
         print(f"resource limit: an integer has more than {sys.get_int_max_str_digits()} digits, "
               "Python's int/text conversion limit (sys.get_int_max_str_digits())", file=sys.stderr)
         return 3
-    except (InputError, ParseError, WellDefinednessError, InjectivityError, NotPrime) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CartierlabError as exc:

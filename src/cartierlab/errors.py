@@ -7,7 +7,12 @@ class CartierlabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(CartierlabError):
+class InputError(CartierlabError):
+    """Bad input: a malformed description file, an invalid CLI value, or an
+    input the engine refuses (the CLI exits 2 with `input error:`)."""
+
+
+class ParseError(InputError):
     """Syntax error in a polynomial expression, with a character position."""
 
     def __init__(self, message: str, text: str, position: int):
@@ -16,12 +21,9 @@ class ParseError(CartierlabError):
         self.position = position
 
 
-class InputError(CartierlabError):
-    """Malformed description file or invalid CLI input."""
-
-
 class ResourceLimitError(CartierlabError):
-    """A configurable resource budget was exceeded (not a wrong answer)."""
+    """A configurable budget was exceeded, and nothing else (the CLI exits 3);
+    not a wrong answer."""
 
 
 class PairBudgetExceeded(ResourceLimitError):
@@ -30,7 +32,12 @@ class PairBudgetExceeded(ResourceLimitError):
         self.budget = budget
 
 
-class FactorSearchLimit(ResourceLimitError):
+class Uncertified(CartierlabError):
+    """A count the engine cannot certify: the sites that count components
+    report it as Unknown with this reason, never as an error or a budget."""
+
+
+class FactorSearchLimit(Uncertified):
     """A factor search stopped at its cap, so no factorization is claimed:
     the subset cap of `factor._recombine` over QQ, or one of the two k(v)
     limits in `factor._factor_rational_functions` (a quadratic in
@@ -54,7 +61,7 @@ class NotArtinianLocal(CartierlabError):
     pass
 
 
-class NotPrime(CartierlabError):
+class NotPrime(InputError):
     pass
 
 
@@ -76,24 +83,20 @@ class DegenerateExtension(CartierlabError):
     """The operation does not apply to the identity-like case (unit conductor)."""
 
 
-class RadicalUnavailable(CartierlabError):
-    pass
+class RadicalUnavailable(Uncertified):
+    """A radical needs a p-th root that the field lacks, as k(v) in
+    characteristic p does."""
 
 
 class InvariantViolation(CartierlabError):
     pass
 
 
-class ProbeExhausted(CartierlabError):
-    """A component count could not be certified: `artinian._factors` raises
-    it when a factor search it needs stops at its cap (FactorSearchLimit)."""
-
-
-class WellDefinednessError(CartierlabError):
+class WellDefinednessError(InputError):
     """A relation of the source ring does not map to zero in the target."""
 
 
-class InjectivityError(CartierlabError):
+class InjectivityError(InputError):
     """The map has a nonzero kernel: the contraction exceeds the stated ideal."""
 
 

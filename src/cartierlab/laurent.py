@@ -20,8 +20,8 @@ from .errors import (
     CertificateFailure,
     InputError,
     ParseError,
-    ProbeExhausted,
     UNKNOWN,
+    Uncertified,
 )
 from .polycore.fields import square_and_multiply
 from .polycore.parse import PolynomialEvaluator, parse_with_evaluator
@@ -151,7 +151,7 @@ def _unit_exponents(x: LaurentElement):
 
     A Laurent polynomial is a unit exactly when, on each connected component
     of the reduced base, it is a single term with a nonzero coefficient.
-    Raises ProbeExhausted when the decomposition of the base is not certified.
+    Raises Uncertified when the decomposition of the base is not certified.
     """
     base = x.base
     decomp = idempotent_decomposition(base)
@@ -171,7 +171,7 @@ def is_laurent_unit(x: LaurentElement):
     """True/False, or Unknown when the component decomposition is blocked."""
     try:
         return _unit_exponents(x) is not None
-    except ProbeExhausted:
+    except Uncertified:
         return UNKNOWN
 
 
@@ -231,7 +231,7 @@ def _base_inverse(base: FiniteAlgebra, c: tuple, failure: str) -> tuple:
 def bass_decompose(x: LaurentElement) -> LaurentUnitDecomposition:
     """The unique four-factor splitting of a Laurent unit.
 
-    Raises NotAUnit for a non-unit, and ProbeExhausted when the
+    Raises NotAUnit for a non-unit, and Uncertified when the
     decomposition of the base is not certified.
     """
     found = _unit_exponents(x)

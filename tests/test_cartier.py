@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from cartierlab import artinian
+from cartierlab import artinian, cartier
 from cartierlab.artinian import FiniteAlgebra
 from cartierlab.cartier import (
     LIResult,
@@ -29,16 +29,17 @@ from cartierlab.corpus import corpus_path
 from cartierlab.errors import (
     EMPTY,
     CertificateFailure,
+    FactorSearchLimit,
     InvariantViolation,
     NotArtinianLocal,
     NotPrime,
-    ProbeExhausted,
+    NotZeroDimensional,
     UNKNOWN,
 )
 from cartierlab.extensions import ExtensionPresentation, Hints
 from cartierlab.extfile import load_extension
 from cartierlab.polycore import GREVLEX, Ideal, PolyRing, PrimeField, QQ, parse_polynomial
-from test_routes import EXT_PATHS
+from test_routes import EXT_PATHS, FIXTURES
 
 
 def build(a_vars, a_rels, b_vars, b_rels, images, hints=None):
@@ -113,7 +114,7 @@ def test_uncertified_fiber_count_notes_its_reason(monkeypatch):
 
     def capped(alg, *args):
         if alg.ring == ext.b_ring:  # the fiber, not the residue field
-            raise ProbeExhausted("a factor search hit its cap: degree 9 over QQ")
+            raise FactorSearchLimit("a factor search hit its cap: degree 9 over QQ")
         return splitting(alg, *args)
 
     monkeypatch.setattr(artinian, "_splitting", capped)
@@ -177,6 +178,29 @@ def test_cusp_stalks_vanish():
         assert stalk_rank(ext, prime(ext, *gens)).stalk_rank == 0
     # generic point via the finite birational certificate
     assert stalk_rank(ext, None).stalk_rank == 0
+
+
+NOT_A_DOMAIN = ("the source is not certified a domain: for no variable v of the target is "
+                "the target torsion-free over k[v] with a field as its fiber over k(v)")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_extension(os.path.join(FIXTURES, "glued-planes.ext")),
+    lambda: build(["x", "y"], ["x*y"], ["x", "y"], ["x*y"], {"x": "x", "y": "y"},
+                  Hints(finite=True, birational=True)),
+], ids=["glued-planes", "crossing-lines"])
+def test_generic_stalk_from_hints_needs_a_certified_domain(make):
+    """finite and birational hints give the generic stalk only over a domain:
+    two planes glued at a point, and two crossing lines, are not one."""
+    with pytest.raises(NotPrime, match=re.escape(NOT_A_DOMAIN)):
+        stalk_rank(make(), None)
+
+
+def test_generic_stalk_inside_the_cusp_is_certified():
+    """B = QQ[x,y]/(y^2 - x^3) is torsion-free over QQ[x] with a field as its
+    fiber over QQ(x), so A inside it is a domain and its generic stalk is 0."""
+    report = stalk_rank(load_extension(corpus_path("chain_bottom.ext")), None)
+    assert (report.fiber_components, report.stalk_rank) == (1, 0)
 
 
 def test_stalk_rejects_non_prime():
@@ -288,7 +312,18 @@ def test_finite_connected_routes():
     node = node_extension()
     result = li_finite_connected(node, [prime(node, "x", "y")])
     assert result.rank is UNKNOWN
-    assert "inconclusive" in result.certificate
+    assert "reason" in result.certificate
+
+
+def test_every_unknown_route_names_its_reason(monkeypatch):
+    """With no count certified, the conductor route's Unknown carries
+    `reason`, the one key that `li_auto` reads into its attempts."""
+    monkeypatch.setattr(cartier, "component_count", lambda alg, reasons=None: UNKNOWN)
+    ext = node_extension()
+    conductor_route = li_conductor_square(ext)
+    assert conductor_route.rank is UNKNOWN
+    assert conductor_route.certificate["reason"] == "component counts unknown"
+    assert li_auto(ext).certificate["attempts"][1] == "ConductorSquare: component counts unknown"
 
 
 def test_li_auto_routes():
@@ -312,6 +347,13 @@ def test_reduce_red_nilpotent_toy():
     # reduced input comes back unchanged
     ident = build(["e"], ["e^2 - e"], ["e"], ["e^2 - e"], {"e": "e"})
     assert li_reduce_red(ident) is ident
+
+
+def test_reduce_red_lets_a_positive_dimensional_presentation_through():
+    """The node's source is a curve: no radical is computed, and the cause,
+    not a missing p-th root, is what the caller sees."""
+    with pytest.raises(NotZeroDimensional):
+        li_reduce_red(node_extension())
 
 
 def test_ni_verdicts():

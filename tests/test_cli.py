@@ -413,7 +413,7 @@ def test_budget_variable_is_read_on_every_call(capsys, monkeypatch):
         for argv in (("li", node), ("terms", "--n", "1")):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
-            assert err == f"error: CARTIERLAB_BUDGET must be a positive integer, found {bad!r}\n"
+            assert err == f"input error: CARTIERLAB_BUDGET must be a positive integer, found {bad!r}\n"
         # an explicit flag wins over the variable
         assert run_cli(capsys, "li", node, "--pair-budget", "100000")[0] == 0
         assert run_cli(capsys, "li", node, "--pair-budget", "1")[0] == 3
@@ -606,6 +606,34 @@ def test_uncertified_generic_count_names_the_missing_root(capsys):
         "component count not certified: 2*x is not a p-th power in FP(3)(x)"]
 
 
+CAPPED_COVER = ("[ring.A]\nfield = QQ\nvars = x\n\n[ring.B]\nfield = QQ\nvars = x, y, z\n"
+                "relations = y^3 - x, z^2 - 2\n\n[map]\nx = x\n\n[hints]\nfinite = true\n")
+
+
+def test_a_factor_cap_is_unknown_not_a_budget(capsys, tmp_path):
+    """The generic fiber of QQ[x] -> QQ[x,y,z]/(y^3 - x, z^2 - 2) has degree 6
+    over QQ(x), past the k(v) factorizer's reach: the count is Unknown with
+    the cap as its reason, and the command exits 0, not 3."""
+    path = tmp_path / "capped.ext"
+    path.write_text(CAPPED_COVER, encoding="utf-8")
+    code, out, err = run_cli(capsys, "stalks", str(path), "--generic", "--json")
+    assert (code, err) == (0, "")
+    entry = json.loads(out)["results"][0]
+    assert (entry["fiber_components"], entry["stalk_rank"]) == ("unknown", "unknown")
+    assert entry["notes"] == ["component count not certified: factor search over rational "
+                              "functions limited to degree 2"]
+
+
+def test_a_prime_field_modulus_with_no_small_factor_is_input_error(capsys, tmp_path):
+    """289 = 17^2 has no factor below 17, so Miller-Rabin, not trial
+    division, refuses it."""
+    path = tmp_path / "base.ring"
+    path.write_text("[ring]\nfield = FP(289)\nvars = e\nrelations = e^2 - e\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "units", "--base", str(path), "--laurent", "t")
+    assert (code, out) == (2, "")
+    assert err == "input error: [ring] field: prime field modulus is not prime: 289\n"
+
+
 @pytest.mark.parametrize("method", ["auto", "connected", "conductor"])
 def test_li_refuses_a_prime_that_is_not_maximal(capsys, method):
     code, out, err = run_cli(capsys, "li", corpus_path("node.ext"), "--primes", "x",
@@ -750,7 +778,7 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
     (_corpus_with("node.rankdata", r"^c_A = 1$", "c_A = -1"), ["li", "<path>"], 2,
      "input error: rank data entries must be nonnegative\n"),
     (FREE_PLANE, ["check", "<path>", "--pair-budget", "0"], 2,
-     "error: pair budget must be positive\n"),
+     "input error: pair budget must be positive\n"),
     (_corpus_with("node.rankdata", r"\Z", "\n[hints]\nfinite = true\n"), ["li", "<path>"], 2,
      "input error: <path> must contain exactly the [rankdata] section\n"),
     (_corpus_with("nil_base.ring", r"\Z", "\n[hints]\nfinite = true\n"),
