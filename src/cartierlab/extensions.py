@@ -7,12 +7,18 @@ Construction from stated relations checks well-definedness and, unless the
 injectivity check runs out of budget under assume_injective, that the kernel
 is zero; a source presented by the kernel itself (`a_ideal=None`, as
 `adjoin_element` and `reduce_mod_conductor` build it) satisfies both by
-construction and skips them. Both checks, and the conductor's certificate
-c * B inside A, are normal forms against one reduced basis of the tag ideal
-and expand no image; the relations are substituted into the images only when
-that basis is over the pair budget. The leading monomials of that basis also
-decide whether B is finite over A and give B-monomials spanning B over A, so
-the certificate covers all of B whatever the module_generators hint says.
+construction and skips them. Both checks are read off one reduced basis of
+the tag ideal and expand no image: its elements free of B's variables are
+the reduced basis of the kernel K, each relation must reduce to 0 against
+it, and the relations, then inside K, generate K when the leading monomials
+of their reduced basis cover K's. Their own leading monomials are tried
+first, and usually suffice, so no basis of the relations is computed, and A
+keeps K's reduced basis. The relations are substituted into the images only
+when K's basis is over the pair budget. The conductor's certificate
+c * B inside A is normal forms against the tag basis, whose leading
+monomials also decide whether B is finite over A and give B-monomials
+spanning B over A, so the certificate covers all of B whatever the
+module_generators hint says.
 
 The tag basis is built when something first needs it: at construction from
 stated relations, for the checks, but for a kernel presentation only at the
@@ -90,11 +96,15 @@ class ExtensionPresentation:
     reduced basis of the tag ideal (b_ideal, tag_v - image_v) under an order
     that eliminates B's variables (`_membership_ring`). So are both
     construction checks: a relation g maps to zero in B exactly when g, with
-    each A variable replaced by its tag, reduces to 0 against that basis, and
-    the map is injective when the kernel lies in a_ideal. Only when the basis
-    is over the pair budget are the relations checked by substituting the
-    images, before the budget error is raised or, under assume_injective,
-    recorded as a warning. With `a_ideal=None` A is presented by the kernel
+    each A variable replaced by its tag, lies in the tag ideal, that is, when
+    g lies in the kernel K and reduces to 0 against K's reduced basis. The
+    map is then injective when a_ideal, inside K, is all of K
+    (`Ideal.adopt_basis_if_equal`, which compares leading monomials and hands
+    a_ideal K's basis). Only when the tag basis, or the relations' basis that
+    the comparison may need, is over the pair budget is injectivity left
+    unproved: the budget error is raised or, under assume_injective, recorded
+    as a warning, and without K's basis the relations are checked by
+    substituting the images. With `a_ideal=None` A is presented by the kernel
     (`contraction_ideal`), which brings its reduced basis, and neither check
     runs: the kernel's generators come from the tag basis, so they map to
     zero, and the kernel lies in itself. Such a presentation builds no tag
@@ -146,27 +156,30 @@ class ExtensionPresentation:
         if a_ideal is None:
             return
         try:
-            tag_ideal, over_budget = self._membership_ring(), None
+            kernel, over_budget = self.contraction_ideal(), None
+            kernel.groebner()  # free under grevlex; under another order a budgeted run
         except PairBudgetExceeded as exc:
-            tag_ideal, over_budget = None, exc
+            kernel, over_budget = None, exc
 
-        # well-definedness: relations of A map to zero in B, that is, written
-        # in the tags they lie in the tag ideal; without its basis the images
-        # are substituted instead
+        # well-definedness: relations of A map to zero in B, that is, they lie
+        # in the kernel, since g(tags) lies in the tag ideal exactly when g
+        # lies in its contraction; without the kernel's basis the images are
+        # substituted instead
         for g in a_ideal.generators:
-            if tag_ideal is None:
+            if kernel is None:
                 zero = b_ideal.contains_poly(self.substitute(g))
             else:
-                zero = tag_ideal.contains_poly(self._to_tags(g))
+                zero = kernel.contains_poly(g)
             if not zero:
                 raise WellDefinednessError(
                     f"relation {g} does not map to zero in the target"
                 )
-        # injectivity: the contraction lies in a_ideal as well
+        # injectivity: a_ideal, inside the kernel, is all of it; A then takes
+        # the kernel's reduced basis
         try:
             if over_budget is not None:
                 raise over_budget
-            if not all(a_ideal.contains_poly(g) for g in self.contraction_ideal().generators):
+            if not a_ideal.adopt_basis_if_equal(kernel):
                 raise InjectivityError(
                     "the map has a kernel: contraction is strictly larger than "
                     "the stated relations"

@@ -265,11 +265,36 @@ class Ideal:
         out._gb_divisors = self._gb_divisors
         return out
 
+    def adopt_basis_if_equal(self, larger: "Ideal") -> bool:
+        """Whether this ideal, which the caller knows lies inside `larger`,
+        is all of it; if so it takes `larger`'s reduced basis.
+
+        F inside I with <LT(F)> containing LT(I) makes F a Groebner basis of
+        I, so F generates I (Cox, Little and O'Shea, Ideals, Varieties, and
+        Algorithms, ch. 2 §5). The test asks that every leading monomial of
+        I's reduced basis be divisible by a leading monomial of the
+        generators, and failing that of this ideal's own reduced basis,
+        computed only then: with that basis the condition is also necessary.
+        """
+        target = [g.leading_term()[0] for g in larger.groebner()]
+
+        def covers(basis) -> bool:
+            leads = [g.leading_term()[0] for g in basis]
+            return all(any(_divides(l, m) for l in leads) for m in target)
+
+        if not (covers(self.generators) or covers(self.groebner())):
+            return False
+        if self._gb is None:
+            self._gb, self._gb_divisors = larger._gb, larger._gb_divisors
+        return True
+
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise CartierlabError("polynomial from a different ring")
         if self._gb_divisors is None:
             self._gb_divisors = [_divisor(g) for g in self.groebner()]
+        if not self._gb_divisors:
+            return f  # the zero ideal reduces nothing
         return _divide(self.ring, dict(f._terms), self._gb_divisors)
 
     def contains_poly(self, f: Polynomial) -> bool:

@@ -211,7 +211,7 @@ class PolyRing:
         return f"{self.field.describe()}[{', '.join(self.variables)}]"
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, PolyRing)
             and other.field == self.field
             and other.variables == self.variables

@@ -16,6 +16,7 @@ from cartierlab.errors import (
     DegenerateExtension,
     InjectivityError,
     MissingHints,
+    PairBudgetExceeded,
     WellDefinednessError,
 )
 from cartierlab.extensions import (
@@ -53,13 +54,15 @@ except ImportError:  # the property test below skips
     st = None
 
 
-def build(a_vars, a_rels, b_vars, b_rels, images, hints=None, field=QQ):
-    a_ring = PolyRing(field, a_vars, GREVLEX)
+def build(a_vars, a_rels, b_vars, b_rels, images, hints=None, field=QQ, a_order=GREVLEX,
+          assume_injective=False):
+    a_ring = PolyRing(field, a_vars, a_order)
     b_ring = PolyRing(field, b_vars, GREVLEX)
     a_ideal = Ideal(a_ring, [parse_polynomial(t, a_ring) for t in a_rels])
     b_ideal = Ideal(b_ring, [parse_polynomial(t, b_ring) for t in b_rels])
     image_polys = {v: parse_polynomial(s, b_ring) for v, s in images.items()}
-    return ExtensionPresentation(a_ring, a_ideal, b_ideal, image_polys, hints)
+    return ExtensionPresentation(a_ring, a_ideal, b_ideal, image_polys, hints,
+                                 assume_injective=assume_injective)
 
 
 def node_hints():
@@ -690,3 +693,93 @@ def test_moves_between_rings_adopt_their_term_maps(monkeypatch):
     assert moved.terms() == {exp + (0, 0): c for exp, c in image.terms().items()}
     with pytest.raises(CartierlabError, match="variable 't' missing in target ring"):
         image.map_variables(ext.a_ring)
+
+
+# -- the construction certificate ----------------------------------------------
+
+NODE = "y^2 - x^3 - x^2"
+NODE_IMAGES = {"x": "t^2 - 1", "y": "t^3 - t"}
+GROEBNER = importlib.import_module("cartierlab.polycore.groebner")
+
+
+def recorded_runs(monkeypatch) -> list:
+    """(ring, generators) of each Buchberger run from now on."""
+    runs, original = [], GROEBNER.buchberger
+
+    def recording(gens, ring, *args, **kwargs):
+        runs.append((ring, tuple(gens)))
+        return original(gens, ring, *args, **kwargs)
+
+    monkeypatch.setattr(GROEBNER, "buchberger", recording)
+    return runs
+
+
+def test_loading_the_node_runs_the_tag_basis_alone(monkeypatch):
+    """The stated relation's leading monomial covers the kernel's, so the
+    checks reduce against the kernel's basis, not the tag basis, no basis of
+    A's relations is computed, and A keeps the kernel's reduced basis."""
+    reduced = []
+    original = Ideal.normal_form
+    monkeypatch.setattr(Ideal, "normal_form",
+                        lambda self, f: reduced.append(self.ring) or original(self, f))
+    runs = recorded_runs(monkeypatch)
+    ext = load_extension(corpus_path("node.ext"))
+    tag_ring = ext._membership_ring().ring
+    assert [ring for ring, _ in runs] == [tag_ring]
+    assert tag_ring not in reduced
+    assert ext.a_ideal.groebner() == ext.contraction_ideal().groebner()
+    assert len(runs) == 1
+    li_auto(ext)
+    assert all(gens != ext.a_ideal.generators for _, gens in runs)
+
+
+def test_relations_whose_leads_miss_the_kernels_certify_through_their_basis(monkeypatch):
+    """x*f and (x + 1)*f generate the node's kernel (f), but their leading
+    monomial x^4 does not divide f's, x^3: their reduced basis decides, and
+    A keeps it, the contraction's."""
+    runs = recorded_runs(monkeypatch)
+    ext = build(["x", "y"], [f"x*({NODE})", f"(x + 1)*({NODE})"], ["t"], [], NODE_IMAGES)
+    assert runs[1:] == [(ext.a_ring, ext.a_ideal.generators)]
+    assert ext.a_ideal.groebner() == ext.contraction_ideal().groebner()
+    assert [str(g) for g in ext.a_ideal.groebner()] == ["x^3 + x^2 - y^2"]
+
+
+def test_a_multiple_of_the_kernel_alone_leaves_a_kernel():
+    with pytest.raises(InjectivityError, match="^the map has a kernel: contraction is "
+                                               "strictly larger than the stated relations$"):
+        build(["x", "y"], [f"x*({NODE})"], ["t"], [], NODE_IMAGES)
+
+
+@pytest.mark.parametrize("relations, fallback", [
+    ([NODE], False), ([f"x*({NODE})", f"(x + 1)*({NODE})"], True),
+], ids=["covering", "fallback"])
+def test_a_lex_source_certifies_through_the_kernels_lex_basis(monkeypatch, relations, fallback):
+    """Under lex the kernel's generators are not its reduced basis: one run
+    gives it, and the relations' own basis runs only when their leading
+    monomials miss the kernel's."""
+    runs = recorded_runs(monkeypatch)
+    ext = build(["x", "y"], relations, ["t"], [], NODE_IMAGES, a_order=LEX)
+    kernel = ext.contraction_ideal()
+    assert runs[1:] == [(ext.a_ring, kernel.generators)] + (
+        [(ext.a_ring, ext.a_ideal.generators)] if fallback else [])
+    assert ext.a_ideal.groebner() == tuple(buchberger(list(kernel.generators), ext.a_ring))
+
+
+def test_an_over_budget_relation_basis_follows_assume_injective():
+    """x^2*(x - y) and (x + 1)^2*(x - y) generate the kernel (x - y) of
+    x, y -> t. Its tag basis takes one S-pair reduction; the relations'
+    leading monomials miss x, and their basis takes three."""
+    def load(assume_injective=False):
+        return build(["x", "y"], ["x^2*(x - y)", "(x + 1)^2*(x - y)"], ["t"], [],
+                     {"x": "t", "y": "t"}, assume_injective=assume_injective)
+
+    previous = GROEBNER.default_pair_budget()
+    GROEBNER.set_default_pair_budget(2)
+    try:
+        with pytest.raises(PairBudgetExceeded):
+            load()
+        assumed = load(assume_injective=True)
+    finally:
+        GROEBNER.set_default_pair_budget(previous)
+    assert assumed.warnings == ("injectivity assumed: elimination exceeded the pair budget",)
+    assert load().warnings == ()

@@ -254,6 +254,19 @@ def test_rational_function_field():
         RationalFunctionField(K, "s")  # only one function-field level
 
 
+def test_equal_function_fields_built_apart_are_equal():
+    """Two k(v) built separately are one field, and so are polynomial rings
+    over them; a different base or variable is a different field."""
+    from cartierlab.polycore import GREVLEX, PolyRing
+
+    K, L = RationalFunctionField(PrimeField(7), "v"), RationalFunctionField(PrimeField(7), "v")
+    assert K is not L and K == L and hash(K) == hash(L)
+    assert PolyRing(K, ["x"], GREVLEX) == PolyRing(L, ["x"], GREVLEX)
+    assert K != RationalFunctionField(PrimeField(5), "v")
+    assert K != RationalFunctionField(PrimeField(7), "w")
+    assert K != PrimeField(7)
+
+
 RF_FIELDS = (RationalFunctionField(QQ, "v"), RationalFunctionField(PrimeField(7), "v"),
              RationalFunctionField(PrimeField(10009), "v"))
 
