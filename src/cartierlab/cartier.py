@@ -26,6 +26,7 @@ from .artinian import (
     is_certified_domain,
     is_field_algebra,
     move_variable_to_field,
+    nilradical_span,
     primitive_element_presentation,
     radical_generators,
     reduced_algebra,
@@ -49,7 +50,6 @@ from .extensions import (
     ExtensionPresentation,
     conductor,
     is_seminormal_witness,
-    nil_comparison,
     witness_candidates,
 )
 from .polycore.groebner import Ideal, ideal_sum
@@ -491,28 +491,40 @@ def li_reduce_red(ext: ExtensionPresentation) -> ExtensionPresentation:
 def ni_verdict(ext: ExtensionPresentation, degree_bound: int) -> NIVerdict:
     """NI(A, B) vanishes exactly when A is seminormal in B (Swan 1980).
 
-    A nilpotent b of B outside A gives NonZero, with witness b^k for the
-    largest k such that b^k is not in A: every higher power lies in A, so
-    (b^k)^2 and (b^k)^3 do. An Artinian B whose nilpotents lie in A gives
-    Zero: A/nil is a product of fields, so b^2, b^3 in A give
-    b = b^3 (b^2)^+ mod nil. Otherwise a candidate witness gives NonZero,
-    and without one the verdict is Zero only when A is all of B.
+    The nilradical test comes first, on a B presented as a finite-dimensional
+    algebra (Artinian). A nilpotent b of B outside A gives NonZero, with
+    witness b^k for the largest k such that b^k is not in A: every higher
+    power lies in A, so (b^k)^2 and (b^k)^3 do. An Artinian B whose
+    nilpotents lie in A gives Zero: A/nil is a product of fields, so b^2,
+    b^3 in A give b = b^3 (b^2)^+ mod nil. Otherwise a candidate witness
+    gives NonZero, and without one the verdict is Zero only when B is a free
+    polynomial ring that A is all of.
     """
-    nil = nil_comparison(ext)
-    if nil.status == "differ":
-        b = witness = nil.witness
-        power = ext.b_ideal.normal_form(b * b)
-        while not ext.contains(power).member:  # ends: some power of b is 0
-            witness, power = power, ext.b_ideal.normal_form(power * b)
-        return NIVerdict("NonZero", witness=witness, nil_reason=nil.reason)
-    if nil.artinian:
-        reason = f"{nil.reason}; over an Artinian target that makes the subring seminormal"
+    free = ext.b_ideal.is_zero_ideal()  # B = k[t]: no nilradical to test
+    try:
+        alg = None if free else FiniteAlgebra(ext.b_ideal)
+    except (NotZeroDimensional, ZeroRingError):
+        alg = None
+    if alg is not None:
+        span = nilradical_span(alg)
+        for vec in span:
+            b = witness = alg.to_poly(vec)
+            if ext.contains(b).member:
+                continue
+            power = ext.b_ideal.normal_form(b * b)
+            while not ext.contains(power).member:  # ends: some power of b is 0
+                witness, power = power, ext.b_ideal.normal_form(power * b)
+            reason = f"nilpotent {b} of the target lies outside the subring"
+            return NIVerdict("NonZero", witness=witness, nil_reason=reason)
+        reason = ("every nilpotent of the target lies in the subring" if span
+                  else "target is reduced")
+        reason += "; over an Artinian target that makes the subring seminormal"
         return NIVerdict("Zero", nil_reason=reason)
     for cand in witness_candidates(ext, degree_bound):
         check = is_seminormal_witness(ext, cand)
         if check.is_witness:
             return NIVerdict("NonZero", witness=cand)
-    if nil.status == "equal" and ext.is_identity_onto():
+    if free and ext.is_identity_onto():
         return NIVerdict("Zero", nil_reason="the subring is all of the target")
     return NIVerdict("UnknownUpToBound", bound=degree_bound)
 

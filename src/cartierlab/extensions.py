@@ -42,7 +42,6 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 
-from .artinian import FiniteAlgebra, nilradical_span
 from .errors import (
     CartierlabError,
     CertificateFailure,
@@ -52,7 +51,6 @@ from .errors import (
     NotZeroDimensional,
     PairBudgetExceeded,
     WellDefinednessError,
-    ZeroRingError,
 )
 from .polycore.groebner import Ideal, colon, default_pair_budget, intersect, staircase
 from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_names
@@ -430,13 +428,13 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
     Each fraction is checked (generator * q = p in B). The conductor lies in
     (a + (q)) : (p_1, ..., p_k) for each distinct denominator q and its
     numerators, and their intersection c is certified to be the conductor
-    by c * B inside A: for each generator g of c and each
-    monomial m of a set spanning B over A, g(tags) * m reduces against the
-    tag basis to a polynomial free of B's variables. The hinted module
-    generators are tried first, then the monomials read off the tag basis
-    (`_spanning_monomials`), which also proves B finite over A. A unit c is
-    certified by the images generating B. So c is an ideal of B, and
-    A/c -> B/cB is well defined and injective.
+    by c * B inside A: for each generator g of c and each monomial m read
+    off the tag basis (`_spanning_monomials`, which span B over A and so
+    also prove B finite over A), g(tags) * m reduces against the tag basis
+    to a polynomial free of B's variables. The hinted module generators
+    enter only through their fractions. A unit c is certified by 1 * gen
+    inside A for each hinted generator and then by the images generating B.
+    So c is an ideal of B, and A/c -> B/cB is well defined and injective.
     """
     hints = ext.hints
     if not hints.birational:
@@ -480,15 +478,15 @@ def conductor(ext: ExtensionPresentation) -> Ideal:
                         f"conductor generator {g} times {gen} escapes the subring"
                     )
 
-    certify(hints.module_generators)
-    if result.is_unit_ideal():
-        if not ext.is_identity_onto():
-            raise CertificateFailure(
-                "unit conductor, but the subring is not all of the target: "
-                "the module_generators hint does not span it"
-            )
+    if not result.is_unit_ideal():
+        certify(_spanning_monomials(ext))
         return result
-    certify([m for m in _spanning_monomials(ext) if m not in hints.module_generators])
+    certify(hints.module_generators)
+    if not ext.is_identity_onto():
+        raise CertificateFailure(
+            "unit conductor, but the subring is not all of the target: "
+            "the module_generators hint does not span it"
+        )
     return result
 
 
@@ -542,41 +540,3 @@ def reduce_mod_conductor(ext: ExtensionPresentation) -> ExtensionPresentation:
     hints = Hints(finite=ext.hints.finite, module_generators=ext.hints.module_generators)
     return ExtensionPresentation(ext.a_ring, None, ext.extend(cond), ext.images, hints=hints)
 
-
-# -- nilpotent comparison --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NilComparison:
-    status: str  # equal | differ | unknown
-    reason: str
-    witness: Polynomial | None = None
-    artinian: bool = False  # B was presented as a finite-dimensional algebra
-
-
-def nil_comparison(ext: ExtensionPresentation) -> NilComparison:
-    """Compare the nilradicals: equal exactly when every nilpotent of B lies in A.
-
-    `artinian` marks a B built as an algebra; there "equal" also proves A
-    seminormal in B (`cartier.ni_verdict`)."""
-    if ext.b_ideal.is_zero_ideal():
-        return NilComparison("equal", "target is a free polynomial ring (reduced)")
-    try:
-        alg = FiniteAlgebra(ext.b_ideal)
-    except (NotZeroDimensional, ZeroRingError):
-        return NilComparison(
-            "unknown", "target is not presented as a finite-dimensional algebra"
-        )
-    span = nilradical_span(alg)
-    if not span:
-        return NilComparison("equal", "target is reduced", artinian=True)
-    for vec in span:
-        poly = alg.to_poly(vec)
-        if not ext.contains(poly).member:
-            return NilComparison(
-                "differ", f"nilpotent {poly} of the target lies outside the subring",
-                witness=poly, artinian=True,
-            )
-    return NilComparison(
-        "equal", "every nilpotent of the target lies in the subring", artinian=True
-    )

@@ -180,13 +180,13 @@ def _parse_hints(section, a_ring: PolyRing, b_ring: PolyRing) -> Hints:
             entry = entry.strip()
             if not entry:
                 continue
-            if ":" not in entry or "|" not in entry:
+            gen_text, colon, frac_text = entry.partition(":")
+            num_text, bar, den_text = frac_text.partition("|")
+            if not (colon and bar):
                 raise InputError(
                     f"fraction entries look like 'generator : numerator | "
                     f"denominator', found {entry!r}"
                 )
-            gen_text, frac_text = entry.split(":", 1)
-            num_text, den_text = frac_text.split("|", 1)
             what = f"fraction entry {entry!r}"
             triples.append((_parse(gen_text.strip(), b_ring, what),
                             _parse(num_text.strip(), a_ring, what),

@@ -240,7 +240,9 @@ def buchberger(generators: list[Polynomial], ring: PolyRing,
 class Ideal:
     """An ideal with a write-once cache of its reduced basis and of that
     basis's divisor list. With `reduced=True` the generators are adopted as
-    the reduced basis: the caller vouches that they are one."""
+    the reduced basis: the caller vouches that they are one. A zero ideal
+    (no nonzero generator) is its own reduced basis, so it runs no
+    Buchberger."""
 
     def __init__(self, ring: PolyRing, generators, reduced: bool = False):
         gens = []
@@ -251,7 +253,8 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gb: tuple[Polynomial, ...] | None = self.generators if reduced else None
+        self._gb: tuple[Polynomial, ...] | None = (
+            self.generators if reduced or not gens else None)
         self._gb_divisors: list | None = None
 
     def groebner(self) -> tuple[Polynomial, ...]:

@@ -140,9 +140,8 @@ def test_closure_search_runs_no_basis_in_an_a_ring(basis_inputs, monkeypatch):
     basis_inputs.clear()  # loading checks the file's relations on their own basis
     result = closure_search(ext, "seminormal", 3)
     assert result.adjoined and len(built) == 1 + len(result.adjoined)
-    a_rings = {presentation.a_ring for presentation in built}
-    assert basis_inputs
-    assert [ring.describe() for ring, _ in basis_inputs if ring in a_rings] == []
+    # B = k[t] is its own basis, and the last adjoin makes t an image
+    assert [ring.describe() for ring, _ in basis_inputs] == []
 
 
 def test_kernel_presentation_checks_nothing_by_normal_form(monkeypatch):
@@ -167,9 +166,9 @@ def test_kernel_presentation_builds_its_tag_basis_on_demand(basis_inputs):
     basis_inputs.clear()
     bigger = adjoin_element(cusp, cusp.b_ring.variable("t"))
     assert bigger._membership_cache is None
-    assert [ring for ring, _ in basis_inputs] == [cusp.b_ring]  # B's basis, to reduce t
+    assert basis_inputs == []  # B = k[t] is its own basis, so reducing t runs none
     assert [str(g) for g in bigger.a_ideal.generators] == ["w3^2 - x", "x*w3 - y", "x^2 - y*w3"]
-    assert len(basis_inputs) == 2
+    assert len(basis_inputs) == 1
     assert bigger.a_ideal is bigger.a_ideal
 
 
@@ -183,11 +182,20 @@ def test_generator_images_are_members_without_a_basis(basis_inputs):
         assert found.member and found.preimage == ring.variable(v)
         assert ext.substitute(found.preimage) == found.element
     assert ext._membership_cache is None
-    assert [ring for ring, _ in basis_inputs] == [b_ring]  # B's basis, to reduce each element
+    assert basis_inputs == []  # B = k[t] is its own basis, so reducing each element runs none
     # any other element goes through the tag basis
     found = ext.contains(parse_polynomial("t^6", b_ring))
     assert found.member and str(found.preimage) == "x^2"
-    assert len(basis_inputs) == 2
+    assert len(basis_inputs) == 1
+
+
+def test_a_zero_ideal_is_its_own_reduced_basis(basis_inputs):
+    ring = PolyRing(QQ, ["t"], GREVLEX)
+    f = parse_polynomial("t^2 + 1", ring)
+    for zero in (Ideal(ring, []), Ideal(ring, [ring.zero()])):
+        assert zero.groebner() == () and zero.is_zero_ideal()
+        assert zero.normal_form(f) == f
+    assert basis_inputs == []
 
 
 def _unshifted(tmp_path, name: str) -> str:
@@ -211,15 +219,16 @@ CLOSURE_RELATIONS = ["w5^2 + 20010*w4", "w4*w5 + 20010*x", "y*w5 + 20010*z",
 
 
 @pytest.mark.parametrize("moved, adjoined, runs", [
-    (False, [], 1),  # the shifted curve: no candidate monomial is a witness
-    (True, ["t^2", "t"], 2),  # and the first adjoin's tag basis
+    (False, [], 0),  # the shifted curve: no candidate monomial is a witness
+    (True, ["t^2", "t"], 1),  # the first adjoin's tag basis
 ], ids=["shifted", "at-the-origin"])
 def test_closure_search_runs_no_basis_after_the_last_adjoin(
         basis_inputs, tmp_path, moved, adjoined, runs):
-    """B's basis (the zero ideal's, for the candidates' normal forms) and the
-    tag basis of every adjoin but the last: the last makes t an image, so the
-    rescan and `is_identity_onto` answer from the images. Its basis is built
-    when the closure's relations are read."""
+    """The tag basis of every adjoin but the last, and no other: B = k[t] is
+    its own basis (the zero ideal's, for the candidates' normal forms), and
+    the last adjoin makes t an image, so the rescan and `is_identity_onto`
+    answer from the images. Its basis is built when the closure's relations
+    are read."""
     name = "monomial-3-4-5-fp.ext"
     path = _unshifted(tmp_path, name) if moved else os.path.join(FIXTURES, name)
     ext = load_extension(path)

@@ -769,6 +769,9 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
     (_cusp_with(r"^fractions = .*$", "fractions = t : y + | x"), ["check", "<path>"], 2,
      "input error: fraction entry 't : y + | x': unexpected 'end of input' at position 3: "
      "'y +'\n"),
+    (_cusp_with(r"^fractions = .*$", "fractions = t | x : y"), ["li", "<path>"], 2,
+     "input error: fraction entries look like 'generator : numerator | denominator', "
+     "found 't | x : y'\n"),
     (_cusp_with(r"^lpic_A_rank = 0$", "lpic_A_rank = two"), ["check", "<path>"], 2,
      "input error: lpic_A_rank must be an integer\n"),
     (_cusp_with(r"^y = t\^3$", "y = t^3 +"), ["check", "<path>"], 2,
@@ -811,6 +814,7 @@ DOUBLE_POINT = ("[ring.A]\nfield = QQ\nvars = x\nrelations = x^2\n\n[ring.B]\nfi
         "generic-stalk-over-a-source-that-is-no-domain",
         "generic-stalk-of-the-cusp-without-hints", "ring-section-without-vars",
         "unknown-hint-key", "module-generator-parse-error", "fraction-entry-parse-error",
+        "fraction-entry-with-the-bar-first",
         "lpic-rank-not-an-integer", "map-image-parse-error", "rankdata-entry-not-an-integer",
         "rankdata-entry-negative",
         "pair-budget-zero", "rankdata-with-an-extra-section", "ring-with-an-extra-section",

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cartierlab.cartier import li_auto
+from cartierlab.cartier import li_auto, ni_verdict
 from cartierlab.corpus import corpus_path
 from cartierlab.errors import (
     CartierlabError,
@@ -28,7 +28,6 @@ from cartierlab.extensions import (
     conductor,
     is_anodal_witness,
     is_seminormal_witness,
-    nil_comparison,
     reduce_mod_conductor,
     witness_candidates,
 )
@@ -362,6 +361,33 @@ def test_conductor_is_certified_on_monomials_spanning_the_target():
             call(wrong)
 
 
+def test_conductor_certifies_over_the_spanning_monomials_alone(monkeypatch):
+    """A conductor that is not the unit ideal is certified over the monomials
+    spanning B: no generator of c is multiplied by a hinted (t + 1)^k."""
+    ext = load_extension(os.path.join(FIXTURES, "monomial-3-4-5-qq.ext"))
+    tag_ideal = ext._membership_ring()
+    forms = []
+    original = tag_ideal.normal_form
+
+    def recording(f):
+        forms.append(f)
+        return original(f)
+
+    monkeypatch.setattr(tag_ideal, "normal_form", recording)
+    cond = conductor(ext)
+    assert [str(g) for g in cond.generators] == ["z", "y", "x"]
+
+    def products(elements):
+        return {ext._to_tags(g) * e.map_variables(tag_ideal.ring)
+                for g in cond.generators for e in elements}
+
+    spanning = products(_spanning_monomials(ext))
+    hinted = products(ext.hints.module_generators) - spanning
+    assert (len(spanning), len(hinted)) == (9, 6)  # g * 1 is in both
+    assert spanning <= set(forms)
+    assert not hinted & set(forms)
+
+
 def test_unit_conductor_needs_the_images_to_generate_the_target():
     # t^2 = x / 1 makes the colon ideal the unit ideal, and 1 * t^2 lies in A
     b_ring = PolyRing(QQ, ["t"], GREVLEX)
@@ -390,13 +416,21 @@ def test_reduce_mod_conductor_node_and_cusp():
 
 
 def test_nil_comparison_cases():
+    """`ni_verdict` compares the nilradicals of an Artinian B first: a
+    nilpotent outside A is NonZero, and an Artinian B whose nilpotents lie in
+    A is Zero. A free B has no nilradical test, so the node's verdict is the
+    candidate scan's, with no nil_reason."""
     toy = build([], [], ["u"], ["u^2"], {})
-    res = nil_comparison(toy)
-    assert res.status == "differ"
+    res = ni_verdict(toy, 3)
+    assert (res.status, str(res.witness)) == ("NonZero", "u")
+    assert res.nil_reason == "nilpotent u of the target lies outside the subring"
     ident = build(["u"], ["u^2"], ["u"], ["u^2"], {"u": "u"})
-    assert nil_comparison(ident).status == "equal"
-    node = node_extension()
-    assert nil_comparison(node).status == "equal"
+    res = ni_verdict(ident, 3)
+    assert res.status == "Zero"
+    assert res.nil_reason == ("every nilpotent of the target lies in the subring; "
+                              "over an Artinian target that makes the subring seminormal")
+    res = ni_verdict(node_extension(), 3)
+    assert (res.status, res.nil_reason) == ("UnknownUpToBound", None)
 
 
 def test_adjoin_element_keeps_checks():
