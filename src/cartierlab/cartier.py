@@ -4,6 +4,9 @@ Four certified routes are exposed: the Artinian-local section formula, the
 finite-connected vanishing criterion, the conductor-square reduction for
 finite birational extensions of one-dimensional domains, and the five-term
 units/Picard sequence on supplied rank data. Everything else is Unknown.
+The finite-connected route reads the fibers at supplied primes (and, on
+request, the generic point) only; an Artinian source is ranked by its
+component counts, through the local formula or the five-term sequence.
 One table, ROUTES, names and orders the routes on an extension; `li_auto`
 and the CLI's `li --method` both run them through `run_route`.
 
@@ -22,13 +25,11 @@ from .artinian import (
     FiniteAlgebra,
     component_count,
     components_over_subring,
-    idempotent_decomposition,
     is_certified_domain,
     is_field_algebra,
     move_variable_to_field,
     nilradical_span,
     primitive_element_presentation,
-    radical_generators,
     reduced_algebra,
 )
 from .errors import (
@@ -42,7 +43,6 @@ from .errors import (
     NotArtinianLocal,
     NotZeroDimensional,
     UNKNOWN,
-    Uncertified,
     ZeroRingError,
     shown,
 )
@@ -292,13 +292,14 @@ def li_conductor_square(ext: ExtensionPresentation) -> LIResult:
     """
     if not (ext.hints.finite and ext.hints.birational):
         raise MissingHints("conductor-square needs finite and birational hints")
+    hints_used = ext.hints.consumed("finite", "birational", "module_generators", "fractions")
     cond = conductor(ext)
     if cond.is_unit_ideal():
         return LIResult(
             0,
             "ConductorSquare",
             {"conductor": ("1",), "degenerate": "unit conductor (equality)"},
-            hints_used=tuple(ext.hints.consumed()),
+            hints_used=hints_used,
         )
     a_alg = FiniteAlgebra(cond)
     b_alg = FiniteAlgebra(ext.extend(cond))
@@ -321,7 +322,7 @@ def li_conductor_square(ext: ExtensionPresentation) -> LIResult:
         c_b - c_a,
         "ConductorSquare",
         certificate,
-        hints_used=tuple(ext.hints.consumed()),
+        hints_used=hints_used,
     )
 
 
@@ -341,44 +342,22 @@ def li_five_term(data: RankData) -> LIResult:
     )
 
 
-def _artinian_maximal_ideals(ext: ExtensionPresentation) -> list[Ideal]:
-    alg = FiniteAlgebra(ext.a_ideal)
-    decomp = idempotent_decomposition(alg)
-    rad = radical_generators(alg)
-    primes = []
-    for i in range(decomp.count):
-        others = [
-            alg.to_poly(e) for j, e in enumerate(decomp.idempotents) if j != i
-        ]
-        gens = list(ext.a_ideal.generators) + rad + others
-        primes.append(Ideal(ext.a_ring, gens))
-    return primes
-
-
 def li_finite_connected(
     ext: ExtensionPresentation,
     primes: list[Ideal] | None = None,
     include_generic: bool = False,
 ) -> LIResult:
-    """Vanishing certificate: connected fibers force rank zero for finite maps."""
+    """Vanishing certificate: connected fibers force rank zero for finite maps.
+
+    Only the supplied primes and, with `include_generic`, the generic point
+    are read, so a zero holds over those primes only and warns so.
+    """
     if not ext.hints.finite:
         raise MissingHints("the connectedness criterion needs the finite hint")
-    exhaustive = False
-    prime_list = list(primes or [])
-    try:
-        prime_list = _artinian_maximal_ideals(ext) + prime_list
-        exhaustive = True  # an Artinian source has only these primes
-    except (NotZeroDimensional, ZeroRingError):
-        pass
-    except Uncertified:
-        return LIResult(UNKNOWN, "FiniteConnected", {"reason": "source components unknown"})
-    if not prime_list and not include_generic:
-        return LIResult(
-            UNKNOWN,
-            "FiniteConnected",
-            {"reason": "no primes supplied and the source is not Artinian"},
-        )
-    table = [stalk_at_maximal(ext, prime) for prime in prime_list]
+    primes = primes or []
+    if not primes and not include_generic:
+        return LIResult(UNKNOWN, "FiniteConnected", {"reason": "no primes supplied"})
+    table = [stalk_at_maximal(ext, prime) for prime in primes]
     if include_generic:
         table.append(stalk_at_generic(ext))
     stalk_values = [r.stalk_rank for r in table]
@@ -397,15 +376,12 @@ def li_finite_connected(
     if any(s > 0 for s in stalk_values):
         certificate["reason"] = "a disconnected fiber was found"
         return LIResult(UNKNOWN, "FiniteConnected", certificate)
-    warnings: tuple[str, ...] = ()
-    if not exhaustive:
-        warnings = ("certified over supplied primes only",)
     return LIResult(
         0,
         "FiniteConnected",
         certificate,
-        hints_used=tuple(ext.hints.consumed()),
-        warnings=warnings,
+        hints_used=ext.hints.consumed("finite"),
+        warnings=("certified over supplied primes only",),
     )
 
 
@@ -497,12 +473,11 @@ def ni_verdict(ext: ExtensionPresentation, degree_bound: int) -> NIVerdict:
     power lies in A, so (b^k)^2 and (b^k)^3 do. An Artinian B whose
     nilpotents lie in A gives Zero: A/nil is a product of fields, so b^2,
     b^3 in A give b = b^3 (b^2)^+ mod nil. Otherwise a candidate witness
-    gives NonZero, and without one the verdict is Zero only when B is a free
-    polynomial ring that A is all of.
+    gives NonZero, and without one the verdict is Zero only when A is all
+    of B, else UnknownUpToBound.
     """
-    free = ext.b_ideal.is_zero_ideal()  # B = k[t]: no nilradical to test
-    try:
-        alg = None if free else FiniteAlgebra(ext.b_ideal)
+    try:  # B = k[t] has no nilradical to test
+        alg = None if ext.b_ideal.is_zero_ideal() else FiniteAlgebra(ext.b_ideal)
     except (NotZeroDimensional, ZeroRingError):
         alg = None
     if alg is not None:
@@ -524,7 +499,7 @@ def ni_verdict(ext: ExtensionPresentation, degree_bound: int) -> NIVerdict:
         check = is_seminormal_witness(ext, cand)
         if check.is_witness:
             return NIVerdict("NonZero", witness=cand)
-    if free and ext.is_identity_onto():
+    if ext.is_identity_onto():
         return NIVerdict("Zero", nil_reason="the subring is all of the target")
     return NIVerdict("UnknownUpToBound", bound=degree_bound)
 

@@ -38,7 +38,6 @@ enlarged subring too, and tests them no more.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -66,9 +65,9 @@ class Hints:
     lpic_B_rank: int | None = None
     lpic_kernel_rank: int | None = None
 
-    def consumed(self) -> list[str]:
-        """The names of the hints that are set, in field order."""
-        return [f.name for f in dataclasses.fields(self) if getattr(self, f.name) is not None]
+    def consumed(self, *names: str) -> tuple[str, ...]:
+        """Those of `names` whose hints are set, in the order given."""
+        return tuple(name for name in names if getattr(self, name) is not None)
 
 
 @dataclass(frozen=True)

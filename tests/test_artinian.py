@@ -401,9 +401,6 @@ def test_counts_of_number_field_products(relations, count):
 
 
 def test_squarefree_parts_are_computed_once_per_algebra(monkeypatch):
-    from cartierlab.cartier import _artinian_maximal_ideals
-    from cartierlab.extensions import ExtensionPresentation
-
     calls = []
     original = up.usquarefree_part
 
@@ -424,13 +421,6 @@ def test_squarefree_parts_are_computed_once_per_algebra(monkeypatch):
         assert component_count(alg) == count
         assert idempotent_decomposition(alg).count == count
         assert calls == []
-        # the maximal ideals of a fresh copy take the squarefree parts of its count only
-        component_count(algebra(QQ, ["x", "y"], relations))
-        counted, calls[:] = list(calls), []
-        ext = ExtensionPresentation(alg.ring, alg.ideal, alg.ideal,
-                                    {v: alg.ring.variable(v) for v in alg.ring.variables})
-        assert len(_artinian_maximal_ideals(ext)) == count
-        assert calls == counted
 
 
 def test_variable_minimal_polynomials_are_computed_once(monkeypatch):

@@ -304,15 +304,25 @@ def test_finite_connected_routes():
     assert result.rank == 0
     assert "certified over supplied primes only" in result.warnings
 
+    # an Artinian source is ranked by its component counts, not here
     toy = build([], [], ["u"], ["u^3"], {}, Hints(finite=True))
     result = li_finite_connected(toy)
-    assert result.rank == 0
-    assert result.warnings == ()  # exhaustive over the Artinian source
+    assert result.rank is UNKNOWN
+    assert result.certificate == {"reason": "no primes supplied"}
+    assert li_auto(toy).rank == 0
 
     node = node_extension()
     result = li_finite_connected(node, [prime(node, "x", "y")])
     assert result.rank is UNKNOWN
     assert "reason" in result.certificate
+
+
+def test_ni_verdict_is_zero_when_the_subring_is_all_of_a_target_with_relations():
+    # B is neither Artinian nor free, and A is all of B
+    ext = build(["x", "y"], ["x*y"], ["u", "v"], ["u*v"], {"x": "u", "y": "v"})
+    verdict = ni_verdict(ext, 3)
+    assert verdict.status == "Zero"
+    assert verdict.nil_reason == "the subring is all of the target"
 
 
 def test_every_unknown_route_names_its_reason(monkeypatch):

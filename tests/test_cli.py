@@ -280,6 +280,27 @@ def test_li_connected_method_with_primes(capsys):
     assert "certified over supplied primes only" in entry["warnings"]
 
 
+def test_li_ranks_a_non_local_artinian_source_by_its_component_counts(capsys, tmp_path):
+    # QQ[e]/(e^2 - e) has two points, and the fiber over each is connected
+    path = tmp_path / "split_point.ext"
+    path.write_text("[ring.A]\nfield = QQ\nvars = e\nrelations = e^2 - e\n\n"
+                    "[ring.B]\nfield = QQ\nvars = e, u\nrelations = e^2 - e, u^2\n\n"
+                    "[map]\ne = e\n\n[hints]\nfinite = true\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "li", str(path), "--json")
+    entry = json.loads(out)["results"][0]
+    assert code == 0
+    assert (entry["rank"], entry["method"]) == (0, "FiveTermSequence")
+    code, out, _ = run_cli(capsys, "li", str(path), "--method", "connected", "--json")
+    entry = json.loads(out)["results"][0]
+    assert (entry["rank"], entry["certificate"]) == ("unknown", {"reason": "no primes supplied"})
+    code, out, _ = run_cli(capsys, "li", str(path), "--method", "connected",
+                           "--primes", "e; e - 1", "--json")
+    entry = json.loads(out)["results"][0]
+    assert (entry["rank"], entry["method"]) == (0, "FiniteConnected")
+    assert entry["warnings"] == ["certified over supplied primes only"]
+    assert entry["hints_used"] == ["finite"]
+
+
 def test_li_fiveterm_method_on_artinian_extension(capsys):
     code, out, _ = run_cli(
         capsys, "li", corpus_path("idem_toy.ext"), "--method", "fiveterm", "--json"
