@@ -47,6 +47,7 @@ from .errors import (
     shown,
 )
 from .extensions import (
+    CONDUCTOR_HINTS,
     ExtensionPresentation,
     conductor,
     is_seminormal_witness,
@@ -292,7 +293,7 @@ def li_conductor_square(ext: ExtensionPresentation) -> LIResult:
     """
     if not (ext.hints.finite and ext.hints.birational):
         raise MissingHints("conductor-square needs finite and birational hints")
-    hints_used = ext.hints.consumed("finite", "birational", "module_generators", "fractions")
+    hints_used = ext.hints.consumed("finite", *CONDUCTOR_HINTS)
     cond = conductor(ext)
     if cond.is_unit_ideal():
         return LIResult(
@@ -409,11 +410,13 @@ DOES_NOT_APPLY = (MissingHints, NotArtinianLocal, NotPrime, NotZeroDimensional, 
 
 # name -> (method, call), in the order `li_auto` tries them. A call looks its
 # route up in this module when it runs, so wrappers set there see every call.
+# `fiveterm` precedes `connected`: its rank is exact on an Artinian source,
+# where a zero from `connected` holds over the supplied primes only.
 ROUTES = {
     "hensel": ("HenselLocalFormula", lambda ext, primes, generic: li_hensel_local(ext)),
     "conductor": ("ConductorSquare", lambda ext, primes, generic: li_conductor_square(ext)),
-    "connected": ("FiniteConnected", lambda ext, primes, generic: li_finite_connected(ext, primes, generic)),
     "fiveterm": ("FiveTermSequence", lambda ext, primes, generic: li_five_term_from_extension(ext)),
+    "connected": ("FiniteConnected", lambda ext, primes, generic: li_finite_connected(ext, primes, generic)),
 }
 
 

@@ -418,6 +418,9 @@ def closure_search(ext: ExtensionPresentation, kind: str,
 
 # -- conductor -----------------------------------------------------------------
 
+# The hints `conductor` reads, which its callers report under `hints_used`.
+CONDUCTOR_HINTS = ("birational", "module_generators", "fractions")
+
 
 def conductor(ext: ExtensionPresentation) -> Ideal:
     """The conductor (A : B), the largest ideal of B contained in A, as an

@@ -301,6 +301,19 @@ def test_li_ranks_a_non_local_artinian_source_by_its_component_counts(capsys, tm
     assert entry["hints_used"] == ["finite"]
 
 
+def test_li_with_primes_keeps_the_exact_rank_of_an_artinian_source(capsys, tmp_path):
+    # the fiber over e = 1 splits into two points; connected at e alone would give 0
+    path = tmp_path / "split_fiber.ext"
+    path.write_text("[ring.A]\nfield = QQ\nvars = e\nrelations = e^2 - e\n\n"
+                    "[ring.B]\nfield = QQ\nvars = e, u\nrelations = e^2 - e, u^2 - e*u\n\n"
+                    "[map]\ne = e\n\n[hints]\nfinite = true\n", encoding="utf-8")
+    for extra in ([], ["--primes", "e"]):
+        code, out, _ = run_cli(capsys, "li", str(path), *extra, "--json")
+        entry = json.loads(out)["results"][0]
+        assert code == 0
+        assert (entry["rank"], entry["method"], entry["warnings"]) == (1, "FiveTermSequence", [])
+
+
 def test_li_fiveterm_method_on_artinian_extension(capsys):
     code, out, _ = run_cli(
         capsys, "li", corpus_path("idem_toy.ext"), "--method", "fiveterm", "--json"

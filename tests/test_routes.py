@@ -26,11 +26,11 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 EXT_PATHS = [os.path.join(CORPUS, n) for n in sorted(os.listdir(CORPUS)) if n.endswith(".ext")]
 EXT_PATHS += [os.path.join(FIXTURES, n) for n in sorted(os.listdir(FIXTURES)) if n.endswith(".ext")]
 TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "tracing.py")
-METHODS = ["HenselLocalFormula", "ConductorSquare", "FiniteConnected", "FiveTermSequence"]
+METHODS = ["HenselLocalFormula", "ConductorSquare", "FiveTermSequence", "FiniteConnected"]
 
 
 def test_table_order_and_methods():
-    assert list(ROUTES) == ["hensel", "conductor", "connected", "fiveterm"]
+    assert list(ROUTES) == ["hensel", "conductor", "fiveterm", "connected"]
     assert [method for method, _ in ROUTES.values()] == METHODS
 
 
@@ -83,8 +83,8 @@ def test_unknown_hensel_rank_lets_the_later_routes_run(monkeypatch):
     assert result.certificate["attempts"] == (
         "HenselLocalFormula: target component count unknown",
         "ConductorSquare: conductor-square needs finite and birational hints",
-        "FiniteConnected: the connectedness criterion needs the finite hint",
         "FiveTermSequence: five-term data needs certified component counts",
+        "FiniteConnected: the connectedness criterion needs the finite hint",
     )
 
 
@@ -108,4 +108,4 @@ def test_method_choices_come_from_the_table(capsys):
     with pytest.raises(SystemExit):
         main(["li", corpus_path("node.ext"), "--method", "nosuch"])
     err = capsys.readouterr().err
-    assert "(choose from 'auto', 'hensel', 'conductor', 'connected', 'fiveterm')" in err
+    assert "(choose from 'auto', 'hensel', 'conductor', 'fiveterm', 'connected')" in err
