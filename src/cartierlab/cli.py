@@ -121,7 +121,7 @@ def _stalk_entry(report) -> dict:
 def cmd_check(args) -> tuple[dict, int]:
     digest, description = _read_input(args.file)
     try:
-        ext = load_extension(args.file, args.assume_injective, description)
+        ext = load_extension(args.file, description)
     except (WellDefinednessError, InjectivityError) as exc:
         kind = "well-definedness" if isinstance(exc, WellDefinednessError) else "injectivity"
         report = _report(
@@ -134,16 +134,16 @@ def cmd_check(args) -> tuple[dict, int]:
         "check": "construction",
         "status": "pass",
         "well_defined": True,
-        "injective": "assumed" if ext.warnings else True,
+        "injective": True,
         "source": ext.a_ring.describe(),
         "target": ext.b_ring.describe(),
     }
-    return _report("check", [entry], warnings=ext.warnings, input_digest=digest), 0
+    return _report("check", [entry], input_digest=digest), 0
 
 
 def cmd_stalks(args) -> tuple[dict, int]:
     digest, description = _read_input(args.file)
-    ext = load_extension(args.file, args.assume_injective, description)
+    ext = load_extension(args.file, description)
     primes = _parse_primes(ext, args.primes)
     if not primes and not args.generic:
         raise InputError("stalks needs --primes and/or --generic")
@@ -163,7 +163,7 @@ def cmd_li(args) -> tuple[dict, int]:
         return _report("li", [_li_entry(result)], input_digest=digest), 0
     if kind == "ring":
         raise InputError("li needs an extension or rank-data file")
-    ext = load_extension(args.file, args.assume_injective, description)
+    ext = load_extension(args.file, description)
     primes = _parse_primes(ext, args.primes or "") or None
     for prime in primes or ():
         verify_maximal(ext, prime)  # a bad prime is an input error, not a route's Unknown
@@ -171,22 +171,17 @@ def cmd_li(args) -> tuple[dict, int]:
         result = li_auto(ext, primes, include_generic=args.generic)
     else:
         result = run_route(args.method, ext, primes, include_generic=args.generic)
-    return _report("li", [_li_entry(result)], warnings=ext.warnings, input_digest=digest), 0
-
-
-def _degree_bound(args) -> int:
-    if args.bound < 1:
-        raise InputError("--bound must be at least 1")
-    return args.bound
+    return _report("li", [_li_entry(result)], input_digest=digest), 0
 
 
 def cmd_closure(args) -> tuple[dict, int]:
     """`seminormal` or `anodal`: the witness kind is the command's name."""
     kind = args.command
-    bound = _degree_bound(args)
+    if args.bound < 1:
+        raise InputError("--bound must be at least 1")
     digest, description = _read_input(args.file)
-    ext = load_extension(args.file, args.assume_injective, description)
-    result = closure_search(ext, kind, bound)
+    ext = load_extension(args.file, description)
+    result = closure_search(ext, kind, args.bound)
     closure = result.extension
     entry = {
         "kind": kind,
@@ -199,7 +194,7 @@ def cmd_closure(args) -> tuple[dict, int]:
             "images": {v: str(closure.images[v]) for v in closure.a_ring.variables},
         },
     }
-    return _report(kind, [entry], warnings=ext.warnings, input_digest=digest), 0
+    return _report(kind, [entry], input_digest=digest), 0
 
 
 def cmd_terms(args) -> tuple[dict, int]:
@@ -240,7 +235,7 @@ def cmd_units(args) -> tuple[dict, int]:
 
 
 def cmd_corpus(args) -> tuple[dict, int]:
-    rows = run_corpus(bound=_degree_bound(args))
+    rows = run_corpus()
     failures = [r for r in rows if r["status"] != "pass"]
     report = _report(
         "corpus",
@@ -318,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_file_command(name, func, with_bound=False, with_primes=False):
         p = sub.add_parser(name, parents=[shared])
         p.add_argument("file")
-        p.add_argument("--assume-injective", action="store_true")
         if with_bound:
             p.add_argument("--bound", type=int, default=6)
         if with_primes:
@@ -347,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     units_p.add_argument("--laurent", required=True)
     units_p.set_defaults(func=cmd_units)
 
-    corpus_p = sub.add_parser("corpus", parents=[shared])
-    corpus_p.add_argument("--bound", type=int, default=6)
-    corpus_p.set_defaults(func=cmd_corpus)
+    sub.add_parser("corpus", parents=[shared]).set_defaults(func=cmd_corpus)
 
     return parser
 

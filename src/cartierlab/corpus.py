@@ -51,7 +51,7 @@ def _row(case, check, expected, actual, note=None):
     return row
 
 
-def run_corpus(bound: int = 6) -> list[dict]:
+def run_corpus() -> list[dict]:
     rows: list[dict] = []
 
     def stalk(ext, case, gens, expected, check="stalk at {}", field="stalk_rank"):
@@ -136,7 +136,7 @@ def run_corpus(bound: int = 6) -> list[dict]:
 
     nil_toy = load_extension(corpus_path("nil_toy.ext"))
     rows.append(_row("nil_toy.ext", "li rank", 0, shown(li_auto(nil_toy).rank)))
-    verdict = ni_verdict(nil_toy, bound)
+    verdict = ni_verdict(nil_toy, 6)
     rows.append(_row("nil_toy.ext", "ni verdict", "NonZero", verdict.status))
     reduced = li_reduce_red(nil_toy)
     rows.append(_row("nil_toy.ext", "li rank after reduction", 0, shown(li_auto(reduced).rank)))
@@ -150,7 +150,7 @@ def run_corpus(bound: int = 6) -> list[dict]:
     rows.append(_row("nil_cube.ext", "li rank", 0, shown(li_auto(cube).rank)))
 
     ident = load_extension(corpus_path("identity_line.ext"))
-    ident_stability = laurent_stability(ident, degree_bound=bound)
+    ident_stability = laurent_stability(ident, degree_bound=6)
     rows.append(_row("identity_line.ext", "li rank", 0, shown(ident_stability.li.rank)))
     rows.append(_row("identity_line.ext", "ni verdict", "Zero", ident_stability.ni.status))
     rows.append(_row("identity_line.ext", "laurent stability", "yes", ident_stability.answer))

@@ -3,9 +3,8 @@
 A presentation carries both quotient rings, the images of A's variables in
 B, and optional hints (finiteness, birationality, module generators with
 fraction representations, and externally supplied Picard deviation ranks).
-Construction from stated relations checks well-definedness and, unless the
-injectivity check runs out of budget under assume_injective, that the kernel
-is zero; a source presented by the kernel itself (`a_ideal=None`, as
+Construction from stated relations checks well-definedness and that the
+kernel is zero; a source presented by the kernel itself (`a_ideal=None`, as
 `adjoin_element` and `reduce_mod_conductor` build it) satisfies both by
 construction and skips them. Both checks are read off one reduced basis of
 the tag ideal and expand no image: its elements free of B's variables are
@@ -13,8 +12,9 @@ the reduced basis of the kernel K, each relation must reduce to 0 against
 it, and the relations, then inside K, generate K when the leading monomials
 of their reduced basis cover K's. Their own leading monomials are tried
 first, and usually suffice, so no basis of the relations is computed, and A
-keeps K's reduced basis. The relations are substituted into the images only
-when K's basis is over the pair budget. The conductor's certificate
+keeps K's reduced basis. A basis over the pair budget raises out of the
+constructor, so every presentation built from stated relations is proved
+well defined and injective. The conductor's certificate
 c * B inside A is normal forms against the tag basis, whose leading
 monomials also decide whether B is finite over A and give B-monomials
 spanning B over A, so the certificate covers all of B whatever the
@@ -48,10 +48,9 @@ from .errors import (
     InjectivityError,
     MissingHints,
     NotZeroDimensional,
-    PairBudgetExceeded,
     WellDefinednessError,
 )
-from .polycore.groebner import Ideal, colon, default_pair_budget, intersect, staircase
+from .polycore.groebner import Ideal, colon, intersect, staircase
 from .polycore.rings import GREVLEX, MonomialOrder, Polynomial, PolyRing, fresh_names
 
 
@@ -97,18 +96,16 @@ class ExtensionPresentation:
     g lies in the kernel K and reduces to 0 against K's reduced basis. The
     map is then injective when a_ideal, inside K, is all of K
     (`Ideal.adopt_basis_if_equal`, which compares leading monomials and hands
-    a_ideal K's basis). Only when the tag basis, or the relations' basis that
-    the comparison may need, is over the pair budget is injectivity left
-    unproved: the budget error is raised or, under assume_injective, recorded
-    as a warning, and without K's basis the relations are checked by
-    substituting the images. With `a_ideal=None` A is presented by the kernel
-    (`contraction_ideal`), which brings its reduced basis, and neither check
-    runs: the kernel's generators come from the tag basis, so they map to
-    zero, and the kernel lies in itself. Such a presentation builds no tag
-    basis when it is constructed: `a_ideal` is the kernel, computed on first
-    access, and the basis is built by the first request that needs it. A tag
-    basis over the pair budget raises at that request, whatever
-    assume_injective says.
+    a_ideal K's basis). A tag basis, or a relations' basis that the
+    comparison may need, over the pair budget raises its budget error, so
+    a constructed presentation has both checks proved. With `a_ideal=None`
+    A is presented by the kernel (`contraction_ideal`), which brings its
+    reduced basis, and neither check runs: the kernel's generators come
+    from the tag basis, so they map to zero, and the kernel lies in itself.
+    Such a presentation builds no tag basis when it is constructed:
+    `a_ideal` is the kernel, computed on first access, and the basis is
+    built by the first request that needs it. A tag basis over the pair
+    budget raises at that request.
 
     `contains` of an element whose normal form in B is the image of A's
     variable v answers v without the tag basis; `substitute(v)` is that
@@ -123,7 +120,6 @@ class ExtensionPresentation:
         b_ideal: Ideal,
         images: dict,
         hints: Hints | None = None,
-        assume_injective: bool = False,
     ):
         b_ring = b_ideal.ring
         if a_ideal is not None and a_ideal.ring != a_ring:
@@ -140,8 +136,7 @@ class ExtensionPresentation:
         self.b_ideal = b_ideal
         self.images = dict(images)
         self.hints = hints or Hints()
-        self.warnings: tuple[str, ...] = ()
-        self._membership_cache: Ideal | PairBudgetExceeded | None = None
+        self._membership_cache: Ideal | None = None
         # a generator's image, once reduced, certifies itself: substitute(v)
         # is that image, so its membership needs no tag basis; lookups are by
         # normal form, so an image that is not reduced is never hit
@@ -152,39 +147,23 @@ class ExtensionPresentation:
         self._a_ideal = a_ideal
         if a_ideal is None:
             return
-        try:
-            kernel, over_budget = self.contraction_ideal(), None
-            kernel.groebner()  # free under grevlex; under another order a budgeted run
-        except PairBudgetExceeded as exc:
-            kernel, over_budget = None, exc
-
+        kernel = self.contraction_ideal()
+        kernel.groebner()  # free under grevlex; under another order a budgeted run
         # well-definedness: relations of A map to zero in B, that is, they lie
         # in the kernel, since g(tags) lies in the tag ideal exactly when g
-        # lies in its contraction; without the kernel's basis the images are
-        # substituted instead
+        # lies in its contraction
         for g in a_ideal.generators:
-            if kernel is None:
-                zero = b_ideal.contains_poly(self.substitute(g))
-            else:
-                zero = kernel.contains_poly(g)
-            if not zero:
+            if not kernel.contains_poly(g):
                 raise WellDefinednessError(
                     f"relation {g} does not map to zero in the target"
                 )
         # injectivity: a_ideal, inside the kernel, is all of it; A then takes
         # the kernel's reduced basis
-        try:
-            if over_budget is not None:
-                raise over_budget
-            if not a_ideal.adopt_basis_if_equal(kernel):
-                raise InjectivityError(
-                    "the map has a kernel: contraction is strictly larger than "
-                    "the stated relations"
-                )
-        except PairBudgetExceeded:
-            if not assume_injective:
-                raise
-            self.warnings = ("injectivity assumed: elimination exceeded the pair budget",)
+        if not a_ideal.adopt_basis_if_equal(kernel):
+            raise InjectivityError(
+                "the map has a kernel: contraction is strictly larger than "
+                "the stated relations"
+            )
 
     @property
     def a_ideal(self) -> Ideal:
@@ -212,14 +191,10 @@ class ExtensionPresentation:
         A variable, with its reduced basis under the order eliminating B's
         variables (`MonomialOrder.eliminating`).
 
-        The ideal is cached only once its basis exists. A basis over the pair
-        budget is cached as its error, which later calls re-raise without
-        running Buchberger again unless the budget has grown since.
+        The ideal is cached only once its basis exists, so a basis over the
+        pair budget raises at every call that needs it.
         """
-        cached = self._membership_cache
-        if isinstance(cached, PairBudgetExceeded) and cached.budget >= default_pair_budget():
-            raise cached
-        if not isinstance(cached, Ideal):
+        if self._membership_cache is None:
             tags = fresh_names(self.a_ring.variables, self.b_ring.taken_names())
             order = MonomialOrder.eliminating(self.b_ring.nvars(), self.b_ring.nvars() + len(tags))
             work = PolyRing(self.b_ring.field, tuple(self.b_ring.variables) + tuple(tags), order)
@@ -227,11 +202,7 @@ class ExtensionPresentation:
             for tag, v in zip(tags, self.a_ring.variables):
                 gens.append(work.variable(tag) - self.images[v].map_variables(work))
             ideal = Ideal(work, gens)
-            try:
-                ideal.groebner()
-            except PairBudgetExceeded as exc:
-                self._membership_cache = exc
-                raise
+            ideal.groebner()
             self._membership_cache = ideal
         return self._membership_cache
 

@@ -204,9 +204,7 @@ def _parse_hints(section, a_ring: PolyRing, b_ring: PolyRing) -> Hints:
     return Hints(**kwargs)
 
 
-def load_extension(
-    path: str, assume_injective: bool = False, description: dict | None = None,
-) -> ExtensionPresentation:
+def load_extension(path: str, description: dict | None = None) -> ExtensionPresentation:
     description = _sections(path, description)
     sections = set(description)
     required = {"ring.A", "ring.B", "map"}
@@ -233,9 +231,7 @@ def load_extension(
         _parse_hints(description["hints"], a_ring, b_ring)
         if "hints" in description else Hints()
     )
-    return ExtensionPresentation(
-        a_ring, a_ideal, b_ideal, images, hints, assume_injective=assume_injective,
-    )
+    return ExtensionPresentation(a_ring, a_ideal, b_ideal, images, hints)
 
 
 def load_rank_data(path: str, description: dict | None = None) -> RankData:

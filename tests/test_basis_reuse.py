@@ -4,8 +4,8 @@ A presentation answers membership and its kernel from one block-order basis
 of its tag ideal, so constructing it, or adjoining closure witnesses to it,
 never runs Buchberger twice on the same (ring, generators) input, and
 `li_auto` never hands Buchberger a basis that an earlier run returned. A
-tag basis over the pair budget is not attempted again either, so a command
-under `--assume-injective` fails on it once.
+basis over the pair budget ends the command that needed it, so each file
+command fails on at most one input, once.
 
 The conductor square runs on the presentation it is given: `li_auto` builds
 no second one for A/c -> B/cB, and the conductor's fold intersects two colon
@@ -39,6 +39,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import itertools
 import os
 from collections import Counter
 
@@ -300,30 +301,26 @@ def test_conductor_square_builds_one_presentation(monkeypatch, path):
         assert not all(i1.contains_poly(g) for g in i2.generators)
 
 
+FILE_COMMANDS = (["check"], ["stalks", "--generic"], ["li"], ["seminormal"], ["anodal"])
+
+
 @pytest.mark.parametrize("budget", ["1", "2", "3"])
-def test_assume_injective_fails_each_input_once(failed_inputs, budget):
-    argv = ["li", os.path.join(CORPUS, "node.ext"), "--assume-injective",
-            "--pair-budget", budget]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        assert main(argv) == 3
-    assert f"resource limit: S-pair budget of {budget} exceeded" in err.getvalue()
-    assert failed_inputs
-    assert _repeated(failed_inputs) == []
-
-
-def test_over_budget_tag_basis_is_retried_under_a_larger_budget(failed_inputs):
-    previous = GROEBNER.default_pair_budget()
-    GROEBNER.set_default_pair_budget(1)
-    try:
-        ext = load_extension(os.path.join(CORPUS, "node.ext"), assume_injective=True)
-        with pytest.raises(PairBudgetExceeded):
-            ext.contains(ext.b_ring.variable("t"))
-    finally:
-        GROEBNER.set_default_pair_budget(previous)
-    assert len(failed_inputs) == 1
-    assert not ext.contains(ext.b_ring.variable("t")).member
-    assert ext.contains(parse_polynomial("t^2 - 1", ext.b_ring)).member
+def test_file_commands_fail_each_input_once(failed_inputs, budget):
+    """Every file command on every corpus extension either answers or exits 3
+    at its first basis over the budget, having written nothing."""
+    for name, (command, *flags) in itertools.product(EXT_FILES, FILE_COMMANDS):
+        argv = [command, os.path.join(CORPUS, name), *flags, "--pair-budget", budget]
+        failed_inputs.clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert failed_inputs == [], argv
+            continue
+        assert code == 3, argv
+        assert (out.getvalue(), err.getvalue()) == (
+            "", f"resource limit: S-pair budget of {budget} exceeded\n"), argv
+        assert len(failed_inputs) == 1, argv
 
 
 def test_over_budget_kernel_basis_raises_at_its_first_use(failed_inputs):
@@ -344,7 +341,7 @@ def test_over_budget_kernel_basis_raises_at_its_first_use(failed_inputs):
             bigger.a_ideal
     finally:
         GROEBNER.set_default_pair_budget(previous)
-    assert len(failed_inputs) == 1
+    assert len(failed_inputs) == 2  # each use that needs the basis runs it
     assert not bigger.contains(u).member
 
 

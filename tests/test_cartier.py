@@ -403,6 +403,16 @@ def test_laurent_stability_verdicts():
     assert laurent_stability(ident).answer == "yes"
 
 
+@pytest.mark.parametrize("name", [
+    "conjugate_pair.ext", "family_split.ext", "laurent_square.ext",
+    "line_into_node.ext", "node_localized.ext", "two_lines.ext",
+])
+def test_laurent_stability_is_unknown_when_neither_side_is_certified(name):
+    verdict = laurent_stability(load_extension(corpus_path(name)))
+    assert (verdict.answer, verdict.failing_side) == ("unknown", None)
+    assert (verdict.li.rank, verdict.ni.status) == (UNKNOWN, "UnknownUpToBound")
+
+
 def test_decomposition_terms():
     assert decomposition_terms(0) == {"I": 1}
     assert decomposition_terms(1) == {"I": 1, "L": 1, "N^1": 2}

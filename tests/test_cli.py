@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
 import os
+import pathlib
 import re
+import runpy
 import subprocess
 import sys
 
 import pytest
 
-from cartierlab import cli
+from cartierlab import cli, laurent
 from cartierlab.cli import build_parser, main
 from cartierlab.corpus import corpus_path
+from cartierlab.errors import FactorSearchLimit
 from cartierlab.polycore.parse import MAX_NESTING
 
 try:
@@ -202,6 +206,32 @@ def test_terms_and_units(capsys):
     assert sorted(entry["decomposition"]["exponents"]) == [0, 1]
 
 
+def test_units_reports_unknown_when_the_component_search_is_capped(capsys, monkeypatch):
+    def capped(base):
+        raise FactorSearchLimit("factor search stopped at its cap")
+
+    monkeypatch.setattr(laurent, "idempotent_decomposition", capped)
+    code, out, err = run_cli(capsys, "units", "--base", corpus_path("split_base.ring"),
+                             "--laurent", "e*t + 1 - e", "--json")
+    assert (code, err) == (0, "")
+    entry = json.loads(out)["results"][0]
+    assert entry["is_unit"] == "unknown" and "decomposition" not in entry
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["terms", "--n", "0"], 0),
+    (["terms", "--n", "-1"], 2),
+    (["check", corpus_path("node.ext"), "--pair-budget", "1"], 3),
+], ids=["answered", "refused", "over-budget"])
+def test_module_entry_point_exits_with_mains_code(monkeypatch, argv, code):
+    """`python -m cartierlab.cli` hands main's return value to SystemExit."""
+    monkeypatch.setattr(sys, "argv", ["cartierlab", *argv])
+    monkeypatch.delitem(sys.modules, "cartierlab.cli")  # runpy runs a fresh copy
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("cartierlab.cli", run_name="__main__")
+    assert exited.value.code == code
+
+
 def test_units_non_unit(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -323,45 +353,23 @@ def test_li_fiveterm_method_on_artinian_extension(capsys):
     assert entry["rank"] == 1 and entry["method"] == "FiveTermSequence"
 
 
-def test_assume_injective_under_tiny_budget(capsys):
-    # without the flag the elimination hits the budget: resource exit
-    code, _, err = run_cli(
-        capsys, "check", corpus_path("node.ext"), "--pair-budget", "1"
-    )
-    assert code == 3
-    # with the flag the assumption is recorded and the check passes
-    code, out, _ = run_cli(
-        capsys,
-        "check",
-        corpus_path("node.ext"),
-        "--pair-budget",
-        "1",
-        "--assume-injective",
-        "--json",
-    )
-    assert code == 0
-    parsed = json.loads(out)
-    assert parsed["results"][0]["injective"] == "assumed"
-    assert any("injectivity assumed" in w for w in parsed["warnings"])
-
-
 def test_ill_defined_map_is_named_when_the_basis_is_over_budget(capsys, tmp_path):
-    # the tag basis of the node map needs more than one S-pair, so the
-    # relations are checked by substituting the images
+    # the tag basis of the node map needs more than one S-pair: at a budget
+    # of one the check exits 3, and at the default budget the relation that
+    # does not map to zero is named
     bad = tmp_path / "bad.ext"
     bad.write_text(
         "[ring.A]\nfield = QQ\nvars = x, y\nrelations = y^2 - x^3\n\n"
         "[ring.B]\nfield = QQ\nvars = t\nrelations =\n\n"
         "[map]\nx = t^2 - 1\ny = t^3 - t\n"
     )
-    for flags in ([], ["--assume-injective"]):
-        code, out, _ = run_cli(
-            capsys, "check", str(bad), "--pair-budget", "1", "--json", *flags
-        )
-        assert code == 2
-        entry = json.loads(out)["results"][0]
-        assert entry["failure"] == "well-definedness"
-        assert entry["detail"] == "relation -x^3 + y^2 does not map to zero in the target"
+    code, out, err = run_cli(capsys, "check", str(bad), "--pair-budget", "1", "--json")
+    assert (code, out, err) == (3, "", "resource limit: S-pair budget of 1 exceeded\n")
+    code, out, _ = run_cli(capsys, "check", str(bad), "--json")
+    assert code == 2
+    entry = json.loads(out)["results"][0]
+    assert entry["failure"] == "well-definedness"
+    assert entry["detail"] == "relation -x^3 + y^2 does not map to zero in the target"
 
 
 def test_conductor_certificate_failure_on_zero_divisor_fraction(capsys, tmp_path):
@@ -566,8 +574,6 @@ def test_conductor_refusal_texts_are_unchanged(capsys, tmp_path):
     ("seminormal", corpus_path("cusp.ext"), "--bound", "0"),
     ("anodal", corpus_path("node.ext"), "--bound", "0"),
     ("seminormal", corpus_path("cusp.ext"), "--bound", "-2", "--json"),
-    ("corpus", "--bound", "-1"),
-    ("corpus", "--bound", "0", "--json"),
 ], ids=lambda argv: " ".join(a for a in argv if not a.endswith(".ext")))
 def test_bound_below_one_is_input_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -742,6 +748,38 @@ def test_command_refusals_are_input_errors(capsys, argv, message):
     assert err == f"input error: {message}\n"
 
 
+BUDGET_ERRORS = {"PairBudgetExceeded", "ResourceLimitError"}
+
+
+def _budget_handlers(tree) -> list:
+    """The except clauses in tree that name a budget error, alone or in a tuple."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in caught}
+            if names & BUDGET_ERRORS:
+                found.append(node)
+    return found
+
+
+def test_only_main_catches_a_budget_error():
+    """A budget error ends the command: no library code catches it, so no
+    second path around an over-budget basis can grow back."""
+    package = pathlib.Path(cli.__file__).parent
+    outside = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "cli.py" and path.parent == package:
+            main_def, = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+            allowed = set(map(id, _budget_handlers(main_def)))
+            assert len(allowed) == 1
+        outside += [f"{path.relative_to(package)}:{h.lineno}"
+                    for h in _budget_handlers(tree) if id(h) not in allowed]
+    assert outside == []
+
+
 def test_only_the_digit_limit_value_error_is_a_resource_limit(monkeypatch):
     """Any other ValueError is a bug, so it leaves `main` as it came."""
     def broken(n):
@@ -752,13 +790,16 @@ def test_only_the_digit_limit_value_error_is_a_resource_limit(monkeypatch):
         main(["terms", "--n", "1"])
 
 
-def test_human_report_ends_with_its_warnings(capsys):
-    """Without --json the warnings follow the entries, one line each."""
-    code, out, err = run_cli(capsys, "check", "--assume-injective", "--pair-budget", "1",
-                             corpus_path("node.ext"))
-    assert (code, err) == (0, "")
-    assert out.splitlines()[-1] == (
-        "warning: injectivity assumed: elimination exceeded the pair budget")
+def test_human_report_ends_with_its_warnings(capsys, monkeypatch):
+    """Without --json the warnings follow the entries, one line each. A
+    failing corpus row is what gives a report a warning."""
+    row = {"case": "node.ext", "check": "li rank", "expected": 1, "actual": 0,
+           "status": "fail"}
+    monkeypatch.setattr(cli, "run_corpus", lambda: [row])
+    code, out, err = run_cli(capsys, "corpus")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == ["fail  node.ext: li rank (expected 1, got 0)",
+                                     "warning: 1 corpus checks failed"]
 
 
 def _corpus_with(name, pattern, replacement):

@@ -16,7 +16,6 @@ from cartierlab.errors import (
     DegenerateExtension,
     InjectivityError,
     MissingHints,
-    PairBudgetExceeded,
     WellDefinednessError,
 )
 from cartierlab.extensions import (
@@ -53,15 +52,13 @@ except ImportError:  # the property test below skips
     st = None
 
 
-def build(a_vars, a_rels, b_vars, b_rels, images, hints=None, field=QQ, a_order=GREVLEX,
-          assume_injective=False):
+def build(a_vars, a_rels, b_vars, b_rels, images, hints=None, field=QQ, a_order=GREVLEX):
     a_ring = PolyRing(field, a_vars, a_order)
     b_ring = PolyRing(field, b_vars, GREVLEX)
     a_ideal = Ideal(a_ring, [parse_polynomial(t, a_ring) for t in a_rels])
     b_ideal = Ideal(b_ring, [parse_polynomial(t, b_ring) for t in b_rels])
     image_polys = {v: parse_polynomial(s, b_ring) for v, s in images.items()}
-    return ExtensionPresentation(a_ring, a_ideal, b_ideal, image_polys, hints,
-                                 assume_injective=assume_injective)
+    return ExtensionPresentation(a_ring, a_ideal, b_ideal, image_polys, hints)
 
 
 def node_hints():
@@ -797,23 +794,3 @@ def test_a_lex_source_certifies_through_the_kernels_lex_basis(monkeypatch, relat
     assert runs[1:] == [(ext.a_ring, kernel.generators)] + (
         [(ext.a_ring, ext.a_ideal.generators)] if fallback else [])
     assert ext.a_ideal.groebner() == tuple(buchberger(list(kernel.generators), ext.a_ring))
-
-
-def test_an_over_budget_relation_basis_follows_assume_injective():
-    """x^2*(x - y) and (x + 1)^2*(x - y) generate the kernel (x - y) of
-    x, y -> t. Its tag basis takes one S-pair reduction; the relations'
-    leading monomials miss x, and their basis takes three."""
-    def load(assume_injective=False):
-        return build(["x", "y"], ["x^2*(x - y)", "(x + 1)^2*(x - y)"], ["t"], [],
-                     {"x": "t", "y": "t"}, assume_injective=assume_injective)
-
-    previous = GROEBNER.default_pair_budget()
-    GROEBNER.set_default_pair_budget(2)
-    try:
-        with pytest.raises(PairBudgetExceeded):
-            load()
-        assumed = load(assume_injective=True)
-    finally:
-        GROEBNER.set_default_pair_budget(previous)
-    assert assumed.warnings == ("injectivity assumed: elimination exceeded the pair budget",)
-    assert load().warnings == ()

@@ -13,7 +13,7 @@ from cartierlab.artinian import (
     reduced_algebra,
 )
 from cartierlab.corpus import corpus_path
-from cartierlab.errors import CertificateFailure, ParseError
+from cartierlab.errors import UNKNOWN, CertificateFailure, FactorSearchLimit, ParseError
 from cartierlab.extfile import load_ring
 from cartierlab.laurent import (
     LaurentElement,
@@ -51,6 +51,17 @@ def test_is_unit_examples():
     # explicit inverse: (1 + eps t)(1 - eps t) = 1 - eps^2 t^2 = 1
     inv = LaurentElement.one(BASE_NIL) - LaurentElement.t_power(BASE_NIL, 1, eps)
     assert x * inv == LaurentElement.one(BASE_NIL)
+
+
+def test_a_capped_component_search_leaves_unit_status_unknown(monkeypatch):
+    def capped(base):
+        raise FactorSearchLimit("factor search stopped at its cap")
+
+    monkeypatch.setattr(laurent, "idempotent_decomposition", capped)
+    t = LaurentElement.t_power(BASE_QQ, 1)
+    assert is_laurent_unit(t) is UNKNOWN
+    with pytest.raises(FactorSearchLimit):
+        bass_decompose(t)
 
 
 def test_bass_decompose_monomial():
